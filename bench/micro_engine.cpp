@@ -59,8 +59,7 @@ BENCHMARK(BM_FlowSolver)->Arg(64)->Arg(256)->Arg(1024);
 // Arrival/departure churn over a handful of repeated paths — the shuffle-
 // storm shape the path-class solver aggregates. Staggered starts keep
 // arrivals and departures interleaving for the whole run, so every change
-// exercises the re-solve path (instant-batched on the incremental backend,
-// full per-flow under BS_LEGACY_SOLVER=1 for an A/B).
+// exercises the instant-batched re-solve path.
 void BM_FlowSolverChurn(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -27,11 +27,6 @@ struct BlobSeerConfig {
   // nodes (empty = centralized on version_manager_node). See
   // blob/version_manager.h.
   std::vector<net::NodeId> version_manager_nodes;
-  // Forces the centralized (pre-sharding) version manager regardless of
-  // version_manager_nodes — the cross-check oracle, also selectable via
-  // the BS_LEGACY_VM=1 environment variable (PR-9 BS_LEGACY_SOLVER
-  // pattern).
-  bool vm_legacy = false;
   net::NodeId provider_manager_node = 0;
 
   ProviderConfig provider;          // per-provider knobs (node is overwritten)

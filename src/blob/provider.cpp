@@ -1,6 +1,5 @@
 #include "blob/provider.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/assert.h"
@@ -22,9 +21,8 @@ std::string page_args(const PageKey& key, uint64_t bytes) {
 }  // namespace
 
 Provider::Provider(sim::Simulator& sim, net::Network& net, ProviderConfig cfg)
-    : sim_(sim), net_(net), cfg_(cfg), ram_freed_(sim), dirty_added_(sim),
-      drained_(sim), sync_cv_(sim), gc_(kv::GroupCommitObs::resolve(sim)) {
-  BS_CHECK(cfg_.durability.max_records > 0);
+    : sim_(sim), net_(net), cfg_(cfg), ram_freed_(sim),
+      window_(sim, net, cfg_.node, cfg_.durability, down_, *this) {
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_put_pages_ = &m.counter("blob/put_pages");
@@ -64,44 +62,20 @@ void Provider::cache_evict_for(uint64_t need) {
   }
 }
 
-bool Provider::seq_acked(uint64_t seq) const {
-  switch (cfg_.durability.level) {
-    case DurabilityLevel::kNone:
-      return true;  // acked the moment it hit RAM
-    case DurabilityLevel::kBatched:
-      // Acked once the window ahead of it shrank to max_records.
-      return seq <= synced_seq_ + cfg_.durability.max_records;
-    case DurabilityLevel::kImmediate:
-      return seq <= synced_seq_;  // unsynced ⇒ never acked
+void Provider::settle(const Window::Entry& page, Window::Fate fate) {
+  dirty_seq_.erase(page.key);
+  if (fate == Window::Fate::kSynced && cfg_.read_cache &&
+      store_.contains(page.key)) {
+    // Clean now: keep it cached. (A page GC'd or wiped mid-write just
+    // releases its RAM.)
+    lru_.emplace_front(page.key, page.size);
+    lru_index_[page.key] = lru_.begin();
+    return;
   }
-  return false;
-}
-
-void Provider::advance_synced(uint64_t seq) {
-  if (seq > synced_seq_) {
-    synced_seq_ = seq;
-    sync_cv_.notify_all();
-  }
-}
-
-void Provider::drop_unsynced(std::vector<DirtyPage>& pages) {
-  // Power loss: these pages existed only in RAM (their flush never reached
-  // the platter); destroy them and account the damage.
-  for (const DirtyPage& p : pages) {
-    dirty_seq_.erase(p.key);
-    ram_used_ -= p.size;
-    unsynced_bytes_ -= p.size;
-    gc_.unsynced_bytes->add(-static_cast<double>(p.size));
-    bytes_lost_ += p.size;
-    gc_.bytes_lost->inc(static_cast<double>(p.size));
-    if (seq_acked(p.seq)) {
-      acked_bytes_lost_ += p.size;
-      gc_.acked_bytes_lost->inc(static_cast<double>(p.size));
-    }
-    store_.erase(p.key);  // false if a wipe already took it
-  }
-  pages.clear();
-  ram_freed_.notify_all();
+  ram_used_ -= page.size;
+  // Power loss: the page existed only in RAM (its flush never reached the
+  // platter). False if a wipe already took it.
+  if (fate == Window::Fate::kLost) store_.erase(page.key);
 }
 
 sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
@@ -142,17 +116,10 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
     // Overwrite of a still-dirty page: it keeps its queue slot (and its
     // place in the unsynced window).
     my_seq = dit->second;
+    window_.wake();
   } else {
-    my_seq = ++next_seq_;
+    my_seq = window_.push(skey, size);
     dirty_seq_.emplace(skey, my_seq);
-    dirty_.push_back(DirtyPage{skey, size, my_seq, sim_.now()});
-    unsynced_bytes_ += size;
-    gc_.unsynced_bytes->add(static_cast<double>(size));
-  }
-  dirty_added_.notify_one();
-  if (!flusher_running_) {
-    flusher_running_ = true;
-    sim_.spawn(flusher());
   }
   m_put_pages_->inc();
   m_put_bytes_->inc(static_cast<double>(size));
@@ -160,116 +127,13 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
   // Ack per the durability policy (see provider.h).
   bool acked = true;
   if (cfg_.durability.level != DurabilityLevel::kNone) {
-    const uint64_t window = cfg_.durability.level == DurabilityLevel::kBatched
-                                ? cfg_.durability.max_records
-                                : 0;
-    const uint64_t need = my_seq > window ? my_seq - window : 0;
-    const uint64_t inc = net_.incarnation(cfg_.node);
-    while (synced_seq_ < need) {
-      if (down_ || net_.incarnation(cfg_.node) != inc) {
-        acked = false;  // power loss destroyed the page before its ack
-        break;
-      }
-      co_await sync_cv_.wait();
-    }
-    if (down_ || net_.incarnation(cfg_.node) != inc) acked = false;
+    acked = co_await window_.wait_acked(my_seq);
   }
   if (tracer_->enabled()) {
     tracer_->complete("blob", "blob", cfg_.node, "put_page", t0,
                       page_args(key, size));
   }
   co_return acked;
-}
-
-sim::Task<void> Provider::flush_timer(double deadline) {
-  if (deadline > sim_.now()) co_await sim_.delay(deadline - sim_.now());
-  dirty_added_.notify_all();  // wake the flusher to re-check its trigger
-}
-
-sim::Task<void> Provider::flusher() {
-  // Persists dirty pages to disk, forever (one flusher process per
-  // provider, started lazily on first write). kNone/kImmediate write one
-  // page per disk op — the seed's write-behind and the paper's synchronous
-  // model respectively; kBatched coalesces up to max_records pages per op
-  // on a count-or-time trigger, amortizing the positioning overhead.
-  while (true) {
-    while (dirty_.empty()) {
-      drained_.notify_all();
-      co_await dirty_added_.wait();
-    }
-    if (cfg_.durability.level == DurabilityLevel::kBatched && !force_flush_) {
-      // Count-or-time: flush when max_records pages queued or the oldest
-      // queued page has waited max_delay_s, whichever fires first.
-      const double deadline =
-          dirty_.front().enqueued_at + cfg_.durability.max_delay_s;
-      if (sim_.now() < deadline &&
-          dirty_.size() < cfg_.durability.max_records) {
-        sim_.spawn(flush_timer(deadline));
-        while (!force_flush_ && !dirty_.empty() &&
-               dirty_.size() < cfg_.durability.max_records &&
-               sim_.now() < deadline) {
-          co_await dirty_added_.wait();
-        }
-        if (dirty_.empty()) continue;  // a power loss emptied the queue
-      }
-    }
-    // Form the batch.
-    const uint64_t limit = cfg_.durability.level == DurabilityLevel::kBatched
-                               ? cfg_.durability.max_records
-                               : 1;
-    uint64_t batch_bytes = 0;
-    uint64_t last_seq = synced_seq_;
-    const double opened_at = dirty_.front().enqueued_at;
-    while (!dirty_.empty() && inflight_.size() < limit) {
-      DirtyPage p = std::move(dirty_.front());
-      dirty_.pop_front();
-      last_seq = std::max(last_seq, p.seq);
-      if (!store_.contains(p.key)) {
-        // Deleted (GC) while waiting to flush: just release the RAM.
-        dirty_seq_.erase(p.key);
-        ram_used_ -= p.size;
-        unsynced_bytes_ -= p.size;
-        gc_.unsynced_bytes->add(-static_cast<double>(p.size));
-        ram_freed_.notify_all();
-        continue;
-      }
-      batch_bytes += p.size;
-      inflight_.push_back(std::move(p));
-    }
-    if (inflight_.empty()) {
-      advance_synced(last_seq);  // every popped page was GC'd
-      continue;
-    }
-    const bool ok = co_await net_.try_disk_write(
-        cfg_.node, static_cast<double>(batch_bytes));
-    std::vector<DirtyPage> batch = std::move(inflight_);
-    inflight_.clear();
-    if (ok) {
-      for (const DirtyPage& p : batch) {
-        dirty_seq_.erase(p.key);
-        unsynced_bytes_ -= p.size;
-        gc_.unsynced_bytes->add(-static_cast<double>(p.size));
-        // The page is clean now; keep it cached if enabled, else free the
-        // RAM. (A page GC'd or wiped mid-write just releases its RAM.)
-        if (cfg_.read_cache && store_.contains(p.key)) {
-          lru_.emplace_front(p.key, p.size);
-          lru_index_[p.key] = lru_.begin();
-        } else {
-          ram_used_ -= p.size;
-        }
-      }
-      ++flush_batches_;
-      gc_.batches->inc();
-      gc_.records->inc(static_cast<double>(batch.size()));
-      gc_.flush_latency->observe(sim_.now() - opened_at);
-      advance_synced(last_seq);
-      ram_freed_.notify_all();
-    } else {
-      // The node lost power under the batch (PR-4 incarnation machinery):
-      // it never reached the platter and dies with RAM.
-      drop_unsynced(batch);
-    }
-  }
 }
 
 sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
@@ -341,11 +205,7 @@ void Provider::crash(bool wipe_storage) {
   // is failed by the incarnation machinery and accounted by the flusher
   // when its write resolves; pages whose batch already synced survive via
   // journal replay unless the disk itself is wiped below.)
-  std::vector<DirtyPage> dropped(dirty_.begin(), dirty_.end());
-  dirty_.clear();
-  drop_unsynced(dropped);
-  sync_cv_.notify_all();    // put_page ack waiters observe the crash
-  dirty_added_.notify_all();  // flusher re-checks its (now empty) queue
+  window_.power_loss();
   if (wipe_storage) {
     // Disk loss: forget every persisted page. The clean-cache LRU must be
     // released here: a stale entry for a wiped key would otherwise
@@ -387,12 +247,6 @@ sim::Task<bool> Provider::erase_page(net::NodeId client, PageKey key) {
   co_return present;
 }
 
-sim::Task<void> Provider::drain() {
-  // Force batches out regardless of the count-or-time trigger.
-  force_flush_ = true;
-  dirty_added_.notify_all();
-  while (!dirty_.empty() || !inflight_.empty()) co_await drained_.wait();
-  force_flush_ = false;
-}
+sim::Task<void> Provider::drain() { return window_.drain(); }
 
 }  // namespace bs::blob

@@ -1,7 +1,5 @@
 #include "bsfs/namespace.h"
 
-#include <cstdlib>
-
 #include "common/assert.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -14,10 +12,6 @@ namespace bs::bsfs {
 namespace {
 
 std::vector<net::NodeId> effective_nodes(const NamespaceConfig& cfg) {
-  // BS_LEGACY_VM centralizes the whole metadata plane (version manager AND
-  // namespace) — one switch selects the pre-sharding oracle end to end.
-  const char* env = std::getenv("BS_LEGACY_VM");
-  if (env != nullptr && env[0] == '1') return {cfg.node};
   if (cfg.shard_nodes.empty()) return {cfg.node};
   return cfg.shard_nodes;
 }

@@ -40,8 +40,7 @@ namespace bs::bsfs {
 struct NamespaceConfig {
   net::NodeId node = 0;
   // Sharded deployment: entry owners by path hash (empty = {node}, the
-  // centralized manager). Collapsed to {node} under BS_LEGACY_VM=1, the
-  // same oracle switch that centralizes the version manager.
+  // centralized manager).
   std::vector<net::NodeId> shard_nodes;
   double service_time_s = 60e-6;
 };

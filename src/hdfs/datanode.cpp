@@ -27,9 +27,7 @@ std::string block_args(BlockId id, uint64_t bytes) {
 DataNode::DataNode(sim::Simulator& sim, net::Network& net, net::NodeId node,
                    uint64_t ram_bytes, DurabilityPolicy durability)
     : sim_(sim), net_(net), node_(node), ram_bytes_(ram_bytes),
-      durability_(durability), sync_added_(sim), sync_cv_(sim), drained_(sim),
-      gc_(kv::GroupCommitObs::resolve(sim)) {
-  BS_CHECK(durability_.max_records > 0);
+      window_(sim, net, node, durability, down_, *this) {
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_blocks_received_ = &m.counter("hdfs/blocks_received");
@@ -57,42 +55,6 @@ void DataNode::cache_touch(BlockId id, uint64_t size) {
   ram_used_ += size;
 }
 
-bool DataNode::seq_acked(uint64_t seq) const {
-  switch (durability_.level) {
-    case DurabilityLevel::kNone:
-      return true;  // acked on transfer alone
-    case DurabilityLevel::kBatched:
-      return seq <= synced_seq_ + durability_.max_records;
-    case DurabilityLevel::kImmediate:
-      return seq <= synced_seq_;  // unsynced ⇒ never acked
-  }
-  return false;
-}
-
-void DataNode::advance_synced(uint64_t seq) {
-  if (seq > synced_seq_) {
-    synced_seq_ = seq;
-    sync_cv_.notify_all();
-  }
-}
-
-void DataNode::drop_unsynced(std::vector<UnsyncedBlock>& blocks) {
-  // Power loss: these blocks existed only in the page cache (their hsync
-  // never reached the platter); destroy them and account the damage.
-  for (const UnsyncedBlock& b : blocks) {
-    unsynced_bytes_ -= b.size;
-    gc_.unsynced_bytes->add(-static_cast<double>(b.size));
-    bytes_lost_ += b.size;
-    gc_.bytes_lost->inc(static_cast<double>(b.size));
-    if (seq_acked(b.seq)) {
-      acked_bytes_lost_ += b.size;
-      gc_.acked_bytes_lost->inc(static_cast<double>(b.size));
-    }
-    if (store_.contains(block_key(b.id))) forget_block(b.id);
-  }
-  blocks.clear();
-}
-
 sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
                                         DataSpec data, double rate_cap) {
   if (down_) {
@@ -101,7 +63,7 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   }
   const double bytes = static_cast<double>(data.size());
   const double t0 = sim_.now();
-  if (durability_.level == DurabilityLevel::kImmediate) {
+  if (window_.policy().level == DurabilityLevel::kImmediate) {
     // Streaming write-through: the network transfer and the disk write run
     // concurrently; the block is acked when both finish (hsync per block).
     std::vector<sim::Task<void>> legs;
@@ -128,110 +90,21 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   store_.put(block_key(id), data.serialize());
   cache_touch(id, data.size());
   ++blocks_stored_;
-  const uint64_t my_seq = ++next_seq_;
-  unsynced_.push_back(UnsyncedBlock{id, data.size(), my_seq, sim_.now()});
-  unsynced_bytes_ += data.size();
-  gc_.unsynced_bytes->add(bytes);
-  sync_added_.notify_one();
-  if (!syncer_running_) {
-    syncer_running_ = true;
-    sim_.spawn(syncer());
-  }
+  const uint64_t my_seq = window_.push(id, data.size());
   m_blocks_received_->inc();
   m_bytes_received_->inc(bytes);
 
   // Ack per the durability policy: kNone immediately; kBatched once the
   // acked-unsynced window is at most max_records blocks.
   bool acked = true;
-  if (durability_.level == DurabilityLevel::kBatched) {
-    const uint64_t window = durability_.max_records;
-    const uint64_t need = my_seq > window ? my_seq - window : 0;
-    const uint64_t inc = net_.incarnation(node_);
-    while (synced_seq_ < need) {
-      if (down_ || net_.incarnation(node_) != inc) {
-        acked = false;  // power loss destroyed the block before its ack
-        break;
-      }
-      co_await sync_cv_.wait();
-    }
-    if (down_ || net_.incarnation(node_) != inc) acked = false;
+  if (window_.policy().level != DurabilityLevel::kNone) {
+    acked = co_await window_.wait_acked(my_seq);
   }
   if (tracer_->enabled()) {
     tracer_->complete("hdfs", "hdfs", node_, "recv_block", t0,
                       block_args(id, data.size()));
   }
   co_return acked;
-}
-
-sim::Task<void> DataNode::sync_timer(double deadline) {
-  if (deadline > sim_.now()) co_await sim_.delay(deadline - sim_.now());
-  sync_added_.notify_all();  // wake the syncer to re-check its trigger
-}
-
-sim::Task<void> DataNode::syncer() {
-  // Background hsync (kBatched/kNone): coalesces up to max_records blocks
-  // per disk write on the count-or-time trigger, one positioning overhead
-  // per batch.
-  while (true) {
-    while (unsynced_.empty()) {
-      drained_.notify_all();
-      co_await sync_added_.wait();
-    }
-    if (!force_sync_) {
-      const double deadline =
-          unsynced_.front().enqueued_at + durability_.max_delay_s;
-      if (sim_.now() < deadline &&
-          unsynced_.size() < durability_.max_records) {
-        sim_.spawn(sync_timer(deadline));
-        while (!force_sync_ && !unsynced_.empty() &&
-               unsynced_.size() < durability_.max_records &&
-               sim_.now() < deadline) {
-          co_await sync_added_.wait();
-        }
-        if (unsynced_.empty()) continue;  // a power loss emptied the queue
-      }
-    }
-    // Form the batch.
-    uint64_t batch_bytes = 0;
-    uint64_t last_seq = synced_seq_;
-    const double opened_at = unsynced_.front().enqueued_at;
-    while (!unsynced_.empty() && inflight_.size() < durability_.max_records) {
-      UnsyncedBlock b = unsynced_.front();
-      unsynced_.pop_front();
-      last_seq = std::max(last_seq, b.seq);
-      if (!store_.contains(block_key(b.id))) {
-        // Forgotten (pipeline teardown) while waiting for its hsync.
-        unsynced_bytes_ -= b.size;
-        gc_.unsynced_bytes->add(-static_cast<double>(b.size));
-        continue;
-      }
-      batch_bytes += b.size;
-      inflight_.push_back(b);
-    }
-    if (inflight_.empty()) {
-      advance_synced(last_seq);  // every popped block was forgotten
-      continue;
-    }
-    const bool ok = co_await net_.try_disk_write(
-        node_, static_cast<double>(batch_bytes));
-    std::vector<UnsyncedBlock> batch = std::move(inflight_);
-    inflight_.clear();
-    if (ok) {
-      for (const UnsyncedBlock& b : batch) {
-        unsynced_bytes_ -= b.size;
-        gc_.unsynced_bytes->add(-static_cast<double>(b.size));
-      }
-      ++sync_batches_;
-      gc_.batches->inc();
-      gc_.records->inc(static_cast<double>(batch.size()));
-      gc_.flush_latency->observe(sim_.now() - opened_at);
-      advance_synced(last_seq);
-    } else {
-      // The node lost power under the batch (PR-4 incarnation machinery):
-      // it never reached the platter and dies with the page cache.
-      drop_unsynced(batch);
-    }
-  }
 }
 
 sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
@@ -318,11 +191,7 @@ void DataNode::crash(bool wipe_storage) {
   // window, no more, no less. (The batch in flight is failed by the
   // incarnation machinery and accounted by the syncer when its disk write
   // resolves; synced blocks survive unless the disk is wiped below.)
-  std::vector<UnsyncedBlock> dropped(unsynced_.begin(), unsynced_.end());
-  unsynced_.clear();
-  drop_unsynced(dropped);
-  sync_cv_.notify_all();    // receive_block ack waiters observe the crash
-  sync_added_.notify_all();  // syncer re-checks its (now empty) queue
+  window_.power_loss();
   if (wipe_storage) {
     std::vector<std::string> keys;
     store_.scan("", "", [&](const std::string& k, const Bytes&) {
@@ -334,14 +203,6 @@ void DataNode::crash(bool wipe_storage) {
     lru_index_.clear();
     ram_used_ = 0;
   }
-}
-
-sim::Task<void> DataNode::drain() {
-  if (durability_.level == DurabilityLevel::kImmediate) co_return;
-  force_sync_ = true;
-  sync_added_.notify_all();
-  while (!unsynced_.empty() || !inflight_.empty()) co_await drained_.wait();
-  force_sync_ = false;
 }
 
 bool DataNode::has_block(BlockId id) const {

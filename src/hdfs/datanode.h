@@ -20,16 +20,17 @@
 //   kNone       ack on transfer alone; syncing is best-effort background
 //               work on the same cadence. Power loss destroys every
 //               unsynced block.
-// Power loss discards exactly the unsynced window (the batch in flight is
-// failed by the PR-4 incarnation machinery, net::Network::try_disk_write);
-// synced blocks survive a plain crash.
+// The background syncer is the unsynced window the blob provider uses too
+// (kv/sync_window.h): same batch rule, same ack rule, same loss
+// accounting. Power loss discards exactly the unsynced window (the batch
+// in flight is failed by the incarnation machinery,
+// net::Network::try_disk_write); synced blocks survive a plain crash.
 //
 // Reads stream one block from one datanode (HDFS reads are single-source —
 // the contrast with BSFS's striped parallel page fetches).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <optional>
 #include <vector>
@@ -39,13 +40,14 @@
 #include "common/durability.h"
 #include "hdfs/namenode.h"
 #include "kv/kvstore.h"
+#include "kv/sync_window.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bs::hdfs {
 
-class DataNode {
+class DataNode final : private kv::SyncWindow<BlockId>::Site {
  public:
   // `ram_bytes` models the OS page cache: recently written/read blocks are
   // served from memory (the paper's reads run over freshly written data).
@@ -87,7 +89,7 @@ class DataNode {
 
   // Blocks until every unsynced block is on disk, forcing batches out
   // regardless of the count-or-time trigger.
-  sim::Task<void> drain();
+  sim::Task<void> drain() { return window_.drain(); }
 
   bool has_block(BlockId id) const;
   uint64_t blocks_stored() const { return blocks_stored_; }
@@ -95,33 +97,33 @@ class DataNode {
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   // The durability spectrum's observable side.
-  uint64_t unsynced_blocks() const { return unsynced_.size() + inflight_.size(); }
-  uint64_t unsynced_bytes() const { return unsynced_bytes_; }
-  uint64_t sync_batches() const { return sync_batches_; }
-  uint64_t bytes_lost_on_power_loss() const { return bytes_lost_; }
-  uint64_t acked_bytes_lost_on_power_loss() const { return acked_bytes_lost_; }
+  uint64_t unsynced_blocks() const { return window_.unsynced(); }
+  uint64_t unsynced_bytes() const { return window_.unsynced_bytes(); }
+  uint64_t sync_batches() const { return window_.batches(); }
+  uint64_t bytes_lost_on_power_loss() const { return window_.bytes_lost(); }
+  uint64_t acked_bytes_lost_on_power_loss() const {
+    return window_.acked_bytes_lost();
+  }
 
  private:
-  struct UnsyncedBlock {
-    BlockId id = 0;
-    uint64_t size = 0;
-    uint64_t seq = 0;
-    double enqueued_at = 0;
-  };
+  using Window = kv::SyncWindow<BlockId>;
 
   void cache_touch(BlockId id, uint64_t size);
   bool cache_contains(BlockId id) const { return lru_index_.count(id) > 0; }
-  bool seq_acked(uint64_t seq) const;
-  void advance_synced(uint64_t seq);
-  void drop_unsynced(std::vector<UnsyncedBlock>& blocks);
-  sim::Task<void> syncer();
-  sim::Task<void> sync_timer(double deadline);
+
+  // Window::Site: a block whose hsync never reached the platter dies with
+  // the page cache.
+  bool holds(const BlockId& id) const override { return has_block(id); }
+  void settle(const Window::Entry& block, Window::Fate fate) override {
+    if (fate == Window::Fate::kLost && has_block(block.key)) {
+      forget_block(block.key);
+    }
+  }
 
   sim::Simulator& sim_;
   net::Network& net_;
   net::NodeId node_;
   uint64_t ram_bytes_;
-  DurabilityPolicy durability_;
   kv::KvStore store_;
   // Page-cache LRU over whole blocks (front = most recent).
   std::list<std::pair<BlockId, uint64_t>> lru_;
@@ -134,22 +136,8 @@ class DataNode {
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   bool down_ = false;
-
-  // hflush/hsync bookkeeping (kBatched/kNone only; kImmediate syncs
-  // inline). unsynced_ holds blocks awaiting the background hsync.
-  std::deque<UnsyncedBlock> unsynced_;
-  std::vector<UnsyncedBlock> inflight_;  // the batch on the platter path
-  uint64_t next_seq_ = 0;
-  uint64_t synced_seq_ = 0;
-  uint64_t unsynced_bytes_ = 0;
-  uint64_t sync_batches_ = 0;
-  uint64_t bytes_lost_ = 0;
-  uint64_t acked_bytes_lost_ = 0;
-  sim::CondVar sync_added_;
-  sim::CondVar sync_cv_;  // notified when synced_seq_ advances (and on crash)
-  sim::CondVar drained_;
-  bool syncer_running_ = false;
-  bool force_sync_ = false;
+  // Background hsync (kBatched/kNone only; kImmediate syncs inline).
+  Window window_;
 
   // Obs handles (cluster-wide aggregates shared by all datanodes).
   obs::Tracer* tracer_;
@@ -159,7 +147,6 @@ class DataNode {
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
   obs::Counter* m_replications_;
-  kv::GroupCommitObs gc_;
 };
 
 }  // namespace bs::hdfs

@@ -38,12 +38,6 @@ struct ClusterConfig {
   // Parallel streams (BlobSeer's striped page fetches) can.
   double per_stream_cap_bps = 0;
 
-  // Run the pre-optimization flow solver (full per-flow progressive filling
-  // on every flow arrival/departure, no retime damping) instead of the
-  // incremental path-class solver. Baseline for bench/ext9 and the oracle
-  // tests; also switchable via the BS_LEGACY_SOLVER=1 environment variable.
-  bool legacy_solver = false;
-
   // Local-disk model: sequential bandwidth plus per-request positioning
   // overhead (2009-era SATA drives).
   double disk_read_bps = 85.0 * 1024 * 1024;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
 #include "common/assert.h"
 #include "common/log.h"
+#include "net/reference_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -53,8 +53,6 @@ sim::Task<void> Disk::io(double bytes, bool is_read) {
 
 Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
     : sim_(sim), cfg_(cfg) {
-  const char* env = std::getenv("BS_LEGACY_SOLVER");
-  legacy_ = cfg_.legacy_solver || (env != nullptr && env[0] == '1');
   const uint32_t n = cfg_.num_nodes;
   const uint32_t r = cfg_.num_racks();
   link_capacity_.assign(2 * n + 2 * r, 0);
@@ -78,9 +76,7 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   incarnation_.assign(n, 0);
   perf_.assign(n, NodePerf{});
 
-  // The incremental path defers solve+retime to the end of the simulated
-  // instant; the hook is registered unconditionally (the legacy path simply
-  // never requests a flush).
+  // Solve+retime is deferred to the end of the simulated instant.
   sim_.add_flush_hook(&Network::flush_hook, this);
 
   obs::MetricsRegistry& m = sim_.metrics();
@@ -121,7 +117,7 @@ void Network::set_node_perf(NodeId node, NodePerf perf) {
   link_capacity_[link_node_up(node)] = cfg_.nic_bps * perf.nic;
   link_capacity_[link_node_down(node)] = cfg_.nic_bps * perf.nic;
   disks_[node]->set_scale(perf.disk);
-  after_change();
+  mark_rates_dirty();
 }
 
 sim::Task<void> Network::transfer(NodeId src, NodeId dst, double bytes,
@@ -284,7 +280,7 @@ void Network::add_flow(NodeId src, NodeId dst, double bytes, double cap,
   // Ids are monotonically increasing, so push_back keeps the order sorted.
   flow_order_.push_back(&it->second);
   ++flows_started_;
-  after_change();
+  mark_rates_dirty();
 }
 
 bool Network::advance() {
@@ -292,10 +288,8 @@ bool Network::advance() {
   const double dt = now - last_advance_;
   last_advance_ = now;
   if (flows_.empty()) return false;
-  // Zero elapsed time moves no bytes: skip the O(flows) sweep. (The legacy
-  // backend keeps the historical full sweep so its event schedule is
-  // exactly the pre-optimization one, sub-half-byte corner cases included.)
-  if (dt <= 0 && !legacy_) return false;
+  // Zero elapsed time moves no bytes: skip the O(flows) sweep.
+  if (dt <= 0) return false;
   bool any_finished = false;
   for (Flow* f : flow_order_) {
     f->remaining -= f->rate * dt;
@@ -325,89 +319,6 @@ void Network::compact_dead_classes() {
     active_classes_[w++] = ci;
   }
   active_classes_.resize(w);
-}
-
-void Network::solve_flows_legacy() {
-  ++sstats_.legacy_solves;
-  m_solves_->inc();
-  compact_dead_classes();
-  if (flows_.empty()) return;
-  // Progressive filling over flat scratch arrays (no per-call allocation).
-  // This is the pre-optimization per-flow solver, kept verbatim as oracle
-  // and baseline; flows borrow their path and cap from their class (same
-  // values the old per-flow fields held, so the arithmetic — and therefore
-  // the solved rates — are bit-identical to the historical code).
-  if (scratch_remaining_.size() != link_capacity_.size()) {
-    scratch_remaining_.resize(link_capacity_.size());
-    scratch_count_.resize(link_capacity_.size());
-  }
-  scratch_links_.clear();
-  for (Flow* f : flow_order_) {
-    f->rate = -1;  // -1 = unfrozen
-    const PathClass& c = classes_[f->cls];
-    for (uint32_t k = 0; k < c.path_len; ++k) {
-      const uint32_t l = c.path[k];
-      if (scratch_count_[l] == 0) {
-        scratch_remaining_[l] = link_capacity_[l];
-        scratch_links_.push_back(l);
-      }
-      scratch_count_[l] += 1;
-    }
-  }
-  size_t unfrozen = flow_order_.size();
-  while (unfrozen > 0) {
-    // Bottleneck share across links, and the smallest unfrozen per-flow cap.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (uint32_t l : scratch_links_) {
-      const uint32_t cnt = scratch_count_[l];
-      if (cnt == 0) continue;
-      const double fair = scratch_remaining_[l] / cnt;
-      if (fair < best_share) best_share = fair;
-    }
-    bool froze_capped = false;
-    for (Flow* f : flow_order_) {
-      if (f->rate >= 0) continue;
-      const PathClass& c = classes_[f->cls];
-      if (c.cap > 0 && c.cap <= best_share) {
-        // Cap binds before the links do: freeze at the cap.
-        f->rate = c.cap;
-        for (uint32_t k = 0; k < c.path_len; ++k) {
-          const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= f->rate;
-          scratch_count_[l] -= 1;
-        }
-        --unfrozen;
-        froze_capped = true;
-      }
-    }
-    if (froze_capped) continue;
-    // Freeze every unfrozen flow crossing a bottleneck link.
-    const double share = best_share;
-    const double limit = share * (1 + 1e-12);
-    for (Flow* f : flow_order_) {
-      if (f->rate >= 0) continue;
-      const PathClass& c = classes_[f->cls];
-      bool bottlenecked = false;
-      for (uint32_t k = 0; k < c.path_len; ++k) {
-        const uint32_t l = c.path[k];
-        if (scratch_remaining_[l] <= limit * scratch_count_[l]) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (bottlenecked) {
-        f->rate = share;
-        for (uint32_t k = 0; k < c.path_len; ++k) {
-          const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= f->rate;
-          scratch_count_[l] -= 1;
-        }
-        --unfrozen;
-      }
-    }
-  }
-  // Reset counters for the next call (remaining_ is re-seeded lazily).
-  for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
 }
 
 void Network::solve_classes() {
@@ -505,15 +416,6 @@ void Network::flush_solver() {
   retime();
 }
 
-void Network::after_change() {
-  if (legacy_) {
-    solve_flows_legacy();
-    retime();
-  } else {
-    mark_rates_dirty();
-  }
-}
-
 void Network::retime() {
   if (flows_.empty()) {
     ++timer_generation_;  // invalidate any pending wake-up
@@ -527,9 +429,9 @@ void Network::retime() {
   BS_CHECK_MSG(next < std::numeric_limits<double>::infinity(),
                "active flows but no positive rates");
   const double deadline = sim_.now() + next;
-  // Damping (incremental mode): a re-solve that leaves the earliest
-  // completion where it was keeps the already-scheduled timer.
-  if (!legacy_ && timer_pending_ && deadline == timer_deadline_) {
+  // Damping: a re-solve that leaves the earliest completion where it was
+  // keeps the already-scheduled timer.
+  if (timer_pending_ && deadline == timer_deadline_) {
     ++sstats_.retimes_damped;
     return;
   }
@@ -544,13 +446,7 @@ void Network::retime() {
 void Network::on_timer(uint64_t generation) {
   if (generation != timer_generation_) return;  // superseded by a change
   timer_pending_ = false;
-  const bool completed = advance();
-  if (legacy_) {
-    solve_flows_legacy();
-    retime();
-    return;
-  }
-  if (completed) {
+  if (advance()) {
     // Departures change the fair shares: batch with anything else this
     // instant and solve once at its end.
     mark_rates_dirty();
@@ -574,24 +470,23 @@ SolverStats Network::solver_stats() const {
   return s;
 }
 
-double Network::solver_oracle_max_rel_diff() {
-  if (flows_.empty()) return 0;
-  // Both solvers are pure functions of the current flow set and capacities,
-  // so running them back to back and finishing with the active backend
-  // leaves rates bit-identical to the pre-call state.
-  std::vector<double> legacy_rates;
-  legacy_rates.reserve(flow_order_.size());
-  solve_flows_legacy();
-  for (const Flow* f : flow_order_) legacy_rates.push_back(f->rate);
-  solve_classes();
+double Network::solver_oracle_max_rel_diff() const {
+  if (flows_.empty() || rates_dirty_) return 0;
+  std::vector<std::vector<uint32_t>> paths;
+  std::vector<double> caps;
+  paths.reserve(flow_order_.size());
+  caps.reserve(flow_order_.size());
+  for (const Flow* f : flow_order_) {
+    const PathClass& c = classes_[f->cls];
+    paths.emplace_back(c.path, c.path + c.path_len);
+    caps.push_back(c.cap);
+  }
+  const std::vector<double> want = reference_max_min(paths, caps, link_capacity_);
   double max_rel = 0;
   for (size_t i = 0; i < flow_order_.size(); ++i) {
-    const double a = legacy_rates[i];
-    const double b = flow_order_[i]->rate;
-    const double denom = std::max(std::abs(a), 1.0);
-    max_rel = std::max(max_rel, std::abs(a - b) / denom);
+    const double denom = std::max(std::abs(want[i]), 1.0);
+    max_rel = std::max(max_rel, std::abs(want[i] - flow_order_[i]->rate) / denom);
   }
-  if (legacy_) solve_flows_legacy();  // restore the active backend's rates
   return max_rel;
 }
 

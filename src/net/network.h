@@ -24,11 +24,10 @@
 //  - Completion-retime damping: the wake-up timer is left in place when a
 //    re-solve does not move the earliest completion time.
 //
-// The pre-optimization solver (full per-flow progressive filling on every
-// change, no damping) is kept in the binary as the oracle and baseline:
-// enable with ClusterConfig::legacy_solver or BS_LEGACY_SOLVER=1 in the
-// environment. Both paths are individually bit-reproducible; their rates
-// agree to floating-point round-off (gated by net_test and bench/ext9).
+// The oracle is a pure function, not a second backend: reference_max_min
+// (net/reference_solver.h) runs plain per-flow progressive filling on a flow
+// set, and solver_oracle_max_rel_diff() checks the live rates against it
+// (gated by net_test and bench/ext9).
 //
 // Control messages (RPCs) are modeled as fixed one-way latencies — they are
 // small enough (hundreds of bytes) that their bandwidth use is negligible.
@@ -121,7 +120,6 @@ struct NodePerf {
 // Solver introspection for benches and tests (bench/ext9, net_test).
 struct SolverStats {
   uint64_t class_solves = 0;    // instant-batched path-class re-solves
-  uint64_t legacy_solves = 0;   // full per-flow re-solves (legacy path)
   uint64_t retimes_scheduled = 0;
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
@@ -208,14 +206,14 @@ class Network {
   const std::vector<double>& tx_bytes() const { return tx_bytes_; }
 
   // --- solver introspection (tests / bench gates) ---
-  bool legacy_solver() const { return legacy_; }
   SolverStats solver_stats() const;
-  // Oracle cross-check: solves the CURRENT flow set with both the legacy
-  // full per-flow filling and the path-class solver and returns the
-  // largest relative rate difference (0 when no flows are active). Leaves
-  // the active mode's rates in place, so calling it mid-run does not
-  // perturb the simulation. Test/bench only — allocates.
-  double solver_oracle_max_rel_diff();
+  // Oracle cross-check: the largest relative difference between the live
+  // per-flow rates and reference_max_min on the current flow set. 0 when no
+  // flows are active, or when this instant has changes the instant-end
+  // re-solve has not applied yet (the live rates are not an allocation
+  // until then). Read-only: probing never changes the simulation or its
+  // counters. Test/bench only — allocates.
+  double solver_oracle_max_rel_diff() const;
 
  private:
   struct GroundTruth final : LivenessView {
@@ -265,27 +263,22 @@ class Network {
   bool advance();
   // Recycles class slots whose membership dropped to zero.
   void compact_dead_classes();
-  // Rate re-solve, both backends. Legacy: per-flow progressive filling
-  // (the pre-optimization oracle). Class: progressive filling over path
-  // classes weighted by member count, rates written back to flows.
-  void solve_flows_legacy();
+  // Rate re-solve: progressive filling over path classes weighted by
+  // member count, rates written back to flows.
   void solve_classes();
-  // Incremental path: marks rates stale and defers solve+retime to the
-  // simulator's instant-end flush (one solve per instant, however many
+  // Marks rates stale and defers solve+retime to the simulator's
+  // instant-end flush (one solve per instant, however many
   // arrivals/departures it batched).
   void mark_rates_dirty();
   void flush_solver();
   static void flush_hook(void* self);
-  // Immediate re-solve + retime (legacy path and set_node_perf).
-  void after_change();
-  // Schedules the wake-up for the next flow completion. Damped in the
-  // incremental mode: a pending timer at the same deadline is left alone.
+  // Schedules the wake-up for the next flow completion. Damped: a pending
+  // timer at the same deadline is left alone.
   void retime();
   void on_timer(uint64_t generation);
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
-  bool legacy_ = false;
   std::vector<double> link_capacity_;
   bs::unordered_map<uint64_t, Flow> flows_;
   // Path classes: slot storage + free list; active slots listed in cid
@@ -295,7 +288,7 @@ class Network {
   std::vector<uint32_t> free_classes_;
   std::vector<uint32_t> active_classes_;
   std::map<std::tuple<NodeId, NodeId, double>, uint32_t> class_index_;
-  // Scratch for the solvers (sized to the link count, reused).
+  // Scratch for the solver (sized to the link count, reused).
   std::vector<double> scratch_remaining_;
   std::vector<uint32_t> scratch_count_;
   std::vector<uint32_t> scratch_links_;  // links touched by active flows

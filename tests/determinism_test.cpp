@@ -52,8 +52,7 @@ struct RunResult {
   }
 };
 
-RunResult run_stack(const std::string& backend, bool legacy_solver = false,
-                    bool sharded_metadata = false) {
+RunResult run_stack(const std::string& backend, bool sharded_metadata = false) {
   sim::Simulator sim;
   // Tracing on for the whole run: recording spans must not perturb the
   // simulation (every timing assertion below would catch it if it did).
@@ -66,7 +65,6 @@ RunResult run_stack(const std::string& backend, bool legacy_solver = false,
   net::ClusterConfig ncfg;
   ncfg.num_nodes = 24;
   ncfg.nodes_per_rack = 6;
-  ncfg.legacy_solver = legacy_solver;
   net::Network net(sim, ncfg);
   // Sharded-metadata variant (PR 10): version-manager serial points and
   // namespace entries spread over ring shards, with client leases on — the
@@ -180,42 +178,15 @@ TEST(Determinism, ObservabilitySnapshotsAreBitReproducible) {
   }
 }
 
-// Engine rewrite (PR 9): the pre-optimization per-flow solver survives as a
-// selectable backend (ClusterConfig::legacy_solver / BS_LEGACY_SOLVER) so it
-// can serve as an oracle. It must be exactly as deterministic as the
-// incremental default — byte-identical snapshots, schedule digest included —
-// and both solver backends must agree on the application output. (The full
-// suite also runs under BS_LEGACY_SOLVER=1 in CI; this pins the claim
-// in-binary.)
-TEST(Determinism, LegacySolverBackendIsBitReproducible) {
-  for (const char* backend : {"BSFS", "HDFS"}) {
-    const RunResult a = run_stack(backend, /*legacy_solver=*/true);
-    const RunResult b = run_stack(backend, /*legacy_solver=*/true);
-    EXPECT_TRUE(a == b) << backend;
-    EXPECT_NE(a.metrics_snapshot.find("sim/order_digest_lo"),
-              std::string::npos)
-        << backend;
-  }
-  auto sorted = [](std::vector<std::pair<std::string, std::string>> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  const RunResult legacy = run_stack("BSFS", /*legacy_solver=*/true);
-  const RunResult incremental = run_stack("BSFS");
-  EXPECT_EQ(sorted(legacy.results), sorted(incremental.results));
-}
-
 // Sharded metadata plane (PR 10): distributing the version manager and
 // namespace across ring shards — leases on — must not cost a single bit of
 // reproducibility, and the sharded world must agree with the centralized
-// one on application output (the end-to-end face of the BS_LEGACY_VM
-// oracle; per-blob chain equality is pinned in vm_shard_test).
+// one on application output (per-blob chain equality is pinned in
+// vm_shard_test).
 TEST(Determinism, ShardedMetadataPlaneIsBitReproducible) {
   for (const char* backend : {"BSFS", "HDFS"}) {
-    const RunResult a =
-        run_stack(backend, /*legacy_solver=*/false, /*sharded_metadata=*/true);
-    const RunResult b =
-        run_stack(backend, /*legacy_solver=*/false, /*sharded_metadata=*/true);
+    const RunResult a = run_stack(backend, /*sharded_metadata=*/true);
+    const RunResult b = run_stack(backend, /*sharded_metadata=*/true);
     EXPECT_TRUE(a == b) << backend;
     EXPECT_GT(a.events, 0u) << backend;
   }
@@ -223,8 +194,7 @@ TEST(Determinism, ShardedMetadataPlaneIsBitReproducible) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const RunResult sharded =
-      run_stack("BSFS", /*legacy_solver=*/false, /*sharded_metadata=*/true);
+  const RunResult sharded = run_stack("BSFS", /*sharded_metadata=*/true);
   const RunResult central = run_stack("BSFS");
   EXPECT_EQ(sorted(sharded.results), sorted(central.results));
 }

@@ -2,16 +2,22 @@
 // first, timer fires first, explicit sync()), the ack contract under power
 // loss (crash before the ack loses the whole batch, crash after the ack
 // loses nothing — including a crash that catches the batch on the platter
-// path), and WAL replay after a torn tail mid-batch.
+// path), and WAL replay after a torn tail mid-batch. Then the shared
+// unsynced window's batch rule, pinned at both of its sites (the blob
+// provider and the HDFS DataNode).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "blob/provider.h"
+#include "hdfs/datanode.h"
 #include "kv/journal.h"
 #include "kv/kvstore.h"
 #include "net/network.h"
+#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 namespace bs::kv {
@@ -272,6 +278,121 @@ TEST(GroupCommit, CheckpointSettlesPendingBatchesAsSubsumed) {
   j->scan([&](const Bytes& r) { replayed->append(r); });
   KvStore kv2(std::move(replayed));
   EXPECT_EQ(kv2.size(), 10u);
+}
+
+// --- the shared unsynced window (kv/sync_window.h) ---------------------------
+//
+// The provider and the DataNode run the same window, so one policy means one
+// batch rule at both: kImmediate writes batches of one, kNone/kBatched
+// batch up to max_records on the count-or-time trigger.
+
+constexpr uint64_t kPageLen = 64 * 1024;
+
+struct WindowRun {
+  bool all_acked = true;
+  double acked_at = -1;    // when the last write acked
+  double synced_at = -1;   // when the last batch reached the platter
+  uint64_t batches = 0;
+};
+
+// Issues `count` concurrent writes and waits for every ack.
+sim::Task<void> write_all(sim::Simulator* sim, uint64_t count,
+                          std::function<sim::Task<bool>(uint64_t)> write,
+                          WindowRun* out) {
+  std::vector<sim::Task<bool>> writes;
+  for (uint64_t i = 0; i < count; ++i) writes.push_back(write(i));
+  for (bool ok : co_await sim::when_all(*sim, std::move(writes))) {
+    out->all_acked = out->all_acked && ok;
+  }
+  out->acked_at = sim->now();
+}
+
+// The flusher waits for work without a pending event, so the simulation
+// ends when the last batch (or a trigger timer) resolves.
+WindowRun provider_run(DurabilityPolicy policy, uint64_t pages) {
+  GcWorld w;
+  blob::ProviderConfig cfg;
+  cfg.node = kNode;
+  cfg.read_cache = false;
+  cfg.durability = policy;
+  blob::Provider p(w.sim, w.net, cfg);
+  WindowRun out;
+  w.sim.spawn(write_all(&w.sim, pages, [&p](uint64_t i) {
+    return p.put_page(0, blob::PageKey{1, i, 1},
+                      DataSpec::pattern(i, 0, kPageLen));
+  }, &out));
+  out.synced_at = w.sim.run();
+  EXPECT_EQ(p.unsynced_pages(), 0u);
+  out.batches = p.flush_batches();
+  return out;
+}
+
+WindowRun datanode_run(DurabilityPolicy policy, uint64_t blocks) {
+  GcWorld w;
+  hdfs::DataNode dn(w.sim, w.net, kNode, 1ULL << 30, policy);
+  WindowRun out;
+  w.sim.spawn(write_all(&w.sim, blocks, [&dn](uint64_t i) {
+    return dn.receive_block(0, i + 1, DataSpec::pattern(i, 0, kPageLen));
+  }, &out));
+  out.synced_at = w.sim.run();
+  EXPECT_EQ(dn.unsynced_blocks(), 0u);
+  out.batches = dn.sync_batches();
+  return out;
+}
+
+double disk_write_s(uint64_t bytes) {
+  const net::ClusterConfig cfg = tiny_net();
+  return cfg.disk_seek_s + static_cast<double>(bytes) / cfg.disk_write_bps;
+}
+
+TEST(SyncWindow, ProviderWriteBehindWritesOnePagePerDiskOpWithoutTimer) {
+  // The provider's default: kNone with max_records = 1 and no delay. Each
+  // page is its own disk write, back to back from the moment the pages
+  // land (acked on arrival) — no timer ever holds a page back.
+  const WindowRun r = provider_run(DurabilityPolicy::write_behind(), 4);
+  EXPECT_TRUE(r.all_acked);
+  EXPECT_EQ(r.batches, 4u);
+  EXPECT_NEAR(r.synced_at - r.acked_at, 4 * disk_write_s(kPageLen), 1e-12);
+}
+
+TEST(SyncWindow, ProviderBatchedCoalescesOnCountTrigger) {
+  const WindowRun r =
+      provider_run(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0), 4);
+  EXPECT_TRUE(r.all_acked);
+  EXPECT_EQ(r.batches, 1u);  // the 4th page closed the batch...
+  EXPECT_LT(r.synced_at, 1.0);  // ...so no 10 s timer was ever armed
+}
+
+TEST(SyncWindow, DataNodeBatchedCoalescesOnCountTrigger) {
+  const WindowRun r =
+      datanode_run(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0), 4);
+  EXPECT_TRUE(r.all_acked);
+  EXPECT_EQ(r.batches, 1u);
+  EXPECT_LT(r.synced_at, 1.0);
+}
+
+TEST(SyncWindow, ProviderImmediateWritesBatchesOfOne) {
+  const WindowRun r = provider_run(DurabilityPolicy::immediate(), 3);
+  EXPECT_TRUE(r.all_acked);
+  EXPECT_EQ(r.batches, 3u);
+  // Acked only once the last page's own write finished.
+  EXPECT_EQ(r.synced_at, r.acked_at);
+}
+
+TEST(SyncWindow, NoneFollowsTheSameCadenceAtBothSites) {
+  // DurabilityPolicy::none() (32 records / 10 ms): 3 writes ack on arrival
+  // and the 10 ms timer, not the count, sends them to disk as one batch —
+  // identically at the provider and the DataNode.
+  const WindowRun prov = provider_run(DurabilityPolicy::none(), 3);
+  const WindowRun dn = datanode_run(DurabilityPolicy::none(), 3);
+  for (const WindowRun* r : {&prov, &dn}) {
+    EXPECT_TRUE(r->all_acked);
+    EXPECT_EQ(r->batches, 1u);
+    EXPECT_NEAR(r->synced_at - r->acked_at, 0.010 + disk_write_s(3 * kPageLen),
+                1e-12);
+  }
+  EXPECT_EQ(prov.acked_at, dn.acked_at);
+  EXPECT_EQ(prov.synced_at, dn.synced_at);
 }
 
 }  // namespace

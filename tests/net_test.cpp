@@ -3,12 +3,17 @@
 // randomized load (property-style sweep).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/cluster.h"
 #include "net/network.h"
+#include "net/reference_solver.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 
@@ -413,58 +418,92 @@ TEST_P(NetworkLoadTest, ConservationAndCompletion) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkLoadTest, ::testing::Range(1, 9));
 
-// --- incremental solver vs. legacy oracle (PR 9) ---------------------------
+// --- the pure reference solver ----------------------------------------------
 
-// Randomized flow churn (staggered arrivals and departures, repeated paths,
-// per-flow caps) with a probe that repeatedly solves the LIVE flow set with
-// both backends and records the worst relative rate difference. Both code
-// paths are compiled into every build; this is the standing proof that the
-// path-class solver computes the same max-min allocation as the full
-// per-flow progressive filling it replaced.
-class SolverOracleTest : public ::testing::TestWithParam<int> {};
+TEST(ReferenceMaxMin, TwoFlowsSplitOneLink) {
+  const std::vector<double> rates =
+      reference_max_min({{0}, {0}}, {0, 0}, {100});
+  ASSERT_EQ(rates.size(), 2u);
+  EXPECT_DOUBLE_EQ(rates[0], 50);
+  EXPECT_DOUBLE_EQ(rates[1], 50);
+}
 
-TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
-  Rng rng(GetParam());
-  sim::Simulator sim;
-  auto cfg = small_config();
-  cfg.per_stream_cap_bps = 30e6;  // caps bind on some rounds, not all
-  Network net(sim, cfg);
-  // The oracle comparison is only meaningful with the incremental solver
-  // live; under the BS_LEGACY_SOLVER=1 sweep both sides would be legacy.
-  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+TEST(ReferenceMaxMin, BindingCapFreesShareForTheOther) {
+  // Flow 0's cap (20) binds below the fair share (50); flow 1 takes the
+  // rest of the link.
+  const std::vector<double> rates =
+      reference_max_min({{0}, {0}}, {20, 0}, {100});
+  EXPECT_DOUBLE_EQ(rates[0], 20);
+  EXPECT_DOUBLE_EQ(rates[1], 80);
+}
 
+TEST(ReferenceMaxMin, TwoBottleneckLevels) {
+  // Link 0 (100) carries flows 0 and 1; link 1 (300) carries 1, 2 and 3.
+  // Link 0 is the first bottleneck (50 each). Link 1 then has 250 left for
+  // flows 2 and 3: 125 each.
+  const std::vector<double> rates = reference_max_min(
+      {{0}, {0, 1}, {1}, {1}}, {0, 0, 0, 0}, {100, 300});
+  EXPECT_DOUBLE_EQ(rates[0], 50);
+  EXPECT_DOUBLE_EQ(rates[1], 50);
+  EXPECT_DOUBLE_EQ(rates[2], 125);
+  EXPECT_DOUBLE_EQ(rates[3], 125);
+}
+
+// --- the path-class solver vs. the reference -------------------------------
+
+// Randomized flow churn: staggered arrivals and departures, repeated paths
+// (same-path classes with several members), per-flow caps.
+void spawn_churn(sim::Simulator& sim, Network& net, uint64_t seed) {
+  Rng rng(seed);
+  const uint32_t nodes = net.config().num_nodes;
   auto xfer = [](Network& n, NodeId s, NodeId d, double bytes, double cap,
                  double start) -> sim::Task<void> {
     co_await n.simulator().delay(start);
     co_await n.transfer(s, d, bytes, cap);
   };
-  const int num_flows = 60;
-  for (int i = 0; i < num_flows; ++i) {
-    // Half the flows reuse one of 6 fixed pairs (same-path classes with
-    // several members); the rest are random pairs.
+  for (int i = 0; i < 60; ++i) {
+    // Half the flows reuse one of 6 fixed pairs; the rest are random pairs.
     NodeId s, d;
     if (i % 2 == 0) {
       s = static_cast<NodeId>(i % 6);
-      d = static_cast<NodeId>((i % 6 + 4) % cfg.num_nodes);
+      d = static_cast<NodeId>((i % 6 + 4) % nodes);
     } else {
-      s = static_cast<NodeId>(rng.below(cfg.num_nodes));
-      d = static_cast<NodeId>(rng.below(cfg.num_nodes));
-      if (d == s) d = (d + 1) % cfg.num_nodes;
+      s = static_cast<NodeId>(rng.below(nodes));
+      d = static_cast<NodeId>(rng.below(nodes));
+      if (d == s) d = (d + 1) % nodes;
     }
     const double bytes = 1e6 + rng.uniform() * 40e6;
     const double cap = (i % 5 == 0) ? 10e6 + rng.uniform() * 40e6 : 0;
     const double start = rng.uniform() * 1.5;
     sim.spawn(xfer(net, s, d, bytes, cap, start));
   }
+}
+
+sim::Task<void> oracle_probe(Network& n, double* worst) {
+  for (int k = 0; k < 80; ++k) {
+    co_await n.simulator().delay(0.05);
+    if (n.active_flows() == 0) continue;
+    *worst = std::max(*worst, n.solver_oracle_max_rel_diff());
+  }
+}
+
+ClusterConfig churn_config() {
+  auto cfg = small_config();
+  cfg.per_stream_cap_bps = 30e6;  // caps bind on some rounds, not all
+  return cfg;
+}
+
+// The standing proof that the path-class solver computes the same max-min
+// allocation as plain per-flow progressive filling: a probe repeatedly
+// checks the LIVE rates against reference_max_min under churn.
+class SolverOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
+  sim::Simulator sim;
+  Network net(sim, churn_config());
+  spawn_churn(sim, net, GetParam());
   double max_rel_diff = 0;
-  auto probe = [](Network& n, double* worst) -> sim::Task<void> {
-    for (int k = 0; k < 80; ++k) {
-      co_await n.simulator().delay(0.05);
-      if (n.active_flows() == 0) continue;
-      *worst = std::max(*worst, n.solver_oracle_max_rel_diff());
-    }
-  };
-  sim.spawn(probe(net, &max_rel_diff));
+  sim.spawn(oracle_probe(net, &max_rel_diff));
   sim.run();
 
   EXPECT_LT(max_rel_diff, 1e-9);
@@ -478,46 +517,135 @@ TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleTest, ::testing::Range(1, 6));
 
-TEST(Network, BackendsAgreeOnCompletionTimesAndBytes) {
-  // The same randomized workload through both solver backends must produce
-  // the same physics: equal bytes moved and completion times within float
-  // round-off (class-aggregated arithmetic may differ by ~1 ulp).
-  auto run_backend = [](bool legacy) {
-    Rng rng(1234);
+TEST(Network, OracleProbeDoesNotPerturbCounters) {
+  // The probe only reads: the same churn with and without it must leave
+  // identical solver counters and a byte-identical metrics snapshot.
+  auto run = [](bool probe) {
     sim::Simulator sim;
-    auto cfg = small_config();
-    cfg.legacy_solver = legacy;
-    Network net(sim, cfg);
-    auto xfer = [](Network& n, NodeId s, NodeId d, double bytes,
-                   double start) -> sim::Task<void> {
-      co_await n.simulator().delay(start);
-      co_await n.transfer(s, d, bytes);
-    };
-    for (int i = 0; i < 40; ++i) {
-      const NodeId s = static_cast<NodeId>(rng.below(8));
-      NodeId d = static_cast<NodeId>(rng.below(8));
-      if (d == s) d = (d + 1) % 8;
-      sim.spawn(xfer(net, s, d, 1e6 + rng.uniform() * 30e6,
-                     rng.uniform() * 0.5));
-    }
+    Network net(sim, churn_config());
+    spawn_churn(sim, net, 3);
+    double worst = 0;
+    if (probe) sim.spawn(oracle_probe(net, &worst));
     sim.run();
-    return std::pair<double, double>(sim.now(), net.bytes_moved());
+    return std::make_pair(net.solver_stats(), sim.metrics().text_snapshot());
   };
-  const auto legacy = run_backend(true);
-  const auto incremental = run_backend(false);
-  EXPECT_NEAR(incremental.first, legacy.first,
-              1e-9 * std::max(1.0, legacy.first));
-  EXPECT_DOUBLE_EQ(incremental.second, legacy.second);
+  const auto [plain_stats, plain_snapshot] = run(false);
+  const auto [probed_stats, probed_snapshot] = run(true);
+  EXPECT_EQ(plain_stats.class_solves, probed_stats.class_solves);
+  EXPECT_EQ(plain_stats.retimes_scheduled, probed_stats.retimes_scheduled);
+  EXPECT_EQ(plain_stats.retimes_damped, probed_stats.retimes_damped);
+  EXPECT_EQ(plain_stats.path_classes_created,
+            probed_stats.path_classes_created);
+  EXPECT_EQ(plain_stats.active_path_classes, probed_stats.active_path_classes);
+  EXPECT_EQ(plain_snapshot, probed_snapshot);
+}
+
+// A fluid stepper over reference_max_min: between events (an arrival or a
+// completion) every active flow moves at its reference rate. A flow
+// finishes once under half a byte remains, as in Network.
+struct FluidFlow {
+  NodeId src, dst;
+  double bytes;
+  double start;
+};
+
+std::vector<double> reference_completions(const ClusterConfig& cfg,
+                                          const std::vector<FluidFlow>& flows) {
+  const uint32_t n = cfg.num_nodes;
+  const uint32_t r = cfg.num_racks();
+  // Network's link layout: node up, node down, rack up, rack down.
+  std::vector<double> capacity(2 * n + 2 * r, cfg.nic_bps);
+  for (uint32_t i = 2 * n; i < capacity.size(); ++i) {
+    capacity[i] = cfg.rack_uplink_bps;
+  }
+  auto path_of = [&](const FluidFlow& f) {
+    std::vector<uint32_t> path = {f.src};
+    if (!cfg.same_rack(f.src, f.dst)) {
+      path.push_back(2 * n + cfg.rack_of(f.src));
+      path.push_back(2 * n + r + cfg.rack_of(f.dst));
+    }
+    path.push_back(n + f.dst);
+    return path;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> remaining(flows.size());
+  std::vector<double> done(flows.size(), -1);
+  std::vector<char> started(flows.size(), 0);
+  double now = 0;
+  for (size_t completed = 0; completed < flows.size();) {
+    for (size_t i = 0; i < flows.size(); ++i) {
+      if (!started[i] && flows[i].start <= now) {
+        started[i] = 1;
+        remaining[i] = flows[i].bytes;
+      }
+    }
+    std::vector<size_t> active;
+    std::vector<std::vector<uint32_t>> paths;
+    for (size_t i = 0; i < flows.size(); ++i) {
+      if (!started[i] || done[i] >= 0) continue;
+      active.push_back(i);
+      paths.push_back(path_of(flows[i]));
+    }
+    const std::vector<double> rates = reference_max_min(
+        paths, std::vector<double>(active.size(), 0), capacity);
+    double next = inf;
+    for (size_t i = 0; i < flows.size(); ++i) {
+      if (!started[i]) next = std::min(next, flows[i].start);
+    }
+    for (size_t k = 0; k < active.size(); ++k) {
+      next = std::min(next, now + remaining[active[k]] / rates[k]);
+    }
+    for (size_t k = 0; k < active.size(); ++k) {
+      const size_t i = active[k];
+      remaining[i] -= rates[k] * (next - now);
+      if (remaining[i] <= 0.5) {
+        done[i] = next;
+        ++completed;
+      }
+    }
+    now = next;
+  }
+  return done;
+}
+
+TEST(Network, CompletionTimesMatchReferenceFluidModel) {
+  // Every flow of a randomized workload must finish when a fluid model
+  // driven by the reference allocation says it does.
+  const ClusterConfig cfg = small_config();
+  Rng rng(1234);
+  std::vector<FluidFlow> flows;
+  for (int i = 0; i < 40; ++i) {
+    const NodeId s = static_cast<NodeId>(rng.below(8));
+    NodeId d = static_cast<NodeId>(rng.below(8));
+    if (d == s) d = (d + 1) % 8;
+    flows.push_back({s, d, 1e6 + rng.uniform() * 30e6, rng.uniform() * 0.5});
+  }
+  sim::Simulator sim;
+  Network net(sim, cfg);
+  std::vector<double> finished(flows.size(), -1);
+  auto xfer = [](Network& n, FluidFlow f, double* at) -> sim::Task<void> {
+    co_await n.simulator().delay(f.start);
+    co_await n.transfer(f.src, f.dst, f.bytes);
+    *at = n.simulator().now();
+  };
+  for (size_t i = 0; i < flows.size(); ++i) {
+    sim.spawn(xfer(net, flows[i], &finished[i]));
+  }
+  sim.run();
+
+  const std::vector<double> want = reference_completions(cfg, flows);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_NEAR(finished[i], want[i], 1e-9 * std::max(1.0, want[i]))
+        << "flow " << i;
+  }
 }
 
 TEST(Network, RetimeDampingSkipsUnchangedDeadlines) {
   // A batch of same-instant arrivals between independent pairs: each flush
   // re-solve leaves the earliest completion unchanged once it is set, so
-  // damping must absorb retimes that the legacy backend would schedule.
+  // damping must absorb retimes a per-change reschedule would pay.
   sim::Simulator sim;
   Network net(sim, small_config());
-  // Damping is an incremental-backend behavior; legacy always reschedules.
-  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
   auto xfer = [](Network& n, NodeId s, NodeId d, double start,
                  double bytes) -> sim::Task<void> {
     co_await n.simulator().delay(start);

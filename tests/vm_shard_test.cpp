@@ -5,14 +5,13 @@
 //   * routing actually spreads — sequential ids/sibling paths cover every
 //     shard (regression for the FNV lattice that once parked half the keys
 //     on one shard);
-//   * a sharded world and a centralized (legacy) world running the same
-//     concurrent-append storm produce IDENTICAL per-blob version chains —
-//     sharding moved the serial point, it did not change per-blob ordering;
+//   * an S-shard world and a 1-shard world running the same concurrent-
+//     append storm produce IDENTICAL per-blob version chains — sharding
+//     moved the serial point, it did not change per-blob ordering;
 //   * cross-shard rename keeps exactly-one-winner semantics, and leases
 //     never serve stale metadata (publish/rename invalidation + TTL).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -38,14 +37,6 @@ net::ClusterConfig small_net() {
   return cfg;
 }
 
-// The BS_LEGACY_VM=1 oracle sweep (CI) centralizes the whole metadata
-// plane — the sharding-dependent cases have nothing to shard there (the
-// net_test BS_LEGACY_SOLVER skip pattern).
-bool legacy_vm_forced() {
-  const char* env = std::getenv("BS_LEGACY_VM");
-  return env != nullptr && env[0] == '1';
-}
-
 std::vector<net::NodeId> shard_set(uint32_t count) {
   std::vector<net::NodeId> nodes;
   for (uint32_t i = 0; i < count; ++i) {
@@ -57,7 +48,6 @@ std::vector<net::NodeId> shard_set(uint32_t count) {
 // --- routing dispersion -----------------------------------------------------
 
 TEST(VmShard, SequentialBlobIdsCoverEveryShard) {
-  if (legacy_vm_forced()) GTEST_SKIP() << "BS_LEGACY_VM forces centralized";
   sim::Simulator sim;
   net::Network net(sim, small_net());
   blob::BlobSeerConfig cfg;
@@ -75,7 +65,6 @@ TEST(VmShard, SequentialBlobIdsCoverEveryShard) {
 }
 
 TEST(VmShard, SiblingPathsCoverEveryShard) {
-  if (legacy_vm_forced()) GTEST_SKIP() << "BS_LEGACY_VM forces centralized";
   sim::Simulator sim;
   net::Network net(sim, small_net());
   bsfs::NamespaceConfig cfg;
@@ -90,10 +79,10 @@ TEST(VmShard, SiblingPathsCoverEveryShard) {
   EXPECT_EQ(owners.size(), 8u);
 }
 
-// --- the sharded-vs-legacy chain oracle --------------------------------------
+// --- the S-shard vs 1-shard chain oracle -----------------------------------
 //
 // Same seeds, same concurrent append storm, one sharded world and one
-// centralized world. Each blob's append size is fixed (derived from its
+// single-shard world. Each blob's append size is fixed (derived from its
 // index), so its chain is fully determined by HOW MANY appends landed on
 // it — not by the cross-blob interleaving, which sharding legitimately
 // changes. Identical chains + published versions = per-blob ordering
@@ -105,7 +94,7 @@ struct ChainSet {
   std::map<net::NodeId, uint64_t> per_shard;
 };
 
-ChainSet run_append_storm(bool legacy, uint64_t seed) {
+ChainSet run_append_storm(uint32_t shards, uint64_t seed) {
   constexpr uint32_t kBlobs = 16;
   constexpr uint32_t kClients = 64;
   constexpr uint32_t kOps = 6;
@@ -113,8 +102,7 @@ ChainSet run_append_storm(bool legacy, uint64_t seed) {
   sim::Simulator sim;
   net::Network net(sim, small_net());
   blob::BlobSeerConfig cfg;
-  cfg.vm_legacy = legacy;
-  cfg.version_manager_nodes = shard_set(8);
+  cfg.version_manager_nodes = shard_set(shards);
   blob::BlobSeerCluster cluster(sim, net, cfg);
   auto& vm = cluster.version_manager();
 
@@ -173,21 +161,20 @@ ChainSet run_append_storm(bool legacy, uint64_t seed) {
   return out;
 }
 
-TEST(VmShard, ShardedAndLegacyChainsIdentical) {
-  if (legacy_vm_forced()) GTEST_SKIP() << "BS_LEGACY_VM forces centralized";
+TEST(VmShard, ShardedAndSingleShardChainsIdentical) {
   for (uint64_t seed : {11u, 222u, 3333u}) {
-    const ChainSet sharded = run_append_storm(/*legacy=*/false, seed);
-    const ChainSet legacy = run_append_storm(/*legacy=*/true, seed);
+    const ChainSet sharded = run_append_storm(8, seed);
+    const ChainSet single = run_append_storm(1, seed);
 
-    // The sharded run really sharded; the legacy run really did not.
+    // The sharded run really sharded; the single-shard run really did not.
     EXPECT_GT(sharded.per_shard.size(), 1u) << "seed " << seed;
-    EXPECT_EQ(legacy.per_shard.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(single.per_shard.size(), 1u) << "seed " << seed;
 
-    ASSERT_EQ(sharded.chains.size(), legacy.chains.size());
-    EXPECT_EQ(sharded.published, legacy.published) << "seed " << seed;
+    ASSERT_EQ(sharded.chains.size(), single.chains.size());
+    EXPECT_EQ(sharded.published, single.published) << "seed " << seed;
     for (size_t i = 0; i < sharded.chains.size(); ++i) {
       const auto& a = sharded.chains[i];
-      const auto& b = legacy.chains[i];
+      const auto& b = single.chains[i];
       ASSERT_EQ(a.size(), b.size()) << "blob " << i << " seed " << seed;
       for (size_t v = 0; v < a.size(); ++v) {
         EXPECT_EQ(a[v].version, b[v].version);
@@ -203,7 +190,6 @@ TEST(VmShard, ShardedAndLegacyChainsIdentical) {
 // --- cross-shard rename ------------------------------------------------------
 
 TEST(VmShard, CrossShardRenameHasExactlyOneWinner) {
-  if (legacy_vm_forced()) GTEST_SKIP() << "BS_LEGACY_VM forces centralized";
   sim::Simulator sim;
   net::Network net(sim, small_net());
   bsfs::NamespaceConfig cfg;

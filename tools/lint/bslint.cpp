@@ -25,6 +25,10 @@
 //                            write_json bodies must not iterate unordered
 //                            containers: emitters define the byte-identical
 //                            surface, so they traverse sorted state only.
+//   library-getenv           no getenv in src/ outside common/log.cpp and
+//                            common/container.cpp: a library behaviour
+//                            switched by an environment variable is a
+//                            second code path no config or test names.
 //
 // Inline suppression (same line or the line directly above):
 //   // bslint: allow(rule-id)          one rule
@@ -236,12 +240,32 @@ const std::vector<Rule>& rules() {
       {"unsorted-emitter",
        "snapshot/debug emitter iterates an unordered container (emitters "
        "must traverse sorted state)"},
+      {"library-getenv",
+       "getenv in library code (src/) outside common/log.cpp and "
+       "common/container.cpp (make it a config field)"},
   };
   return kRules;
 }
 
 bool path_contains(const std::string& path, const std::string& needle) {
   return path.find(needle) != std::string::npos;
+}
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+// Whether a path lies in the library tree: the innermost of its directories
+// named like a top-level tree (src, tests, bench, tools, examples) is src.
+bool in_library(const std::string& path) {
+  static const std::set<std::string> kTrees = {"src", "tests", "bench",
+                                               "tools", "examples"};
+  std::string tree;
+  for (const auto& part : fs::path(path).parent_path()) {
+    if (kTrees.count(part.string()) > 0) tree = part.string();
+  }
+  return tree == "src";
 }
 
 void add_hit(std::vector<Hit>* hits, const std::string& file, size_t line_no,
@@ -258,8 +282,12 @@ void scan_line_rules(const std::string& file,
       R"(\brandom_device\b|\bdefault_random_engine\b|\bstd::rand\b|\bsrand\s*\(|\brand\s*\(\s*\))");
   static const std::regex kRawUnordered(R"(std::unordered_|<unordered_(map|set)>)");
   static const std::regex kCoroTemporaries(R"(\{\{\s*(\"|std::))");
+  static const std::regex kGetenv(R"(\b(secure_)?getenv\s*\()");
 
   const bool container_header = path_contains(file, "common/container.h");
+  const bool getenv_allowed = !in_library(file) ||
+                              ends_with(file, "src/common/log.cpp") ||
+                              ends_with(file, "src/common/container.cpp");
 
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& code = lines[i].code;
@@ -278,6 +306,12 @@ void scan_line_rules(const std::string& file,
       add_hit(hits, file, n, "raw-unordered",
               "raw std::unordered_* container; use bs::unordered_map/set "
               "from common/container.h (hash-order scrambled)");
+    }
+    if (!getenv_allowed && std::regex_search(code, kGetenv)) {
+      add_hit(hits, file, n, "library-getenv",
+              "environment-switched behaviour in library code; add a "
+              "config field instead (only logging and the hash seed read "
+              "the environment)");
     }
     if (lines[i].in_coro && std::regex_search(code, kCoroTemporaries)) {
       add_hit(hits, file, n, "coro-label-temporaries",
@@ -513,6 +547,22 @@ int run_self_test() {
        "    for (const auto& kv : load_) out += render(kv);\n"
        "    return out;\n  }\n};",
        "unsorted-emitter", 0, 1},
+      // library-getenv
+      {"library-getenv: getenv in a library constructor fires",
+       "src/net/network.cpp",
+       "Network::Network() {\n"
+       "  const char* env = std::getenv(\"BS_MODE\");\n"
+       "  legacy_ = env != nullptr;\n}",
+       "library-getenv", 1},
+      {"library-getenv: logging and hash-seed reads are fine",
+       "src/common/log.cpp",
+       "const char* env = std::getenv(\"BS_LOG\");", "library-getenv", 0},
+      {"library-getenv: tests and benches are fine", "tests/x_test.cpp",
+       "const char* env = std::getenv(\"BS_MODE\");", "library-getenv", 0},
+      {"library-getenv: suppression honored", "src/x.cpp",
+       "// bslint: allow(library-getenv)\n"
+       "const char* env = std::getenv(\"BS_MODE\");",
+       "library-getenv", 0, 1},
   };
 
   int failures = 0;
