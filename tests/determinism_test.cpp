@@ -11,6 +11,7 @@
 #include "blob/cluster.h"
 #include "bsfs/bsfs.h"
 #include "common/container.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/wordlist.h"
 #include "fault/injector.h"
@@ -623,6 +624,175 @@ TEST(Determinism, SnapshotIngestHdfsIsBitReproducible) {
   // static file never grew.
   EXPECT_NE(a.find("input_snapshot_versions=0\n"), std::string::npos);
   EXPECT_NE(a.find("bytes_ingested_during_job=0\n"), std::string::npos);
+}
+
+// Map-only generator jobs (RandomTextWriter): every map writes an
+// attempt-private temp file and commits it by rename, the commit path no
+// scenario above runs. Failure injection leaves partial temp files behind,
+// speculation races backups against maps on a throttled node (losers drop
+// their temp file), and the two jobs cover both generator bodies: chunked
+// cost-mode writes and one record-mode text write.
+std::string run_generator(const std::string& backend) {
+  sim::Simulator sim;
+  net::ClusterConfig ncfg;
+  ncfg.num_nodes = 20;
+  ncfg.nodes_per_rack = 5;
+  net::Network net(sim, ncfg);
+  blob::BlobSeerCluster blobs(sim, net, {});
+  bsfs::NamespaceManager ns(sim, net, {});
+  bsfs::Bsfs bsfs_fs(sim, net, blobs, ns,
+                     bsfs::BsfsConfig{.block_size = kBlock,
+                                      .page_size = kBlock / 8,
+                                      .replication = 1,
+                                      .enable_cache = true});
+  hdfs::Hdfs hdfs_fs(sim, net,
+                     hdfs::HdfsConfig{.namenode = {.node = 0,
+                                                   .service_time_s = 150e-6,
+                                                   .block_size = kBlock,
+                                                   .replication = 1,
+                                                   .placement_seed = 7},
+                                      .datanode_ram = 1u << 30,
+                                      .stream_efficiency = 0.92});
+  fs::FileSystem& fs = backend == "BSFS"
+                           ? static_cast<fs::FileSystem&>(bsfs_fs)
+                           : static_cast<fs::FileSystem&>(hdfs_fs);
+
+  auto slow = [](sim::Simulator* s, net::Network* n) -> sim::Task<void> {
+    co_await s->delay(0.05);
+    n->set_node_perf(3, net::NodePerf{1.0 / 16, 1.0 / 16, 1.0 / 16});
+  };
+  sim.spawn(slow(&sim, &net));
+
+  mr::RandomTextWriter cost_app(kBlock * 128);
+  mr::RandomTextWriter text_app(kBlock * 4);
+  mr::MrConfig mcfg;
+  mcfg.tasktracker_nodes = {1, 2, 3, 4, 5, 6};
+  mcfg.heartbeat_s = 0.05;
+  mcfg.task_startup_s = 0.01;
+  mcfg.task_failure_prob = 0.15;
+  mcfg.speculative_execution = true;
+  mcfg.speculative_min_runtime_s = 0.05;
+  mcfg.speculation_interval_s = 0.1;
+  mr::MapReduceCluster cluster(sim, net, fs, mcfg);
+
+  auto run = [](mr::MapReduceCluster* c, mr::JobConfig conf,
+                mr::JobStats* out) -> sim::Task<void> {
+    *out = co_await c->run_job(std::move(conf));
+  };
+  mr::JobConfig jc1;
+  jc1.output_dir = "/out/cost";
+  jc1.app = &cost_app;
+  jc1.num_generator_maps = 16;
+  jc1.cost_model = true;
+  mr::JobConfig jc2;
+  jc2.output_dir = "/out/text";
+  jc2.app = &text_app;
+  jc2.num_generator_maps = 6;
+  mr::JobStats s1, s2;
+  sim.spawn(run(&cluster, std::move(jc1), &s1));
+  sim.spawn(run(&cluster, std::move(jc2), &s2));
+  sim.run();
+
+  // What the jobs left behind: committed part files only, no temp file.
+  std::vector<std::string> left;
+  auto list = [](fs::FileSystem* f,
+                 std::vector<std::string>* out) -> sim::Task<void> {
+    auto client = f->make_client(1);
+    for (const char* dir : {"/out/cost", "/out/text"}) {
+      for (std::string& name : co_await client->list(dir)) {
+        out->push_back(std::move(name));
+      }
+    }
+  };
+  sim.spawn(list(&fs, &left));
+  sim.run();
+
+  std::string out = mr::debug_string(s1) + mr::debug_string(s2);
+  for (const std::string& name : left) out += "file " + name + "\n";
+  char tail[128];
+  std::snprintf(tail, sizeof(tail), "end=%a events=%llu flows=%llu moved=%a\n",
+                sim.now(),
+                static_cast<unsigned long long>(sim.events_processed()),
+                static_cast<unsigned long long>(net.flows_started()),
+                net.bytes_moved());
+  return out + tail;
+}
+
+// Sum of one JobStats counter over every job in a runner string.
+uint64_t counter_sum(const std::string& s, const std::string& key) {
+  const std::string needle = "\n" + key + "=";
+  uint64_t total = 0;
+  for (size_t at = s.find(needle); at != std::string::npos;
+       at = s.find(needle, at + 1)) {
+    total += std::stoull(s.substr(at + needle.size()));
+  }
+  return total;
+}
+
+TEST(Determinism, GeneratorCommitsAreBitReproducible) {
+  for (const char* backend : {"BSFS", "HDFS"}) {
+    const std::string a = run_generator(backend);
+    const std::string b = run_generator(backend);
+    EXPECT_EQ(a, b) << backend;
+    // Failures, backups and killed losers must all occur, or the rename
+    // commit's race and cleanup paths go unexercised.
+    EXPECT_GT(counter_sum(a, "map_failures"), 0u) << backend;
+    EXPECT_GT(counter_sum(a, "speculative_maps"), 0u) << backend;
+    EXPECT_GT(counter_sum(a, "killed_attempts"), 0u) << backend;
+    EXPECT_EQ(a.find("/_attempts"), std::string::npos) << backend;
+  }
+}
+
+// Outcome pins for every MapReduce engine scenario in this file: FNV-1a
+// (default seed) of the exact string each runner returns, recorded before
+// the engine's map and reduce paths were folded into one task lifecycle.
+// The engine may be restructured freely while these hold. A change that
+// moves a value changed engine behaviour, not just its code: as with
+// sim_test's golden schedule digest, it re-pins the value and says why in
+// CHANGES.md.
+TEST(Determinism, MrEngineOutcomesPinned) {
+  using enum mr::IntermediateMode;
+  struct Pin {
+    const char* name;
+    std::string (*run)();
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"engine_v2 BSFS parts", [] { return run_engine_v2("BSFS"); },
+       0xa3bd8c7b167eb4ecULL},
+      {"engine_v2 HDFS parts", [] { return run_engine_v2("HDFS"); },
+       0x21da3b3119642e35ULL},
+      {"engine_v2 BSFS shared",
+       [] { return run_engine_v2("BSFS", /*shared_output=*/true); },
+       0x18607df5ab2050ceULL},
+      {"engine_v2 HDFS shared",
+       [] { return run_engine_v2("HDFS", /*shared_output=*/true); },
+       0x4e7526992eb571d8ULL},
+      {"crash BSFS local",
+       [] { return run_intermediate_crash("BSFS", kLocalDisk); },
+       0x5f8e6a2cdd6dccc0ULL},
+      {"crash BSFS dfs",
+       [] { return run_intermediate_crash("BSFS", kDfs); },
+       0xcd5038ee1305e87bULL},
+      {"crash HDFS local",
+       [] { return run_intermediate_crash("HDFS", kLocalDisk); },
+       0x6c49d86a8540d276ULL},
+      {"crash HDFS dfs",
+       [] { return run_intermediate_crash("HDFS", kDfs); },
+       0x2773121feace5de4ULL},
+      {"snapshot BSFS", [] { return run_snapshot_ingest("BSFS"); },
+       0x92efe72b0c1dac66ULL},
+      {"snapshot HDFS", [] { return run_snapshot_ingest("HDFS"); },
+       0x24508dee22b6a967ULL},
+      {"generator BSFS", [] { return run_generator("BSFS"); },
+       0xed82b8b789048469ULL},
+      {"generator HDFS", [] { return run_generator("HDFS"); },
+       0x1a342fd36e4d9af7ULL},
+  };
+  for (const Pin& pin : pins) {
+    const uint64_t got = fnv1a64(pin.run());
+    EXPECT_EQ(got, pin.hash) << pin.name << " got 0x" << std::hex << got;
+  }
 }
 
 // Group-commit durability (JobStats v6, common/durability.h): a full
