@@ -25,7 +25,6 @@
 #include "fault/injector.h"
 #include "mr/app.h"
 #include "mr/cluster.h"
-#include "mr/scheduler.h"
 #include "sim/sync.h"
 
 using namespace bs;

@@ -17,9 +17,12 @@
 namespace bs::mr {
 namespace {
 
-std::string task_file_name(const char* kind, uint32_t index) {
+// Seed of the engine's failure-injection dice.
+constexpr uint64_t kFailureSeed = 0xfa11;
+
+std::string task_file_name(char kind, uint32_t index) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "part-%s-%05u", kind, index);
+  std::snprintf(buf, sizeof(buf), "part-%c-%05u", kind, index);
   return buf;
 }
 
@@ -41,20 +44,22 @@ class VectorEmitter final : public Emitter {
 MapReduceCluster::MapReduceCluster(sim::Simulator& sim, net::Network& net,
                                    fs::FileSystem& filesystem, MrConfig cfg)
     : sim_(sim), net_(net), fs_(filesystem), cfg_(std::move(cfg)),
-      rng_(cfg_.failure_seed), scheduler_(make_scheduler(cfg_.scheduler)) {
+      rng_(kFailureSeed) {
   if (cfg_.tasktracker_nodes.empty()) {
     cfg_.tasktracker_nodes.resize(net.config().num_nodes);
     std::iota(cfg_.tasktracker_nodes.begin(), cfg_.tasktracker_nodes.end(), 0);
   }
-  slots_.resize(net.config().num_nodes);
+  slots_.assign(net.config().num_nodes, {0, 0});
   node_slowness_.assign(net.config().num_nodes, 0);
   tracker_running_.assign(net.config().num_nodes, 0);
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_jobs_submitted_ = &m.counter("mr/jobs_submitted");
   m_jobs_completed_ = &m.counter("mr/jobs_completed");
-  m_launches_map_ = &m.counter("mr/task_launches", {{"kind", "map"}});
-  m_launches_reduce_ = &m.counter("mr/task_launches", {{"kind", "reduce"}});
+  for (TaskKind kind : kTaskKinds) {
+    m_launches_[idx(kind)] =
+        &m.counter("mr/task_launches", {{"kind", kind_name(kind)}});
+  }
   m_spec_launches_ = &m.counter("mr/speculative_launches");
   m_killed_ = &m.counter("mr/killed_attempts");
   m_task_failures_ = &m.counter("mr/task_failures");
@@ -68,8 +73,7 @@ std::string MapReduceCluster::temp_path(const JobState& job,
                                         const Attempt& att) const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "att-j%u-%c-%05u-%u", job.job_id,
-                att.kind == TaskKind::kMap ? 'm' : 'r', att.task->index,
-                att.ordinal);
+                kind_name(att.kind)[0], att.task->index, att.ordinal);
   return fs::join_path(fs::join_path(job.config.output_dir, "_attempts"), buf);
 }
 
@@ -105,9 +109,9 @@ sim::Task<void> MapReduceCluster::concat_shared_output(JobState& job) {
   co_await client->remove(shared);  // replace the empty probe-time file
   auto writer = co_await client->create(shared);
   BS_CHECK_MSG(writer != nullptr, "cannot recreate shared output for concat");
-  for (uint32_t r = 0; r < job.reduces_total; ++r) {
+  for (uint32_t r = 0; r < job.phase(TaskKind::kReduce).size(); ++r) {
     const std::string part =
-        fs::join_path(job.config.output_dir, task_file_name("r", r));
+        fs::join_path(job.config.output_dir, task_file_name('r', r));
     auto reader = co_await client->open(part);
     BS_CHECK_MSG(reader != nullptr, "committed part file missing");
     const uint64_t size = reader->size();
@@ -168,73 +172,79 @@ sim::Task<void> MapReduceCluster::plan_job(JobState& job) {
       job.stats.input_snapshot_versions.push_back(snap.version);
     }
   }
-  job.maps_total = static_cast<uint32_t>(splits.size());
-  job.map_tasks.resize(job.maps_total);
-  for (uint32_t i = 0; i < job.maps_total; ++i) {
-    job.map_tasks[i].index = i;
-    job.map_tasks[i].split = std::move(splits[i]);
-    job.pending_maps.push_back(i);
+  Phase& maps = job.phase(TaskKind::kMap);
+  maps.tasks.resize(splits.size());
+  for (uint32_t i = 0; i < maps.size(); ++i) {
+    maps.tasks[i].split = std::move(splits[i]);
   }
-  job.map_outputs.resize(job.maps_total);
-  job.map_committed.assign(job.maps_total, 0);
-  job.fetch_fail_counts.assign(job.maps_total, 0);
-  job.reduces_total = app.map_only() ? 0 : job.config.num_reducers;
-  job.reduce_tasks.resize(job.reduces_total);
-  for (uint32_t r = 0; r < job.reduces_total; ++r) {
-    job.reduce_tasks[r].index = r;
-    job.pending_reduces.push_back(r);
+  job.phase(TaskKind::kReduce)
+      .tasks.resize(app.map_only() ? 0 : job.config.num_reducers);
+  for (Phase& phase : job.phases) {
+    for (uint32_t i = 0; i < phase.size(); ++i) {
+      phase.tasks[i].index = i;
+      phase.pending.push_back(i);
+    }
   }
+  job.map_outputs.resize(maps.size());
+  job.map_committed.assign(maps.size(), 0);
+  job.fetch_fail_counts.assign(maps.size(), 0);
   const double ss = std::clamp(cfg_.reduce_slowstart, 0.0, 1.0);
-  job.slowstart_maps = static_cast<uint32_t>(
-      std::ceil(ss * static_cast<double>(job.maps_total)));
-  job.stats.maps = job.maps_total;
-  job.stats.reduces = job.reduces_total;
+  job.slowstart_maps =
+      static_cast<uint32_t>(std::ceil(ss * static_cast<double>(maps.size())));
+  job.stats.maps = maps.size();
+  job.stats.reduces = job.phase(TaskKind::kReduce).size();
 }
 
 // --- scheduling -----------------------------------------------------------
 
-bool MapReduceCluster::pop_map(JobState& job, net::NodeId node,
-                               Assignment* out) {
+uint8_t MapReduceCluster::locality(const std::vector<net::NodeId>& hosts,
+                                   net::NodeId node, int pass) const {
+  if (std::find(hosts.begin(), hosts.end(), node) != hosts.end()) return 0;
+  if (pass == 0) return 2;  // pass 0 takes node-local entries only
   const auto& ncfg = net_.config();
-  // Three locality passes: node-local, rack-local, anything. Entries for
+  const bool rack_local =
+      std::any_of(hosts.begin(), hosts.end(),
+                  [&](net::NodeId h) { return ncfg.same_rack(h, node); });
+  return rack_local ? 1 : 2;
+}
+
+bool MapReduceCluster::pop(JobState& job, TaskKind kind, net::NodeId node,
+                           Assignment* out) {
+  if (kind == TaskKind::kReduce &&
+      job.phase(TaskKind::kMap).done < job.slowstart_maps) {
+    return false;  // slowstart gate
+  }
+  Phase& phase = job.phase(kind);
+  auto take = [&](TaskState& task, bool speculative, uint8_t where) {
+    *out = {&job, &task, kind, speculative, where};
+    // Keeps the job alive across the heartbeat-response latency between
+    // this decision and launch() (see tasktracker_loop).
+    job.attempts.add(1);
+    return true;
+  };
+  // Three locality passes: node-local, rack-local, anything. Reduces have
+  // no input hosts and enter at the last pass, so they take the first live
+  // entry and leave the done entries behind it queued. Entries for
   // already-committed tasks are dropped lazily as we encounter them.
-  for (int pass = 0; pass < 3; ++pass) {
-    for (auto it = job.pending_maps.begin(); it != job.pending_maps.end();) {
-      TaskState& task = job.map_tasks[*it];
+  const int first_pass = kind == TaskKind::kMap ? 0 : 2;
+  for (int pass = first_pass; pass < 3; ++pass) {
+    for (auto it = phase.pending.begin(); it != phase.pending.end();) {
+      TaskState& task = phase.tasks[*it];
       if (task.done) {
-        it = job.pending_maps.erase(it);
+        it = phase.pending.erase(it);
         continue;
       }
-      const auto& hosts = task.split.hosts;
-      const bool node_local =
-          std::find(hosts.begin(), hosts.end(), node) != hosts.end();
-      if (pass == 0 && !node_local) {
+      const uint8_t where = locality(task.split.hosts, node, pass);
+      if (where > pass) {
         ++it;
         continue;
       }
-      const bool rack_local =
-          node_local ||
-          std::any_of(hosts.begin(), hosts.end(), [&](net::NodeId h) {
-            return ncfg.same_rack(h, node);
-          });
-      if (pass == 1 && !rack_local) {
-        ++it;
-        continue;
-      }
-      out->job = &job;
-      out->task = &task;
-      out->kind = TaskKind::kMap;
-      out->speculative = false;
-      out->locality = node_local ? 0 : (rack_local ? 1 : 2);
-      job.pending_maps.erase(it);
-      // Keeps the job alive across the heartbeat-response latency between
-      // this decision and launch() (see tasktracker_loop).
-      job.attempts.add(1);
-      return true;
+      phase.pending.erase(it);
+      return take(task, false, where);
     }
   }
 
-  if (!backup_eligible(job, TaskKind::kMap, node)) return false;
+  if (!backup_eligible(phase, node)) return false;
   // Speculative backups: locality is matched against replicas that are NOT
   // hosting a live attempt of the task (reading through the straggler's
   // node would re-import the slowness the backup must escape), and a
@@ -242,91 +252,34 @@ bool MapReduceCluster::pop_map(JobState& job, net::NodeId node,
   // arbitrary one.
   const double now = sim_.now();
   const double local_wait = 4 * cfg_.heartbeat_s;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (auto it = job.spec_maps.begin(); it != job.spec_maps.end();) {
-      TaskState& task = job.map_tasks[it->first];
+  for (int pass = first_pass; pass < 3; ++pass) {
+    for (auto it = phase.backups.begin(); it != phase.backups.end();) {
+      TaskState& task = phase.tasks[it->first];
       if (task.done) {
-        it = job.spec_maps.erase(it);
+        it = phase.backups.erase(it);
         continue;
       }
+      const auto& busy = task.attempt_nodes;
       // A backup must land on a different node than its live siblings.
-      if (std::find(task.attempt_nodes.begin(), task.attempt_nodes.end(),
-                    node) != task.attempt_nodes.end()) {
+      if (std::find(busy.begin(), busy.end(), node) != busy.end()) {
         ++it;
         continue;
       }
       std::vector<net::NodeId> clean_hosts;
       for (net::NodeId h : task.split.hosts) {
-        if (std::find(task.attempt_nodes.begin(), task.attempt_nodes.end(),
-                      h) == task.attempt_nodes.end()) {
+        if (std::find(busy.begin(), busy.end(), h) == busy.end()) {
           clean_hosts.push_back(h);
         }
       }
-      const bool node_local = std::find(clean_hosts.begin(), clean_hosts.end(),
-                                        node) != clean_hosts.end();
-      const bool rack_local =
-          std::any_of(clean_hosts.begin(), clean_hosts.end(),
-                      [&](net::NodeId h) { return ncfg.same_rack(h, node); });
-      if ((pass == 0 && !node_local) || (pass == 1 && !rack_local)) {
+      const uint8_t where = locality(clean_hosts, node, pass);
+      if (where > pass || (pass == 2 && !clean_hosts.empty() &&
+                           now - it->second < local_wait)) {
         ++it;
         continue;
       }
-      if (pass == 2 && !clean_hosts.empty() && now - it->second < local_wait) {
-        ++it;
-        continue;
-      }
-      out->job = &job;
-      out->task = &task;
-      out->kind = TaskKind::kMap;
-      out->speculative = true;
-      out->locality = node_local ? 0 : (rack_local ? 1 : 2);
-      job.spec_maps.erase(it);
-      job.attempts.add(1);
-      return true;
+      phase.backups.erase(it);
+      return take(task, true, where);
     }
-  }
-  return false;
-}
-
-bool MapReduceCluster::pop_reduce(JobState& job, net::NodeId node,
-                                  Assignment* out) {
-  if (job.maps_done < job.slowstart_maps) return false;  // slowstart gate
-  for (auto it = job.pending_reduces.begin();
-       it != job.pending_reduces.end();) {
-    TaskState& task = job.reduce_tasks[*it];
-    if (task.done) {
-      it = job.pending_reduces.erase(it);
-      continue;
-    }
-    out->job = &job;
-    out->task = &task;
-    out->kind = TaskKind::kReduce;
-    out->speculative = false;
-    out->locality = 2;
-    job.pending_reduces.erase(it);
-    job.attempts.add(1);
-    return true;
-  }
-  if (!backup_eligible(job, TaskKind::kReduce, node)) return false;
-  for (auto it = job.spec_reduces.begin(); it != job.spec_reduces.end();) {
-    TaskState& task = job.reduce_tasks[it->first];
-    if (task.done) {
-      it = job.spec_reduces.erase(it);
-      continue;
-    }
-    if (std::find(task.attempt_nodes.begin(), task.attempt_nodes.end(),
-                  node) != task.attempt_nodes.end()) {
-      ++it;
-      continue;
-    }
-    out->job = &job;
-    out->task = &task;
-    out->kind = TaskKind::kReduce;
-    out->speculative = true;
-    out->locality = 2;
-    job.spec_reduces.erase(it);
-    job.attempts.add(1);
-    return true;
   }
   return false;
 }
@@ -339,36 +292,28 @@ MapReduceCluster::Assignment MapReduceCluster::schedule(net::NodeId node) {
   if (!net_.node_up(node)) return out;
   if (cfg_.liveness != nullptr && !cfg_.liveness->is_up(node)) return out;
 
-  // Reused scratch (schedule() runs on every tasktracker heartbeat — the
-  // simulation's hottest loop; see Network::solve_classes for the same
-  // pattern).
-  std::vector<JobState*>& active = scratch_active_;
-  std::vector<SchedulableJob>& view = scratch_view_;
-  active.clear();
-  view.clear();
-  for (JobState& job : jobs_) {
-    const bool reduces_open = job.maps_done >= job.slowstart_maps;
-    uint32_t runnable =
-        static_cast<uint32_t>(job.pending_maps.size() + job.spec_maps.size());
-    if (reduces_open) {
-      runnable += static_cast<uint32_t>(job.pending_reduces.size() +
-                                        job.spec_reduces.size());
-    }
-    active.push_back(&job);
-    view.push_back(
-        {job.job_id, job.running_maps + job.running_reduces, runnable});
+  // Job order (see SchedulerKind): jobs_ is submission order, and fair
+  // sharing stable-sorts it by running tasks. Reused scratch: schedule()
+  // runs on every tasktracker heartbeat, the simulation's hottest loop.
+  std::vector<JobState*>& order = scratch_order_;
+  order.clear();
+  for (JobState& job : jobs_) order.push_back(&job);
+  if (cfg_.scheduler == SchedulerKind::kFair) {
+    auto running = [](const JobState* j) {
+      return j->phase(TaskKind::kMap).running +
+             j->phase(TaskKind::kReduce).running;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const JobState* a, const JobState* b) {
+                       return running(a) < running(b);
+                     });
   }
-  const std::vector<size_t> order = scheduler_->order(view);
-
-  const NodeSlots& slots = slots_[node];
-  if (slots.maps < cfg_.map_slots) {
-    for (size_t i : order) {
-      if (pop_map(*active[i], node, &out)) return out;
-    }
-  }
-  if (slots.reduces < cfg_.reduce_slots) {
-    for (size_t i : order) {
-      if (pop_reduce(*active[i], node, &out)) return out;
+  for (TaskKind kind : kTaskKinds) {
+    const uint32_t limit =
+        kind == TaskKind::kMap ? cfg_.map_slots : cfg_.reduce_slots;
+    if (slots_[node][idx(kind)] >= limit) continue;
+    for (JobState* job : order) {
+      if (pop(*job, kind, node, &out)) return out;
     }
   }
   return out;
@@ -397,21 +342,15 @@ void MapReduceCluster::launch(const Assignment& a, net::NodeId node) {
 
   ++task.running;
   task.attempt_nodes.push_back(node);
-  if (a.kind == TaskKind::kMap) {
-    ++job->running_maps;
-    ++slots_[node].maps;
-    if (a.speculative) ++job->stats.speculative_maps;
-    m_launches_map_->inc();
-  } else {
-    ++job->running_reduces;
-    ++slots_[node].reduces;
-    if (a.speculative) ++job->stats.speculative_reduces;
-    if (job->stats.first_reduce_start == 0) {
-      job->stats.first_reduce_start = sim_.now();
-    }
-    m_launches_reduce_->inc();
+  ++job->phase(a.kind).running;
+  ++slots_[node][idx(a.kind)];
+  m_launches_[idx(a.kind)]->inc();
+  if (a.kind == TaskKind::kReduce && job->stats.first_reduce_start == 0) {
+    job->stats.first_reduce_start = sim_.now();
   }
   if (a.speculative) {
+    ++(a.kind == TaskKind::kMap ? job->stats.speculative_maps
+                                : job->stats.speculative_reduces);
     m_spec_launches_->inc();
     if (tracer_->enabled()) {
       char buf[64];
@@ -420,8 +359,8 @@ void MapReduceCluster::launch(const Assignment& a, net::NodeId node) {
       tracer_->instant("mr", "mr", node, "speculate", buf);
     }
   }
-  job->stats.launches.push_back({a.kind == TaskKind::kMap ? 'm' : 'r',
-                                 task.index, it->ordinal, node, sim_.now(),
+  job->stats.launches.push_back({kind_name(a.kind)[0], task.index,
+                                 it->ordinal, node, sim_.now(),
                                  a.speculative});
 
   // The attempt group registration happened at pop time in schedule().
@@ -445,13 +384,8 @@ void MapReduceCluster::finish_attempt(Attempt* att,
                            task.attempt_nodes.end(), att->node);
   BS_CHECK(node_it != task.attempt_nodes.end());
   task.attempt_nodes.erase(node_it);
-  if (att->kind == TaskKind::kMap) {
-    --job->running_maps;
-    --slots_[att->node].maps;
-  } else {
-    --job->running_reduces;
-    --slots_[att->node].reduces;
-  }
+  --job->phase(att->kind).running;
+  --slots_[att->node][idx(att->kind)];
   // A loser: ran, didn't fail, didn't commit — another attempt won
   // (task.done), or its own commit rename lost the race (lost).
   if (!att->committed && !att->failed && (task.done || att->lost)) {
@@ -468,13 +402,12 @@ void MapReduceCluster::finish_attempt(Attempt* att,
                   "\"outcome\":\"%s\"",
                   job->job_id, task.index, att->ordinal,
                   att->speculative ? "true" : "false", outcome);
-    tracer_->complete("mr", "mr", att->node,
-                      att->kind == TaskKind::kMap ? "map" : "reduce",
+    tracer_->complete("mr", "mr", att->node, kind_name(att->kind),
                       att->meter.started_at(), buf);
   }
   job->live.erase(it);
   // Wake run_job: the shared-output fallback delays its concat until the
-  // last loser reduce attempt has drained (see the running_reduces wait).
+  // last loser reduce attempt has drained (see the reduce-phase drain wait).
   job->progress->notify_all();
 }
 
@@ -482,10 +415,10 @@ void MapReduceCluster::finish_attempt(Attempt* att,
 
 void MapReduceCluster::register_job_metrics(JobState& job) {
   const std::string id = std::to_string(job.job_id);
-  job.h_map_latency = &sim_.metrics().histogram(
-      "mr/task_latency_s", {{"job", id}, {"kind", "map"}});
-  job.h_reduce_latency = &sim_.metrics().histogram(
-      "mr/task_latency_s", {{"job", id}, {"kind", "reduce"}});
+  for (TaskKind kind : kTaskKinds) {
+    job.phase(kind).latency = &sim_.metrics().histogram(
+        "mr/task_latency_s", {{"job", id}, {"kind", kind_name(kind)}});
+  }
 }
 
 sim::Task<JobStats> MapReduceCluster::run_job(JobConfig config) {
@@ -517,8 +450,10 @@ sim::Task<JobStats> MapReduceCluster::run_job(JobConfig config) {
   m_snapshot_pins_->add(static_cast<double>(job.dataset.snapshots().size()));
   job.shuffle = make_shuffle_store(job.config.intermediate_mode, sim_, net_,
                                    fs_, job.config.intermediate_replication);
+  Phase& maps = job.phase(TaskKind::kMap);
+  Phase& reduces = job.phase(TaskKind::kReduce);
   if (job.config.output_mode == JobConfig::OutputMode::kSharedAppend &&
-      job.reduces_total > 0) {
+      reduces.size() > 0) {
     co_await setup_shared_output(job);
   }
 
@@ -547,13 +482,13 @@ sim::Task<JobStats> MapReduceCluster::run_job(JobConfig config) {
   // flight would otherwise land it on a part path the concat has already
   // consumed (rename succeeds once the destination is gone), leaving a
   // stray part file whose bytes the shared output lacks. Waiting on
-  // running_reduces (not the whole attempts group) keeps the measured
+  // running reduce attempts (not the whole attempts group) keeps the measured
   // makespan honest: the attempts group also holds the speculation loop's
   // token, which only clears at its next idle tick. A reduce attempt
   // launched after this drain aborts at its first task.done checkpoint,
   // long before it creates any file.
-  if (job.shared_fallback && job.reduces_total > 0) {
-    while (job.running_reduces > 0) {
+  if (job.shared_fallback && reduces.size() > 0) {
+    while (reduces.running > 0) {
       co_await job.progress->wait();
     }
     co_await concat_shared_output(job);
@@ -562,22 +497,20 @@ sim::Task<JobStats> MapReduceCluster::run_job(JobConfig config) {
   job.stats.duration = finished_at - job.stats.submit_time;
   // v5 task-latency summary, read back from the per-job registry
   // histograms (all commits observed them; empty histogram reads 0).
-  if (job.h_map_latency != nullptr) {
-    job.stats.map_latency_p50 = job.h_map_latency->percentile(0.50);
-    job.stats.map_latency_p99 = job.h_map_latency->percentile(0.99);
-    job.stats.reduce_latency_p50 = job.h_reduce_latency->percentile(0.50);
-    job.stats.reduce_latency_p99 = job.h_reduce_latency->percentile(0.99);
-  }
+  job.stats.map_latency_p50 = maps.latency->percentile(0.50);
+  job.stats.map_latency_p99 = maps.latency->percentile(0.99);
+  job.stats.reduce_latency_p50 = reduces.latency->percentile(0.50);
+  job.stats.reduce_latency_p99 = reduces.latency->percentile(0.99);
   // v6 durability trail: what the cluster's write sites lost to power
   // losses while this job ran.
   job.stats.bytes_lost_on_power_loss = static_cast<uint64_t>(
       m_kv_bytes_lost_->value() - job.kv_lost_at_submit);
-  if (job.maps_total > 0) {
-    job.stats.map_phase_s = job.last_map_commit - job.stats.submit_time;
+  if (maps.size() > 0) {
+    job.stats.map_phase_s = maps.last_commit - job.stats.submit_time;
   }
-  if (job.reduces_total > 0) {
+  if (reduces.size() > 0) {
     job.stats.reduce_phase_s =
-        job.last_reduce_commit - job.stats.first_reduce_start;
+        reduces.last_commit - job.stats.first_reduce_start;
   }
   // Let losing attempts reach their next cancellation checkpoint and the
   // speculation loop observe completion before the state is torn down.
@@ -667,11 +600,8 @@ void MapReduceCluster::abort_attempt_io(Attempt* att) {
   JobState* job = att->job;
   TaskState& task = *att->task;
   m_task_failures_->inc();
-  if (att->kind == TaskKind::kMap) {
-    ++job->stats.map_failures;
-  } else {
-    ++job->stats.reduce_failures;
-  }
+  ++(att->kind == TaskKind::kMap ? job->stats.map_failures
+                                 : job->stats.reduce_failures);
   // A dead backup must not permanently disable rescue: a later sweep may
   // queue a fresh backup.
   if (att->speculative) task.speculated = false;
@@ -680,13 +610,19 @@ void MapReduceCluster::abort_attempt_io(Attempt* att) {
   // guard covers a task already requeued by a lost-output declaration
   // (report_fetch_failure) while this loser was still draining.
   if (!task.done && task.running == 1) {
-    auto& pending =
-        att->kind == TaskKind::kMap ? job->pending_maps : job->pending_reduces;
+    auto& pending = job->phase(att->kind).pending;
     if (std::find(pending.begin(), pending.end(), task.index) ==
         pending.end()) {
       pending.push_back(task.index);
     }
   }
+}
+
+bool MapReduceCluster::stopped(Attempt* att) {
+  if (att->task->done) return true;
+  if (net_.node_up(att->node)) return false;
+  abort_attempt_io(att);
+  return true;
 }
 
 void MapReduceCluster::report_fetch_failure(JobState& job,
@@ -712,17 +648,18 @@ void MapReduceCluster::report_fetch_failure(JobState& job,
   // partition keep their data, the rest wait for the re-commit.
   job.fetch_fail_counts[map_index] = 0;
   job.map_committed[map_index] = 0;
-  TaskState& task = job.map_tasks[map_index];
+  Phase& maps = job.phase(TaskKind::kMap);
+  TaskState& task = maps.tasks[map_index];
   task.done = false;
   task.speculated = false;  // the straggler sweep may help the re-run too
   // Purge any stale backup-queue entry: with task.done cleared it would
   // re-validate and launch a duplicate first attempt alongside the
   // pending-queue requeue below.
-  for (auto it = job.spec_maps.begin(); it != job.spec_maps.end();) {
-    it = it->first == map_index ? job.spec_maps.erase(it) : std::next(it);
+  for (auto it = maps.backups.begin(); it != maps.backups.end();) {
+    it = it->first == map_index ? maps.backups.erase(it) : std::next(it);
   }
-  BS_CHECK(job.maps_done > 0);
-  --job.maps_done;
+  BS_CHECK(maps.done > 0);
+  --maps.done;
   ++job.stats.maps_reexecuted;
   m_maps_reexecuted_->inc();
   if (tracer_->enabled()) {
@@ -739,9 +676,9 @@ void MapReduceCluster::report_fetch_failure(JobState& job,
     case 1: --job.stats.rack_local_maps; break;
     default: --job.stats.remote_maps; break;
   }
-  if (std::find(job.pending_maps.begin(), job.pending_maps.end(),
-                map_index) == job.pending_maps.end()) {
-    job.pending_maps.push_back(map_index);
+  if (std::find(maps.pending.begin(), maps.pending.end(), map_index) ==
+      maps.pending.end()) {
+    maps.pending.push_back(map_index);
   }
   job.progress->notify_all();
 }
@@ -756,69 +693,51 @@ sim::Task<void> MapReduceCluster::attempt_body(Attempt* att) {
   }
 }
 
-// Shared map-commit bookkeeping: flags, counters, straggler baselines,
-// locality attribution. Called with the winner decided (registry install
-// for regular maps, successful rename for generator maps).
-void MapReduceCluster::finish_map_commit(Attempt* att) {
+void MapReduceCluster::finish_commit(Attempt* att, uint64_t output_bytes) {
   JobState* job = att->job;
   TaskState& task = *att->task;
+  Phase& phase = job->phase(att->kind);
   task.done = true;
   att->committed = true;
-  ++job->maps_done;
-  job->last_map_commit = sim_.now();
+  ++phase.done;
+  phase.last_commit = sim_.now();
   const double elapsed = att->meter.elapsed(sim_.now());
-  job->map_commit_durations.push_back(elapsed);
-  if (job->h_map_latency != nullptr) job->h_map_latency->observe(elapsed);
-  record_node_speed(*job, TaskKind::kMap, att->node, elapsed);
-  task.committed_locality = att->locality;
-  switch (att->locality) {
-    case 0: ++job->stats.data_local_maps; break;
-    case 1: ++job->stats.rack_local_maps; break;
-    default: ++job->stats.remote_maps; break;
-  }
-  if (att->speculative) ++job->stats.speculative_wins;
-  job->progress->notify_all();
-}
-
-// Reduce-side counterpart (the caller appends its stats bytes/results
-// first; the winner is already decided by the successful rename).
-void MapReduceCluster::finish_reduce_commit(Attempt* att) {
-  JobState* job = att->job;
-  TaskState& task = *att->task;
-  task.done = true;
-  att->committed = true;
-  ++job->reduces_done;
-  job->last_reduce_commit = sim_.now();
-  const double elapsed = att->meter.elapsed(sim_.now());
-  job->reduce_commit_durations.push_back(elapsed);
-  if (job->h_reduce_latency != nullptr) job->h_reduce_latency->observe(elapsed);
-  record_node_speed(*job, TaskKind::kReduce, att->node, elapsed);
-  if (att->speculative) ++job->stats.speculative_wins;
-  job->progress->notify_all();
-}
-
-void MapReduceCluster::record_reduce_output(
-    Attempt* att, uint64_t shuffled, uint64_t output_bytes,
-    std::vector<std::pair<std::string, std::string>>* reduced) {
-  JobState* job = att->job;
-  job->stats.shuffle_bytes += shuffled;
+  phase.commit_durations.push_back(elapsed);
+  phase.latency->observe(elapsed);
+  record_node_speed(phase, att->node, elapsed);
   job->stats.output_bytes += output_bytes;
-  for (auto& kv : *reduced) {
-    if (job->stats.results.size() < 10000) {
-      job->stats.results.push_back(std::move(kv));
+  if (att->kind == TaskKind::kMap) {
+    task.committed_locality = att->locality;
+    switch (att->locality) {
+      case 0: ++job->stats.data_local_maps; break;
+      case 1: ++job->stats.rack_local_maps; break;
+      default: ++job->stats.remote_maps; break;
     }
   }
-  finish_reduce_commit(att);
+  if (att->speculative) ++job->stats.speculative_wins;
+  job->progress->notify_all();
 }
 
-bool MapReduceCluster::commit_map(Attempt* att, MapOutput&& out) {
-  JobState* job = att->job;
-  TaskState& task = *att->task;
-  if (task.done) return false;  // lost the race at the last instant
-  job->map_outputs[task.index] = std::move(out);
-  job->map_committed[task.index] = 1;
-  finish_map_commit(att);
-  return true;
+sim::Task<bool> MapReduceCluster::commit_by_rename(
+    Attempt* att, fs::FsClient& client, fs::FsWriter& writer,
+    const std::string& tmp, const std::string& final_path) {
+  co_await writer.close();
+  if (att->task->done) {
+    co_await client.remove(tmp);
+    co_return false;
+  }
+  co_await net_.control(att->node, cfg_.jobtracker_node);
+  // The rename is the atomic commit: exactly one attempt's temp file can
+  // move to the final name.
+  const bool renamed = co_await client.rename(tmp, final_path);
+  if (!renamed || att->task->done) {
+    // A failed rename IS losing the race, even if the winner has not
+    // resumed to set task.done yet.
+    att->lost = true;
+    co_await client.remove(tmp);
+    co_return false;
+  }
+  co_return true;
 }
 
 sim::Task<void> MapReduceCluster::run_map_attempt(Attempt* att) {
@@ -826,11 +745,7 @@ sim::Task<void> MapReduceCluster::run_map_attempt(Attempt* att) {
   TaskState& task = *att->task;
   const InputSplit& split = task.split;
   co_await sim_.delay(cfg_.task_startup_s / cpu_scale(att->node));
-  if (task.done) co_return;
-  if (!net_.node_up(att->node)) {  // the node lost power during startup
-    abort_attempt_io(att);
-    co_return;
-  }
+  if (stopped(att)) co_return;
 
   auto client = fs_.make_client(att->node);
   auto reader = co_await job->dataset.open_split(*client, split);
@@ -867,108 +782,88 @@ sim::Task<void> MapReduceCluster::run_map_attempt(Attempt* att) {
   BS_CHECK(split.offset + split.length <= reader->size());
 
   MapReduceApp& app = *job->config.app;
-  const uint32_t reducers = std::max<uint32_t>(1, job->reduces_total);
+  const uint32_t reduces = job->phase(TaskKind::kReduce).size();
+  const uint32_t reducers = std::max<uint32_t>(1, reduces);
   MapOutput out;
   out.node = att->node;
   out.attempt = att->ordinal;
   out.partition_bytes.assign(reducers, 0);
 
+  // Record mode runs real TextInputFormat semantics — a record belongs to
+  // the split containing its first byte; the reader skips a partial first
+  // line (the previous split owns it) and runs past `end` to finish its
+  // last record. Cost mode reads the same chunks up to `end` and charges
+  // their compute without parsing. Either way compute is charged per
+  // chunk, so progress is observable and a backup's commit cancels
+  // promptly.
+  const bool records = !job->config.cost_model;
   const uint64_t end = split.offset + split.length;
-  const uint64_t file_size = reader->size();
-
-  if (!job->config.cost_model) {
-    // Record mode: real TextInputFormat semantics — a record belongs to the
-    // split containing its first byte; the reader skips a partial first
-    // line (the previous split owns it) and runs past `end` to finish its
-    // last record.
-    out.partitions.resize(reducers);
-    PartitionEmitter emitter(reducers, &out.partitions, &out.partition_bytes);
-    std::string buf;
-    uint64_t buf_base = split.offset;
-    uint64_t pos = split.offset;
-    bool skip_first = split.offset > 0;
-    bool done = false;
-    while (!done && pos < file_size) {
-      if (task.done) co_return;  // a backup committed: stop, discard
-      if (!net_.node_up(att->node)) {  // killed by a node crash
-        abort_attempt_io(att);
-        co_return;
+  const uint64_t limit = records ? reader->size() : end;
+  if (records) out.partitions.resize(reducers);
+  PartitionEmitter emitter(reducers, &out.partitions, &out.partition_bytes);
+  std::string buf;
+  uint64_t buf_base = split.offset;
+  uint64_t pos = split.offset;
+  bool skip_first = split.offset > 0;
+  bool done = false;
+  while (!done && pos < limit) {
+    if (stopped(att)) co_return;
+    const uint64_t n =
+        std::min<uint64_t>(job->config.record_read_size, limit - pos);
+    DataSpec chunk = co_await reader->read(pos, n);
+    BS_CHECK(chunk.size() == n);
+    pos += n;
+    // The CPU factor is re-sampled per chunk: a slow-node injection that
+    // fires mid-attempt must throttle the remaining compute.
+    co_await sim_.delay(static_cast<double>(n) / app.map_rate_bps() /
+                        cpu_scale(att->node));
+    att->meter.update(static_cast<double>(pos - split.offset) /
+                      static_cast<double>(std::max<uint64_t>(1, split.length)));
+    if (!records) continue;
+    Bytes bytes = chunk.materialize();
+    buf.append(bytes.begin(), bytes.end());
+    // Emit complete lines from the buffer. Boundary rule (Hadoop's
+    // LineRecordReader): this split emits every line STARTING at or
+    // before `end` — including one starting exactly AT `end`, which the
+    // next split's skip_first unconditionally discards — and stops once
+    // a line starts strictly past `end`. (With "at/after end" on both
+    // sides, a line beginning exactly on a split boundary was dropped by
+    // both splits.)
+    size_t line_start = 0;
+    for (size_t i = 0; i < buf.size(); ++i) {
+      if (buf[i] != '\n') continue;
+      const uint64_t line_off = buf_base + line_start;
+      if (skip_first) {
+        skip_first = false;
+      } else if (line_off <= end) {
+        app.map(line_off, buf.substr(line_start, i - line_start), emitter);
+      } else {
+        done = true;  // first line starting past `end`: not ours
+        break;
       }
-      const uint64_t n =
-          std::min<uint64_t>(job->config.record_read_size, file_size - pos);
-      DataSpec chunk = co_await reader->read(pos, n);
-      BS_CHECK(chunk.size() == n);
-      pos += n;
-      // The CPU factor is re-sampled per chunk: a slow-node injection that
-      // fires mid-attempt must throttle the remaining compute.
-      co_await sim_.delay(static_cast<double>(n) / app.map_rate_bps() /
-                          cpu_scale(att->node));
-      att->meter.update(static_cast<double>(pos - split.offset) /
-                        static_cast<double>(std::max<uint64_t>(1, split.length)));
-      Bytes bytes = chunk.materialize();
-      buf.append(bytes.begin(), bytes.end());
-      // Emit complete lines from the buffer. Boundary rule (Hadoop's
-      // LineRecordReader): this split emits every line STARTING at or
-      // before `end` — including one starting exactly AT `end`, which the
-      // next split's skip_first unconditionally discards — and stops once
-      // a line starts strictly past `end`. (With "at/after end" on both
-      // sides, a line beginning exactly on a split boundary was dropped by
-      // both splits.)
-      size_t line_start = 0;
-      for (size_t i = 0; i < buf.size(); ++i) {
-        if (buf[i] != '\n') continue;
-        const uint64_t line_off = buf_base + line_start;
-        if (skip_first) {
-          skip_first = false;
-        } else if (line_off <= end) {
-          app.map(line_off, buf.substr(line_start, i - line_start), emitter);
-        } else {
-          done = true;  // first line starting past `end`: not ours
-          break;
-        }
-        line_start = i + 1;
-        if (buf_base + line_start > end) {
-          // The next line starts strictly past the split end: stop.
-          done = true;
-          break;
-        }
+      line_start = i + 1;
+      if (buf_base + line_start > end) {
+        // The next line starts strictly past the split end: stop.
+        done = true;
+        break;
       }
-      buf.erase(0, line_start);
-      buf_base += line_start;
     }
-    if (!done && !buf.empty() && !skip_first && buf_base <= end) {
-      app.map(buf_base, buf, emitter);  // final unterminated line
-    }
-  } else {
-    // Cost mode: same I/O pattern, compute charged per chunk so progress
-    // is observable and a backup's commit cancels promptly.
-    uint64_t pos = split.offset;
-    while (pos < end) {
-      if (task.done) co_return;
-      if (!net_.node_up(att->node)) {  // killed by a node crash
-        abort_attempt_io(att);
-        co_return;
-      }
-      const uint64_t n =
-          std::min<uint64_t>(job->config.record_read_size, end - pos);
-      DataSpec chunk = co_await reader->read(pos, n);
-      BS_CHECK(chunk.size() > 0);
-      pos += chunk.size();
-      co_await sim_.delay(static_cast<double>(chunk.size()) /
-                          app.map_rate_bps() / cpu_scale(att->node));
-      att->meter.update(static_cast<double>(pos - split.offset) /
-                        static_cast<double>(std::max<uint64_t>(1, split.length)));
-    }
+    buf.erase(0, line_start);
+    buf_base += line_start;
+  }
+  if (!records) {
     const double intermediate =
         static_cast<double>(split.length) * app.map_selectivity();
     for (uint32_t r = 0; r < reducers; ++r) {
       out.partition_bytes[r] = static_cast<uint64_t>(intermediate / reducers);
     }
+  } else if (!done && !buf.empty() && !skip_first && buf_base <= end) {
+    app.map(buf_base, buf, emitter);  // final unterminated line
   }
 
   // Materialize the intermediate output through the job's shuffle store
   // (local-disk spill or replicated DFS files, per intermediate_mode).
-  if (job->reduces_total > 0) {
+  if (reduces > 0) {
     uint64_t written = 0;
     const bool stored = co_await job->shuffle->write_map_output(
         job->config.output_dir, task.index, &out, &written);
@@ -978,15 +873,14 @@ sim::Task<void> MapReduceCluster::run_map_attempt(Attempt* att) {
       co_return;
     }
   }
-  if (task.done) co_return;
-  if (!net_.node_up(att->node)) {
-    abort_attempt_io(att);
-    co_return;
-  }
+  if (stopped(att)) co_return;
 
   // Report completion, then commit (exactly one attempt installs output).
   co_await net_.control(att->node, cfg_.jobtracker_node);
-  commit_map(att, std::move(out));
+  if (task.done) co_return;  // lost the race at the last instant
+  job->map_outputs[task.index] = std::move(out);
+  job->map_committed[task.index] = 1;
+  finish_commit(att, 0);
 }
 
 sim::Task<void> MapReduceCluster::run_generator_attempt(Attempt* att) {
@@ -1001,22 +895,19 @@ sim::Task<void> MapReduceCluster::run_generator_attempt(Attempt* att) {
   // Attempt-private temp output; the winner renames it into place.
   const std::string tmp = temp_path(*job, *att);
   const std::string final_path = fs::join_path(
-      job->config.output_dir, task_file_name("m", task.index));
+      job->config.output_dir, task_file_name('m', task.index));
   auto writer = co_await client->create(tmp);
   BS_CHECK_MSG(writer != nullptr, "cannot create generator output");
 
-  bool cancelled = false;
+  // A sibling's commit (task.done) stops the writes but not the attempt:
+  // it still reaches commit_by_rename, which removes its temp file.
   if (job->config.cost_model) {
     // Generate and write chunk by chunk; generation compute and FS writes
     // alternate as in the real RandomTextWriter loop.
     const uint64_t chunk = std::min<uint64_t>(bytes, fs_.block_size());
     uint64_t done = 0;
     const uint64_t seed = fnv1a64_u64(task.index, 0xb10b);
-    while (done < bytes) {
-      if (task.done) {
-        cancelled = true;
-        break;
-      }
+    while (done < bytes && !task.done) {
       if (!net_.node_up(att->node)) {  // killed by a node crash mid-write;
         abort_attempt_io(att);         // the partial temp file is swept at
         co_return;                     // job completion
@@ -1035,9 +926,7 @@ sim::Task<void> MapReduceCluster::run_generator_attempt(Attempt* att) {
     const std::string text = random_text(rng, bytes);
     co_await sim_.delay(static_cast<double>(text.size()) / app.map_rate_bps() /
                         cpu_scale(att->node));
-    if (task.done) {
-      cancelled = true;
-    } else {
+    if (!task.done) {
       co_await writer->write(DataSpec::from_string(text));
       att->meter.update(1.0);
     }
@@ -1047,25 +936,9 @@ sim::Task<void> MapReduceCluster::run_generator_attempt(Attempt* att) {
     co_return;
   }
   const uint64_t written = writer->bytes_written();
-  co_await writer->close();
-  if (cancelled || task.done) {
-    co_await client->remove(tmp);
-    co_return;
+  if (co_await commit_by_rename(att, *client, *writer, tmp, final_path)) {
+    finish_commit(att, written);
   }
-
-  co_await net_.control(att->node, cfg_.jobtracker_node);
-  // The rename is the atomic commit: exactly one attempt's temp file can
-  // move to the final name.
-  const bool renamed = co_await client->rename(tmp, final_path);
-  if (!renamed || task.done) {
-    // A failed rename IS losing the race, even if the winner has not
-    // resumed to set task.done yet.
-    att->lost = true;
-    co_await client->remove(tmp);
-    co_return;
-  }
-  job->stats.output_bytes += written;
-  finish_map_commit(att);
 }
 
 sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
@@ -1082,20 +955,16 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
   // notification — and retried after a backoff; past the threshold the
   // tracker declares the map output lost and re-schedules the map, whose
   // re-commit wakes this loop again (see report_fetch_failure). ---
-  const uint32_t parallel_copies = shuffle_copies(*job);
-  std::vector<char> fetched(job->maps_total, 0);
-  std::vector<double> retry_after(job->maps_total, 0);
+  const uint32_t maps_total = job->phase(TaskKind::kMap).size();
+  std::vector<char> fetched(maps_total, 0);
+  std::vector<double> retry_after(maps_total, 0);
   uint32_t fetched_count = 0;
   uint64_t total = 0;
-  while (fetched_count < job->maps_total) {
-    if (task.done) co_return;
-    if (!net_.node_up(att->node)) {  // the reducer's own node lost power
-      abort_attempt_io(att);
-      co_return;
-    }
+  while (fetched_count < maps_total) {
+    if (stopped(att)) co_return;
     const double now = sim_.now();
     std::vector<uint32_t> batch;
-    for (uint32_t i = 0; i < job->maps_total; ++i) {
+    for (uint32_t i = 0; i < maps_total; ++i) {
       if (job->map_committed[i] && !fetched[i] && now >= retry_after[i]) {
         batch.push_back(i);
       }
@@ -1104,7 +973,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
       // Nothing fetchable right now: wait for the next commit, or for the
       // earliest backoff to expire when failed maps are all that is left.
       double next_retry = std::numeric_limits<double>::infinity();
-      for (uint32_t i = 0; i < job->maps_total; ++i) {
+      for (uint32_t i = 0; i < maps_total; ++i) {
         if (job->map_committed[i] && !fetched[i]) {
           next_retry = std::min(next_retry, retry_after[i]);
         }
@@ -1131,7 +1000,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
     }
     if (!fetches.empty()) {
       const std::vector<bool> ok = co_await sim::when_all_limited(
-          sim_, std::move(fetches), parallel_copies);
+          sim_, std::move(fetches), cfg_.shuffle_parallel_copies);
       std::vector<uint32_t> failed;
       for (size_t k = 0; k < moving.size(); ++k) {
         const uint32_t i = moving[k];
@@ -1158,7 +1027,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
       }
     }
     att->meter.update(0.75 * static_cast<double>(fetched_count) /
-                      static_cast<double>(std::max<uint32_t>(1, job->maps_total)));
+                      static_cast<double>(std::max<uint32_t>(1, maps_total)));
   }
   if (task.done) co_return;
 
@@ -1168,11 +1037,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
     const double compute_s = static_cast<double>(total) / app.reduce_rate_bps();
     constexpr int kSlices = 8;
     for (int s = 0; s < kSlices; ++s) {
-      if (task.done) co_return;
-      if (!net_.node_up(att->node)) {  // killed by a node crash
-        abort_attempt_io(att);
-        co_return;
-      }
+      if (stopped(att)) co_return;
       // CPU factor re-sampled per slice (mid-attempt slow-node injection).
       co_await sim_.delay(compute_s / kSlices / cpu_scale(att->node));
       att->meter.update(0.75 + 0.2 * static_cast<double>(s + 1) / kSlices);
@@ -1206,80 +1071,64 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
     output_bytes =
         static_cast<uint64_t>(static_cast<double>(total) * app.output_ratio());
   }
-  if (task.done) co_return;
-  if (!net_.node_up(att->node)) {  // a dead node commits nothing
-    abort_attempt_io(att);
-    co_return;
-  }
+  if (stopped(att)) co_return;  // a dead node commits nothing
 
+  // --- commit. Part files: write an attempt-private temp file and rename
+  // it into place (first finisher wins; losers clean up). Shared append
+  // (OutputMode::kSharedAppend, live path): claim the commit at the
+  // JobTracker BEFORE touching the file — an append is permanent the
+  // moment it lands, so the arbitration that rename performs implicitly
+  // must happen up front; a losing sibling that appended anyway would
+  // leave a duplicate block in the output. ---
   auto client = fs_.make_client(att->node);
-
+  std::unique_ptr<fs::FsWriter> writer;
+  std::string tmp;
   if (job->shared_output) {
-    // --- shared-append commit (OutputMode::kSharedAppend, live path) ---
-    // Claim the commit right at the JobTracker BEFORE touching the file:
-    // an append is permanent the moment it lands, so the arbitration that
-    // rename performs implicitly must happen up front — a losing sibling
-    // that appended anyway would leave a duplicate block in the output.
     co_await net_.control(att->node, cfg_.jobtracker_node);
     if (task.done || task.commit_claimed) {
       att->lost = true;
       co_return;
     }
     task.commit_claimed = true;
-    auto writer = co_await client->append_shared(shared_output_path(*job));
-    BS_CHECK_MSG(writer != nullptr, "shared append writer unavailable");
-    // Whole-block appends (§V): pad up to the storage block size so
-    // concurrent appenders keep the shared file block-aligned.
-    const uint64_t block = fs_.block_size();
-    const uint64_t pad = (block - output_bytes % block) % block;
-    if (output_bytes > 0) {
-      if (!job->config.cost_model) {
-        output_text.append(pad, '\n');
-        co_await writer->write(DataSpec::from_string(output_text));
-      } else {
-        co_await writer->write(DataSpec::pattern(
-            fnv1a64_u64(reduce_index, 0x5ead), 0, output_bytes + pad));
-      }
-    }
-    co_await writer->close();
-    ++job->stats.shared_appends;
-    if (output_bytes > 0) {
-      job->stats.shared_append_bytes += output_bytes + pad;
-    }
-    record_reduce_output(att, total, output_bytes, &reduced);
-    co_return;
+    writer = co_await client->append_shared(shared_output_path(*job));
+  } else {
+    tmp = temp_path(*job, *att);
+    writer = co_await client->create(tmp);
   }
-
-  // --- write the output to an attempt-private temp file, then commit by
-  // atomic rename (first finisher wins; losers clean up) ---
-  const std::string tmp = temp_path(*job, *att);
-  const std::string final_path = fs::join_path(
-      job->config.output_dir, task_file_name("r", reduce_index));
-  auto writer = co_await client->create(tmp);
-  BS_CHECK_MSG(writer != nullptr, "cannot create reduce output");
+  BS_CHECK_MSG(writer != nullptr, "cannot open reduce output");
+  // Whole-block appends (§V): pad up to the storage block size so
+  // concurrent appenders keep the shared file block-aligned.
+  const uint64_t block = fs_.block_size();
+  const uint64_t pad =
+      job->shared_output ? (block - output_bytes % block) % block : 0;
   if (output_bytes > 0) {
     if (!job->config.cost_model) {
+      output_text.append(pad, '\n');
       co_await writer->write(DataSpec::from_string(output_text));
     } else {
-      co_await writer->write(
-          DataSpec::pattern(fnv1a64_u64(reduce_index, 0x0u), 0,
-                            output_bytes));
+      const uint64_t seed =
+          fnv1a64_u64(reduce_index, job->shared_output ? 0x5ead : 0);
+      co_await writer->write(DataSpec::pattern(seed, 0, output_bytes + pad));
     }
   }
-  co_await writer->close();
-  if (task.done) {
-    co_await client->remove(tmp);
-    co_return;
+  if (job->shared_output) {
+    co_await writer->close();
+    ++job->stats.shared_appends;
+    job->stats.shared_append_bytes += output_bytes + pad;
+  } else {
+    const std::string final_path = fs::join_path(
+        job->config.output_dir, task_file_name('r', reduce_index));
+    if (!co_await commit_by_rename(att, *client, *writer, tmp, final_path)) {
+      co_return;
+    }
   }
-
-  co_await net_.control(att->node, cfg_.jobtracker_node);
-  const bool renamed = co_await client->rename(tmp, final_path);
-  if (!renamed || task.done) {
-    att->lost = true;
-    co_await client->remove(tmp);
-    co_return;
+  job->stats.shuffle_bytes += total;
+  for (auto& kv : reduced) {
+    if (job->stats.results.size() < 10000) {
+      job->stats.results.push_back(std::move(kv));
+    }
   }
-  record_reduce_output(att, total, output_bytes, &reduced);
+  finish_commit(att, output_bytes);
 }
 
 }  // namespace bs::mr

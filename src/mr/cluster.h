@@ -2,12 +2,13 @@
 // FileSystem (paper §II.A: "a single master jobtracker and multiple slave
 // tasktrackers, one per node").
 //
-// v2 is a multi-job engine. Jobs are submitted concurrently (run_job is a
+// A multi-job engine. Jobs are submitted concurrently (run_job is a
 // coroutine; spawn several); every TaskTracker polls on its heartbeat and
-// a pluggable scheduler (FIFO or Hadoop-style fair sharing, see
-// mr/scheduler.h) decides which job's task takes the offered slot —
-// locality-aware selection (node-local, then rack-local, then remote)
-// stays per-job.
+// the configured SchedulerKind decides which job's task takes the offered
+// slot — locality-aware selection (node-local, then rack-local, then
+// remote) stays per-job. Maps and reduces share one task lifecycle (queue,
+// launch, checkpoints, commit, speculation); only the attempt body and the
+// commit payload differ by kind.
 //
 // Task lifecycle per attempt:
 //   1. Map attempts read their split through the job's pinned Dataset
@@ -60,6 +61,7 @@
 // partial output, one combined merge pass, no JVM/slot reuse modeling.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -74,7 +76,6 @@
 #include "mr/app.h"
 #include "mr/dataset.h"
 #include "mr/jobstats.h"
-#include "mr/scheduler.h"
 #include "mr/shuffle.h"
 #include "net/liveness.h"
 #include "net/network.h"
@@ -84,6 +85,18 @@
 
 namespace bs::mr {
 
+// Which job may claim the slot a heartbeating tasktracker just offered
+// (locality-aware task selection within the job stays per job):
+//   * kFifo — strict submission order: the oldest job takes every slot it
+//             can use; later jobs get the leftovers.
+//   * kFair — Hadoop fair sharing: the job with the fewest running tasks
+//             goes first, so N concurrent jobs converge to 1/N of the
+//             cluster each and a small job finishes without waiting for a
+//             big one's map phase to drain.
+// Ties break by submission order, which keeps every decision
+// deterministic for a fixed seed.
+enum class SchedulerKind { kFifo, kFair };
+
 struct MrConfig {
   // TaskTracker nodes; empty = every cluster node.
   std::vector<net::NodeId> tasktracker_nodes;
@@ -92,36 +105,22 @@ struct MrConfig {
   uint32_t reduce_slots = 2;
   double heartbeat_s = 0.3;
   double task_startup_s = 0.2;  // JVM reuse era: modest per-task startup
-  // Engine-wide default for concurrent shuffle fetches per reduce
-  // (mapred.reduce.parallel.copies); JobConfig::shuffle_parallel_copies
-  // overrides it per job, as Hadoop's per-job setting does.
+  // Concurrent shuffle fetches per reduce (mapred.reduce.parallel.copies).
   uint32_t shuffle_parallel_copies = 5;
   // Failure injection: each task attempt fails with this probability after
   // doing a random fraction of its work; the JobTracker re-executes failed
   // tasks (paper §II.A: "monitoring them and re-executing the failed
-  // ones"). Deterministic given the cluster seed.
+  // ones"). Deterministic: the dice come from a fixed-seed engine Rng.
   double task_failure_prob = 0;
-  uint64_t failure_seed = 0xfa11;
-
-  // --- v2 knobs ---
   // Which job gets the next free slot when several run concurrently.
   SchedulerKind scheduler = SchedulerKind::kFifo;
   // Fraction of a job's maps that must commit before its reduces may be
   // scheduled (mapred.reduce.slowstart.completed.maps). 1.0 = the classic
   // serial phases; lower values overlap the shuffle with the map phase.
   double reduce_slowstart = 1.0;
-  // Speculative execution: launch one backup attempt for straggling tasks.
+  // Speculative execution: launch one backup attempt for straggling tasks
+  // (the straggler tests are in mr/speculation.cpp).
   bool speculative_execution = false;
-  // An attempt is a straggler when its progress rate falls below this
-  // fraction of the *median* rate of its running peers (needs >= 2 peers;
-  // the median is robust against a few cache-served outliers that would
-  // drag a mean and flag healthy disk-bound attempts)...
-  double speculative_slowness = 0.5;
-  // ...or when it has run longer than this multiple of the median
-  // committed attempt duration in its category (needs >= 3 commits). This
-  // catches the tail, where every remaining attempt sits on a slow node
-  // and rate comparison has no healthy peer left.
-  double speculative_lag = 1.5;
   // Attempts younger than this are never speculated (startup noise).
   double speculative_min_runtime_s = 0.5;
   // Period of the JobTracker's straggler sweep.
@@ -129,8 +128,6 @@ struct MrConfig {
   // When set, tasks are never assigned to nodes this view believes dead
   // (wire the fault::FailureDetector here).
   const net::LivenessView* liveness = nullptr;
-
-  // --- v3 knobs: intermediate-data fault tolerance (mr/shuffle.h) ---
   // Fetch-failure notifications a committed map may accumulate before the
   // JobTracker declares its intermediate output lost and re-schedules it
   // (Hadoop's mapred.reduce.copy failure threshold, 3 notifications).
@@ -165,9 +162,6 @@ struct JobConfig {
   // kDfs only: replication degree of the intermediate files (0 = the
   // storage back-end's configured default).
   uint32_t intermediate_replication = 0;
-  // Per-job override of MrConfig::shuffle_parallel_copies
-  // (mapred.reduce.parallel.copies is a per-job setting); 0 = inherit.
-  uint32_t shuffle_parallel_copies = 0;
   // Cost mode (paper-scale benches) vs record mode (tests/examples).
   bool cost_model = false;
   // Record-sized FS reads: "MapReduce applications usually process data in
@@ -194,11 +188,17 @@ class MapReduceCluster {
 
   fs::FileSystem& filesystem() { return fs_; }
   const MrConfig& config() const { return cfg_; }
-  const JobScheduler& scheduler() const { return *scheduler_; }
   size_t active_jobs() const { return jobs_.size(); }
 
  private:
   enum class TaskKind { kMap, kReduce };
+  static constexpr TaskKind kTaskKinds[] = {TaskKind::kMap, TaskKind::kReduce};
+  static size_t idx(TaskKind kind) { return static_cast<size_t>(kind); }
+  // "map" / "reduce": metric labels and trace names; the first letter tags
+  // launches, temp paths and output files.
+  static const char* kind_name(TaskKind kind) {
+    return kind == TaskKind::kMap ? "map" : "reduce";
+  }
 
   struct JobState;
 
@@ -240,6 +240,32 @@ class MapReduceCluster {
     sim::ProgressMeter meter;
   };
 
+  // One task kind's share of a job: its tasks and their scheduling queues,
+  // counters and straggler baselines.
+  struct Phase {
+    std::vector<TaskState> tasks;
+    std::deque<uint32_t> pending;  // task indices awaiting a slot
+    // Straggler backups awaiting a slot: (task index, time queued). Map
+    // backups prefer nodes local to a replica that is NOT hosting a
+    // running attempt — re-reading through the straggler's node would
+    // re-import the very slowness the backup exists to escape — and only
+    // settle for an arbitrary node after a delay-scheduling wait.
+    std::deque<std::pair<uint32_t, double>> backups;
+    uint32_t done = 0;     // committed tasks
+    uint32_t running = 0;  // live attempts
+    double last_commit = 0;
+    // Committed-attempt durations, the straggler-detection baselines.
+    std::vector<double> commit_durations;
+    // Current lag threshold (upper-quartile attempt lifetime, set by the
+    // speculation sweep); 0 until enough commits exist.
+    double lag_baseline = 0;
+    // Task-latency histogram (mr/task_latency_s{job=,kind=}), resolved at
+    // submission; the JobStats percentile summary is read from it when the
+    // job completes.
+    obs::Histogram* latency = nullptr;
+    uint32_t size() const { return static_cast<uint32_t>(tasks.size()); }
+  };
+
   struct JobState {
     explicit JobState(sim::Simulator& sim) : attempts(sim) {}
     uint32_t job_id = 0;
@@ -248,24 +274,10 @@ class MapReduceCluster {
     // once at submission; every attempt's reads go through it and the
     // pins stay registered (GC-protected) until the job drains.
     Dataset dataset;
-    std::vector<TaskState> map_tasks;
-    std::vector<TaskState> reduce_tasks;
-    std::deque<uint32_t> pending_maps;     // task indices awaiting a slot
-    std::deque<uint32_t> pending_reduces;
-    // Straggler backups awaiting a slot: (task index, time queued). Map
-    // backups prefer nodes local to a replica that is NOT hosting a
-    // running attempt — re-reading through the straggler's node would
-    // re-import the very slowness the backup exists to escape — and only
-    // settle for an arbitrary node after a delay-scheduling wait.
-    std::deque<std::pair<uint32_t, double>> spec_maps;
-    std::deque<std::pair<uint32_t, double>> spec_reduces;
-    uint32_t maps_total = 0;
-    uint32_t maps_done = 0;
-    uint32_t reduces_total = 0;
-    uint32_t reduces_done = 0;
-    uint32_t slowstart_maps = 0;  // maps_done gate for scheduling reduces
-    uint32_t running_maps = 0;
-    uint32_t running_reduces = 0;
+    std::array<Phase, 2> phases;  // indexed by TaskKind
+    Phase& phase(TaskKind kind) { return phases[idx(kind)]; }
+    const Phase& phase(TaskKind kind) const { return phases[idx(kind)]; }
+    uint32_t slowstart_maps = 0;  // map commits that open the reduce phase
     // Shared-output mode, resolved at job setup by probing the back-end:
     // live concurrent appends (BSFS) or the part+concat fallback (HDFS).
     bool shared_output = false;
@@ -277,20 +289,6 @@ class MapReduceCluster {
     // Fetch-failure notifications per map since its last commit; at
     // MrConfig::fetch_failure_threshold the output is declared lost.
     std::vector<uint32_t> fetch_fail_counts;
-    double last_map_commit = 0;
-    double last_reduce_commit = 0;
-    // Committed-attempt durations, the straggler-detection baselines.
-    std::vector<double> map_commit_durations;
-    std::vector<double> reduce_commit_durations;
-    // Current lag thresholds (upper-quartile attempt lifetime, set by the
-    // speculation sweep); 0 until enough commits exist.
-    double map_lag_baseline = 0;
-    double reduce_lag_baseline = 0;
-    // Per-job task-latency histograms (mr/task_latency_s{job=,kind=}),
-    // resolved at submission; the v5 JobStats percentile summary is read
-    // from them when the job completes.
-    obs::Histogram* h_map_latency = nullptr;
-    obs::Histogram* h_reduce_latency = nullptr;
     // kv/bytes_lost_on_power_loss reading at submission; the v6 JobStats
     // durability trail is the counter's delta at completion.
     double kv_lost_at_submit = 0;
@@ -310,22 +308,14 @@ class MapReduceCluster {
     bool valid() const { return job != nullptr; }
   };
 
-  struct NodeSlots {
-    uint32_t maps = 0;
-    uint32_t reduces = 0;
-  };
-
   bool job_complete(const JobState& job) const {
-    return job.maps_done >= job.maps_total &&
-           job.reduces_done >= job.reduces_total;
+    for (const Phase& phase : job.phases) {
+      if (phase.done < phase.size()) return false;
+    }
+    return true;
   }
   double cpu_scale(net::NodeId node) const {
     return net_.node_perf(node).cpu;
-  }
-  uint32_t shuffle_copies(const JobState& job) const {
-    return job.config.shuffle_parallel_copies > 0
-               ? job.config.shuffle_parallel_copies
-               : cfg_.shuffle_parallel_copies;
   }
 
   // Out of line and never inlined: building the labeled histogram keys
@@ -337,22 +327,24 @@ class MapReduceCluster {
   sim::Task<void> plan_job(JobState& job);
   sim::Task<void> tasktracker_loop(net::NodeId node);
   Assignment schedule(net::NodeId node);
-  bool pop_map(JobState& job, net::NodeId node, Assignment* out);
-  bool pop_reduce(JobState& job, net::NodeId node, Assignment* out);
+  // Hands out one of `job`'s `kind` tasks to `node`: a pending first
+  // attempt by locality pass, else a straggler backup.
+  bool pop(JobState& job, TaskKind kind, net::NodeId node, Assignment* out);
+  // 0 node-local, 1 rack-local, 2 remote: where `node` sits relative to the
+  // nearest of `hosts`, resolved as far as locality pass `pass` needs (pass
+  // 0 reads anything not node-local as 2).
+  uint8_t locality(const std::vector<net::NodeId>& hosts, net::NodeId node,
+                   int pass) const;
   // LATE-style backup placement: a node may run backup tasks only while
   // its commit history proves it fast (launching the backup on another
   // slow node — or an unknown one — wastes the one backup the task gets).
-  bool backup_eligible(const JobState& job, TaskKind kind,
-                       net::NodeId node) const;
-  void record_node_speed(const JobState& job, TaskKind kind, net::NodeId node,
+  bool backup_eligible(const Phase& phase, net::NodeId node) const;
+  void record_node_speed(const Phase& phase, net::NodeId node,
                          double elapsed);
-  void finish_map_commit(Attempt* att);
-  void finish_reduce_commit(Attempt* att);
-  // Winner-side reduce accounting shared by both commit paths (append and
-  // rename): byte counters, the result sample, then the commit itself.
-  void record_reduce_output(
-      Attempt* att, uint64_t shuffled, uint64_t output_bytes,
-      std::vector<std::pair<std::string, std::string>>* reduced);
+  // Winner-side commit bookkeeping for every task kind, once the winner is
+  // decided (registry install, append claim, or rename): flags, counters,
+  // straggler baselines, and map locality attribution.
+  void finish_commit(Attempt* att, uint64_t output_bytes);
   void launch(const Assignment& a, net::NodeId node);
   void finish_attempt(Attempt* att, std::list<Attempt>::iterator it);
 
@@ -364,6 +356,10 @@ class MapReduceCluster {
   // store write failed): counts a task failure and requeues the task when
   // no sibling attempt can still finish it. The caller co_returns next.
   void abort_attempt_io(Attempt* att);
+  // Cancellation checkpoint: true when the attempt must stop, because a
+  // sibling committed the task or because its node lost power (aborted
+  // through abort_attempt_io).
+  bool stopped(Attempt* att);
   // JobTracker side of a fetch-failure notification for `map_index`. Past
   // the threshold, declares the committed map's intermediate output lost:
   // revokes the commit (and its locality attribution) and re-schedules the
@@ -372,7 +368,13 @@ class MapReduceCluster {
   sim::Task<void> run_map_attempt(Attempt* att);
   sim::Task<void> run_generator_attempt(Attempt* att);
   sim::Task<void> run_reduce_attempt(Attempt* att);
-  bool commit_map(Attempt* att, MapOutput&& out);
+  // Commit tail of a file-producing attempt (generator map, part-file
+  // reduce): closes its attempt-private temp file and renames it into
+  // place. True for the one winner; losers remove their temp file.
+  sim::Task<bool> commit_by_rename(Attempt* att, fs::FsClient& client,
+                                   fs::FsWriter& writer,
+                                   const std::string& tmp,
+                                   const std::string& final_path);
 
   sim::Task<void> speculation_loop(JobState* job);
   void speculation_sweep(JobState& job);
@@ -395,9 +397,9 @@ class MapReduceCluster {
   fs::FileSystem& fs_;
   MrConfig cfg_;
   Rng rng_;
-  std::unique_ptr<JobScheduler> scheduler_;
   std::list<JobState> jobs_;     // active jobs, submission order
-  std::vector<NodeSlots> slots_; // per-node occupied slots
+  // Occupied slots per node, by TaskKind.
+  std::vector<std::array<uint32_t, 2>> slots_;
   // Per-node speed evidence: the last committed attempt's lifetime as a
   // multiple of the job's lag baseline at commit time (0 = no commits
   // yet). Kind-agnostic — a degraded node is slow for maps and reduces
@@ -410,15 +412,13 @@ class MapReduceCluster {
   // respawning while any tracker from the old generation lingered).
   std::vector<char> tracker_running_;
   // Scratch for schedule() (rebuilt every heartbeat; no per-call allocs).
-  std::vector<JobState*> scratch_active_;
-  std::vector<SchedulableJob> scratch_view_;
+  std::vector<JobState*> scratch_order_;
 
   // Obs handles, resolved once at construction (see net/network.h).
   obs::Tracer* tracer_;
   obs::Counter* m_jobs_submitted_;
   obs::Counter* m_jobs_completed_;
-  obs::Counter* m_launches_map_;
-  obs::Counter* m_launches_reduce_;
+  std::array<obs::Counter*, 2> m_launches_;  // by TaskKind
   obs::Counter* m_spec_launches_;
   obs::Counter* m_killed_;
   obs::Counter* m_task_failures_;

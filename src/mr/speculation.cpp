@@ -9,36 +9,19 @@
 #include "sim/parallel.h"
 
 namespace bs::mr {
-
-void MapReduceCluster::record_node_speed(const JobState& job, TaskKind kind,
-                                         net::NodeId node, double elapsed) {
-  const double baseline = kind == TaskKind::kMap ? job.map_lag_baseline
-                                                 : job.reduce_lag_baseline;
-  // Before a baseline exists the earliest committers are by definition the
-  // fast ones; mark them neutral-fast.
-  node_slowness_[node] = baseline > 0 ? elapsed / baseline : 1.0;
-}
-
-bool MapReduceCluster::backup_eligible(const JobState& job, TaskKind kind,
-                                       net::NodeId node) const {
-  const double baseline = kind == TaskKind::kMap ? job.map_lag_baseline
-                                                 : job.reduce_lag_baseline;
-  // No straggler baseline yet: nothing to compare against, allow anyone.
-  if (baseline <= 0) return true;
-  const double slowness = node_slowness_[node];
-  return slowness > 0 && slowness <= cfg_.speculative_lag;
-}
-
-sim::Task<void> MapReduceCluster::speculation_loop(JobState* job) {
-  co_await sim::repeat_every(sim_, cfg_.speculation_interval_s, [this, job] {
-    if (job_complete(*job)) return false;
-    speculation_sweep(*job);
-    return true;
-  });
-  job->attempts.done();
-}
-
 namespace {
+
+// An attempt is a straggler when its progress rate falls below this
+// fraction of the *median* rate of its running peers (needs >= 2 peers;
+// the median is robust against a few cache-served outliers that would
+// drag a mean and flag healthy disk-bound attempts)...
+constexpr double kSlowRateFraction = 0.5;
+// ...or when it has run longer than this multiple of the upper-quartile
+// attempt lifetime in its kind (needs >= 3 commits). This catches the
+// tail, where every remaining attempt sits on a slow node and rate
+// comparison has no healthy peer left. It is also the cutoff for backup
+// placement: only nodes whose last commit stayed within it run backups.
+constexpr double kLagFactor = 1.5;
 
 // Median of a sample set (copy-and-sort; sweep-time sample counts are
 // bounded by the running/committed task counts).
@@ -61,15 +44,38 @@ double p75_of(std::vector<double> v) {
 
 }  // namespace
 
+void MapReduceCluster::record_node_speed(const Phase& phase, net::NodeId node,
+                                         double elapsed) {
+  // Before a baseline exists the earliest committers are by definition the
+  // fast ones; mark them neutral-fast.
+  node_slowness_[node] =
+      phase.lag_baseline > 0 ? elapsed / phase.lag_baseline : 1.0;
+}
+
+bool MapReduceCluster::backup_eligible(const Phase& phase,
+                                       net::NodeId node) const {
+  // No straggler baseline yet: nothing to compare against, allow anyone.
+  if (phase.lag_baseline <= 0) return true;
+  const double slowness = node_slowness_[node];
+  return slowness > 0 && slowness <= kLagFactor;
+}
+
+sim::Task<void> MapReduceCluster::speculation_loop(JobState* job) {
+  co_await sim::repeat_every(sim_, cfg_.speculation_interval_s, [this, job] {
+    if (job_complete(*job)) return false;
+    speculation_sweep(*job);
+    return true;
+  });
+  job->attempts.done();
+}
+
 void MapReduceCluster::speculation_sweep(JobState& job) {
   const double now = sim_.now();
-  auto sweep = [&](TaskKind kind, const std::deque<uint32_t>& pending,
-                   std::deque<std::pair<uint32_t, double>>& spec_queue,
-                   const std::vector<double>& commit_durations,
-                   double* baseline_out) {
-    // Hadoop precondition: only speculate once every task of the category
-    // has been handed out — backups must not displace first attempts.
-    if (!pending.empty()) return;
+  for (TaskKind kind : kTaskKinds) {
+    Phase& phase = job.phase(kind);
+    // Hadoop precondition: only speculate once every task of the kind has
+    // been handed out — backups must not displace first attempts.
+    if (!phase.pending.empty()) continue;
     std::vector<Attempt*> running;
     std::vector<double> rates;
     for (Attempt& att : job.live) {
@@ -84,7 +90,7 @@ void MapReduceCluster::speculation_sweep(JobState& job) {
       // on a degraded disk, exactly what a backup should rescue.
       if (att.meter.progress() < 1.0) rates.push_back(att.meter.rate(now));
     }
-    if (running.empty()) return;
+    if (running.empty()) continue;
     const double median_rate = median_of(rates);
     // The lag baseline mixes committed durations with the elapsed times of
     // still-running attempts: early in a wave only the fastest attempts
@@ -92,14 +98,14 @@ void MapReduceCluster::speculation_sweep(JobState& job) {
     // would flag every healthy attempt that is merely slower than the
     // cache-served ones.
     double lag_baseline = 0;
-    if (commit_durations.size() >= 3) {
-      std::vector<double> lifetimes = commit_durations;
+    if (phase.commit_durations.size() >= 3) {
+      std::vector<double> lifetimes = phase.commit_durations;
       for (Attempt* att : running) {
         lifetimes.push_back(att->meter.elapsed(now));
       }
       lag_baseline = p75_of(std::move(lifetimes));
     }
-    *baseline_out = lag_baseline;
+    phase.lag_baseline = lag_baseline;
     for (Attempt* att : running) {
       TaskState& task = *att->task;
       if (task.speculated || task.done) continue;
@@ -113,25 +119,21 @@ void MapReduceCluster::speculation_sweep(JobState& job) {
       // at, so only attempts with measured partial progress are compared.
       if (progress > 0 && progress < 1.0 && rates.size() >= 2 &&
           median_rate > 0 &&
-          att->meter.rate(now) < cfg_.speculative_slowness * median_rate) {
+          att->meter.rate(now) < kSlowRateFraction * median_rate) {
         straggler = true;
       }
       // Lag test: running far beyond the upper quartile of committed
       // attempt durations. Applies at any progress — a stuck attempt may
       // not even have its first byte yet.
-      if (lag_baseline > 0 && elapsed > cfg_.speculative_lag * lag_baseline) {
+      if (lag_baseline > 0 && elapsed > kLagFactor * lag_baseline) {
         straggler = true;
       }
       if (straggler) {
         task.speculated = true;
-        spec_queue.emplace_back(task.index, now);
+        phase.backups.emplace_back(task.index, now);
       }
     }
-  };
-  sweep(TaskKind::kMap, job.pending_maps, job.spec_maps,
-        job.map_commit_durations, &job.map_lag_baseline);
-  sweep(TaskKind::kReduce, job.pending_reduces, job.spec_reduces,
-        job.reduce_commit_durations, &job.reduce_lag_baseline);
+  }
 }
 
 }  // namespace bs::mr

@@ -18,7 +18,6 @@
 #include "hdfs/hdfs.h"
 #include "mr/app.h"
 #include "mr/cluster.h"
-#include "mr/scheduler.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -494,11 +493,10 @@ TEST(SharedOutput, HdfsFallsBackToSerializedConcat) {
   }
 }
 
-TEST(Shuffle, ParallelCopiesIsPerJobWithEngineWideDefault) {
-  // mapred.reduce.parallel.copies is a per-job setting in Hadoop:
-  // JobConfig::shuffle_parallel_copies overrides the engine-wide
-  // MrConfig value, 0 inherits it.
-  auto run_with = [](uint32_t per_job_copies) {
+TEST(Shuffle, ParallelCopiesBoundConcurrentFetches) {
+  // MrConfig::shuffle_parallel_copies (mapred.reduce.parallel.copies) caps
+  // how many map outputs one reduce fetches at a time.
+  auto run_with = [](uint32_t copies) {
     SchedWorld w;
     w.sim.spawn(put_pattern(&w.bsfs, "/in", kBlock * 24));
     w.sim.run();
@@ -506,7 +504,7 @@ TEST(Shuffle, ParallelCopiesIsPerJobWithEngineWideDefault) {
     MrConfig mcfg;
     mcfg.heartbeat_s = 0.05;
     mcfg.task_startup_s = 0.01;
-    mcfg.shuffle_parallel_copies = 4;  // the engine-wide default
+    mcfg.shuffle_parallel_copies = copies;
     MapReduceCluster mr(w.sim, w.net, w.bsfs, mcfg);
     JobConfig jc;
     jc.input_files = {"/in"};
@@ -515,23 +513,19 @@ TEST(Shuffle, ParallelCopiesIsPerJobWithEngineWideDefault) {
     jc.num_reducers = 1;
     jc.cost_model = true;
     jc.record_read_size = kBlock;
-    jc.shuffle_parallel_copies = per_job_copies;
     JobStats stats;
     w.sim.spawn(run_one(&mr, std::move(jc), &stats));
     w.sim.run();
     return stats;
   };
-  const JobStats inherited = run_with(0);
-  const JobStats explicit4 = run_with(4);
+  const JobStats parallel = run_with(4);
   const JobStats serial = run_with(1);
-  // 0 = inherit: byte-identical to spelling the engine default out.
-  EXPECT_EQ(debug_string(inherited), debug_string(explicit4));
   // Same work either way...
-  EXPECT_EQ(serial.shuffle_bytes, inherited.shuffle_bytes);
-  EXPECT_EQ(serial.output_bytes, inherited.output_bytes);
+  EXPECT_EQ(serial.shuffle_bytes, parallel.shuffle_bytes);
+  EXPECT_EQ(serial.output_bytes, parallel.output_bytes);
   // ...but serializing the copy phase (24 per-map fetches one at a time,
   // each paying the map-side disk positioning cost) takes longer.
-  EXPECT_GT(serial.duration, inherited.duration);
+  EXPECT_GT(serial.duration, parallel.duration);
 }
 
 TEST(Shuffle, DfsIntermediatesRunOnHdfsToo) {

@@ -278,8 +278,9 @@ struct LeaseWorld {
   }
 };
 
-sim::Task<void> put_file(bsfs::Bsfs* fs, const std::string& path,
-                         uint64_t bytes) {
+// `path` by value: callers spawn this coroutine with temporaries, which a
+// reference parameter would leave dangling in the suspended frame.
+sim::Task<void> put_file(bsfs::Bsfs* fs, std::string path, uint64_t bytes) {
   auto client = fs->make_client(1);
   auto writer = co_await client->create(path);
   co_await writer->write(DataSpec::pattern(7, 0, bytes));
