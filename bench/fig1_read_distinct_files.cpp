@@ -7,6 +7,9 @@
 // distribution lets every client stripe its reads over many providers,
 // while each HDFS client streams whole blocks from single datanodes and
 // random placement creates hotspots.
+//
+// The shape is a gate: the bench exits nonzero unless BSFS per-client
+// throughput is above HDFS at every client count >= 50.
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -63,6 +66,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
+  std::vector<SweepPoint> sweep;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_reads(bsfs_world.sim, *bsfs_world.fs,
                               make_tasks(bsfs_world.options.cluster, n));
@@ -78,7 +82,9 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    sweep.push_back(SweepPoint{n, bsfs_res.per_client_mbps.mean(),
+                               hdfs_res.per_client_mbps.mean()});
   }
   report.table(table);
-  return 0;
+  return gate_bsfs_above_hdfs(report, sweep);
 }

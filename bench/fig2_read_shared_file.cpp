@@ -6,6 +6,9 @@
 // the data-path effects of F1, this scenario stresses the metadata path:
 // every HDFS reader resolves each block at the centralized NameNode, while
 // BSFS readers walk the distributed segment tree across the metadata DHT.
+//
+// The shape is a gate: the bench exits nonzero unless BSFS per-client
+// throughput is above HDFS at every client count >= 50.
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -54,6 +57,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
+  std::vector<SweepPoint> sweep;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_reads(bsfs_world.sim, *bsfs_world.fs,
                               make_tasks(bsfs_world.options.cluster, n));
@@ -69,6 +73,8 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    sweep.push_back(SweepPoint{n, bsfs_res.per_client_mbps.mean(),
+                               hdfs_res.per_client_mbps.mean()});
   }
   report.table(table);
   report.say("\nmetadata load: BSFS DHT gets=%llu (spread over %zu nodes), "
@@ -81,5 +87,5 @@ int main(int argc, char** argv) {
                 static_cast<double>(bsfs_world.blobs->metadata_dht().gets()));
   report.metric("hdfs_namenode_requests",
                 static_cast<double>(hdfs_world.fs->namenode().total_requests()));
-  return 0;
+  return gate_bsfs_above_hdfs(report, sweep);
 }

@@ -8,6 +8,9 @@
 // while BlobSeer's provider manager load-balances pages across providers so
 // BSFS writes are striped, network-bound, and absorbed by provider RAM
 // (write-behind BerkeleyDB persistence).
+//
+// The shape is a gate: the bench exits nonzero unless BSFS per-client
+// throughput is above HDFS at every client count >= 50.
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -48,6 +51,7 @@ int main(int argc, char** argv) {
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
   uint32_t round = 0;
+  std::vector<SweepPoint> sweep;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_writes(bsfs_world.sim, *bsfs_world.fs,
                                make_tasks(bsfs_world.options.cluster, n, round));
@@ -67,8 +71,10 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    sweep.push_back(SweepPoint{n, bsfs_res.per_client_mbps.mean(),
+                               hdfs_res.per_client_mbps.mean()});
     ++round;
   }
   report.table(table);
-  return 0;
+  return gate_bsfs_above_hdfs(report, sweep);
 }

@@ -357,4 +357,27 @@ ScenarioResult run_writes(sim::Simulator& sim, fs::FileSystem& fs,
   return summarize(timings, t0);
 }
 
+int gate_bsfs_above_hdfs(BenchReport& report,
+                         const std::vector<SweepPoint>& sweep) {
+  int failures = 0;
+  report.say("\n");
+  for (const SweepPoint& p : sweep) {
+    if (p.clients < 50) continue;
+    const double ratio = p.bsfs_mbps / p.hdfs_mbps;
+    report.metric("gate/clients=" + std::to_string(p.clients) +
+                      "/bsfs_over_hdfs",
+                  ratio);
+    report.say("%u clients: BSFS/HDFS per-client throughput %.2fx "
+               "(gate: BSFS above)\n",
+               p.clients, ratio);
+    if (p.bsfs_mbps > p.hdfs_mbps) continue;
+    std::fprintf(stderr,
+                 "GATE FAIL: %u clients get %.2f MB/s each on BSFS vs %.2f "
+                 "MB/s on HDFS\n",
+                 p.clients, p.bsfs_mbps, p.hdfs_mbps);
+    ++failures;
+  }
+  return failures == 0 ? 0 : 1;
+}
+
 }  // namespace bs::bench

@@ -219,4 +219,18 @@ ScenarioResult run_writes(sim::Simulator& sim, fs::FileSystem& fs,
                           const std::vector<WriteTask>& tasks,
                           uint64_t request_size = kMiB);
 
+// One point of a fig1–fig3 client sweep: mean per-client throughput.
+struct SweepPoint {
+  uint32_t clients;
+  double bsfs_mbps;
+  double hdfs_mbps;
+};
+
+// The paper's shape for fig1–fig3: BSFS per-client throughput above HDFS
+// at every client count >= 50. Reports gate/clients=N/bsfs_over_hdfs for
+// each gated point and returns the bench's exit code (1 if the shape
+// broke).
+int gate_bsfs_above_hdfs(BenchReport& report,
+                         const std::vector<SweepPoint>& sweep);
+
 }  // namespace bs::bench

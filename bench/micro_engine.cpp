@@ -1,16 +1,14 @@
 // M1: google-benchmark microbenchmarks of the substrate data structures —
 // the event loop, the max-min solver, the versioned segment tree, CRC32C,
-// pattern generation, and the KV store. These bound the simulator's own
+// and pattern generation. These bound the simulator's own
 // costs (the "instrument error" of every other bench).
 #include <benchmark/benchmark.h>
 
-#include <string>
 
 #include "blob/metadata.h"
 #include "common/dataspec.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -139,31 +137,6 @@ void BM_PatternFill(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PatternFill)->Arg(4096)->Arg(1 << 20);
-
-void BM_KvStorePut(benchmark::State& state) {
-  kv::KvStore kv;
-  Rng rng(5);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    kv.put("key/" + std::to_string(i++ % 10000), Bytes(64));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvStorePut);
-
-void BM_KvStoreGet(benchmark::State& state) {
-  kv::KvStore kv;
-  for (int i = 0; i < 10000; ++i) {
-    kv.put("key/" + std::to_string(i), Bytes(64));
-  }
-  Rng rng(7);
-  for (auto _ : state) {
-    auto v = kv.get("key/" + std::to_string(rng.below(10000)));
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvStoreGet);
 
 }  // namespace
 }  // namespace bs

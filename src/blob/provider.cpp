@@ -62,10 +62,18 @@ void Provider::cache_evict_for(uint64_t need) {
   }
 }
 
+void Provider::uncache(const std::string& key) {
+  auto it = lru_index_.find(key);
+  if (it == lru_index_.end()) return;
+  ram_used_ -= it->second->second;
+  lru_.erase(it->second);
+  lru_index_.erase(it);
+}
+
 void Provider::settle(const Window::Entry& page, Window::Fate fate) {
   dirty_seq_.erase(page.key);
   if (fate == Window::Fate::kSynced && cfg_.read_cache &&
-      store_.contains(page.key)) {
+      pages_.count(page.key) > 0) {
     // Clean now: keep it cached. (A page GC'd or wiped mid-write just
     // releases its RAM.)
     lru_.emplace_front(page.key, page.size);
@@ -75,7 +83,7 @@ void Provider::settle(const Window::Entry& page, Window::Fate fate) {
   ram_used_ -= page.size;
   // Power loss: the page existed only in RAM (its flush never reached the
   // platter). False if a wipe already took it.
-  if (fate == Window::Fate::kLost) store_.erase(page.key);
+  if (fate == Window::Fate::kLost) pages_.erase(page.key);
 }
 
 sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
@@ -96,20 +104,23 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
 
   // Admission: wait until the page fits in RAM. Clean pages are evicted
   // first; if dirty pages alone exceed RAM we must wait for the flusher.
+  // A page this provider already holds (a repair can pick a recovered
+  // holder) stays resident once: a clean cached copy leaves the LRU and is
+  // admitted again, and a copy still in the window is not admitted twice.
   const std::string skey = key.to_string();
-  cache_evict_for(size);
-  while (ram_used_ + size > cfg_.ram_bytes) {
-    co_await ram_freed_.wait();
+  while (true) {
+    uncache(skey);
+    if (dirty_seq_.count(skey) > 0) break;
     cache_evict_for(size);
+    if (ram_used_ + size <= cfg_.ram_bytes) break;
+    co_await ram_freed_.wait();
   }
   // Crashed while blocked on admission: the connection died with the node.
   if (down_) co_return false;
-  ram_used_ += size;
 
   // The page is logically stored now (write-behind persistence); the ack
   // below settles per the durability policy.
-  store_.put(skey, data.serialize());
-  ++pages_stored_;
+  pages_.insert_or_assign(skey, std::move(data));
   uint64_t my_seq;
   auto dit = dirty_seq_.find(skey);
   if (dit != dirty_seq_.end()) {
@@ -118,6 +129,7 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
     my_seq = dit->second;
     window_.wake();
   } else {
+    ram_used_ += size;
     my_seq = window_.push(skey, size);
     dirty_seq_.emplace(skey, my_seq);
   }
@@ -146,12 +158,12 @@ sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
   const double t0 = sim_.now();
   // Request reaches the provider first.
   co_await net_.control(client, cfg_.node);
-  auto raw = store_.get(skey);
-  if (!raw.has_value()) {
+  auto it = pages_.find(skey);
+  if (it == pages_.end()) {
     co_await net_.control(cfg_.node, client);
     co_return std::nullopt;
   }
-  DataSpec data = DataSpec::deserialize(raw->data(), raw->size());
+  DataSpec data = it->second;
   if (ram_resident(skey)) {
     ++cache_hits_;
     m_cache_hits_->inc();
@@ -182,9 +194,9 @@ sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key,
                                        double rate_cap) {
   if (down_ || dst.down_) co_return false;
   const std::string skey = key.to_string();
-  auto raw = store_.get(skey);
-  if (!raw.has_value()) co_return false;
-  DataSpec data = DataSpec::deserialize(raw->data(), raw->size());
+  auto it = pages_.find(skey);
+  if (it == pages_.end()) co_return false;
+  DataSpec data = it->second;
   if (ram_resident(skey)) {
     if (dirty_seq_.count(skey) == 0) cache_touch(skey, data.size());
   } else {
@@ -203,20 +215,13 @@ void Provider::crash(bool wipe_storage) {
   // Power loss: every page still in the unsynced window dies with RAM —
   // exactly the window, no more, no less. (The batch in flight on the disk
   // is failed by the incarnation machinery and accounted by the flusher
-  // when its write resolves; pages whose batch already synced survive via
-  // journal replay unless the disk itself is wiped below.)
+  // when its write resolves; pages whose batch already synced survive
+  // unless the disk itself is wiped below.)
   window_.power_loss();
   if (wipe_storage) {
-    // Disk loss: forget every persisted page. The clean-cache LRU must be
-    // released here: a stale entry for a wiped key would otherwise
-    // double-count RAM (and corrupt the LRU index) when the key is
-    // re-stored after recovery, e.g. by the repair service.
-    std::vector<std::string> keys;
-    store_.scan("", "", [&](const std::string& k, const Bytes&) {
-      keys.push_back(k);
-      return true;
-    });
-    for (const auto& k : keys) store_.erase(k);
+    // Disk loss: forget every persisted page, and release the clean-cache
+    // LRU with it.
+    pages_.clear();
     for (const auto& [key, size] : lru_) ram_used_ -= size;
     lru_.clear();
     lru_index_.clear();
@@ -232,17 +237,10 @@ sim::Task<bool> Provider::erase_page(net::NodeId client, PageKey key) {
     co_return false;
   }
   co_await net_.control(client, cfg_.node);
-  const bool present = store_.erase(skey);
-  if (present) {
-    auto it = lru_index_.find(skey);
-    if (it != lru_index_.end()) {
-      ram_used_ -= it->second->second;
-      lru_.erase(it->second);
-      lru_index_.erase(it);
-    }
-    // A still-dirty page keeps its queue slot; the flusher notices the
-    // deletion, releases the RAM, and skips the disk write.
-  }
+  const bool present = pages_.erase(skey) > 0;
+  // A still-dirty page keeps its queue slot; the flusher notices the
+  // deletion, releases the RAM, and skips the disk write.
+  if (present) uncache(skey);
   co_await net_.control(cfg_.node, client);
   co_return present;
 }

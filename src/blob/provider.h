@@ -3,12 +3,12 @@
 // Write path: the page body arrives over the network (a flow), lands in the
 // provider's RAM buffer, and is acknowledged per the configured
 // DurabilityPolicy (common/durability.h); a background flusher persists
-// buffered pages to the local disk through the KV store (the BerkeleyDB
-// stand-in). If the RAM buffer is full, incoming writes block until the
-// flusher drains — this is the backpressure that makes provider write
-// throughput degrade to disk speed once RAM is exhausted, and it is why
-// BlobSeer's load-balanced remote writes beat HDFS's synchronous local-disk
-// writes in the paper's §IV.B write benchmark.
+// buffered pages to the local disk. If the RAM buffer is full, incoming
+// writes block until the flusher drains — this is the backpressure that
+// makes provider write throughput degrade to disk speed once RAM is
+// exhausted, and it is why BlobSeer's load-balanced remote writes beat
+// HDFS's synchronous local-disk writes in the paper's §IV.B write
+// benchmark.
 //
 // The flusher is the shared unsynced window (kv/sync_window.h), so the
 // policy alone sets the batch and ack rules (bench/ext8_group_commit.cpp
@@ -26,9 +26,9 @@
 //               platter. A power loss destroys zero acked pages.
 //
 // Power loss discards exactly the unsynced window: pages whose batch
-// reached the disk survive a plain crash (the KV journal replays on
-// reboot); unsynced pages die with RAM, and the batch in flight dies via
-// the incarnation machinery (net::Network::try_disk_write).
+// reached the disk survive a plain crash; unsynced pages die with RAM, and
+// the batch in flight dies via the incarnation machinery
+// (net::Network::try_disk_write).
 //
 // Read path: RAM-resident pages (recently written or LRU-cached) are served
 // from memory; otherwise the page is read from disk first. Either way the
@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,7 +47,6 @@
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "common/stats.h"
-#include "kv/kvstore.h"
 #include "kv/sync_window.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -97,11 +97,11 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   //
   // A crash is fail-stop at the network level: every request fails until
   // recover(). Storage semantics: pages whose flush reached the disk
-  // survive a plain crash (the KV journal replays on reboot); pages still
-  // in the unsynced window are destroyed — exactly the window, no more, no
-  // less (bytes_lost_on_power_loss accounts them). wipe_storage
-  // additionally models a disk loss, after which only re-replication can
-  // restore the data.
+  // survive a plain crash; pages still in the unsynced window are
+  // destroyed — exactly the window, no more, no less
+  // (bytes_lost_on_power_loss accounts them). wipe_storage additionally
+  // models a disk loss, after which only re-replication can restore the
+  // data.
   void crash(bool wipe_storage = false);
   void recover();
   bool is_down() const { return down_; }
@@ -118,16 +118,14 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // a wiped-and-recovered node is up but empty, and only this tells the
   // repair service the replica needs re-creating). Local, no modeled cost.
   bool has_page(const PageKey& key) const {
-    return store_.contains(key.to_string());
+    return pages_.count(key.to_string()) > 0;
   }
 
   // --- introspection ---
-  uint64_t pages_stored() const { return pages_stored_; }
-  uint64_t bytes_stored() const { return store_.value_bytes(); }
+  size_t page_count() const { return pages_.size(); }
   uint64_t ram_used() const { return ram_used_; }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
-  const kv::KvStore& store() const { return store_; }
   // The durability spectrum's observable side: the unsynced window now, and
   // what power losses destroyed so far.
   uint64_t unsynced_pages() const { return window_.unsynced(); }
@@ -144,13 +142,14 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // LRU bookkeeping for RAM-resident *clean* pages.
   void cache_touch(const std::string& key, uint64_t size);
   void cache_evict_for(uint64_t need);
+  void uncache(const std::string& key);
   bool ram_resident(const std::string& key) const;
 
   // Window::Site: a flushed page moves to the clean cache (or frees its
   // RAM); a skipped or lost one frees its RAM, and a lost one leaves the
   // store. Either way admission waiters re-check.
   bool holds(const std::string& key) const override {
-    return store_.contains(key);
+    return pages_.count(key) > 0;
   }
   void settle(const Window::Entry& page, Window::Fate fate) override;
   void settled() override { ram_freed_.notify_all(); }
@@ -158,7 +157,7 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   sim::Simulator& sim_;
   net::Network& net_;
   ProviderConfig cfg_;
-  kv::KvStore store_;  // persisted pages (the "disk" contents)
+  std::map<std::string, DataSpec> pages_;  // stored pages (the "disk" contents)
 
   // dirty_seq_ maps key → window seq for every page that is dirty or in the
   // in-flight batch (an overwrite keeps its seq and its window slot).
@@ -171,7 +170,6 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   bs::unordered_map<std::string, std::list<std::pair<std::string, uint64_t>>::iterator>
       lru_index_;
 
-  uint64_t pages_stored_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   bool down_ = false;

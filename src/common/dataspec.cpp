@@ -107,41 +107,6 @@ bool DataSpec::content_equals(const DataSpec& other) const {
   return true;
 }
 
-Bytes DataSpec::serialize() const {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(kind_));
-  auto put_u64 = [&out](uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (i * 8)));
-  };
-  if (kind_ == Kind::kBytes) {
-    put_u64(bytes_.size());
-    out.insert(out.end(), bytes_.begin(), bytes_.end());
-  } else {
-    put_u64(seed_);
-    put_u64(offset_);
-    put_u64(length_);
-  }
-  return out;
-}
-
-DataSpec DataSpec::deserialize(const uint8_t* data, size_t len) {
-  BS_CHECK(len >= 1);
-  auto get_u64 = [data](size_t at) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[at + i]) << (i * 8);
-    return v;
-  };
-  const auto kind = static_cast<Kind>(data[0]);
-  if (kind == Kind::kBytes) {
-    BS_CHECK(len >= 9);
-    const uint64_t n = get_u64(1);
-    BS_CHECK(len >= 9 + n);
-    return from_bytes(Bytes(data + 9, data + 9 + n));
-  }
-  BS_CHECK(len >= 25);
-  return pattern(get_u64(1), get_u64(9), get_u64(17));
-}
-
 DataSpec concat(const std::vector<DataSpec>& parts) {
   if (parts.empty()) return DataSpec::pattern(0, 0, 0);
   // Fast path: contiguous pattern pieces of one stream.

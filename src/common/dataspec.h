@@ -64,10 +64,6 @@ class DataSpec {
   // Byte-level equality (materializes patterns lazily in blocks).
   bool content_equals(const DataSpec& other) const;
 
-  // Compact serialization for the KV store / journals.
-  Bytes serialize() const;
-  static DataSpec deserialize(const uint8_t* data, size_t len);
-
  private:
   Kind kind_;
   Bytes bytes_;      // kBytes

@@ -1,8 +1,7 @@
-// Durability spectrum for the write path — shared by every site where
-// writes become durable: the KV journal (kv/journal.h, GroupCommitJournal),
-// and the blob provider's page flusher (blob/provider.h) and the HDFS
-// DataNode's block path (hdfs/datanode.h), which share one unsynced window
-// (kv/sync_window.h) and therefore one batch rule.
+// Durability spectrum for the write path — shared by the two sites where
+// writes become durable: the blob provider's page flusher (blob/provider.h)
+// and the HDFS DataNode's block path (hdfs/datanode.h), which share one
+// unsynced window (kv/sync_window.h) and therefore one batch rule.
 //
 // The paper's write benchmarks (fig3, ext1) charge every write the full
 // per-op persistence cost; real deployments trade durability for
@@ -18,9 +17,9 @@
 //               assumes.
 //   kBatched    group commit: records coalesce into batches synced on a
 //               count-or-time trigger (max_records / max_delay_s), one
-//               positioning overhead per *batch*. Ack semantics are
-//               site-specific (see each site's header), but every site
-//               bounds the acknowledged-but-unsynced window by
+//               positioning overhead per *batch*. A record is acked once
+//               at most max_records records are ahead of the platter,
+//               which bounds the acknowledged-but-unsynced window by
 //               max_records records plus one in-flight batch — the most a
 //               power loss can destroy.
 //   kNone       ack as soon as the write is buffered; syncing is

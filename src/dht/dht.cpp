@@ -19,7 +19,7 @@ sim::Task<void> Dht::put_one(net::NodeId client, net::NodeId server,
   Server& s = *servers_.at(server);
   co_await net_.control(client, server);
   co_await s.queue.process();
-  s.store.put(key, std::move(value));
+  s.store.insert_or_assign(std::move(key), std::move(value));
   ++s.requests;
   co_await net_.control(server, client);
 }
@@ -46,7 +46,8 @@ sim::Task<std::optional<Bytes>> Dht::get(net::NodeId client, std::string key) {
   Server& s = *servers_.at(target);
   co_await net_.control(client, target);
   co_await s.queue.process();
-  auto result = s.store.get(key);
+  std::optional<Bytes> result;
+  if (auto it = s.store.find(key); it != s.store.end()) result = it->second;
   ++s.requests;
   co_await net_.control(target, client);
   co_return result;
@@ -60,7 +61,7 @@ sim::Task<bool> Dht::erase(net::NodeId client, std::string key) {
     Server& s = *servers_.at(targets[i]);
     co_await net_.control(client, targets[i]);
     co_await s.queue.process();
-    const bool hit = s.store.erase(key);
+    const bool hit = s.store.erase(key) > 0;
     if (i == 0) erased = hit;
     ++s.requests;
     co_await net_.control(targets[i], client);

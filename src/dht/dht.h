@@ -19,7 +19,6 @@
 #include "common/dataspec.h"
 #include "common/stats.h"
 #include "dht/ring.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "net/rpc.h"
 #include "sim/task.h"
@@ -61,7 +60,7 @@ class Dht {
   struct Server {
     explicit Server(sim::Simulator& sim, double service_time)
         : queue(sim, service_time) {}
-    kv::KvStore store;
+    std::map<std::string, Bytes> store;
     net::ServiceQueue queue;
     uint64_t requests = 0;
   };

@@ -12,8 +12,6 @@
 namespace bs::hdfs {
 namespace {
 
-std::string block_key(BlockId id) { return "b/" + std::to_string(id); }
-
 std::string block_args(BlockId id, uint64_t bytes) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"block\":%llu,\"bytes\":%llu",
@@ -61,7 +59,8 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return false;
   }
-  const double bytes = static_cast<double>(data.size());
+  const uint64_t size = data.size();
+  const double bytes = static_cast<double>(size);
   const double t0 = sim_.now();
   if (window_.policy().level == DurabilityLevel::kImmediate) {
     // Streaming write-through: the network transfer and the disk write run
@@ -71,14 +70,14 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     legs.push_back(net_.disk(node_).write(bytes));
     co_await sim::when_all(sim_, std::move(legs));
     if (down_) co_return false;  // crashed mid-transfer: bytes discarded
-    store_.put(block_key(id), data.serialize());
-    cache_touch(id, data.size());  // freshly written blocks sit in page cache
+    blocks_.insert_or_assign(id, std::move(data));
+    cache_touch(id, size);  // freshly written blocks sit in page cache
     ++blocks_stored_;
     m_blocks_received_->inc();
     m_bytes_received_->inc(bytes);
     if (tracer_->enabled()) {
       tracer_->complete("hdfs", "hdfs", node_, "recv_block", t0,
-                        block_args(id, data.size()));
+                        block_args(id, size));
     }
     co_return true;
   }
@@ -87,10 +86,10 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   // alone; the background syncer hsyncs it later.
   co_await net_.transfer(from, node_, bytes, rate_cap);
   if (down_) co_return false;  // crashed mid-transfer: bytes discarded
-  store_.put(block_key(id), data.serialize());
-  cache_touch(id, data.size());
+  blocks_.insert_or_assign(id, std::move(data));
+  cache_touch(id, size);
   ++blocks_stored_;
-  const uint64_t my_seq = window_.push(id, data.size());
+  const uint64_t my_seq = window_.push(id, size);
   m_blocks_received_->inc();
   m_bytes_received_->inc(bytes);
 
@@ -102,7 +101,7 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   }
   if (tracer_->enabled()) {
     tracer_->complete("hdfs", "hdfs", node_, "recv_block", t0,
-                      block_args(id, data.size()));
+                      block_args(id, size));
   }
   co_return acked;
 }
@@ -117,20 +116,20 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   }
   const double t0 = sim_.now();
   co_await net_.control(client, node_);
-  auto raw = store_.get(block_key(id));
-  if (!raw.has_value()) {
+  auto it = blocks_.find(id);
+  if (it == blocks_.end()) {
     co_await net_.control(node_, client);
     co_return std::nullopt;
   }
-  DataSpec block = DataSpec::deserialize(raw->data(), raw->size());
-  BS_CHECK(offset <= block.size());
-  length = std::min(length, block.size() - offset);
-  DataSpec out = block.slice(offset, length);
+  const uint64_t size = it->second.size();
+  BS_CHECK(offset <= size);
+  length = std::min(length, size - offset);
+  DataSpec out = it->second.slice(offset, length);
   if (cache_contains(id)) {
     // Served from the page cache: network only.
     ++cache_hits_;
     m_cache_hits_->inc();
-    cache_touch(id, block.size());
+    cache_touch(id, size);
     co_await net_.transfer(node_, client, static_cast<double>(length));
   } else {
     ++cache_misses_;
@@ -140,7 +139,7 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
     legs.push_back(net_.disk(node_).read(static_cast<double>(length)));
     legs.push_back(net_.transfer(node_, client, static_cast<double>(length)));
     co_await sim::when_all(sim_, std::move(legs));
-    cache_touch(id, block.size());
+    cache_touch(id, size);
   }
   // Crashed while serving (mid-read): the stream resets; the reader fails
   // over to another replica.
@@ -157,9 +156,9 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
 sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id,
                                        double rate_cap) {
   if (down_ || dst.down_) co_return false;
-  auto raw = store_.get(block_key(id));
-  if (!raw.has_value()) co_return false;
-  DataSpec block = DataSpec::deserialize(raw->data(), raw->size());
+  auto it = blocks_.find(id);
+  if (it == blocks_.end()) co_return false;
+  DataSpec block = it->second;
   if (cache_contains(id)) {
     ++cache_hits_;
     cache_touch(id, block.size());
@@ -176,7 +175,7 @@ sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id,
 }
 
 void DataNode::forget_block(BlockId id) {
-  store_.erase(block_key(id));
+  blocks_.erase(id);
   auto it = lru_index_.find(id);
   if (it != lru_index_.end()) {
     ram_used_ -= it->second->second;
@@ -193,12 +192,7 @@ void DataNode::crash(bool wipe_storage) {
   // resolves; synced blocks survive unless the disk is wiped below.)
   window_.power_loss();
   if (wipe_storage) {
-    std::vector<std::string> keys;
-    store_.scan("", "", [&](const std::string& k, const Bytes&) {
-      keys.push_back(k);
-      return true;
-    });
-    for (const auto& k : keys) store_.erase(k);
+    blocks_.clear();
     lru_.clear();
     lru_index_.clear();
     ram_used_ = 0;
@@ -206,7 +200,7 @@ void DataNode::crash(bool wipe_storage) {
 }
 
 bool DataNode::has_block(BlockId id) const {
-  return store_.contains(block_key(id));
+  return blocks_.count(id) > 0;
 }
 
 }  // namespace bs::hdfs

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -39,7 +40,6 @@
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "hdfs/namenode.h"
-#include "kv/kvstore.h"
 #include "kv/sync_window.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -124,7 +124,7 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
   net::Network& net_;
   net::NodeId node_;
   uint64_t ram_bytes_;
-  kv::KvStore store_;
+  std::map<BlockId, DataSpec> blocks_;
   // Page-cache LRU over whole blocks (front = most recent).
   std::list<std::pair<BlockId, uint64_t>> lru_;
   bs::unordered_map<BlockId,

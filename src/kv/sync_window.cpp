@@ -9,6 +9,18 @@
 
 namespace bs::kv {
 
+GroupCommitObs GroupCommitObs::resolve(sim::Simulator& sim) {
+  obs::MetricsRegistry& m = sim.metrics();
+  return GroupCommitObs{
+      .batches = &m.counter("kv/group_commit_batches"),
+      .records = &m.counter("kv/group_commit_records"),
+      .unsynced_bytes = &m.gauge("kv/unsynced_bytes"),
+      .flush_latency = &m.histogram("kv/flush_latency_s"),
+      .bytes_lost = &m.counter("kv/bytes_lost_on_power_loss"),
+      .acked_bytes_lost = &m.counter("kv/acked_bytes_lost_on_power_loss"),
+  };
+}
+
 template <typename Key>
 SyncWindow<Key>::SyncWindow(sim::Simulator& sim, net::Network& net,
                             net::NodeId node, DurabilityPolicy policy,

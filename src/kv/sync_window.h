@@ -1,8 +1,6 @@
 // The seq-ordered unsynced window shared by the write sites that ack a
 // record apart from syncing it: the blob provider's page flusher
 // (blob/provider.h) and the HDFS DataNode's block syncer (hdfs/datanode.h).
-// kv::GroupCommitJournal keeps its own batching: it closes batches as they
-// fill, not when the disk frees up.
 //
 // Records get consecutive seqs; synced_seq is the highest seq on the
 // platter. One background flusher per window (spawned on the first push)
@@ -28,12 +26,24 @@
 #include <vector>
 
 #include "common/durability.h"
-#include "kv/journal.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bs::kv {
+
+// Obs handles for the group-commit durability plane, shared by every
+// window. Cluster-wide aggregates; resolve once at construction per the obs
+// cost rule.
+struct GroupCommitObs {
+  obs::Counter* batches;           // kv/group_commit_batches
+  obs::Counter* records;           // kv/group_commit_records
+  obs::Gauge* unsynced_bytes;      // kv/unsynced_bytes (acked or buffered, not yet on platter)
+  obs::Histogram* flush_latency;   // kv/flush_latency_s (record arrival → batch synced)
+  obs::Counter* bytes_lost;        // kv/bytes_lost_on_power_loss
+  obs::Counter* acked_bytes_lost;  // kv/acked_bytes_lost_on_power_loss
+  static GroupCommitObs resolve(sim::Simulator& sim);
+};
 
 template <typename Key>
 class SyncWindow {

@@ -1,38 +1,18 @@
-// RPC modeling helper.
+// Service-side RPC modeling.
 //
 // Services in the reproduction are plain C++ objects (one address space);
 // what makes a call "remote" is the modeled cost: a one-way control latency
-// to the service's node, the service's own processing (often a serialized
-// service-time, which is what makes centralized servers saturate), and the
-// response latency back. Bulk payloads are NOT carried by rpc(); data paths
-// use Network::transfer explicitly, as real systems separate control and
-// data planes.
+// to the service's node (Network::control), the service's own processing
+// (often a serialized service time, which is what makes centralized servers
+// saturate), and the response latency back. Each service spells out those
+// hops around its ServiceQueue. Bulk payloads travel separately through
+// Network::transfer, as real systems separate control and data planes.
 #pragma once
-
-#include <utility>
 
 #include "net/network.h"
 #include "sim/task.h"
 
 namespace bs::net {
-
-// body() must return sim::Task<R>; rpc() returns Task<R> after modeling the
-// round trip.
-template <typename Body>
-auto rpc(Network& net, NodeId from, NodeId to, Body body)
-    -> decltype(body()) {
-  co_await net.control(from, to);
-  if constexpr (std::is_void_v<decltype(std::declval<decltype(body())>()
-                                            .operator co_await()
-                                            .await_resume())>) {
-    co_await body();
-    co_await net.control(to, from);
-  } else {
-    auto result = co_await body();
-    co_await net.control(to, from);
-    co_return result;
-  }
-}
 
 // A serialized request processor: each request costs `service_time` and the
 // server handles one at a time. Queueing delay under load is what models a

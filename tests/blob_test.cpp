@@ -495,6 +495,58 @@ TEST(Provider, CacheHitsServeRepeatedReads) {
   EXPECT_EQ(misses, 0u);
 }
 
+// Re-storing a page a provider already holds keeps one resident copy: a
+// clean cached copy leaves the LRU before the page is admitted again, and a
+// copy still in the unsynced window is not admitted a second time.
+constexpr uint64_t kBigPage = 64 * 1024;
+
+sim::Task<bool> store_big_page(Provider& p) {
+  return p.put_page(0, PageKey{1, 0, 1}, DataSpec::pattern(7, 0, kBigPage));
+}
+
+// Stores one page twice, one store after the other or both at once, and
+// returns the provider's RAM use once everything is on disk.
+uint64_t ram_after_two_stores(bool read_cache, bool concurrent) {
+  sim::Simulator sim;
+  net::Network net(sim, test_net(4));
+  ProviderConfig cfg;
+  cfg.node = 1;
+  cfg.read_cache = read_cache;
+  Provider p(sim, net, cfg);
+  auto one_by_one = [](Provider& prov) -> sim::Task<void> {
+    for (int i = 0; i < 2; ++i) {
+      co_await store_big_page(prov);
+      co_await prov.drain();
+    }
+  };
+  auto together = [](sim::Simulator& s, Provider& prov) -> sim::Task<void> {
+    std::vector<sim::Task<bool>> puts;
+    for (int i = 0; i < 2; ++i) puts.push_back(store_big_page(prov));
+    co_await sim::when_all(s, std::move(puts));
+    co_await prov.drain();
+  };
+  if (concurrent) {
+    sim.spawn(together(sim, p));
+  } else {
+    sim.spawn(one_by_one(p));
+  }
+  sim.run();
+  EXPECT_TRUE(p.has_page(PageKey{1, 0, 1}));
+  return p.ram_used();
+}
+
+TEST(Provider, ReStoringAHeldPageCountsItsRamOnce) {
+  // Put, drain, put the same key, drain: the clean copy is replaced.
+  EXPECT_EQ(ram_after_two_stores(/*read_cache=*/true, /*concurrent=*/false),
+            kBigPage);
+  // Two concurrent puts of one key: one window entry and one page of RAM,
+  // kept as the clean cached copy or released once.
+  EXPECT_EQ(ram_after_two_stores(/*read_cache=*/true, /*concurrent=*/true),
+            kBigPage);
+  EXPECT_EQ(ram_after_two_stores(/*read_cache=*/false, /*concurrent=*/true),
+            0u);
+}
+
 // Property test: a random sequence of writes/appends against one blob,
 // mirrored into a flat reference buffer version by version; every published
 // version must read back exactly as the reference replay.

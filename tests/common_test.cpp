@@ -130,25 +130,6 @@ TEST(DataSpec, BytesAndPatternChecksumAgree) {
   EXPECT_TRUE(p.content_equals(materialized));
 }
 
-TEST(DataSpec, SerializeRoundtripBytes) {
-  auto d = DataSpec::from_string("some real bytes");
-  auto ser = d.serialize();
-  auto back = DataSpec::deserialize(ser.data(), ser.size());
-  EXPECT_TRUE(d.content_equals(back));
-  EXPECT_EQ(back.kind(), DataSpec::Kind::kBytes);
-}
-
-TEST(DataSpec, SerializeRoundtripPattern) {
-  auto d = DataSpec::pattern(77, 88, 99);
-  auto ser = d.serialize();
-  EXPECT_EQ(ser.size(), 25u);  // tag + 3×u64: constant-size at any length
-  auto back = DataSpec::deserialize(ser.data(), ser.size());
-  EXPECT_EQ(back.kind(), DataSpec::Kind::kPattern);
-  EXPECT_EQ(back.seed(), 77u);
-  EXPECT_EQ(back.offset(), 88u);
-  EXPECT_EQ(back.size(), 99u);
-}
-
 TEST(DataSpec, ConcatContiguousPatternStaysPattern) {
   std::vector<DataSpec> parts = {DataSpec::pattern(4, 0, 10),
                                  DataSpec::pattern(4, 10, 20),

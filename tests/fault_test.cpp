@@ -33,6 +33,7 @@ namespace bs::fault {
 namespace {
 
 constexpr uint64_t kPage = 64;
+constexpr uint64_t kBigPage = 64 * 1024;
 
 net::ClusterConfig test_net(uint32_t nodes = 20) {
   net::ClusterConfig cfg;
@@ -853,6 +854,50 @@ TEST(FaultRecovery, WipedAndRecoveredReplicaIsReCreated) {
   w.sim.spawn(verify(w, *client, blob, &all_present));
   w.sim.run();
   EXPECT_TRUE(all_present);
+}
+
+TEST(FaultRecovery, RepairOntoARecoveredHolderCountsItsRamOnce) {
+  // A provider that crashes without a wipe is dropped from the leaf and
+  // recovers still holding the page. A second repair of that page can pick
+  // it as the replacement (it is neither a holder nor dead), and the
+  // re-stored page must stay resident once.
+  sim::Simulator sim;
+  net::Network net(sim, test_net());
+  blob::BlobSeerConfig bcfg;
+  bcfg.provider_nodes = {1, 2, 3};
+  blob::BlobSeerCluster cluster(sim, net, bcfg);
+  auto client = cluster.make_client(0);
+  blob::BlobId blob = 0;
+  std::vector<net::NodeId> holders;
+  auto stage = [](blob::BlobClient& c, blob::BlobId* out,
+                  std::vector<net::NodeId>* held) -> sim::Task<void> {
+    auto desc = co_await c.create(kBigPage, /*replication=*/2);
+    co_await c.write(desc.id, 0, DataSpec::pattern(42, 0, kBigPage));
+    auto locs = co_await c.locate(desc.id, blob::kNoVersion, 0, kBigPage);
+    *held = locs.at(0).providers;
+    *out = desc.id;
+  };
+  sim.spawn(stage(*client, &blob, &holders));
+  sim.run();
+  ASSERT_EQ(holders.size(), 2u);
+  const net::NodeId a = holders[0];
+  const net::NodeId b = holders[1];
+
+  RepairService repair(cluster, net.ground_truth(), RepairConfig{});
+  auto repair_once = [](RepairService& r, blob::BlobId id) -> sim::Task<void> {
+    co_await r.repair_blob(id);
+  };
+  cluster.crash_provider(a);
+  sim.spawn(repair_once(repair, blob));
+  sim.run();
+  cluster.recover_provider(a);
+  ASSERT_EQ(cluster.provider_on(a).ram_used(), kBigPage);
+
+  cluster.crash_provider(b);
+  sim.spawn(repair_once(repair, blob));
+  sim.run();
+  EXPECT_TRUE(cluster.provider_on(a).has_page(blob::PageKey{blob, 0, 1}));
+  EXPECT_EQ(cluster.provider_on(a).ram_used(), kBigPage);
 }
 
 TEST(FaultRecovery, RepairIsIdempotentOnHealthyBlob) {

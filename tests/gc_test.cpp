@@ -33,7 +33,7 @@ struct GcWorld {
 
   uint64_t total_pages_stored() const {
     uint64_t n = 0;
-    for (const auto& p : cluster.all_providers()) n += p->store().size();
+    for (const auto& p : cluster.all_providers()) n += p->page_count();
     return n;
   }
 };

@@ -1,21 +1,20 @@
-// GroupCommitJournal unit battery: the batch-trigger matrix (count fires
-// first, timer fires first, explicit sync()), the ack contract under power
-// loss (crash before the ack loses the whole batch, crash after the ack
-// loses nothing — including a crash that catches the batch on the platter
-// path), and WAL replay after a torn tail mid-batch. Then the shared
-// unsynced window's batch rule, pinned at both of its sites (the blob
-// provider and the HDFS DataNode).
+// The shared unsynced window (kv/sync_window.h), pinned at both of its
+// sites: the blob provider's page flusher and the HDFS DataNode's block
+// syncer. One policy means one batch rule at both: kImmediate writes
+// batches of one, kNone/kBatched batch up to max_records on the
+// count-or-time trigger. Then the exact power-loss contract under
+// DurabilityPolicy::batched(4, 10 s), whose ack rule acks a write once at
+// most max_records = 4 writes are ahead of the platter: a power loss
+// destroys exactly the unsynced window, acked_bytes_lost_on_power_loss
+// counts its acked part, every writer still waiting for its ack is
+// refused, and every synced write survives.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "blob/provider.h"
 #include "hdfs/datanode.h"
-#include "kv/journal.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
@@ -24,7 +23,7 @@ namespace bs::kv {
 namespace {
 
 constexpr net::NodeId kNode = 1;
-constexpr uint64_t kRecordLen = 1000;
+constexpr uint64_t kPageLen = 64 * 1024;
 
 net::ClusterConfig tiny_net() {
   net::ClusterConfig cfg;
@@ -33,260 +32,23 @@ net::ClusterConfig tiny_net() {
   return cfg;
 }
 
-// A world with one journal-owning storage node.
-struct GcWorld {
+// A world with one storage node (node 1) written to from node 0.
+struct World {
   sim::Simulator sim;
   net::Network net;
 
-  GcWorld() : net(sim, tiny_net()) {}
-
-  std::unique_ptr<GroupCommitJournal> journal(DurabilityPolicy policy) {
-    return std::make_unique<GroupCommitJournal>(
-        sim, net, kNode, std::make_unique<MemoryJournal>(), policy);
-  }
+  World() : net(sim, tiny_net()) {}
 };
 
-struct Ack {
-  int result = 0;  // 0 = unresolved, 1 = acked, 2 = refused
-  double at = -1;  // sim time the ack resolved
-};
-
-sim::Task<void> one_append(sim::Simulator* sim, GroupCommitJournal* j,
-                           uint64_t tag, Ack* ack) {
-  const bool ok = co_await j->append_acked(Bytes(kRecordLen, static_cast<uint8_t>(tag)));
-  ack->result = ok ? 1 : 2;
-  ack->at = sim->now();
+blob::ProviderConfig provider_cfg(DurabilityPolicy policy) {
+  blob::ProviderConfig cfg;
+  cfg.node = kNode;
+  cfg.read_cache = false;
+  cfg.durability = policy;
+  return cfg;
 }
 
-sim::Task<void> crash_at(sim::Simulator* sim, GcWorld* w,
-                         GroupCommitJournal* j, double at) {
-  co_await sim->delay(at);
-  w->net.set_node_up(kNode, false);  // bumps the incarnation
-  j->power_loss();
-}
-
-TEST(GroupCommit, CountTriggerFiresBeforeTimer) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    // Acked when the 4th record closed the batch — long before the 10 s
-    // timer, paying one disk positioning overhead for all four.
-    EXPECT_LT(a.at, 1.0);
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->records_synced(), 4u);
-  EXPECT_EQ(j->inner().record_count(), 4u);
-  EXPECT_EQ(j->unsynced_records(), 0u);
-}
-
-TEST(GroupCommit, TimerTriggerFiresBeforeCount) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/0.05));
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    // The batch never filled; the max_delay timer flushed it.
-    EXPECT_GE(a.at, 0.05);
-    EXPECT_LT(a.at, 0.1);
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-sim::Task<void> sync_now(GroupCommitJournal* j, Ack* ack, sim::Simulator* sim) {
-  const bool ok = co_await j->sync();
-  ack->result = ok ? 1 : 2;
-  ack->at = sim->now();
-}
-
-TEST(GroupCommit, ExplicitSyncFlushesEarly) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/10.0));
-  // Plain append() buffers without blocking; neither trigger is close.
-  for (uint64_t i = 0; i < 3; ++i) j->append(Bytes(kRecordLen, static_cast<uint8_t>(i)));
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->unsynced_records(), 3u);
-  Ack ack;
-  w.sim.spawn(sync_now(j.get(), &ack, &w.sim));
-  w.sim.run();
-  EXPECT_EQ(ack.result, 1);
-  EXPECT_LT(ack.at, 1.0);  // did not wait out the 10 s timer
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->inner().record_count(), 3u);
-  EXPECT_EQ(j->unsynced_records(), 0u);
-}
-
-TEST(GroupCommit, ImmediateSyncsEveryRecordAlone) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::immediate());
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 1);
-  EXPECT_EQ(j->batches_synced(), 3u);  // one batch per record
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-TEST(GroupCommit, NoneAcksInstantlyAndSyncsLazily) {
-  GcWorld w;
-  DurabilityPolicy policy = DurabilityPolicy::none();
-  policy.max_delay_s = 0.05;  // flush cadence; irrelevant to the acks
-  auto j = w.journal(policy);
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_EQ(a.at, 0.0);  // acked on arrival, before any disk time
-  }
-  // ...but the flush cadence still drove everything to the platter.
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-TEST(GroupCommit, CrashBeforeAckLosesTheWholeBatch) {
-  GcWorld w;
-  // Neither trigger can fire: the batch is still open when power dies.
-  auto j = w.journal(DurabilityPolicy::batched(8, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 0.001));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 2);  // refused, not lied to
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 4 * kRecordLen);
-  // No ack was issued, so no *acked* byte was lost: the contract held.
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-  EXPECT_EQ(j->unsynced_records(), 0u);  // the window was fully accounted
-}
-
-TEST(GroupCommit, CrashMidDiskWriteLosesTheInflightBatch) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(2, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(2);
-  for (uint64_t i = 0; i < 2; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  // The pair closes the batch at t=0 and the disk write takes ~2 ms; the
-  // power loss at 1 ms catches it on the platter path. The incarnation bump
-  // makes try_disk_write report failure at completion.
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 0.001));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 2);
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 2 * kRecordLen);
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-}
-
-TEST(GroupCommit, CrashAfterAckLosesNothing) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  // Well after the count trigger synced the batch (~2 ms).
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 1.0));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_LT(a.at, 1.0);
-  }
-  EXPECT_EQ(j->bytes_lost(), 0u);
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-  EXPECT_EQ(j->inner().record_count(), 4u);
-  // Replay sees all four: what was acked survived the power loss.
-  uint64_t replayed = 0;
-  j->scan([&](const Bytes&) { ++replayed; });
-  EXPECT_EQ(replayed, 4u);
-}
-
-TEST(GroupCommit, ReplayAfterTornTailMidBatchKeepsEveryAckedRecord) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  // Two full batches reach the platter and are acked.
-  std::vector<Ack> acks(8);
-  for (uint64_t i = 0; i < 8; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run_until(1.0);
-  for (const auto& a : acks) ASSERT_EQ(a.result, 1);
-  ASSERT_EQ(j->inner().record_count(), 8u);
-  // A third batch is torn mid-write by the power loss: model the torn tail
-  // by appending part of it to the durable log, then cutting the log back
-  // mid-batch — one of its records survives the tear, one does not.
-  auto* inner = static_cast<MemoryJournal*>(&j->inner());
-  inner->append(Bytes(kRecordLen, 100));
-  inner->append(Bytes(kRecordLen, 101));
-  inner->corrupt_tail(/*keep_records=*/9);
-  // Replay: every acked record is still there, in order; the torn batch
-  // contributes only its intact prefix.
-  std::vector<uint8_t> tags;
-  j->scan([&](const Bytes& r) { tags.push_back(r[0]); });
-  ASSERT_EQ(tags.size(), 9u);
-  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(tags[i], static_cast<uint8_t>(i));
-  EXPECT_EQ(tags[8], 100);
-}
-
-sim::Task<void> one_put(sim::Simulator* sim, KvStore* kv, std::string key,
-                        Ack* ack) {
-  const bool ok = co_await kv->put_acked(key, Bytes(kRecordLen, 7));
-  ack->result = ok ? 1 : 2;
-  ack->at = sim->now();
-}
-
-TEST(GroupCommit, KvStorePutAckedRidesTheBatch) {
-  GcWorld w;
-  auto journal = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  GroupCommitJournal* j = journal.get();
-  KvStore kv(std::move(journal));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_put(&w.sim, &kv, "k" + std::to_string(i), &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_LT(a.at, 1.0);  // count trigger, not the 10 s timer
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  // Write-behind read visibility: the store applied each put immediately.
-  EXPECT_EQ(kv.size(), 4u);
-}
-
-TEST(GroupCommit, CheckpointSettlesPendingBatchesAsSubsumed) {
-  GcWorld w;
-  auto journal = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/10.0));
-  GroupCommitJournal* j = journal.get();
-  KvStore kv(std::move(journal));
-  for (int i = 0; i < 10; ++i) kv.put("k" + std::to_string(i), Bytes(8, 1));
-  EXPECT_EQ(j->unsynced_records(), 10u);
-  // checkpoint() truncates the journal and appends one snapshot record; the
-  // buffered batch must be settled (subsumed), never flushed after it.
-  kv.checkpoint();
-  w.sim.run();
-  EXPECT_EQ(j->unsynced_records(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 0u);
-  // The durable log replays to exactly the checkpointed state.
-  auto replayed = std::make_unique<MemoryJournal>();
-  j->scan([&](const Bytes& r) { replayed->append(r); });
-  KvStore kv2(std::move(replayed));
-  EXPECT_EQ(kv2.size(), 10u);
-}
-
-// --- the shared unsynced window (kv/sync_window.h) ---------------------------
-//
-// The provider and the DataNode run the same window, so one policy means one
-// batch rule at both: kImmediate writes batches of one, kNone/kBatched
-// batch up to max_records on the count-or-time trigger.
-
-constexpr uint64_t kPageLen = 64 * 1024;
+// --- the batch rule ----------------------------------------------------------
 
 struct WindowRun {
   bool all_acked = true;
@@ -310,7 +72,7 @@ sim::Task<void> write_all(sim::Simulator* sim, uint64_t count,
 // The flusher waits for work without a pending event, so the simulation
 // ends when the last batch (or a trigger timer) resolves.
 WindowRun provider_run(DurabilityPolicy policy, uint64_t pages) {
-  GcWorld w;
+  World w;
   blob::ProviderConfig cfg;
   cfg.node = kNode;
   cfg.read_cache = false;
@@ -328,7 +90,7 @@ WindowRun provider_run(DurabilityPolicy policy, uint64_t pages) {
 }
 
 WindowRun datanode_run(DurabilityPolicy policy, uint64_t blocks) {
-  GcWorld w;
+  World w;
   hdfs::DataNode dn(w.sim, w.net, kNode, 1ULL << 30, policy);
   WindowRun out;
   w.sim.spawn(write_all(&w.sim, blocks, [&dn](uint64_t i) {
@@ -393,6 +155,152 @@ TEST(SyncWindow, NoneFollowsTheSameCadenceAtBothSites) {
   }
   EXPECT_EQ(prov.acked_at, dn.acked_at);
   EXPECT_EQ(prov.synced_at, dn.synced_at);
+}
+
+// --- the power-loss contract under batched(4, 10 s) ------------------------
+//
+// All writes land together at land_s(n), when n pages sharing node 0's NIC
+// arrive; the 10 s timer never fires in these runs. The count trigger
+// sends writes 1-4 to the disk as one batch the moment they land, and
+// writes 5-8 as the next batch once the first syncs. Writes 1-4 ack on
+// arrival (at most 4 ahead of an empty platter); write k > 4 acks once
+// write k-4 is synced.
+
+const DurabilityPolicy kBatched4 = DurabilityPolicy::batched(4, 10.0);
+
+double land_s(uint64_t writes) {
+  return static_cast<double>(writes * kPageLen) / tiny_net().nic_bps;
+}
+
+struct ProviderSite {
+  blob::Provider node;
+
+  explicit ProviderSite(World& w) : node(w.sim, w.net, provider_cfg(kBatched4)) {}
+  static blob::PageKey page(uint64_t i) { return blob::PageKey{1, i, 1}; }
+  sim::Task<bool> write(uint64_t i) {
+    return node.put_page(0, page(i), DataSpec::pattern(i, 0, kPageLen));
+  }
+  bool holds(uint64_t i) const { return node.has_page(page(i)); }
+  uint64_t batches() const { return node.flush_batches(); }
+};
+
+struct DataNodeSite {
+  hdfs::DataNode node;
+
+  explicit DataNodeSite(World& w)
+      : node(w.sim, w.net, kNode, 1ULL << 30, kBatched4) {}
+  sim::Task<bool> write(uint64_t i) {
+    return node.receive_block(0, i + 1, DataSpec::pattern(i, 0, kPageLen));
+  }
+  bool holds(uint64_t i) const { return node.has_block(i + 1); }
+  uint64_t batches() const { return node.sync_batches(); }
+};
+
+struct Ack {
+  int result = 0;  // 0 = unresolved, 1 = acked, 2 = refused
+  double at = -1;  // sim time the ack resolved
+};
+
+struct LossRun {
+  std::vector<Ack> acks;   // per write, in issue order
+  std::vector<bool> kept;  // per write: still stored after the run
+  uint64_t bytes_lost = 0;
+  uint64_t acked_bytes_lost = 0;
+  uint64_t batches = 0;
+  uint64_t unsynced_bytes = 0;
+};
+
+sim::Task<void> record_ack(sim::Simulator* sim, sim::Task<bool> write,
+                           Ack* ack) {
+  const bool ok = co_await std::move(write);
+  ack->result = ok ? 1 : 2;
+  ack->at = sim->now();
+}
+
+template <typename Site>
+sim::Task<void> power_loss_at(World* w, Site* site, double at) {
+  co_await w->sim.delay(at);
+  w->net.set_node_up(kNode, false);  // bumps the incarnation
+  site->node.crash();
+}
+
+// Issues `writes` concurrent writes at one site and cuts its power at
+// `loss_at`.
+template <typename Site>
+LossRun run_loss(uint64_t writes, double loss_at) {
+  World w;
+  Site site(w);
+  LossRun out;
+  out.acks.resize(writes);
+  for (uint64_t i = 0; i < writes; ++i) {
+    w.sim.spawn(record_ack(&w.sim, site.write(i), &out.acks[i]));
+  }
+  w.sim.spawn(power_loss_at(&w, &site, loss_at));
+  w.sim.run();
+  for (uint64_t i = 0; i < writes; ++i) out.kept.push_back(site.holds(i));
+  out.bytes_lost = site.node.bytes_lost_on_power_loss();
+  out.acked_bytes_lost = site.node.acked_bytes_lost_on_power_loss();
+  out.batches = site.batches();
+  out.unsynced_bytes = site.node.unsynced_bytes();
+  return out;
+}
+
+TEST(SyncWindow, PowerLossBeforeFirstSyncLosesTheAckedWindowAndRefusesWaiters) {
+  // Six writes: 1-4 ack on arrival and go to the disk as one batch; 5 and 6
+  // wait in the queue for write 1 or 2 to sync. The power dies while that
+  // first batch is on the disk, so nothing was ever synced.
+  const double loss_at = land_s(6) + disk_write_s(4 * kPageLen) / 2;
+  for (const LossRun& r : {run_loss<ProviderSite>(6, loss_at),
+                           run_loss<DataNodeSite>(6, loss_at)}) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(r.acks[i].result, 1);
+      EXPECT_NEAR(r.acks[i].at, land_s(6), 1e-12);  // before any disk time
+    }
+    EXPECT_EQ(r.acks[4].result, 2);  // refused, not lied to
+    EXPECT_EQ(r.acks[5].result, 2);
+    // The whole unsynced window died; exactly its acked part (writes 1-4)
+    // counts as acked bytes lost.
+    EXPECT_EQ(r.bytes_lost, 6 * kPageLen);
+    EXPECT_EQ(r.acked_bytes_lost, 4 * kPageLen);
+    for (uint64_t i = 0; i < 6; ++i) EXPECT_FALSE(r.kept[i]);
+    EXPECT_EQ(r.batches, 0u);
+    EXPECT_EQ(r.unsynced_bytes, 0u);  // the window was fully accounted
+  }
+}
+
+TEST(SyncWindow, PowerLossMidDiskWriteLosesExactlyThatBatch) {
+  // Eight writes: batch 1 (writes 1-4) syncs, which acks writes 5-8; the
+  // power dies while batch 2 (writes 5-8) is on the disk. The provider and
+  // the DataNode settle a lost record differently (a page leaves the store
+  // and frees its RAM; a block is forgotten), so both sites run.
+  const double first_sync = land_s(8) + disk_write_s(4 * kPageLen);
+  const double loss_at = first_sync + disk_write_s(4 * kPageLen) / 2;
+  for (const LossRun& r : {run_loss<ProviderSite>(8, loss_at),
+                           run_loss<DataNodeSite>(8, loss_at)}) {
+    for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(r.acks[i].result, 1);
+    for (uint64_t i = 4; i < 8; ++i) {
+      EXPECT_NEAR(r.acks[i].at, first_sync, 1e-12);
+    }
+    EXPECT_EQ(r.bytes_lost, 4 * kPageLen);
+    EXPECT_EQ(r.acked_bytes_lost, 4 * kPageLen);  // every write in it acked
+    for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(r.kept[i], i < 4);
+    EXPECT_EQ(r.batches, 1u);
+    EXPECT_EQ(r.unsynced_bytes, 0u);
+  }
+}
+
+TEST(SyncWindow, PowerLossAfterSyncKeepsEverySyncedWrite) {
+  // Both batches reach the platter long before the power dies at 1 s.
+  for (const LossRun& r : {run_loss<ProviderSite>(8, 1.0),
+                           run_loss<DataNodeSite>(8, 1.0)}) {
+    for (uint64_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(r.acks[i].result, 1);
+      EXPECT_TRUE(r.kept[i]);
+    }
+    EXPECT_EQ(r.bytes_lost, 0u);
+    EXPECT_EQ(r.acked_bytes_lost, 0u);
+    EXPECT_EQ(r.batches, 2u);
+  }
 }
 
 }  // namespace

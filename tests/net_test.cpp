@@ -343,22 +343,6 @@ TEST(Network, PowerLossBumpsIncarnation) {
   EXPECT_EQ(net.incarnation(3), 2u);
 }
 
-TEST(Rpc, RoundTripCostsTwoLatencies) {
-  sim::Simulator sim;
-  Network net(sim, small_config());
-  int result = 0;
-  auto proc = [](Network& n, int* out) -> sim::Task<void> {
-    *out = co_await rpc(n, 0, 7, [&n]() -> sim::Task<int> {
-      co_await n.simulator().delay(0.1);  // server-side work
-      co_return 99;
-    });
-  };
-  sim.spawn(proc(net, &result));
-  sim.run();
-  EXPECT_EQ(result, 99);
-  EXPECT_NEAR(sim.now(), 0.1 + 2e-3, 1e-9);
-}
-
 TEST(ServiceQueue, SerializesAndQueues) {
   sim::Simulator sim;
   Network net(sim, small_config());
