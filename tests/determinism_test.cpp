@@ -5,6 +5,7 @@
 // EXPERIMENTS.md exactly reproducible.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -43,15 +44,53 @@ struct RunResult {
   // documented byte-deterministic, so they are gated like everything else.
   std::string metrics_snapshot;
   std::string trace_json;
+  // Request counts of every metadata-plane service plus the schedule
+  // digest (see metadata_plane_requests).
+  std::string metadata_plane;
 
   bool operator==(const RunResult& o) const {
     return end_time == o.end_time && events == o.events && flows == o.flows &&
            bytes_moved == o.bytes_moved && job_duration == o.job_duration &&
            data_local == o.data_local && results == o.results &&
            metrics_snapshot == o.metrics_snapshot &&
-           trace_json == o.trace_json;
+           trace_json == o.trace_json && metadata_plane == o.metadata_plane;
   }
 };
+
+// Where every metadata request of a run_stack world queued: the NameNode's
+// and provider manager's totals, the version manager's and namespace's
+// per-shard counts, the DHT's per-node counts and its get/put totals, plus
+// the schedule digest that says the events around them did not move.
+std::string metadata_plane_requests(sim::Simulator& sim,
+                                    blob::BlobSeerCluster& blobs,
+                                    bsfs::NamespaceManager& ns,
+                                    hdfs::Hdfs& hdfs_fs) {
+  std::string out;
+  for (const char* gauge :
+       {"sim/order_digest_hi", "sim/order_digest_lo", "sim/order_events"}) {
+    out += std::string(gauge) + "=" +
+           obs::format_metric_value(sim.metrics().gauge(gauge).value()) + "\n";
+  }
+  auto per_node = [&out](const char* name,
+                         const std::map<net::NodeId, uint64_t>& counts) {
+    out += name;
+    for (const auto& [node, n] : counts) {
+      out += " " + std::to_string(node) + ":" + std::to_string(n);
+    }
+    out += "\n";
+  };
+  out += "namenode=" +
+         std::to_string(hdfs_fs.namenode().total_requests()) + "\n";
+  out += "provider_manager=" +
+         std::to_string(blobs.provider_manager().total_requests()) + "\n";
+  per_node("version_manager", blobs.version_manager().requests_per_shard());
+  per_node("namespace", ns.requests_per_shard());
+  dht::Dht& dht = blobs.metadata_dht();
+  per_node("dht", dht.requests_per_node());
+  out += "dht_gets=" + std::to_string(dht.gets()) +
+         " dht_puts=" + std::to_string(dht.puts()) + "\n";
+  return out;
+}
 
 RunResult run_stack(const std::string& backend, bool sharded_metadata = false) {
   sim::Simulator sim;
@@ -140,6 +179,7 @@ RunResult run_stack(const std::string& backend, bool sharded_metadata = false) {
   out.results = stats.results;
   out.metrics_snapshot = sim.metrics().text_snapshot();
   out.trace_json = sim.tracer().chrome_json();
+  out.metadata_plane = metadata_plane_requests(sim, blobs, ns, hdfs_fs);
   return out;
 }
 
@@ -792,6 +832,35 @@ TEST(Determinism, MrEngineOutcomesPinned) {
   for (const Pin& pin : pins) {
     const uint64_t got = fnv1a64(pin.run());
     EXPECT_EQ(got, pin.hash) << pin.name << " got 0x" << std::hex << got;
+  }
+}
+
+// Metadata-plane pins: FNV-1a (default seed) of metadata_plane_requests()
+// for each run_stack configuration, recorded before the NameNode, provider
+// manager, version manager, namespace and DHT request paths were folded
+// into one request helper. Those services may be restructured freely while
+// these hold. The pin covers request counts and the schedule digest, not
+// the whole metrics snapshot, so new instruments on the services leave it
+// alone. A change that moves a value changed where or when metadata
+// requests queue: it re-pins the value and says why in CHANGES.md.
+TEST(Determinism, MetadataPlaneRequestsPinned) {
+  struct Pin {
+    const char* name;
+    const char* backend;
+    bool sharded_metadata;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"BSFS central", "BSFS", false, 0x65b1ea9f495024fbULL},
+      {"BSFS sharded with leases", "BSFS", true,
+       0x41dfad7d16c0d529ULL},
+      {"HDFS", "HDFS", false, 0x0675cc6e8eaddeeeULL},
+  };
+  for (const Pin& pin : pins) {
+    const RunResult r = run_stack(pin.backend, pin.sharded_metadata);
+    const uint64_t got = fnv1a64(r.metadata_plane);
+    EXPECT_EQ(got, pin.hash) << pin.name << " got 0x" << std::hex << got
+                             << "\n" << r.metadata_plane;
   }
 }
 
