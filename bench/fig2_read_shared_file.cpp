@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   report.say("\nmetadata load: BSFS DHT gets=%llu (spread over %zu nodes), "
              "HDFS NameNode requests=%llu (one node)\n",
              static_cast<unsigned long long>(bsfs_world.blobs->metadata_dht().gets()),
-             bsfs_world.blobs->metadata_dht().ring().node_count(),
+             bsfs_world.blobs->metadata_dht().node_count(),
              static_cast<unsigned long long>(
                  hdfs_world.fs->namenode().total_requests()));
   report.metric("bsfs_dht_gets",

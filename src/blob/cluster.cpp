@@ -19,13 +19,14 @@ BlobSeerCluster::BlobSeerCluster(sim::Simulator& sim, net::Network& net,
     std::iota(cfg_.metadata_nodes.begin(), cfg_.metadata_nodes.end(), 0);
   }
 
-  cfg_.version_mgr.node = cfg_.version_manager_node;
-  cfg_.version_mgr.shard_nodes = cfg_.version_manager_nodes;
-  vm_ = std::make_unique<VersionManager>(sim_, net_, cfg_.version_mgr);
-
-  cfg_.manager.node = cfg_.provider_manager_node;
-  pm_ = std::make_unique<ProviderManager>(sim_, net_, cfg_.provider_nodes,
-                                          cfg_.manager);
+  vm_ = std::make_unique<VersionManager>(
+      sim_, net_,
+      cfg_.version_manager_nodes.empty()
+          ? std::vector<net::NodeId>{cfg_.version_manager_node}
+          : cfg_.version_manager_nodes,
+      cfg_.version_mgr);
+  pm_ = std::make_unique<ProviderManager>(net_, cfg_.provider_manager_node,
+                                          cfg_.provider_nodes, cfg_.manager);
 
   dht_ = std::make_unique<dht::Dht>(sim_, net_, cfg_.metadata_nodes, cfg_.dht);
 

@@ -8,10 +8,10 @@
 
 namespace bs::blob {
 
-ProviderManager::ProviderManager(sim::Simulator& sim, net::Network& net,
+ProviderManager::ProviderManager(net::Network& net, net::NodeId node,
                                  std::vector<net::NodeId> provider_nodes,
                                  ProviderManagerConfig cfg)
-    : sim_(sim), net_(net), cfg_(cfg), queue_(sim, cfg.service_time_s),
+    : net_(net), cfg_(cfg), svc_(net, node, cfg.service_time_s),
       providers_(std::move(provider_nodes)), rng_(cfg.seed) {
   BS_CHECK_MSG(!providers_.empty(), "need at least one provider");
   for (size_t i = 0; i < providers_.size(); ++i) {
@@ -133,10 +133,8 @@ sim::Task<std::vector<std::vector<net::NodeId>>> ProviderManager::allocate(
     uint32_t replication) {
   BS_CHECK(replication >= 1);
   BS_CHECK(replication <= providers_.size());
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process(static_cast<double>(std::max<uint64_t>(
+  co_await svc_.request(client, static_cast<double>(std::max<uint64_t>(
       1, page_count / 64)));  // bulk allocations cost a bit more
-  ++requests_;
 
   const auto& ncfg = net_.config();
   // Live-provider census once per call: the selection loop below runs
@@ -162,16 +160,14 @@ sim::Task<std::vector<std::vector<net::NodeId>>> ProviderManager::allocate(
     }
     BS_CHECK_MSG(!replicas.empty(), "no live provider for page placement");
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 
 sim::Task<std::vector<net::NodeId>> ProviderManager::allocate_replacements(
     net::NodeId client, uint64_t page_size, std::vector<net::NodeId> holders,
     std::vector<net::NodeId> avoid, uint32_t count) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
-  ++requests_;
+  co_await svc_.request(client);
   const auto& ncfg = net_.config();
   std::vector<net::NodeId> out;
   for (uint32_t r = 0; r < count; ++r) {
@@ -189,7 +185,7 @@ sim::Task<std::vector<net::NodeId>> ProviderManager::allocate_replacements(
     out.push_back(n);
     load_[n] += page_size;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 

@@ -31,7 +31,6 @@ namespace bs::blob {
 enum class PlacementPolicy { kLeastLoaded, kRoundRobin, kRandomK, kLocalFirst };
 
 struct ProviderManagerConfig {
-  net::NodeId node = 0;
   double service_time_s = 60e-6;
   PlacementPolicy policy = PlacementPolicy::kLeastLoaded;
   uint32_t random_k = 3;
@@ -40,7 +39,8 @@ struct ProviderManagerConfig {
 
 class ProviderManager {
  public:
-  ProviderManager(sim::Simulator& sim, net::Network& net,
+  // The service runs on `node` and places pages on `provider_nodes`.
+  ProviderManager(net::Network& net, net::NodeId node,
                   std::vector<net::NodeId> provider_nodes,
                   ProviderManagerConfig cfg);
 
@@ -78,7 +78,7 @@ class ProviderManager {
   }
   // Same data ordered by node id, for reports and balance sweeps.
   std::vector<std::pair<net::NodeId, uint64_t>> load_sorted() const;
-  uint64_t total_requests() const { return requests_; }
+  uint64_t total_requests() const { return svc_.requests(); }
 
  private:
   bool node_dead(net::NodeId n) const {
@@ -90,17 +90,15 @@ class ProviderManager {
                        const std::vector<net::NodeId>& exclude,
                        uint32_t exclude_rack);
 
-  sim::Simulator& sim_;
   net::Network& net_;
   ProviderManagerConfig cfg_;
-  net::ServiceQueue queue_;
+  net::Service svc_;
   std::vector<net::NodeId> providers_;
   bs::unordered_map<net::NodeId, uint64_t> load_;
   bs::unordered_map<net::NodeId, size_t> index_of_;
   const net::LivenessView* liveness_ = nullptr;
   Rng rng_;
   size_t rr_cursor_ = 0;
-  uint64_t requests_ = 0;
 };
 
 }  // namespace bs::blob

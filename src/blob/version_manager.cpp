@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/hash.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -13,72 +12,30 @@ namespace bs::blob {
 
 namespace {
 
-// Effective serial-point hosts: the configured shard set, or the single
-// legacy node when none is given.
-std::vector<net::NodeId> effective_nodes(const VersionManagerConfig& cfg) {
-  if (cfg.shard_nodes.empty()) return {cfg.node};
-  return cfg.shard_nodes;
-}
+// splitmix64, not raw FNV: FNV-1a over small sequential ids walks the ring
+// in a coarse lattice (a handful of shards own everything); the finalizer's
+// full avalanche is what actually spreads consecutive ids.
+uint64_t ring_key(BlobId blob) { return splitmix64(blob); }
 
 }  // namespace
 
 VersionManager::VersionManager(sim::Simulator& sim, net::Network& net,
+                               std::vector<net::NodeId> nodes,
                                VersionManagerConfig cfg)
-    : sim_(sim), net_(net), cfg_(std::move(cfg)),
-      ring_(effective_nodes(cfg_)) {
+    : sim_(sim), net_(net),
+      ring_(net, nodes, cfg.service_time_s, "blob/vm_requests") {
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_requests_ = &m.counter("blob/vm_requests");
   h_publish_s_ = &m.histogram("blob/publish_latency_s");
-
-  const std::vector<net::NodeId> nodes = effective_nodes(cfg_);
-  shards_.reserve(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    Shard s;
-    s.node = nodes[i];
-    s.queue = std::make_unique<net::ServiceQueue>(sim_, cfg_.service_time_s);
-    const obs::Labels labels = {{"shard", std::to_string(i)}};
-    s.m_requests = &m.counter("blob/vm_requests", labels);
-    s.h_publish = &m.histogram("blob/publish_latency_s", labels);
-    BS_CHECK_MSG(shard_index_.emplace(s.node, i).second,
-                 "duplicate version-manager shard node");
-    shards_.push_back(std::move(s));
+    h_publish_shard_.push_back(
+        &m.histogram("blob/publish_latency_s", {{"shard", std::to_string(i)}}));
   }
 }
 
-VersionManager::Shard& VersionManager::shard_of(BlobId blob) {
-  if (shards_.size() == 1) return shards_[0];
-  // splitmix64, not raw FNV: FNV-1a over small sequential ids walks the
-  // ring in a coarse lattice (a handful of shards own everything); the
-  // finalizer's full avalanche is what actually spreads consecutive ids.
-  const net::NodeId owner = ring_.primary(splitmix64(blob));
-  return shards_[shard_index_.at(owner)];
-}
-
-const VersionManager::Shard& VersionManager::shard_of(BlobId blob) const {
-  return const_cast<VersionManager*>(this)->shard_of(blob);
-}
-
 net::NodeId VersionManager::shard_node(BlobId blob) const {
-  return shard_of(blob).node;
-}
-
-uint64_t VersionManager::total_requests() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.requests;
-  return total;
-}
-
-size_t VersionManager::queue_depth() const {
-  size_t total = 0;
-  for (const Shard& s : shards_) total += s.queue->queue_depth();
-  return total;
-}
-
-std::map<net::NodeId, uint64_t> VersionManager::requests_per_shard() const {
-  std::map<net::NodeId, uint64_t> out;
-  for (const Shard& s : shards_) out[s.node] += s.requests;
-  return out;
+  return ring_.owner(ring_key(blob)).node();
 }
 
 VersionManager::BlobState& VersionManager::state_of(BlobId blob) {
@@ -97,11 +54,8 @@ sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
   // serial point is visited — id allocation is a local counter in a real
   // deployment too (node-prefixed ranges), not a server round trip.
   const BlobId id = next_blob_id_++;
-  Shard& s = shard_of(id);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(id));
+  co_await s.request(client);
   m_requests_->inc();
   BlobState state;
   state.desc.id = id;
@@ -110,7 +64,7 @@ sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
   state.publish_cv = std::make_unique<sim::CondVar>(sim_);
   const BlobDescriptor desc = state.desc;
   blobs_.emplace(desc.id, std::move(state));
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return desc;
 }
 
@@ -119,11 +73,8 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
                                                     uint64_t offset,
                                                     uint64_t size) {
   BS_CHECK(size > 0);
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   BlobState& b = state_of(blob);
   const uint64_t page = b.desc.page_size;
@@ -163,17 +114,15 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
   b.assigned_size = t.size_after;
   b.assigned_at[t.version] = sim_.now();
 
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return t;
 }
 
 sim::Task<void> VersionManager::commit(net::NodeId client, BlobId blob,
                                        Version version) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  const size_t shard = ring_.position(ring_key(blob));
+  net::Service& s = ring_.at(shard);
+  co_await s.request(client);
   m_requests_->inc();
   BlobState& b = state_of(blob);
   BS_CHECK(version > b.published);
@@ -190,26 +139,28 @@ sim::Task<void> VersionManager::commit(net::NodeId client, BlobId blob,
     if (at != b.assigned_at.end()) {
       const double latency = sim_.now() - at->second;
       h_publish_s_->observe(latency);
-      s.h_publish->observe(latency);
+      h_publish_shard_[shard]->observe(latency);
       b.assigned_at.erase(at);
     }
     if (tracer_->enabled()) {
       char args[64];
       std::snprintf(args, sizeof(args), "\"blob\":%u,\"version\":%u", blob, v);
-      tracer_->instant("blob", "vm", s.node, "publish", args);
+      tracer_->instant("blob", "vm", s.node(), "publish", args);
     }
   }
   b.publish_cv->notify_all();
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
 }
 
 sim::Task<void> VersionManager::wait_published(net::NodeId client, BlobId blob,
                                                Version version) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
+  // The request hop only: waiting on the publish condition takes no
+  // service slot.
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await net_.control(client, s.node());
   BlobState& b = state_of(blob);
   while (b.published < version) co_await b.publish_cv->wait();
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
 }
 
 VersionInfo VersionManager::info_at(const BlobState& b, Version v) const {
@@ -228,56 +179,44 @@ VersionInfo VersionManager::info_at(const BlobState& b, Version v) const {
 }
 
 sim::Task<VersionInfo> VersionManager::latest(net::NodeId client, BlobId blob) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   const BlobState& b = state_of(blob);
   const VersionInfo info = info_at(b, b.published);
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return info;
 }
 
 sim::Task<std::optional<VersionInfo>> VersionManager::version_info(
     net::NodeId client, BlobId blob, Version v) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   const BlobState& b = state_of(blob);
   std::optional<VersionInfo> out;
   if (v != kNoVersion && v <= b.published && v >= b.pruned_below) {
     out = info_at(b, v);
   }
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return out;
 }
 
 sim::Task<std::vector<WriteRecord>> VersionManager::full_history(
     net::NodeId client, BlobId blob) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   std::vector<WriteRecord> history = state_of(blob).history;
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return history;
 }
 
 sim::Task<Version> VersionManager::prune(
     net::NodeId client, BlobId blob, Version keep_from,
     const std::function<Version()>& pin_cap) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   BlobState& b = state_of(blob);
   BS_CHECK_MSG(keep_from >= 1 && keep_from <= b.published,
@@ -291,20 +230,17 @@ sim::Task<Version> VersionManager::prune(
   }
   b.pruned_below = std::max(b.pruned_below, keep_from);
   const Version watermark = b.pruned_below;
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return watermark;
 }
 
 sim::Task<BlobDescriptor> VersionManager::describe(net::NodeId client,
                                                    BlobId blob) {
-  Shard& s = shard_of(blob);
-  co_await net_.control(client, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
+  net::Service& s = ring_.owner(ring_key(blob));
+  co_await s.request(client);
   m_requests_->inc();
   const BlobDescriptor desc = state_of(blob).desc;
-  co_await net_.control(s.node, client);
+  co_await s.reply(client);
   co_return desc;
 }
 

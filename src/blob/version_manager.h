@@ -8,19 +8,18 @@
 // published version (a tiny request — the heavy metadata lookups go to the
 // DHT, which is the design point the paper contrasts with HDFS's NameNode).
 //
-// Sharding (PR 10): the per-blob total order never needed a single global
-// server — only a single serial point PER BLOB. When `shard_nodes` lists
-// more than one node, each blob's version chain (assign/commit/publish/
-// latest) lives on exactly one ring owner (consistent hashing over the blob
-// id, `dht::HashRing`), so distinct blobs scale across shards while the
+// Sharding: the per-blob total order never needed a single global server —
+// only a single serial point PER BLOB. When the manager runs on more than
+// one node, each blob's version chain (assign/commit/publish/latest) lives
+// on exactly one ring owner (consistent hashing over the blob id,
+// `dht::ServiceRing`), so distinct blobs scale across shards while the
 // per-blob ordering semantics are byte-identical to the centralized
-// manager. The 1-shard configuration (empty `shard_nodes`) IS the
-// centralized manager, so comparing it with S shards is the cross-check
-// oracle (tests/vm_shard_test.cpp, bench/ext10).
+// manager. The 1-node configuration IS the centralized manager, so
+// comparing it with S shards is the cross-check oracle
+// (tests/vm_shard_test.cpp, bench/ext10).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,25 +31,23 @@
 #include "common/container.h"
 #include "dht/ring.h"
 #include "net/network.h"
-#include "net/rpc.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bs::blob {
 
 struct VersionManagerConfig {
-  net::NodeId node = 0;        // cluster node hosting the service
-  // Sharded deployment: nodes hosting per-blob serial points (each blob is
-  // owned by one of these, chosen by consistent hashing). Empty = {node},
-  // the centralized single-server manager.
-  std::vector<net::NodeId> shard_nodes;
   double service_time_s = 80e-6;
 };
 
 class VersionManager {
  public:
+  // `nodes` host the per-blob serial points (each blob is owned by one of
+  // them, chosen by consistent hashing); one node is the centralized
+  // single-server manager.
   VersionManager(sim::Simulator& sim, net::Network& net,
-                 VersionManagerConfig cfg);
+                 std::vector<net::NodeId> nodes,
+                 VersionManagerConfig cfg = {});
 
   // --- client-facing RPCs (all model control latency + service time) ---
 
@@ -101,13 +98,15 @@ class VersionManager {
 
   // --- local introspection (no modeled cost; used by tests/benches) ---
   Version published_version(BlobId blob) const;
-  uint64_t total_requests() const;
-  size_t queue_depth() const;
-  size_t shard_count() const { return shards_.size(); }
+  uint64_t total_requests() const { return ring_.total_requests(); }
+  size_t queue_depth() const { return ring_.queue_depth(); }
+  size_t shard_count() const { return ring_.size(); }
   // The node owning `blob`'s serial point.
   net::NodeId shard_node(BlobId blob) const;
   // Requests served per shard node, sorted by node (observable surface).
-  std::map<net::NodeId, uint64_t> requests_per_shard() const;
+  std::map<net::NodeId, uint64_t> requests_per_shard() const {
+    return ring_.requests_per_node();
+  }
 
  private:
   struct BlobState {
@@ -124,36 +123,23 @@ class VersionManager {
     bs::unordered_map<Version, double> assigned_at;
   };
 
-  // One per-blob serial point host: its own service queue saturates
-  // independently of the others (the whole point of the refactor).
-  struct Shard {
-    net::NodeId node = 0;
-    std::unique_ptr<net::ServiceQueue> queue;
-    uint64_t requests = 0;
-    obs::Counter* m_requests = nullptr;   // blob/vm_requests{shard=i}
-    obs::Histogram* h_publish = nullptr;  // blob/publish_latency_s{shard=i}
-  };
-
   VersionInfo info_at(const BlobState& b, Version v) const;
   BlobState& state_of(BlobId blob);
-  Shard& shard_of(BlobId blob);
-  const Shard& shard_of(BlobId blob) const;
 
   sim::Simulator& sim_;
   net::Network& net_;
-  VersionManagerConfig cfg_;
-  std::vector<Shard> shards_;
-  dht::HashRing ring_;                      // blob id -> owner node
-  std::map<net::NodeId, size_t> shard_index_;  // owner node -> shards_ index
+  // One serial point per shard node; each saturates independently of the
+  // others. Counts blob/vm_requests{shard=i}.
+  dht::ServiceRing ring_;
   bs::unordered_map<BlobId, BlobState> blobs_;
   BlobId next_blob_id_ = 1;
 
-  // Obs handles (resolved once at construction; per-shard handles live in
-  // the Shard structs — all registered in the constructor, never inside a
-  // coroutine body).
+  // Obs handles, all registered in the constructor, never inside a
+  // coroutine body.
   obs::Tracer* tracer_;
   obs::Counter* m_requests_;
   obs::Histogram* h_publish_s_;
+  std::vector<obs::Histogram*> h_publish_shard_;  // by ring position
 };
 
 }  // namespace bs::blob

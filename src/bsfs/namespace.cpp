@@ -1,64 +1,36 @@
 #include "bsfs/namespace.h"
 
-#include "common/assert.h"
+#include <algorithm>
+
 #include "common/hash.h"
 #include "common/rng.h"
 #include "fs/filesystem.h"
-#include "obs/metrics.h"
 #include "sim/parallel.h"
 
 namespace bs::bsfs {
 
 namespace {
 
-std::vector<net::NodeId> effective_nodes(const NamespaceConfig& cfg) {
-  if (cfg.shard_nodes.empty()) return {cfg.node};
-  return cfg.shard_nodes;
+// The splitmix64 finalizer avalanches FNV's weakly-mixed tail bytes —
+// sibling paths ("/d/f1", "/d/f2", ...) otherwise cluster on a few arcs.
+uint64_t ring_key(const std::string& path) {
+  return splitmix64(fnv1a64(path));
 }
 
 }  // namespace
 
 NamespaceManager::NamespaceManager(sim::Simulator& sim, net::Network& net,
                                    NamespaceConfig cfg)
-    : sim_(sim), net_(net), cfg_(std::move(cfg)),
-      ring_(effective_nodes(cfg_)) {
-  obs::MetricsRegistry& m = sim_.metrics();
-  const std::vector<net::NodeId> nodes = effective_nodes(cfg_);
-  shards_.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    Shard s;
-    s.node = nodes[i];
-    s.queue = std::make_unique<net::ServiceQueue>(sim_, cfg_.service_time_s);
-    s.m_requests =
-        &m.counter("bsfs/ns_requests", {{"shard", std::to_string(i)}});
-    BS_CHECK_MSG(shard_index_.emplace(s.node, i).second,
-                 "duplicate namespace shard node");
-    shards_.push_back(std::move(s));
-  }
+    : sim_(sim),
+      ring_(net,
+            cfg.shard_nodes.empty() ? std::vector<net::NodeId>{cfg.node}
+                                    : cfg.shard_nodes,
+            cfg.service_time_s, "bsfs/ns_requests") {
   entries_["/"] = NsEntry{true, 0, 0, false};
 }
 
-size_t NamespaceManager::shard_of(const std::string& path) const {
-  if (shards_.size() == 1) return 0;
-  // The splitmix64 finalizer avalanches FNV's weakly-mixed tail bytes —
-  // sibling paths ("/d/f1", "/d/f2", ...) otherwise cluster on a few arcs.
-  return shard_index_.at(ring_.primary(splitmix64(fnv1a64(path))));
-}
-
 net::NodeId NamespaceManager::shard_node(const std::string& path) const {
-  return shards_[shard_of(path)].node;
-}
-
-uint64_t NamespaceManager::total_requests() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.requests;
-  return total;
-}
-
-std::map<net::NodeId, uint64_t> NamespaceManager::requests_per_shard() const {
-  std::map<net::NodeId, uint64_t> out;
-  for (const Shard& s : shards_) out[s.node] += s.requests;
-  return out;
+  return ring_.owner(ring_key(path)).node();
 }
 
 uint64_t NamespaceManager::mutation_epoch(const std::string& path) const {
@@ -68,14 +40,6 @@ uint64_t NamespaceManager::mutation_epoch(const std::string& path) const {
 
 void NamespaceManager::bump_epoch(const std::string& path) {
   ++epochs_[path];
-}
-
-sim::Task<void> NamespaceManager::visit(net::NodeId from, size_t shard) {
-  Shard& s = shards_[shard];
-  co_await net_.control(from, s.node);
-  co_await s.queue->process();
-  ++s.requests;
-  s.m_requests->inc();
 }
 
 void NamespaceManager::mkdirs_locked(const std::string& path) {
@@ -92,8 +56,8 @@ sim::Task<bool> NamespaceManager::add_file(net::NodeId client,
                                            const std::string& path,
                                            blob::BlobId blob,
                                            uint64_t block_size) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   bool ok = false;
   if (entries_.count(path) == 0) {
     // Parent directories piggyback on this request: they are pure presence
@@ -104,14 +68,14 @@ sim::Task<bool> NamespaceManager::add_file(net::NodeId client,
     bump_epoch(path);
     ok = true;
   }
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NamespaceManager::finalize(net::NodeId client,
                                            const std::string& path) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   auto it = entries_.find(path);
   // Idempotent: closing an append writer (the file was already finalized
   // once) succeeds; only directories and missing paths fail.
@@ -120,37 +84,37 @@ sim::Task<bool> NamespaceManager::finalize(net::NodeId client,
     it->second.under_construction = false;
     bump_epoch(path);
   }
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NamespaceManager::reopen_for_append(net::NodeId client,
                                                     const std::string& path) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   auto it = entries_.find(path);
   const bool ok = it != entries_.end() && !it->second.is_dir;
   // Note: no lease is taken — BlobSeer serializes concurrent appends
   // internally (version manager), so multiple appenders are legal.
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return ok;
 }
 
 sim::Task<std::optional<NsEntry>> NamespaceManager::lookup(
     net::NodeId client, const std::string& path) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   std::optional<NsEntry> out;
   auto it = entries_.find(path);
   if (it != entries_.end()) out = it->second;
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return out;
 }
 
 sim::Task<bool> NamespaceManager::mkdir(net::NodeId client,
                                         const std::string& path) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   bool ok = false;
   auto it = entries_.find(path);
   if (it == entries_.end()) {
@@ -159,7 +123,7 @@ sim::Task<bool> NamespaceManager::mkdir(net::NodeId client,
   } else {
     ok = it->second.is_dir;
   }
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return ok;
 }
 
@@ -170,14 +134,13 @@ sim::Task<std::vector<std::string>> NamespaceManager::list(
   // parallel — a listing costs one round trip plus the busiest shard's
   // queueing, not the sum.
   std::vector<sim::Task<void>> visits;
-  visits.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    auto roundtrip = [](NamespaceManager* self, net::NodeId from,
-                        size_t shard) -> sim::Task<void> {
-      co_await self->visit(from, shard);
-      co_await self->net_.control(self->shards_[shard].node, from);
+  visits.reserve(ring_.size());
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    auto roundtrip = [](net::Service* s, net::NodeId from) -> sim::Task<void> {
+      co_await s->request(from);
+      co_await s->reply(from);
     };
-    visits.push_back(roundtrip(this, client, i));
+    visits.push_back(roundtrip(&ring_.at(i), client));
   }
   co_await sim::when_all(sim_, std::move(visits));
   // The merged scan over the (globally sorted) entry map: determinism and
@@ -196,31 +159,29 @@ sim::Task<std::vector<std::string>> NamespaceManager::list(
 
 sim::Task<bool> NamespaceManager::remove(net::NodeId client,
                                          const std::string& path) {
-  const size_t shard = shard_of(path);
-  co_await visit(client, shard);
+  net::Service& s = ring_.owner(ring_key(path));
+  co_await s.request(client);
   const bool ok = entries_.erase(path) > 0;
   if (ok) bump_epoch(path);
-  co_await net_.control(shards_[shard].node, client);
+  co_await s.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NamespaceManager::rename(net::NodeId client,
                                          const std::string& from,
                                          const std::string& to) {
-  // Owner-ordered two-phase: visit both entry owners in ascending shard
-  // order (the deadlock-free lock order), decide and mutate atomically at
-  // the second owner — which, in the real protocol, is the point where
+  // Owner-ordered two-phase: visit both entry owners in ascending ring
+  // position (the deadlock-free lock order), decide and mutate atomically
+  // at the second owner — which, in the real protocol, is the point where
   // both entry locks are held. Racing renames of one source therefore
   // still leave exactly one winner: every contender's check runs at its
   // final serial point with no suspension before the mutation.
-  const size_t sa = shard_of(from);
-  const size_t sb = shard_of(to);
-  const size_t first = sa < sb ? sa : sb;
-  const size_t second = sa < sb ? sb : sa;
-  co_await visit(client, first);
-  if (second != first) {
-    co_await visit(shards_[first].node, second);
-  }
+  const size_t a = ring_.position(ring_key(from));
+  const size_t b = ring_.position(ring_key(to));
+  net::Service& first = ring_.at(std::min(a, b));
+  net::Service& second = ring_.at(std::max(a, b));
+  co_await first.request(client);
+  if (&second != &first) co_await second.request(first.node());
   bool ok = false;
   auto it = entries_.find(from);
   // Same contract as the HDFS NameNode (fs::FsClient::rename): only a
@@ -235,7 +196,7 @@ sim::Task<bool> NamespaceManager::rename(net::NodeId client,
     bump_epoch(to);
     ok = true;
   }
-  co_await net_.control(shards_[second].node, client);
+  co_await second.reply(client);
   co_return ok;
 }
 

@@ -7,11 +7,11 @@
 // not become the bottleneck the HDFS NameNode is (the NameNode additionally
 // serves every block lookup).
 //
-// Sharding (PR 10): directory entries are owned by path hash on a
-// consistent-hash ring over `shard_nodes` — each path's mutations and
-// lookups serialize on exactly one owner shard, so distinct paths scale
-// across shards. Two-entry operations (rename) visit both owners in
-// ascending shard order — the classic owner-ordered two-phase protocol —
+// Sharding: directory entries are owned by path hash on a consistent-hash
+// ring over `shard_nodes` — each path's mutations and lookups serialize on
+// exactly one owner shard, so distinct paths scale across shards.
+// Two-entry operations (rename) visit both owners in ascending ring
+// position — the classic owner-ordered two-phase protocol —
 // and apply their decision atomically while holding the second owner's
 // serial point, so racing renames of one source still leave exactly one
 // winner. list() fans out to every shard in parallel (each owner scans its
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "common/container.h"
 #include "dht/ring.h"
 #include "net/network.h"
-#include "net/rpc.h"
 #include "sim/task.h"
 
 namespace bs::bsfs {
@@ -75,13 +73,15 @@ class NamespaceManager {
   sim::Task<bool> rename(net::NodeId client, const std::string& from,
                          const std::string& to);
 
-  uint64_t total_requests() const;
+  uint64_t total_requests() const { return ring_.total_requests(); }
   size_t file_count() const { return entries_.size(); }
-  size_t shard_count() const { return shards_.size(); }
+  size_t shard_count() const { return ring_.size(); }
   // The node owning `path`'s entry.
   net::NodeId shard_node(const std::string& path) const;
   // Requests served per shard node, sorted by node (observable surface).
-  std::map<net::NodeId, uint64_t> requests_per_shard() const;
+  std::map<net::NodeId, uint64_t> requests_per_shard() const {
+    return ring_.requests_per_node();
+  }
 
   // Monotonic per-path mutation counter (0 = never mutated): the lease
   // invalidation channel. A client holding a cached entry revalidates by
@@ -92,27 +92,12 @@ class NamespaceManager {
   uint64_t mutation_epoch(const std::string& path) const;
 
  private:
-  struct Shard {
-    net::NodeId node = 0;
-    std::unique_ptr<net::ServiceQueue> queue;
-    uint64_t requests = 0;
-    obs::Counter* m_requests = nullptr;  // bsfs/ns_requests{shard=i}
-  };
-
   void mkdirs_locked(const std::string& path);
   void bump_epoch(const std::string& path);
-  size_t shard_of(const std::string& path) const;
-  // One owner visit: control hop to the shard + its serialized service
-  // time. `from` is where the request is coming from (the client, or the
-  // first owner during a two-phase op).
-  sim::Task<void> visit(net::NodeId from, size_t shard);
 
   sim::Simulator& sim_;
-  net::Network& net_;
-  NamespaceConfig cfg_;
-  std::vector<Shard> shards_;
-  dht::HashRing ring_;                      // path hash -> owner node
-  std::map<net::NodeId, size_t> shard_index_;  // owner node -> shards_ index
+  // Entry owners by path hash; counts bsfs/ns_requests{shard=i}.
+  dht::ServiceRing ring_;
   std::map<std::string, NsEntry> entries_;  // sorted: list() is a range scan
   bs::unordered_map<std::string, uint64_t> epochs_;
 };

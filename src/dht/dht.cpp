@@ -8,77 +8,61 @@ namespace bs::dht {
 
 Dht::Dht(sim::Simulator& sim, net::Network& net, std::vector<net::NodeId> nodes,
          DhtConfig cfg)
-    : sim_(sim), net_(net), cfg_(cfg), ring_(nodes, cfg.vnodes_per_node) {
-  for (net::NodeId n : nodes) {
-    servers_.emplace(n, std::make_unique<Server>(sim_, cfg_.service_time_s));
-  }
+    : sim_(sim), cfg_(cfg), ring_(net, nodes, cfg.service_time_s) {
+  // Zero replicas would make every put store nothing and still succeed.
+  BS_CHECK_MSG(cfg_.replication >= 1, "DHT replication must be at least 1");
 }
 
-sim::Task<void> Dht::put_one(net::NodeId client, net::NodeId server,
+sim::Task<void> Dht::put_one(net::NodeId client, net::Service& server,
                              std::string key, Bytes value) {
-  Server& s = *servers_.at(server);
-  co_await net_.control(client, server);
-  co_await s.queue.process();
-  s.store.insert_or_assign(std::move(key), std::move(value));
-  ++s.requests;
-  co_await net_.control(server, client);
+  co_await server.request(client);
+  stores_[server.node()].insert_or_assign(std::move(key), std::move(value));
+  co_await server.reply(client);
 }
 
 sim::Task<void> Dht::put(net::NodeId client, std::string key, Bytes value) {
   ++puts_;
-  const uint64_t h = fnv1a64(key);
-  auto targets = ring_.replicas(h, cfg_.replication);
+  auto targets = ring_.replicas(fnv1a64(key), cfg_.replication);
   if (targets.size() == 1) {
-    co_await put_one(client, targets[0], std::move(key), std::move(value));
+    co_await put_one(client, *targets[0], std::move(key), std::move(value));
     co_return;
   }
   std::vector<sim::Task<void>> writes;
   writes.reserve(targets.size());
-  for (net::NodeId t : targets) {
-    writes.push_back(put_one(client, t, key, value));
+  for (net::Service* t : targets) {
+    writes.push_back(put_one(client, *t, key, value));
   }
   co_await sim::when_all(sim_, std::move(writes));
 }
 
 sim::Task<std::optional<Bytes>> Dht::get(net::NodeId client, std::string key) {
   ++gets_;
-  const net::NodeId target = ring_.primary(fnv1a64(key));
-  Server& s = *servers_.at(target);
-  co_await net_.control(client, target);
-  co_await s.queue.process();
+  net::Service& s = ring_.owner(fnv1a64(key));
+  co_await s.request(client);
   std::optional<Bytes> result;
-  if (auto it = s.store.find(key); it != s.store.end()) result = it->second;
-  ++s.requests;
-  co_await net_.control(target, client);
+  const auto& store = stores_[s.node()];
+  if (auto it = store.find(key); it != store.end()) result = it->second;
+  co_await s.reply(client);
   co_return result;
 }
 
 sim::Task<bool> Dht::erase(net::NodeId client, std::string key) {
-  const uint64_t h = fnv1a64(key);
-  auto targets = ring_.replicas(h, cfg_.replication);
+  auto targets = ring_.replicas(fnv1a64(key), cfg_.replication);
   bool erased = false;
   for (size_t i = 0; i < targets.size(); ++i) {
-    Server& s = *servers_.at(targets[i]);
-    co_await net_.control(client, targets[i]);
-    co_await s.queue.process();
-    const bool hit = s.store.erase(key) > 0;
+    net::Service& s = *targets[i];
+    co_await s.request(client);
+    const bool hit = stores_[s.node()].erase(key) > 0;
     if (i == 0) erased = hit;
-    ++s.requests;
-    co_await net_.control(targets[i], client);
+    co_await s.reply(client);
   }
   co_return erased;
 }
 
 size_t Dht::total_entries() const {
   size_t n = 0;
-  for (const auto& [node, server] : servers_) n += server->store.size();
+  for (const auto& [node, store] : stores_) n += store.size();
   return n;
-}
-
-std::map<net::NodeId, uint64_t> Dht::requests_per_node() const {
-  std::map<net::NodeId, uint64_t> out;
-  for (const auto& [node, server] : servers_) out[node] = server->requests;
-  return out;
 }
 
 }  // namespace bs::dht

@@ -5,12 +5,11 @@
 // round-trip plus a per-request service time at the provider; the point of
 // distributing metadata (paper §III.A) is that this load spreads over many
 // nodes instead of queueing at one server — reproduced here by giving every
-// provider its own ServiceQueue.
+// provider its own net::Service on a ServiceRing.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,18 +19,16 @@
 #include "common/stats.h"
 #include "dht/ring.h"
 #include "net/network.h"
-#include "net/rpc.h"
 #include "sim/task.h"
 
 namespace bs::dht {
 
 struct DhtConfig {
   // Copies of each entry (first replica is the read target; extra replicas
-  // model BlobSeer's metadata fault tolerance).
+  // model BlobSeer's metadata fault tolerance). At least 1.
   size_t replication = 1;
   // Per-request processing time at a metadata provider.
   double service_time_s = 50e-6;
-  uint32_t vnodes_per_node = 64;
 };
 
 class Dht {
@@ -46,33 +43,25 @@ class Dht {
   // Deletes `key` from all replicas; returns true if the primary had it.
   sim::Task<bool> erase(net::NodeId client, std::string key);
 
-  const HashRing& ring() const { return ring_; }
+  size_t node_count() const { return ring_.size(); }
   // Total entries across all providers (each replica counts once).
   size_t total_entries() const;
   uint64_t gets() const { return gets_; }
   uint64_t puts() const { return puts_; }
-  // Requests served per provider node (balance inspection). Ordered by
-  // node id: callers iterate this into reports, so the order is part of
-  // the observable surface and must not depend on hash buckets.
-  std::map<net::NodeId, uint64_t> requests_per_node() const;
+  // Requests served per provider node (balance inspection), ordered by
+  // node id.
+  std::map<net::NodeId, uint64_t> requests_per_node() const {
+    return ring_.requests_per_node();
+  }
 
  private:
-  struct Server {
-    explicit Server(sim::Simulator& sim, double service_time)
-        : queue(sim, service_time) {}
-    std::map<std::string, Bytes> store;
-    net::ServiceQueue queue;
-    uint64_t requests = 0;
-  };
-
-  sim::Task<void> put_one(net::NodeId client, net::NodeId server,
+  sim::Task<void> put_one(net::NodeId client, net::Service& server,
                           std::string key, Bytes value);
 
   sim::Simulator& sim_;
-  net::Network& net_;
   DhtConfig cfg_;
-  HashRing ring_;
-  bs::unordered_map<net::NodeId, std::unique_ptr<Server>> servers_;
+  ServiceRing ring_;
+  bs::unordered_map<net::NodeId, std::map<std::string, Bytes>> stores_;
   uint64_t gets_ = 0;
   uint64_t puts_ = 0;
 };

@@ -11,7 +11,8 @@ namespace bs::hdfs {
 
 NameNode::NameNode(sim::Simulator& sim, net::Network& net,
                    std::vector<net::NodeId> datanode_nodes, NameNodeConfig cfg)
-    : sim_(sim), net_(net), cfg_(cfg), queue_(sim, cfg.service_time_s),
+    : sim_(sim), net_(net), cfg_(cfg),
+      svc_(net, cfg.node, cfg.service_time_s),
       datanodes_(std::move(datanode_nodes)), rng_(cfg.placement_seed) {
   BS_CHECK(!datanodes_.empty());
   BS_CHECK(cfg_.replication >= 1);
@@ -104,8 +105,7 @@ std::vector<net::NodeId> NameNode::choose_replicas(
 
 sim::Task<bool> NameNode::create(net::NodeId client, const std::string& path,
                                  uint32_t replication) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpCreate]->inc();
   bool ok = false;
   if (entries_.count(path) == 0) {
@@ -117,15 +117,14 @@ sim::Task<bool> NameNode::create(net::NodeId client, const std::string& path,
     entries_[path] = std::move(entry);
     ok = true;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
 sim::Task<std::optional<BlockInfo>> NameNode::add_block(
     net::NodeId client, const std::string& path,
     std::vector<net::NodeId> exclude) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpAddBlock]->inc();
   std::optional<BlockInfo> out;
   auto it = entries_.find(path);
@@ -137,7 +136,7 @@ sim::Task<std::optional<BlockInfo>> NameNode::add_block(
     it->second.blocks.push_back(block);
     out = block;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 
@@ -145,8 +144,7 @@ sim::Task<bool> NameNode::complete_block(net::NodeId client,
                                          const std::string& path,
                                          BlockId block, uint64_t size,
                                          std::vector<net::NodeId> stored) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpCompleteBlock]->inc();
   bool ok = false;
   auto it = entries_.find(path);
@@ -161,15 +159,14 @@ sim::Task<bool> NameNode::complete_block(net::NodeId client,
       }
     }
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NameNode::abandon_block(net::NodeId client,
                                         const std::string& path,
                                         BlockId block) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpAbandonBlock]->inc();
   bool ok = false;
   auto it = entries_.find(path);
@@ -183,7 +180,7 @@ sim::Task<bool> NameNode::abandon_block(net::NodeId client,
       }
     }
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
@@ -264,8 +261,7 @@ void NameNode::set_block_replicas(const std::string& path, BlockId block,
 
 sim::Task<bool> NameNode::close_file(net::NodeId client,
                                      const std::string& path) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpClose]->inc();
   bool ok = false;
   auto it = entries_.find(path);
@@ -274,14 +270,13 @@ sim::Task<bool> NameNode::close_file(net::NodeId client,
     it->second.under_construction = false;
     ok = true;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
 sim::Task<std::optional<NameNode::Stat>> NameNode::stat(
     net::NodeId client, const std::string& path) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpStat]->inc();
   std::optional<Stat> out;
   auto it = entries_.find(path);
@@ -289,15 +284,14 @@ sim::Task<std::optional<NameNode::Stat>> NameNode::stat(
     out = Stat{it->second.size, it->second.is_dir,
                it->second.under_construction};
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 
 sim::Task<std::vector<BlockInfo>> NameNode::block_locations(
     net::NodeId client, const std::string& path, uint64_t offset,
     uint64_t length) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpLocations]->inc();
   std::vector<BlockInfo> out;
   auto it = entries_.find(path);
@@ -309,14 +303,13 @@ sim::Task<std::vector<BlockInfo>> NameNode::block_locations(
       at = b_end;
     }
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 
 sim::Task<std::vector<std::string>> NameNode::list(net::NodeId client,
                                                    const std::string& dir) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpList]->inc();
   std::vector<std::string> out;
   const std::string prefix = dir == "/" ? "/" : dir + "/";
@@ -326,23 +319,21 @@ sim::Task<std::vector<std::string>> NameNode::list(net::NodeId client,
     if (p == dir) continue;  // the directory itself is not its own child
     if (p.find('/', prefix.size()) == std::string::npos) out.push_back(p);
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return out;
 }
 
 sim::Task<bool> NameNode::remove(net::NodeId client, const std::string& path) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpRemove]->inc();
   const bool ok = entries_.erase(path) > 0;
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NameNode::rename(net::NodeId client, const std::string& from,
                                  const std::string& to) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpRename]->inc();
   bool ok = false;
   auto it = entries_.find(from);
@@ -353,13 +344,12 @@ sim::Task<bool> NameNode::rename(net::NodeId client, const std::string& from,
     entries_.erase(from);
     ok = true;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 
 sim::Task<bool> NameNode::mkdir(net::NodeId client, const std::string& path) {
-  co_await net_.control(client, cfg_.node);
-  co_await queue_.process();
+  co_await svc_.request(client);
   m_op_[kOpMkdir]->inc();
   bool ok = false;
   auto it = entries_.find(path);
@@ -369,7 +359,7 @@ sim::Task<bool> NameNode::mkdir(net::NodeId client, const std::string& path) {
   } else {
     ok = it->second.is_dir;
   }
-  co_await net_.control(cfg_.node, client);
+  co_await svc_.reply(client);
   co_return ok;
 }
 

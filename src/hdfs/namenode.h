@@ -125,8 +125,8 @@ class NameNode {
   void set_block_replicas(const std::string& path, BlockId block,
                           std::vector<net::NodeId> replicas);
 
-  uint64_t total_requests() const { return queue_.requests(); }
-  size_t queue_depth() const { return queue_.queue_depth(); }
+  uint64_t total_requests() const { return svc_.requests(); }
+  size_t queue_depth() const { return svc_.queue_depth(); }
   const NameNodeConfig& config() const { return cfg_; }
 
  private:
@@ -167,7 +167,7 @@ class NameNode {
   sim::Simulator& sim_;
   net::Network& net_;
   NameNodeConfig cfg_;
-  net::ServiceQueue queue_;
+  net::Service svc_;
   std::vector<net::NodeId> datanodes_;
   std::map<std::string, FileEntry> entries_;
   const net::LivenessView* liveness_ = nullptr;

@@ -4,38 +4,56 @@
 // what makes a call "remote" is the modeled cost: a one-way control latency
 // to the service's node (Network::control), the service's own processing
 // (often a serialized service time, which is what makes centralized servers
-// saturate), and the response latency back. Each service spells out those
-// hops around its ServiceQueue. Bulk payloads travel separately through
-// Network::transfer, as real systems separate control and data planes.
+// saturate), and the response latency back. Every metadata handler reads
+//   co_await svc.request(client); ...body...; co_await svc.reply(client);
+// Bulk payloads travel separately through Network::transfer, as real
+// systems separate control and data planes.
 #pragma once
 
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/task.h"
 
 namespace bs::net {
 
-// A serialized request processor: each request costs `service_time` and the
-// server handles one at a time. Queueing delay under load is what models a
-// saturating centralized server (HDFS NameNode, BlobSeer version manager).
-class ServiceQueue {
+// A serialized request processor on one node: each request costs
+// `service_time` and the server handles one at a time. Queueing delay under
+// load is what models a saturating centralized server (HDFS NameNode,
+// BlobSeer version manager).
+class Service {
  public:
-  ServiceQueue(sim::Simulator& sim, double service_time_s)
-      : sim_(sim), gate_(sim, 1), service_time_(service_time_s) {}
+  // `requests`, when set, counts served requests alongside requests().
+  Service(Network& net, NodeId node, double service_time_s,
+          obs::Counter* requests = nullptr)
+      : net_(net), node_(node), gate_(net.simulator(), 1),
+        service_time_(service_time_s), counter_(requests) {}
 
-  sim::Task<void> process(double cost_multiplier = 1.0) {
+  NodeId node() const { return node_; }
+
+  // The request hop from `client`, then one serialized service slot of
+  // `cost` service times (bulk requests cost more than one).
+  sim::Task<void> request(NodeId client, double cost = 1.0) {
+    co_await net_.control(client, node_);
     co_await gate_.acquire();
-    co_await sim_.delay(service_time_ * cost_multiplier);
+    co_await net_.simulator().delay(service_time_ * cost);
     gate_.release();
     ++requests_;
+    if (counter_ != nullptr) counter_->inc();
   }
+
+  // The return hop to `client`. A plain function: the caller awaits the
+  // hop's own task, so a reply adds no coroutine frame.
+  sim::Task<void> reply(NodeId client) { return net_.control(node_, client); }
 
   uint64_t requests() const { return requests_; }
   size_t queue_depth() const { return gate_.waiting(); }
 
  private:
-  sim::Simulator& sim_;
+  Network& net_;
+  NodeId node_;
   sim::Semaphore gate_;
   double service_time_;
+  obs::Counter* counter_;
   uint64_t requests_ = 0;
 };
 

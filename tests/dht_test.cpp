@@ -1,6 +1,7 @@
 // Tests for the consistent-hash ring and the metadata DHT service.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
 
@@ -9,6 +10,7 @@
 #include "dht/dht.h"
 #include "dht/ring.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 
@@ -70,6 +72,87 @@ net::ClusterConfig small_net() {
   cfg.num_nodes = 16;
   cfg.nodes_per_rack = 8;
   return cfg;
+}
+
+sim::Task<void> round_trip(net::Service* s, net::NodeId client) {
+  co_await s->request(client);
+  co_await s->reply(client);
+}
+
+TEST(ServiceRing, OwnerIsTheHashRingPrimary) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  const HashRing ring(nodes_0_to(8));
+  ServiceRing services(net, nodes_0_to(8), 1e-3);
+  Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t h = rng.next();
+    ASSERT_EQ(services.owner(h).node(), ring.primary(h)) << h;
+  }
+}
+
+TEST(ServiceRing, OneNodeRingOwnsEveryHash) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  ServiceRing services(net, {7}, 1e-3);
+  for (uint64_t h : {0ULL, 1ULL, 999ULL, ~0ULL}) {
+    EXPECT_EQ(&services.owner(h), &services.at(0));
+    EXPECT_EQ(services.owner(h).node(), 7u);
+  }
+}
+
+TEST(ServiceRing, ReplicasMatchTheHashRing) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  const HashRing ring(nodes_0_to(8));
+  ServiceRing services(net, nodes_0_to(8), 1e-3);
+  for (uint64_t k = 0; k < 500; ++k) {
+    const uint64_t h = fnv1a64_u64(k);
+    for (size_t n : {1u, 3u, 8u, 10u}) {
+      std::vector<net::NodeId> got;
+      for (net::Service* s : services.replicas(h, n)) got.push_back(s->node());
+      ASSERT_EQ(got, ring.replicas(h, n)) << h << " k=" << n;
+    }
+  }
+}
+
+TEST(ServiceRing, RequestsPerNodeIsSortedByNode) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  ServiceRing services(net, {9, 3, 5}, 1e-3);
+  // Positions 0, 1, 2 (nodes 9, 3, 5) take 1, 2 and 3 requests.
+  for (size_t i = 0; i < services.size(); ++i) {
+    for (size_t r = 0; r <= i; ++r) sim.spawn(round_trip(&services.at(i), 0));
+  }
+  sim.run();
+  const std::map<net::NodeId, uint64_t> per_node = services.requests_per_node();
+  const std::vector<std::pair<const net::NodeId, uint64_t>> in_order(
+      per_node.begin(), per_node.end());
+  const std::vector<std::pair<const net::NodeId, uint64_t>> want = {
+      {3, 2}, {5, 3}, {9, 1}};
+  EXPECT_EQ(in_order, want);
+  EXPECT_EQ(services.total_requests(), 6u);
+  EXPECT_EQ(services.queue_depth(), 0u);
+}
+
+TEST(ServiceRing, NamedRingCountsEachShardByConstructorPosition) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  obs::MetricsRegistry& m = sim.metrics();
+  const size_t before = m.size();
+  ServiceRing unnamed(net, {9, 3, 5}, 1e-3);
+  EXPECT_EQ(m.size(), before);
+  ServiceRing named(net, {9, 3, 5}, 1e-3, "test/requests");
+  EXPECT_EQ(m.size(), before + 3);
+  sim.spawn(round_trip(&named.at(0), 0));
+  sim.spawn(round_trip(&named.at(2), 0));
+  sim.spawn(round_trip(&named.at(2), 0));
+  sim.spawn(round_trip(&unnamed.at(1), 0));
+  sim.run();
+  EXPECT_EQ(m.counter("test/requests", {{"shard", "0"}}).value(), 1.0);
+  EXPECT_EQ(m.counter("test/requests", {{"shard", "1"}}).value(), 0.0);
+  EXPECT_EQ(m.counter("test/requests", {{"shard", "2"}}).value(), 2.0);
+  EXPECT_EQ(m.size(), before + 3);
 }
 
 TEST(Dht, PutThenGetRoundtrips) {
@@ -148,6 +231,16 @@ TEST(Dht, ConcurrentClientsSpreadOverServers) {
   }
   EXPECT_EQ(total, 160u);
   EXPECT_LT(busiest, 70u);  // no single hotspot
+}
+
+// With no replicas a put would store nothing and still return normally.
+TEST(DhtDeathTest, ZeroReplicationIsRejected) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  DhtConfig cfg;
+  cfg.replication = 0;
+  EXPECT_DEATH(Dht(sim, net, nodes_0_to(8), cfg),
+               "DHT replication must be at least 1");
 }
 
 TEST(Dht, OverwriteReplacesValue) {

@@ -343,15 +343,62 @@ TEST(Network, PowerLossBumpsIncarnation) {
   EXPECT_EQ(net.incarnation(3), 2u);
 }
 
-TEST(ServiceQueue, SerializesAndQueues) {
+sim::Task<void> service_call(Service* s, NodeId client, double cost = 1.0) {
+  co_await s->request(client, cost);
+  co_await s->reply(client);
+}
+
+TEST(Service, RoundTripPaysBothHopsAndTheSlot) {
+  sim::Simulator sim;
+  Network net(sim, small_config());  // 1 ms control latency
+  Service svc(net, 3, 0.1);
+  sim.spawn(service_call(&svc, 0));
+  sim.run();
+  EXPECT_NEAR(sim.now(), 2 * 1e-3 + 0.1, 1e-12);
+  // cost = 3 holds the slot for three service times.
+  const double t0 = sim.now();
+  sim.spawn(service_call(&svc, 0, 3.0));
+  sim.run();
+  EXPECT_NEAR(sim.now() - t0, 2 * 1e-3 + 0.3, 1e-12);
+  EXPECT_EQ(svc.requests(), 2u);
+  EXPECT_EQ(svc.node(), 3u);
+}
+
+TEST(Service, SerializesAndQueues) {
   sim::Simulator sim;
   Network net(sim, small_config());
-  ServiceQueue svc(sim, 0.1);
-  auto proc = [](ServiceQueue& s) -> sim::Task<void> { co_await s.process(); };
-  for (int i = 0; i < 5; ++i) sim.spawn(proc(svc));
+  obs::Counter counter;
+  Service svc(net, 3, 0.1, &counter);
+  for (int i = 0; i < 5; ++i) sim.spawn(service_call(&svc, 0));
+  // Five requests arrive together after 1 ms. Probe 50 ms into the first
+  // slot and 50 ms into the third.
+  struct Probe {
+    size_t depth;
+    uint64_t requests;
+    double counted;
+  };
+  std::vector<Probe> probes;
+  auto probe = [](sim::Simulator* s, Service* svc, obs::Counter* c,
+                  std::vector<Probe>* out) -> sim::Task<void> {
+    co_await s->delay(1e-3 + 0.05);
+    out->push_back({svc->queue_depth(), svc->requests(), c->value()});
+    co_await s->delay(0.2);
+    out->push_back({svc->queue_depth(), svc->requests(), c->value()});
+  };
+  sim.spawn(probe(&sim, &svc, &counter, &probes));
   sim.run();
-  EXPECT_NEAR(sim.now(), 0.5, 1e-9);
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_EQ(probes[0].depth, 4u);  // one holds the slot, four wait
+  EXPECT_EQ(probes[0].requests, 0u);
+  EXPECT_EQ(probes[0].counted, 0.0);
+  EXPECT_EQ(probes[1].depth, 2u);
+  EXPECT_EQ(probes[1].requests, 2u);
+  EXPECT_EQ(probes[1].counted, 2.0);
+  // The last leaves its slot 0.5 s after arriving and is back 1 ms later.
+  EXPECT_NEAR(sim.now(), 2 * 1e-3 + 0.5, 1e-9);
   EXPECT_EQ(svc.requests(), 5u);
+  EXPECT_EQ(counter.value(), 5.0);
+  EXPECT_EQ(svc.queue_depth(), 0u);
 }
 
 // Property sweep: under randomized concurrent transfers, conservation holds:

@@ -30,7 +30,7 @@ net::ClusterConfig tiny_net() {
 TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
   sim::Simulator sim;
   net::Network net(sim, tiny_net());
-  blob::VersionManager vm(sim, net, {});
+  blob::VersionManager vm(sim, net, {0});
   std::vector<blob::WriteTicket> tickets;
   auto proc = [](blob::VersionManager& v,
                  std::vector<blob::WriteTicket>* out) -> sim::Task<void> {
@@ -63,7 +63,7 @@ TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
 TEST(VersionManager, PublicationRequiresCommitPrefix) {
   sim::Simulator sim;
   net::Network net(sim, tiny_net());
-  blob::VersionManager vm(sim, net, {});
+  blob::VersionManager vm(sim, net, {0});
   blob::BlobId blob = 0;
   auto proc = [](blob::VersionManager& v, blob::BlobId* out) -> sim::Task<void> {
     auto desc = co_await v.create_blob(1, 100, 1);
@@ -88,7 +88,7 @@ TEST(VersionManager, PublicationRequiresCommitPrefix) {
 TEST(VersionManager, LatestReflectsOnlyPublished) {
   sim::Simulator sim;
   net::Network net(sim, tiny_net());
-  blob::VersionManager vm(sim, net, {});
+  blob::VersionManager vm(sim, net, {0});
   blob::VersionInfo before{}, after{};
   auto proc = [](blob::VersionManager& v, blob::VersionInfo* b,
                  blob::VersionInfo* a) -> sim::Task<void> {
