@@ -13,8 +13,14 @@
 // manager. The second table shards the VM itself (WorldOptions
 // metadata_shards) under a pure open/stat storm and reports how the VM's
 // busiest shard sheds load as the serial point spreads.
+//
+// Gate: exits nonzero unless per-client read throughput rises at every step
+// of the DHT sweep and metadata ops/s rises at every step of the VM sweep;
+// reports gate/metadata_nodes=N/over_1 and gate/vm_shards=N/over_1.
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/harness.h"
 #include "common/assert.h"
@@ -72,6 +78,28 @@ sim::Task<void> vm_storm_client(BsfsWorld* world, uint32_t index,
   wg->done();
 }
 
+// One sweep of the gate: `sweep` holds (nodes, value) from the one-node
+// step up, and the value must rise at every step. Returns the failures.
+int gate_rises(BenchReport& report, const std::string& key, const char* what,
+               const std::vector<std::pair<uint32_t, double>>& sweep) {
+  int failures = 0;
+  for (size_t i = 1; i < sweep.size(); ++i) {
+    const auto [nodes, value] = sweep[i];
+    const double ratio = value / sweep[0].second;
+    report.metric("gate/" + key + "=" + std::to_string(nodes) + "/over_1",
+                  ratio);
+    report.say("%s=%u: %s %.2fx the 1-node value (gate: above %s=%u)\n",
+               key.c_str(), nodes, what, ratio, key.c_str(),
+               sweep[i - 1].first);
+    if (value > sweep[i - 1].second) continue;
+    std::fprintf(stderr, "GATE FAIL: %s is %.2f at %s=%u, not above %.2f at "
+                 "%s=%u\n", what, value, key.c_str(), nodes,
+                 sweep[i - 1].second, key.c_str(), sweep[i - 1].first);
+    ++failures;
+  }
+  return failures;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,6 +110,7 @@ int main(int argc, char** argv) {
 
   Table table({"metadata nodes", "MB/s per client", "aggregate MB/s",
                "DHT requests", "busiest node's share"});
+  std::vector<std::pair<uint32_t, double>> dht_sweep;
   for (uint32_t meta_nodes : {1u, 4u, 16u, 269u}) {
     WorldOptions opt;
     opt.metadata_nodes = meta_nodes == 269 ? 0 : meta_nodes;
@@ -120,6 +149,7 @@ int main(int argc, char** argv) {
     const std::string k = "metadata_nodes=" + std::to_string(meta_nodes);
     report.metric(k + "/mbps_per_client", res.per_client_mbps.mean());
     report.metric(k + "/aggregate_mbps", res.aggregate_mbps);
+    dht_sweep.emplace_back(meta_nodes, res.per_client_mbps.mean());
   }
   report.table(table);
 
@@ -129,6 +159,7 @@ int main(int argc, char** argv) {
              kVmClients, kVmOps);
   Table vm_table({"vm shards", "metadata ops/s", "vm requests",
                   "busiest vm shard's share"});
+  std::vector<std::pair<uint32_t, double>> vm_sweep;
   for (uint32_t shards : {1u, 4u, 16u}) {
     WorldOptions opt;
     opt.metadata_shards = shards;
@@ -161,6 +192,7 @@ int main(int argc, char** argv) {
     const std::string k = "vm_shards=" + std::to_string(shards);
     report.metric(k + "/ops_per_s", ops_per_s);
     report.metric(k + "/busiest_vm_share", share);
+    vm_sweep.emplace_back(shards, ops_per_s);
   }
   report.table(vm_table);
 
@@ -168,5 +200,9 @@ int main(int argc, char** argv) {
              "metadata server becomes the bottleneck (HDFS NameNode role).\n"
              "The same holds one level up: sharding the version manager\n"
              "spreads the open/stat serial point (PR 10)\n");
-  return 0;
+  report.say("\n");
+  const int failures =
+      gate_rises(report, "metadata_nodes", "MB/s per client", dht_sweep) +
+      gate_rises(report, "vm_shards", "metadata ops/s", vm_sweep);
+  return failures == 0 ? 0 : 1;
 }
