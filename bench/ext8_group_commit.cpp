@@ -65,7 +65,7 @@ struct RunResult {
 
 // --- BSFS provider backend ------------------------------------------------
 
-sim::Task<void> provider_writer(sim::Simulator* sim, blob::Provider* p,
+sim::Task<void> provider_writer(blob::Provider* p,
                                 std::vector<uint8_t>* acked) {
   for (uint64_t i = 0; i < kRecords; ++i) {
     blob::PageKey key{1, i, 1};
@@ -88,7 +88,7 @@ RunResult provider_run(DurabilityLevel level, double cycle_at) {
   blob::Provider& p = world.blobs->provider_on(kStorageNode);
   std::vector<uint8_t> acked(kRecords, 0);
   const double t0 = world.sim.now();
-  world.sim.spawn(provider_writer(&world.sim, &p, &acked));
+  world.sim.spawn(provider_writer(&p, &acked));
   if (cycle_at > 0) world.sim.spawn(provider_cycler(&world.sim, &world, cycle_at));
   world.sim.run();
   RunResult r;
@@ -111,7 +111,7 @@ RunResult provider_run(DurabilityLevel level, double cycle_at) {
 
 // --- HDFS datanode backend ------------------------------------------------
 
-sim::Task<void> datanode_writer(sim::Simulator* sim, hdfs::DataNode* dn,
+sim::Task<void> datanode_writer(hdfs::DataNode* dn,
                                 std::vector<uint8_t>* acked) {
   for (uint64_t i = 0; i < kRecords; ++i) {
     const bool ok = co_await dn->receive_block(
@@ -134,7 +134,7 @@ RunResult datanode_run(DurabilityLevel level, double cycle_at) {
   hdfs::DataNode& dn = world.fs->datanode_on(kStorageNode);
   std::vector<uint8_t> acked(kRecords, 0);
   const double t0 = world.sim.now();
-  world.sim.spawn(datanode_writer(&world.sim, &dn, &acked));
+  world.sim.spawn(datanode_writer(&dn, &acked));
   if (cycle_at > 0) world.sim.spawn(datanode_cycler(&world.sim, &world, cycle_at));
   world.sim.run();
   RunResult r;

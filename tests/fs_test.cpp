@@ -678,7 +678,9 @@ TEST(BsfsSpecific, CacheDisabledGoesStraightToBlobSeer) {
   FsWorld w;
   bsfs::BsfsConfig cfg = bsfs_config();
   cfg.enable_cache = false;
-  bsfs::NamespaceManager ns2(w.sim, w.net, bsfs::NamespaceConfig{.node = 1});
+  bsfs::NamespaceConfig ns2_cfg;
+  ns2_cfg.node = 1;
+  bsfs::NamespaceManager ns2(w.sim, w.net, ns2_cfg);
   bsfs::Bsfs nocache(w.sim, w.net, w.blobs, ns2, cfg);
   auto client = nocache.make_client(2);
   uint64_t misses = 0;
