@@ -5,6 +5,9 @@
 // EXPERIMENTS.md exactly reproducible.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -861,6 +864,211 @@ TEST(Determinism, MetadataPlaneRequestsPinned) {
     const uint64_t got = fnv1a64(r.metadata_plane);
     EXPECT_EQ(got, pin.hash) << pin.name << " got 0x" << std::hex << got
                              << "\n" << r.metadata_plane;
+  }
+}
+
+// --- flow-solver pins --------------------------------------------------------
+
+// One transfer of a solver scenario: start time, endpoints, size, and its
+// own rate cap (0 = only the cluster-wide per-stream cap applies).
+struct SolverXfer {
+  net::NodeId src = 0;
+  net::NodeId dst = 0;
+  double bytes = 0;
+  double start = 0;
+  double cap = 0;
+};
+
+struct SolverScenario {
+  net::ClusterConfig cfg;
+  std::vector<SolverXfer> xfers;
+  // Runs beside the transfers (a NIC rescale); may be null.
+  sim::Task<void> (*perturb)(sim::Simulator*, net::Network*) = nullptr;
+};
+
+sim::Task<void> solver_xfer(sim::Simulator* sim, net::Network* net,
+                            SolverXfer x, double* done_at) {
+  co_await sim->delay(x.start);
+  co_await net->transfer(x.src, x.dst, x.bytes, x.cap);
+  *done_at = sim->now();
+}
+
+// FNV-1a over the bit pattern of every transfer's completion time (in list
+// order), then the solver's counters.
+uint64_t solver_outcome_hash(const SolverScenario& sc) {
+  sim::Simulator sim;
+  net::Network net(sim, sc.cfg);
+  std::vector<double> done(sc.xfers.size(), -1);
+  for (size_t i = 0; i < sc.xfers.size(); ++i) {
+    sim.spawn(solver_xfer(&sim, &net, sc.xfers[i], &done[i]));
+  }
+  if (sc.perturb) sim.spawn(sc.perturb(&sim, &net));
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  uint64_t h = kFnvOffset;
+  for (double t : done) h = fnv1a64_u64(std::bit_cast<uint64_t>(t), h);
+  const net::SolverStats s = net.solver_stats();
+  for (uint64_t v : {s.class_solves, s.retimes_scheduled, s.retimes_damped,
+                     s.path_classes_created,
+                     static_cast<uint64_t>(s.active_path_classes)}) {
+    h = fnv1a64_u64(v, h);
+  }
+  return h;
+}
+
+net::NodeId other_node(Rng& rng, net::NodeId self, uint32_t nodes) {
+  const auto n = static_cast<net::NodeId>(rng.below(nodes - 1));
+  return n >= self ? n + 1 : n;
+}
+
+// The read_shared shape: a 270-node cluster with the suite's per-stream
+// cap; 250 clients each start 4 staggered fetches from seeded sources.
+// Many fair-share levels, with capped freezes among them.
+SolverScenario read_shared_fill() {
+  SolverScenario sc;
+  sc.cfg.num_nodes = 270;
+  sc.cfg.nodes_per_rack = 30;
+  sc.cfg.rack_uplink_bps = 4.0e9;
+  sc.cfg.per_stream_cap_bps = 0.65 * sc.cfg.nic_bps;
+  Rng rng(2);
+  for (net::NodeId client = 1; client <= 250; ++client) {
+    const double t0 = rng.uniform() * 0.2;
+    for (int k = 0; k < 4; ++k) {
+      sc.xfers.push_back({other_node(rng, client, 270), client,
+                          static_cast<double>((1 + rng.below(16)) << 20),
+                          t0 + 0.01 * k, 0});
+    }
+  }
+  return sc;
+}
+
+// Staggered churn over repeated and random pairs with two per-flow cap
+// levels below the NIC, so capped and bottleneck freezes interleave.
+SolverScenario churn_two_caps() {
+  SolverScenario sc;
+  sc.cfg.num_nodes = 48;
+  sc.cfg.nodes_per_rack = 8;
+  sc.cfg.nic_bps = 100e6;
+  sc.cfg.rack_uplink_bps = 300e6;
+  Rng rng(7);
+  for (int i = 0; i < 600; ++i) {
+    net::NodeId s, d;
+    if (i % 2 == 0) {
+      s = static_cast<net::NodeId>(i % 12);
+      d = static_cast<net::NodeId>(24 + i % 12);
+    } else {
+      s = static_cast<net::NodeId>(rng.below(48));
+      d = other_node(rng, s, 48);
+    }
+    const double cap = i % 3 == 0 ? 20e6 : i % 3 == 1 ? 45e6 : 0;
+    sc.xfers.push_back({s, d, 1e6 + rng.uniform() * 30e6,
+                        rng.uniform() * 3.0, cap});
+  }
+  return sc;
+}
+
+sim::Task<void> rescale_nics(sim::Simulator* sim, net::Network* net) {
+  co_await sim->delay(0.3);
+  net->set_node_perf(3, {.nic = 0.25});
+  co_await sim->delay(0.3);
+  net->set_node_perf(7, {.nic = 0.5});
+  net->set_node_perf(3, {});
+  co_await sim->delay(0.3);
+  net->set_node_perf(7, {});
+}
+
+// Random transfers in flight while two NICs are slowed and restored.
+SolverScenario nic_rescale() {
+  SolverScenario sc;
+  sc.cfg.num_nodes = 24;
+  sc.cfg.nodes_per_rack = 6;
+  sc.cfg.per_stream_cap_bps = 0.65 * sc.cfg.nic_bps;
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    const auto s = static_cast<net::NodeId>(rng.below(24));
+    sc.xfers.push_back({s, other_node(rng, s, 24),
+                        static_cast<double>((1 + rng.below(24)) << 20),
+                        rng.uniform() * 1.2, 0});
+  }
+  sc.perturb = &rescale_nics;
+  return sc;
+}
+
+// Bursts of same-size transfers that all start at one instant, so each
+// burst is one batched solve and many completions share an instant.
+SolverScenario same_instant_bursts() {
+  SolverScenario sc;
+  sc.cfg.num_nodes = 64;
+  sc.cfg.nodes_per_rack = 16;
+  sc.cfg.rack_uplink_bps = 6 * sc.cfg.nic_bps;
+  Rng rng(5);
+  for (int burst = 0; burst < 4; ++burst) {
+    for (int i = 0; i < 64; ++i) {
+      const auto s = static_cast<net::NodeId>(rng.below(64));
+      sc.xfers.push_back({s, other_node(rng, s, 64), 8.0 * (1 << 20),
+                          0.25 * burst, i % 4 == 0 ? 40e6 : 0});
+    }
+  }
+  return sc;
+}
+
+// A bottleneck test that flips by rounding alone. Class c (one flow, share
+// s on its rack uplinks) and class B (kMembers flows) share D's NIC, whose
+// capacity is the smallest double above limit * (kMembers + 1). The NIC
+// fails the round's test when the round starts, and in exact arithmetic
+// it would still fail after c's subtraction; in doubles
+// fl(capacity - s) <= fl(limit * kMembers), so B freezes in the same round
+// as c. A first round freezes class X (two flows on a narrower share), so
+// this is not the solve's first bottleneck round. s is searched for until
+// the rounding falls that way.
+SolverScenario rounding_flipped_bottleneck() {
+  constexpr uint32_t kMembers = 20000;
+  SolverScenario sc;
+  double s = 1.5e6;
+  double nic = 0;
+  bool flips = false;
+  for (int i = 0; i < 100000 && !flips; ++i) {
+    s += 0.37;
+    const double limit = s * (1 + 1e-12);
+    nic = std::nextafter(limit * (kMembers + 1),
+                         std::numeric_limits<double>::infinity());
+    flips = nic - s <= limit * kMembers && nic / (kMembers + 1) >= s;
+  }
+  EXPECT_TRUE(flips);
+  // Four racks of two: X runs 4 -> 6, c runs 0 -> 2, B runs 3 -> 2.
+  sc.cfg.num_nodes = 8;
+  sc.cfg.nodes_per_rack = 2;
+  sc.cfg.nic_bps = nic;
+  sc.cfg.rack_uplink_bps = s;
+  sc.xfers.assign(2, {4, 6, 1e6, 0, 0});
+  sc.xfers.push_back({0, 2, 1e6, 0, 0});
+  sc.xfers.insert(sc.xfers.end(), kMembers, {3, 2, 1e6, 0, 0});
+  return sc;
+}
+
+// Flow-solver pins: solver_outcome_hash() of five scenarios that drive
+// net::Network directly, recorded before progressive filling stopped
+// sweeping every path class on every round. The solver may be restructured
+// freely while these hold; a change that moves a value changed some rate,
+// not just how it is found: it re-pins the value and says why in
+// CHANGES.md.
+TEST(Determinism, FlowSolverOutcomesPinned) {
+  struct Pin {
+    const char* name;
+    SolverScenario (*scenario)();
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"read_shared fill", &read_shared_fill, 0x0454875c87d2e747ULL},
+      {"churn with two caps", &churn_two_caps, 0x2f4275befe3024a1ULL},
+      {"NIC rescale", &nic_rescale, 0x0519f525ffc423c8ULL},
+      {"same-instant bursts", &same_instant_bursts, 0x210a52a2c2ea45b8ULL},
+      {"rounding-flipped bottleneck", &rounding_flipped_bottleneck,
+       0x3180934f5ec09154ULL},
+  };
+  for (const Pin& pin : pins) {
+    const uint64_t got = solver_outcome_hash(pin.scenario());
+    EXPECT_EQ(got, pin.hash) << pin.name << " got 0x" << std::hex << got;
   }
 }
 
