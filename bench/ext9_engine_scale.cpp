@@ -62,6 +62,8 @@ struct RunStats {
   uint64_t retimes_scheduled = 0;
   uint64_t retimes_damped = 0;
   uint64_t classes_created = 0;
+  uint64_t fill_rounds = 0;       // progressive-filling rounds, all solves
+  uint64_t class_tests = 0;       // bottleneck tests on unfrozen classes
   double oracle_max_rel_diff = 0;
 };
 
@@ -135,6 +137,8 @@ RunStats run_storm() {
   out.retimes_scheduled = s.retimes_scheduled;
   out.retimes_damped = s.retimes_damped;
   out.classes_created = s.path_classes_created;
+  out.fill_rounds = s.fill_rounds;
+  out.class_tests = s.class_tests;
   out.oracle_max_rel_diff = oracle_diff;
   report_world_events(sim.events_processed());
   return out;
@@ -151,6 +155,8 @@ void report_run(BenchReport& report, const std::string& prefix,
   report.metric(prefix + "/retimes_damped",
                 static_cast<double>(s.retimes_damped));
   report.metric(prefix + "/makespan_s", s.makespan_s);
+  report.metric(prefix + "/fill_rounds", static_cast<double>(s.fill_rounds));
+  report.metric(prefix + "/class_tests", static_cast<double>(s.class_tests));
 }
 
 }  // namespace
@@ -187,6 +193,9 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(incr.flows),
              static_cast<unsigned long long>(incr.classes_created),
              flows_per_class, static_cast<unsigned long long>(max_solves));
+  report.say("%llu fill rounds, %llu class tests\n",
+             static_cast<unsigned long long>(incr.fill_rounds),
+             static_cast<unsigned long long>(incr.class_tests));
   report.say("reference max rel diff %.2e, makespan drift %.2e\n",
              incr.oracle_max_rel_diff, makespan_rel);
 

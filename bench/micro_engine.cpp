@@ -82,6 +82,44 @@ void BM_FlowSolverChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSolverChurn)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The capped, many-level fill of read_shared's shape: 250 clients on a
+// 270-node cluster with a per-stream cap each start 4 staggered fetches
+// from seeded sources, so most solves run many filling rounds with capped
+// and bottleneck freezes interleaved (BM_FlowSolver's flows start together
+// and are uncapped; BM_FlowSolverChurn repeats 8 paths).
+void BM_FlowSolverLevels(benchmark::State& state) {
+  const auto clients = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::ClusterConfig cfg;
+    cfg.num_nodes = 270;
+    cfg.nodes_per_rack = 30;
+    cfg.rack_uplink_bps = 4.0e9;
+    cfg.per_stream_cap_bps = 0.65 * cfg.nic_bps;
+    net::Network net(sim, cfg);
+    Rng rng(2);
+    auto proc = [](sim::Simulator& s, net::Network& n, net::NodeId src,
+                   net::NodeId dst, double bytes,
+                   double start) -> sim::Task<void> {
+      co_await s.delay(start);
+      co_await n.transfer(src, dst, bytes);
+    };
+    for (net::NodeId client = 1; client <= clients; ++client) {
+      const double t0 = rng.uniform() * 0.2;
+      for (int k = 0; k < 4; ++k) {
+        auto src = static_cast<net::NodeId>(rng.below(cfg.num_nodes - 1));
+        if (src >= client) ++src;
+        const auto bytes = static_cast<double>((1 + rng.below(16)) << 20);
+        sim.spawn(proc(sim, net, src, client, bytes, t0 + 0.01 * k));
+      }
+    }
+    sim.run();
+    benchmark::DoNotOptimize(net.bytes_moved());
+  }
+  state.SetItemsProcessed(state.iterations() * clients * 4);
+}
+BENCHMARK(BM_FlowSolverLevels)->Arg(64)->Arg(250);
+
 // Steady-state call_at: one self-rescheduling callback, so the pooled slot
 // is recycled every tick — the loop should not allocate after warm-up.
 void BM_CallAt(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -321,82 +322,190 @@ void Network::compact_dead_classes() {
   active_classes_.resize(w);
 }
 
+bool Network::bottlenecked(const PathClass& c, double limit) const {
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (scratch_remaining_[l] <= limit * scratch_count_[l]) return true;
+  }
+  return false;
+}
+
+void Network::freeze(PathClass& c, double rate) {
+  c.rate = rate;
+  const double used = rate * c.n;
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    scratch_remaining_[l] -= used;
+    scratch_count_[l] -= c.n;
+  }
+}
+
+void Network::index_unfrozen_by_link() {
+  // link_end_ holds each live link's unfrozen-class count from the first
+  // bottleneck round; turn the counts into offsets, then fill.
+  uint32_t offset = 0;
+  for (uint32_t l : scratch_links_) {
+    link_begin_[l] = offset;
+    offset += link_end_[l];
+    link_end_[l] = link_begin_[l];
+  }
+  link_classes_.resize(offset);
+  for (uint32_t pos : unfrozen_) {
+    const PathClass& c = classes_[active_classes_[pos]];
+    for (uint32_t k = 0; k < c.path_len; ++k) {
+      link_classes_[link_end_[c.path[k]]++] = pos;
+    }
+  }
+  candidates_.assign((active_classes_.size() + 63) / 64, 0);
+}
+
+void Network::mark_link(uint32_t l, uint32_t from) {
+  link_marked_[l] = sstats_.fill_rounds;
+  uint32_t i = link_begin_[l];
+  const uint32_t end = link_end_[l];
+  while (i < end && link_classes_[i] < from) ++i;
+  // Positions ascend, so each bitmap word is written once per run.
+  while (i < end) {
+    const uint32_t w = link_classes_[i] / 64;
+    uint64_t bits = 0;
+    for (; i < end && link_classes_[i] / 64 == w; ++i) {
+      bits |= uint64_t{1} << (link_classes_[i] % 64);
+    }
+    candidates_[w] |= bits;
+  }
+}
+
 void Network::solve_classes() {
   ++sstats_.class_solves;
   m_solves_->inc();
   compact_dead_classes();
   if (flows_.empty()) return;
-  if (scratch_remaining_.size() != link_capacity_.size()) {
-    scratch_remaining_.resize(link_capacity_.size());
-    scratch_count_.resize(link_capacity_.size());
+  const size_t links = link_capacity_.size();
+  if (scratch_remaining_.size() != links) {
+    scratch_remaining_.resize(links);
+    scratch_count_.resize(links);
+    link_begin_.resize(links);
+    link_end_.resize(links);
+    link_marked_.resize(links);
   }
   // Seed link loads: scratch_count_ carries member flows, not classes, so
   // the fair-share arithmetic matches the per-flow solver's semantics.
   scratch_links_.clear();
+  double cap_floor = std::numeric_limits<double>::infinity();
   for (uint32_t ci : active_classes_) {
     PathClass& c = classes_[ci];
     c.rate = -1;  // -1 = unfrozen
+    if (c.cap > 0) cap_floor = std::min(cap_floor, c.cap);
     for (uint32_t k = 0; k < c.path_len; ++k) {
       const uint32_t l = c.path[k];
       if (scratch_count_[l] == 0) {
         scratch_remaining_[l] = link_capacity_[l];
+        link_end_[l] = 0;
         scratch_links_.push_back(l);
       }
       scratch_count_[l] += c.n;
     }
   }
   size_t unfrozen = active_classes_.size();
+  bool indexed = false;
   while (unfrozen > 0) {
+    ++sstats_.fill_rounds;
+    // One scan of the live links finds the round's share and keeps every
+    // link within 4e-12 of the running minimum: a superset of the links
+    // that pass the bottleneck test below, which admits 1e-12 plus
+    // rounding. Links drained by earlier rounds drop out for good.
     double best_share = std::numeric_limits<double>::infinity();
+    double near = best_share;
+    size_t live = 0;
+    near_links_.clear();
     for (uint32_t l : scratch_links_) {
       const uint32_t cnt = scratch_count_[l];
       if (cnt == 0) continue;
+      scratch_links_[live++] = l;
       const double fair = scratch_remaining_[l] / cnt;
-      if (fair < best_share) best_share = fair;
-    }
-    bool froze_capped = false;
-    for (uint32_t ci : active_classes_) {
-      PathClass& c = classes_[ci];
-      if (c.rate >= 0) continue;
-      if (c.cap > 0 && c.cap <= best_share) {
-        c.rate = c.cap;
-        const double used = c.rate * c.n;
-        for (uint32_t k = 0; k < c.path_len; ++k) {
-          const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= used;
-          scratch_count_[l] -= c.n;
-        }
-        --unfrozen;
-        froze_capped = true;
+      if (fair > near) continue;
+      if (fair < best_share) {
+        best_share = fair;
+        near = fair + std::abs(fair) * 4e-12;
       }
+      near_links_.push_back(l);
     }
-    if (froze_capped) continue;
+    scratch_links_.resize(live);
+    // Caps binding at or below the share freeze first, in cid order.
+    // cap_floor is at most every unfrozen cap, so below it none binds.
+    if (best_share >= cap_floor) {
+      bool froze_capped = false;
+      cap_floor = std::numeric_limits<double>::infinity();
+      for (uint32_t ci : active_classes_) {
+        PathClass& c = classes_[ci];
+        if (c.rate >= 0 || c.cap <= 0) continue;
+        if (c.cap <= best_share) {
+          freeze(c, c.cap);
+          --unfrozen;
+          froze_capped = true;
+        } else {
+          cap_floor = std::min(cap_floor, c.cap);
+        }
+      }
+      if (froze_capped) continue;
+    }
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
-    for (uint32_t ci : active_classes_) {
-      PathClass& c = classes_[ci];
-      if (c.rate >= 0) continue;
-      bool bottlenecked = false;
-      for (uint32_t k = 0; k < c.path_len; ++k) {
-        const uint32_t l = c.path[k];
-        if (scratch_remaining_[l] <= limit * scratch_count_[l]) {
-          bottlenecked = true;
-          break;
+    if (!indexed) {
+      // First bottleneck round: test every class, counting the links of
+      // those left unfrozen for the index. Most solves end here.
+      unfrozen_.clear();
+      for (uint32_t pos = 0; pos < active_classes_.size(); ++pos) {
+        PathClass& c = classes_[active_classes_[pos]];
+        if (c.rate >= 0) continue;
+        ++sstats_.class_tests;
+        if (bottlenecked(c, limit)) {
+          freeze(c, share);
+          --unfrozen;
+          continue;
         }
+        unfrozen_.push_back(pos);
+        for (uint32_t k = 0; k < c.path_len; ++k) ++link_end_[c.path[k]];
       }
-      if (bottlenecked) {
+      if (unfrozen > 0) {
+        index_unfrozen_by_link();
+        indexed = true;
+      }
+      continue;
+    }
+    // Later rounds test only classes on a link that passes now, and walk
+    // them in cid order. Freezing never makes a link pass in exact
+    // arithmetic; rounding can, so a freeze re-checks its links and marks
+    // their later classes.
+    for (uint32_t l : near_links_) {
+      if (scratch_remaining_[l] <= limit * scratch_count_[l]) mark_link(l, 0);
+    }
+    for (size_t w = 0; w < candidates_.size(); ++w) {
+      while (const uint64_t bits = candidates_[w]) {
+        candidates_[w] = bits & (bits - 1);
+        const auto pos = static_cast<uint32_t>(
+            w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+        PathClass& c = classes_[active_classes_[pos]];
+        if (c.rate >= 0) continue;  // frozen in an earlier round
+        ++sstats_.class_tests;
+        if (!bottlenecked(c, limit)) continue;
+        // freeze(c, share), re-checking each link as it is updated.
         c.rate = share;
         const double used = share * c.n;
         for (uint32_t k = 0; k < c.path_len; ++k) {
           const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= used;
-          scratch_count_[l] -= c.n;
+          const double left = scratch_remaining_[l] -= used;
+          const uint32_t cnt = scratch_count_[l] -= c.n;
+          if (cnt != 0 && left <= limit * cnt &&
+              link_marked_[l] != sstats_.fill_rounds) {
+            mark_link(l, pos + 1);
+          }
         }
         --unfrozen;
       }
     }
   }
-  for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
+  // Every class froze, so every link's count is back to zero.
   for (Flow* f : flow_order_) f->rate = classes_[f->cls].rate;
 }
 

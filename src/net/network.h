@@ -6,8 +6,8 @@
 // filling (freeze the bottleneck, subtract, repeat) and the earliest
 // completion is scheduled. This is the standard fluid approximation used in
 // datacenter simulators; it reproduces the contention and hotspot effects
-// the paper's throughput curves depend on, at a cost of O(flows·links) per
-// change instead of per-packet events.
+// the paper's throughput curves depend on, with one solve per changed
+// instant instead of per-packet events.
 //
 // Solver engineering (the sim's dominant CPU cost at cluster scale):
 //
@@ -16,6 +16,19 @@
 //    thousands of identical src→rack→dst streams collapse into a handful
 //    of classes. Progressive filling runs over classes weighted by member
 //    count, not over individual flows.
+//  - Bottleneck-driven filling (Bertsekas & Gallager, Data Networks §6.5):
+//    each round scans the live links for the minimum fair share, but tests
+//    only classes on a link that passes the bottleneck test. The first
+//    bottleneck round tests every class; a fill that outlives it indexes
+//    the unfrozen classes by link once, and later rounds walk a bitmap of
+//    candidates in creation order, marking a link's later classes when a
+//    freeze makes it pass. The capped-class sweep is skipped while the
+//    share stays below the lowest unfrozen cap. A solve costs
+//    O(classes + rounds·links) plus one test per candidate, where a sweep
+//    of every class per round cost O(rounds·classes). Every round's share,
+//    the freeze order, each link's sequence of subtractions and the
+//    operands of every test are those of that sweep, so every rate is
+//    bit-identical to it.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -124,6 +137,8 @@ struct SolverStats {
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
+  uint64_t fill_rounds = 0;     // progressive-filling rounds, all solves
+  uint64_t class_tests = 0;     // bottleneck tests run on unfrozen classes
 };
 
 class Network {
@@ -266,6 +281,15 @@ class Network {
   // Rate re-solve: progressive filling over path classes weighted by
   // member count, rates written back to flows.
   void solve_classes();
+  // Solver helpers over the scratch link state. `bottlenecked` is the
+  // round's test: some link of `c` has at most `limit` left per member.
+  bool bottlenecked(const PathClass& c, double limit) const;
+  void freeze(PathClass& c, double rate);
+  // Indexes the classes in unfrozen_ by link.
+  void index_unfrozen_by_link();
+  // Marks link `l`'s indexed classes at positions >= `from` as candidates
+  // and stamps it with the current round.
+  void mark_link(uint32_t l, uint32_t from);
   // Marks rates stale and defers solve+retime to the simulator's
   // instant-end flush (one solve per instant, however many
   // arrivals/departures it batched).
@@ -291,7 +315,25 @@ class Network {
   // Scratch for the solver (sized to the link count, reused).
   std::vector<double> scratch_remaining_;
   std::vector<uint32_t> scratch_count_;
-  std::vector<uint32_t> scratch_links_;  // links touched by active flows
+  // Links still carrying unfrozen classes; drained ones drop out as the
+  // rounds' share scans pass them.
+  std::vector<uint32_t> scratch_links_;
+  // Link → unfrozen classes as active positions, ascending: one flat CSR
+  // array, [link_begin_[l], link_end_[l]) per link. Built at most once per
+  // solve; entries frozen since are skipped by the walk.
+  std::vector<uint32_t> link_begin_;
+  std::vector<uint32_t> link_end_;
+  std::vector<uint32_t> link_classes_;
+  // Round that last marked each link, as a value of sstats_.fill_rounds
+  // (which never resets, so stamps need no clearing).
+  std::vector<uint64_t> link_marked_;
+  // Candidate classes of the current round: one bit per active position.
+  // Every bit is cleared as the round walks it.
+  std::vector<uint64_t> candidates_;
+  // The round's links near its minimum share, and the active positions
+  // left unfrozen by the first bottleneck round.
+  std::vector<uint32_t> near_links_;
+  std::vector<uint32_t> unfrozen_;
   // Active flows sorted by id (deterministic, maintained incrementally).
   std::vector<Flow*> flow_order_;
   std::vector<std::unique_ptr<Disk>> disks_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -482,9 +483,29 @@ TEST(ReferenceMaxMin, TwoBottleneckLevels) {
 
 // --- the path-class solver vs. the reference -------------------------------
 
+// Two churn shapes. kSmall: 60 flows on the 8-node cluster, half of them
+// on 6 repeated pairs, a fifth under a random per-flow cap. kWide: 600
+// flows on 64 nodes in 8 racks with narrow uplinks, half on 16 repeated
+// cross-rack pairs, and two fixed cap levels below the per-stream cap, so
+// fills run many rounds with capped and bottleneck freezes interleaved.
+enum class Churn { kSmall, kWide };
+
+ClusterConfig churn_config(Churn shape = Churn::kSmall) {
+  auto cfg = small_config();
+  cfg.per_stream_cap_bps = 30e6;  // caps bind on some rounds, not all
+  if (shape == Churn::kWide) {
+    cfg.num_nodes = 64;
+    cfg.nodes_per_rack = 8;
+    cfg.rack_uplink_bps = 300e6;
+    cfg.per_stream_cap_bps = 60e6;
+  }
+  return cfg;
+}
+
 // Randomized flow churn: staggered arrivals and departures, repeated paths
 // (same-path classes with several members), per-flow caps.
-void spawn_churn(sim::Simulator& sim, Network& net, uint64_t seed) {
+void spawn_churn(sim::Simulator& sim, Network& net, uint64_t seed,
+                 Churn shape = Churn::kSmall) {
   Rng rng(seed);
   const uint32_t nodes = net.config().num_nodes;
   auto xfer = [](Network& n, NodeId s, NodeId d, double bytes, double cap,
@@ -492,19 +513,26 @@ void spawn_churn(sim::Simulator& sim, Network& net, uint64_t seed) {
     co_await n.simulator().delay(start);
     co_await n.transfer(s, d, bytes, cap);
   };
-  for (int i = 0; i < 60; ++i) {
-    // Half the flows reuse one of 6 fixed pairs; the rest are random pairs.
+  const bool wide = shape == Churn::kWide;
+  for (int i = 0; i < (wide ? 600 : 60); ++i) {
     NodeId s, d;
     if (i % 2 == 0) {
-      s = static_cast<NodeId>(i % 6);
-      d = static_cast<NodeId>((i % 6 + 4) % nodes);
+      // Small: one of 6 fixed pairs. Wide: one of 16 pairs from racks 0-1
+      // to racks 4-5.
+      s = static_cast<NodeId>(wide ? i / 2 % 16 : i % 6);
+      d = static_cast<NodeId>(wide ? 32 + i / 2 % 16 : (i % 6 + 4) % nodes);
     } else {
       s = static_cast<NodeId>(rng.below(nodes));
       d = static_cast<NodeId>(rng.below(nodes));
       if (d == s) d = (d + 1) % nodes;
     }
     const double bytes = 1e6 + rng.uniform() * 40e6;
-    const double cap = (i % 5 == 0) ? 10e6 + rng.uniform() * 40e6 : 0;
+    double cap = 0;
+    if (wide) {
+      cap = i % 5 == 0 ? 15e6 : i % 5 == 1 ? 35e6 : 0;
+    } else if (i % 5 == 0) {
+      cap = 10e6 + rng.uniform() * 40e6;
+    }
     const double start = rng.uniform() * 1.5;
     sim.spawn(xfer(net, s, d, bytes, cap, start));
   }
@@ -518,21 +546,17 @@ sim::Task<void> oracle_probe(Network& n, double* worst) {
   }
 }
 
-ClusterConfig churn_config() {
-  auto cfg = small_config();
-  cfg.per_stream_cap_bps = 30e6;  // caps bind on some rounds, not all
-  return cfg;
-}
-
 // The standing proof that the path-class solver computes the same max-min
 // allocation as plain per-flow progressive filling: a probe repeatedly
 // checks the LIVE rates against reference_max_min under churn.
-class SolverOracleTest : public ::testing::TestWithParam<int> {};
+class SolverOracleTest
+    : public ::testing::TestWithParam<std::tuple<Churn, int>> {};
 
 TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
+  const auto [shape, seed] = GetParam();
   sim::Simulator sim;
-  Network net(sim, churn_config());
-  spawn_churn(sim, net, GetParam());
+  Network net(sim, churn_config(shape));
+  spawn_churn(sim, net, seed, shape);
   double max_rel_diff = 0;
   sim.spawn(oracle_probe(net, &max_rel_diff));
   sim.run();
@@ -546,7 +570,10 @@ TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
   EXPECT_LT(stats.path_classes_created, net.flows_started());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleTest, ::testing::Range(1, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleTest,
+                         ::testing::Combine(::testing::Values(Churn::kSmall,
+                                                              Churn::kWide),
+                                            ::testing::Range(1, 6)));
 
 TEST(Network, OracleProbeDoesNotPerturbCounters) {
   // The probe only reads: the same churn with and without it must leave
@@ -568,6 +595,8 @@ TEST(Network, OracleProbeDoesNotPerturbCounters) {
   EXPECT_EQ(plain_stats.path_classes_created,
             probed_stats.path_classes_created);
   EXPECT_EQ(plain_stats.active_path_classes, probed_stats.active_path_classes);
+  EXPECT_EQ(plain_stats.fill_rounds, probed_stats.fill_rounds);
+  EXPECT_EQ(plain_stats.class_tests, probed_stats.class_tests);
   EXPECT_EQ(plain_snapshot, probed_snapshot);
 }
 
@@ -694,6 +723,47 @@ TEST(Network, RetimeDampingSkipsUnchangedDeadlines) {
   sim.run();
   const SolverStats stats = net.solver_stats();
   EXPECT_GT(stats.retimes_damped, 0u);
+}
+
+TEST(Network, FillTestsEachClassAboutOncePerSolve) {
+  // One uncapped fill with kLevels distinct shares: destination k receives
+  // from k + 1 sources of its own, so its NIC's share is nic / (k + 1) and
+  // progressive filling takes exactly kLevels rounds. A sweep of every
+  // unfrozen class per round would run about kLevels * classes / 2 tests;
+  // the fill tests every class in its first round, then only those on a
+  // bottleneck link.
+  constexpr uint32_t kLevels = 8;
+  ClusterConfig cfg = small_config();
+  cfg.num_nodes = 64;
+  cfg.nodes_per_rack = 64;  // one rack: NIC links only
+  sim::Simulator sim;
+  Network net(sim, cfg);
+  auto xfer = [](Network& n, NodeId s, NodeId d) -> sim::Task<void> {
+    co_await n.transfer(s, d, 100e6);
+  };
+  NodeId src = kLevels;
+  uint64_t classes = 0;
+  for (NodeId dst = 0; dst < kLevels; ++dst) {
+    for (uint32_t i = 0; i <= dst; ++i, ++classes) {
+      sim.spawn(xfer(net, src++, dst));
+    }
+  }
+  // Counters after the one solve at t=0, before any flow completes.
+  SolverStats first;
+  double diff = 1;
+  auto probe = [](Network& n, SolverStats* out,
+                  double* oracle) -> sim::Task<void> {
+    co_await n.simulator().delay(1e-6);
+    *out = n.solver_stats();
+    *oracle = n.solver_oracle_max_rel_diff();
+  };
+  sim.spawn(probe(net, &first, &diff));
+  sim.run();
+  EXPECT_EQ(first.class_solves, 1u);
+  EXPECT_EQ(first.active_path_classes, classes);
+  EXPECT_EQ(first.fill_rounds, kLevels);
+  EXPECT_LE(first.class_tests, 2 * classes);
+  EXPECT_EQ(diff, 0.0);
 }
 
 }  // namespace
