@@ -126,6 +126,8 @@ sim::Task<void> VersionManager::commit(net::NodeId client, BlobId blob,
   m_requests_->inc();
   BlobState& b = state_of(blob);
   BS_CHECK(version > b.published);
+  BS_CHECK_MSG(version < b.next_version,
+               "commit of a version that was never assigned");
   b.committed.insert(version);
   // Publish in version order as far as the committed prefix allows.
   while (b.committed.count(b.published + 1) > 0) {

@@ -106,6 +106,24 @@ TEST(VersionManager, LatestReflectsOnlyPublished) {
   EXPECT_EQ(after.size, 500u);
 }
 
+// A commit must name an assigned version. An unassigned one right after
+// the published prefix would otherwise publish with no write record behind
+// it, and latest() would then read past the end of the log.
+TEST(VersionManagerDeathTest, CommitOfUnassignedVersionIsRejected) {
+  auto commit_unassigned = [] {
+    sim::Simulator sim;
+    net::Network net(sim, tiny_net());
+    blob::VersionManager vm(sim, net, {0});
+    auto proc = [](blob::VersionManager& v) -> sim::Task<void> {
+      auto desc = co_await v.create_blob(1, 100, 1);
+      co_await v.commit(1, desc.id, 1);
+    };
+    sim.spawn(proc(vm));
+    sim.run();
+  };
+  EXPECT_DEATH(commit_unassigned(), "never assigned");
+}
+
 // ---------- NamespaceManager ----------
 
 TEST(Namespace, ImplicitParentDirectories) {
