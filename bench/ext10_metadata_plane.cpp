@@ -196,7 +196,7 @@ double run_hdfs_storm(uint32_t shards, uint32_t clients) {
 // arrival interleaving, which sharding legitimately changes. Identical
 // chains = sharding preserved per-blob ordering semantics exactly.
 struct ChainSet {
-  std::vector<std::vector<blob::WriteRecord>> chains;
+  std::vector<blob::WriteHistory> chains;
   std::vector<blob::Version> published;
 };
 

@@ -4,8 +4,10 @@
 // costs (the "instrument error" of every other bench).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 
 #include "blob/metadata.h"
+#include "blob/version_manager.h"
 #include "common/dataspec.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -154,6 +156,61 @@ void BM_SegmentTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SegmentTreeBuild)->Arg(256)->Arg(4096)->Arg(32768);
+
+// One blob with `prior` one-page appends already assigned and published.
+struct VmFixture {
+  explicit VmFixture(uint64_t prior)
+      : net(sim, net::ClusterConfig{.num_nodes = 8, .nodes_per_rack = 4}),
+        vm(sim, net, {0}) {
+    auto fill = [](VmFixture* fx, uint64_t n) -> sim::Task<void> {
+      fx->blob = (co_await fx->vm.create_blob(1, 4096, 1)).id;
+      for (uint64_t i = 0; i < n; ++i) {
+        const blob::WriteTicket t = co_await fx->vm.assign_write(
+            1, fx->blob, blob::VersionManager::kAppendOffset, 4096);
+        co_await fx->vm.commit(1, fx->blob, t.version);
+      }
+    };
+    sim.spawn(fill(this, prior));
+    sim.run();
+  }
+
+  sim::Simulator sim;
+  net::Network net;
+  blob::VersionManager vm;
+  blob::BlobId blob = 0;
+};
+
+// Version assignment behind a long write history: each iteration assigns
+// and commits one append (meta_storm's append-offset op) on a blob that
+// already holds between L and 1.25 L versions (L = state.range(0); the
+// blob is rebuilt, untimed, every L/4 appends). Tickets share the blob's
+// log instead of copying it, so the per-append cost should not grow
+// with L.
+void BM_VmAssignWrite(benchmark::State& state) {
+  const auto prior = static_cast<uint64_t>(state.range(0));
+  auto assign = [](blob::VersionManager& vm,
+                   blob::BlobId b) -> sim::Task<void> {
+    const blob::WriteTicket t = co_await vm.assign_write(
+        1, b, blob::VersionManager::kAppendOffset, 4096);
+    benchmark::DoNotOptimize(t.history().data());
+    co_await vm.commit(1, b, t.version);
+  };
+  std::unique_ptr<VmFixture> fx;
+  uint64_t left = 0;
+  for (auto _ : state) {
+    if (left == 0) {
+      state.PauseTiming();
+      fx = std::make_unique<VmFixture>(prior);
+      left = prior / 4;
+      state.ResumeTiming();
+    }
+    fx->sim.spawn(assign(fx->vm, fx->blob));
+    fx->sim.run();
+    --left;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VmAssignWrite)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_Crc32c(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)));

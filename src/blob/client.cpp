@@ -67,7 +67,7 @@ sim::Task<Version> BlobClient::write(BlobId blob, uint64_t offset,
   // 4. Build and store this version's metadata tree nodes.
   {
     std::vector<MetaNode> nodes = build_write_nodes(
-        range, ticket.cap_pages, ticket.version, ticket.history);
+        range, ticket.cap_pages, ticket.version, ticket.history());
     // Leaves come first, in page order: fill in placement and lengths.
     for (uint64_t p = 0; p < page_count; ++p) {
       MetaNode& leaf = nodes[p];

@@ -43,7 +43,7 @@ sim::Task<GcStats> collect_garbage(
   // responsibility, as with any GC barrier; snapshot pins close that
   // window through pin_cap, checked atomically at the flip).
   stats.pruned_below = co_await vm.prune(node, blob, keep_from, pin_cap);
-  const std::vector<WriteRecord> history = co_await vm.full_history(node, blob);
+  const WriteHistory history = co_await vm.full_history(node, blob);
   BS_CHECK(keep_from >= 1 && keep_from <= history.size() + 1);
   // Reclaim strictly below the watermark the prune ACTUALLY set — a pin
   // that appeared in flight may have capped it under the requested
@@ -60,7 +60,7 @@ sim::Task<GcStats> collect_garbage(
     // watermark (ownership is monotone, so this covers all kept versions).
     std::vector<PageRange> dead;
     for_each_created_node(rec, cap_before, [&](const PageRange& range) {
-      if (latest_owner(range, history, watermark + 1) != u) {
+      if (latest_owner(range, history.records(), watermark + 1) != u) {
         dead.push_back(range);
       }
     });

@@ -65,7 +65,7 @@ bool node_exists(const PageRange& node, const PageRange& write_range,
 }
 
 Version latest_owner(const PageRange& node,
-                     const std::vector<WriteRecord>& history, Version before) {
+                     std::span<const WriteRecord> history, Version before) {
   // History is ascending by version; scan backwards for the first match.
   for (size_t i = history.size(); i-- > 0;) {
     const WriteRecord& rec = history[i];
@@ -80,7 +80,7 @@ Version latest_owner(const PageRange& node,
 
 std::vector<MetaNode> build_write_nodes(
     const PageRange& write_range, uint64_t cap_pages, Version v,
-    const std::vector<WriteRecord>& history) {
+    std::span<const WriteRecord> history) {
   BS_CHECK(!write_range.empty());
   BS_CHECK(cap_pages >= next_pow2(write_range.end()));
   BS_CHECK((cap_pages & (cap_pages - 1)) == 0);

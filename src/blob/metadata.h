@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,7 @@ bool node_exists(const PageRange& node, const PageRange& write_range,
 // rule, searching the history (records for versions 1..before-1, ascending).
 // Returns kNoVersion if no prior version created S.
 Version latest_owner(const PageRange& node,
-                     const std::vector<WriteRecord>& history, Version before);
+                     std::span<const WriteRecord> history, Version before);
 
 // All canonical nodes version v must create for a write of `write_range`
 // into a tree of capacity `cap_pages` (history = records of versions < v;
@@ -79,7 +80,7 @@ Version latest_owner(const PageRange& node,
 // Leaf provider/length fields are left empty for the caller to fill.
 std::vector<MetaNode> build_write_nodes(const PageRange& write_range,
                                         uint64_t cap_pages, Version v,
-                                        const std::vector<WriteRecord>& history);
+                                        std::span<const WriteRecord> history);
 
 // The children of an inner node.
 inline PageRange left_child(const PageRange& r) {

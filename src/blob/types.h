@@ -9,7 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -62,16 +65,40 @@ struct VersionInfo {
   uint64_t cap_pages = 0;  // tree capacity (power of two), 0 for empty blob
 };
 
+// The records of versions 1..n of one blob, ascending by version: the
+// version manager's write log as it stood when this was taken, shared
+// instead of copied. The manager appends to a log only within its reserved
+// capacity and replaces a full log with a larger copy, so the records
+// taken here never move or change, and holding the log keeps them alive.
+class WriteHistory {
+ public:
+  WriteHistory() = default;
+  explicit WriteHistory(std::shared_ptr<const std::vector<WriteRecord>> log)
+      : log_(std::move(log)), records_(log_->data(), log_->size()) {}
+
+  std::span<const WriteRecord> records() const { return records_; }
+  size_t size() const { return records_.size(); }
+  const WriteRecord& operator[](size_t i) const { return records_[i]; }
+  auto begin() const { return records_.begin(); }
+  auto end() const { return records_.end(); }
+
+ private:
+  std::shared_ptr<const std::vector<WriteRecord>> log_;
+  std::span<const WriteRecord> records_;
+};
+
 // Everything a writer needs to perform an assigned write: its version, the
 // resolved byte offset (appends are resolved against the latest assigned
-// size), and the full history of versions 1..version-1.
+// size), and the history of versions 1..version-1.
 struct WriteTicket {
   BlobId blob = 0;
   Version version = kNoVersion;
   uint64_t offset = 0;      // bytes, page-aligned
   uint64_t size_after = 0;  // bytes
   uint64_t cap_pages = 0;   // tree capacity for this version
-  std::vector<WriteRecord> history;  // records for versions < version
+  WriteHistory prior;       // records for versions < version
+
+  std::span<const WriteRecord> history() const { return prior.records(); }
 };
 
 // Identifies one stored page replica: which version wrote page `index` of

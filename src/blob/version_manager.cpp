@@ -17,6 +17,10 @@ namespace {
 // full avalanche is what actually spreads consecutive ids.
 uint64_t ring_key(BlobId blob) { return splitmix64(blob); }
 
+// Capacity of a blob's first write log; it doubles from there, so a blob
+// that sees few writes stays small.
+constexpr size_t kInitialLogCapacity = 8;
+
 }  // namespace
 
 VersionManager::VersionManager(sim::Simulator& sim, net::Network& net,
@@ -44,6 +48,19 @@ VersionManager::BlobState& VersionManager::state_of(BlobId blob) {
   return it->second;
 }
 
+void VersionManager::append_record(BlobState& b, const WriteRecord& rec) {
+  if (b.log->size() == b.log->capacity()) {
+    // Full: tickets may still hold this log, so copy it into a larger one
+    // instead of letting push_back reallocate it under them.
+    auto grown = std::make_shared<std::vector<WriteRecord>>();
+    grown->reserve(2 * b.log->capacity());
+    grown->assign(b.log->begin(), b.log->end());
+    records_copied_ += b.log->size();
+    b.log = std::move(grown);
+  }
+  b.log->push_back(rec);
+}
+
 sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
                                                       uint64_t page_size,
                                                       uint32_t replication) {
@@ -61,6 +78,8 @@ sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
   state.desc.id = id;
   state.desc.page_size = page_size;
   state.desc.replication = replication;
+  state.log = std::make_shared<std::vector<WriteRecord>>();
+  state.log->reserve(kInitialLogCapacity);
   state.publish_cv = std::make_unique<sim::CondVar>(sim_);
   const BlobDescriptor desc = state.desc;
   blobs_.emplace(desc.id, std::move(state));
@@ -98,7 +117,7 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
   t.version = b.next_version++;
   t.offset = offset;
   t.size_after = std::max(b.assigned_size, offset + size);
-  t.history = b.history;  // records of all versions < t.version
+  t.prior = WriteHistory(b.log);  // versions < t.version
 
   const uint64_t first_page = offset / page;
   const uint64_t end_page = pages_for_bytes(offset + size, page);
@@ -110,7 +129,7 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
   rec.range = PageRange{first_page, end_page - first_page};
   rec.size_after = t.size_after;
   rec.cap_after = t.cap_pages;
-  b.history.push_back(rec);
+  append_record(b, rec);
   b.assigned_size = t.size_after;
   b.assigned_at[t.version] = sim_.now();
 
@@ -173,7 +192,7 @@ VersionInfo VersionManager::info_at(const BlobState& b, Version v) const {
     info.cap_pages = 0;
     return info;
   }
-  const WriteRecord& rec = b.history[v - 1];
+  const WriteRecord& rec = (*b.log)[v - 1];
   BS_CHECK(rec.version == v);
   info.size = rec.size_after;
   info.cap_pages = rec.cap_after;
@@ -204,12 +223,12 @@ sim::Task<std::optional<VersionInfo>> VersionManager::version_info(
   co_return out;
 }
 
-sim::Task<std::vector<WriteRecord>> VersionManager::full_history(
-    net::NodeId client, BlobId blob) {
+sim::Task<WriteHistory> VersionManager::full_history(net::NodeId client,
+                                                     BlobId blob) {
   net::Service& s = ring_.owner(ring_key(blob));
   co_await s.request(client);
   m_requests_->inc();
-  std::vector<WriteRecord> history = state_of(blob).history;
+  WriteHistory history(state_of(blob).log);
   co_await s.reply(client);
   co_return history;
 }

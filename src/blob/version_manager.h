@@ -73,8 +73,7 @@ class VersionManager {
   // Latest published version (readers start here).
   sim::Task<VersionInfo> latest(net::NodeId client, BlobId blob);
   // Full write history (versions 1..latest assigned) — consumed by GC.
-  sim::Task<std::vector<WriteRecord>> full_history(net::NodeId client,
-                                                   BlobId blob);
+  sim::Task<WriteHistory> full_history(net::NodeId client, BlobId blob);
   // Marks versions below `keep_from` pruned: their info becomes
   // unavailable (version_info -> nullopt), so readers can no longer open
   // them. keep_from must be published. Returns the new watermark.
@@ -107,11 +106,18 @@ class VersionManager {
   std::map<net::NodeId, uint64_t> requests_per_shard() const {
     return ring_.requests_per_node();
   }
+  // Write records copied to serve assignments: each blob's log is copied
+  // only when it fills up and doubles, so this stays below twice the
+  // number of assignments (amortized O(1) per ticket).
+  uint64_t history_records_copied() const { return records_copied_; }
 
  private:
   struct BlobState {
     BlobDescriptor desc;
-    std::vector<WriteRecord> history;  // ascending by version, 1-based
+    // Write log, ascending by version, 1-based. Tickets share prefixes of
+    // it, so it is never grown in place: append_record replaces a full log
+    // with a copy of twice the capacity (see WriteHistory).
+    std::shared_ptr<std::vector<WriteRecord>> log;
     Version next_version = 1;          // next to assign
     Version published = kNoVersion;    // highest published
     Version pruned_below = 1;          // versions < this were GC'ed
@@ -125,6 +131,7 @@ class VersionManager {
 
   VersionInfo info_at(const BlobState& b, Version v) const;
   BlobState& state_of(BlobId blob);
+  void append_record(BlobState& b, const WriteRecord& rec);
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -133,6 +140,7 @@ class VersionManager {
   dht::ServiceRing ring_;
   bs::unordered_map<BlobId, BlobState> blobs_;
   BlobId next_blob_id_ = 1;
+  uint64_t records_copied_ = 0;
 
   // Obs handles, all registered in the constructor, never inside a
   // coroutine body.

@@ -4,6 +4,7 @@
 // indirectly.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,11 +46,11 @@ TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
   sim.run();
   ASSERT_EQ(tickets.size(), 3u);
   EXPECT_EQ(tickets[0].version, 1u);
-  EXPECT_EQ(tickets[0].history.size(), 0u);
+  EXPECT_EQ(tickets[0].history().size(), 0u);
   EXPECT_EQ(tickets[0].size_after, 300u);
   EXPECT_EQ(tickets[0].cap_pages, 4u);  // 3 pages -> cap 4
   EXPECT_EQ(tickets[1].version, 2u);
-  EXPECT_EQ(tickets[1].history.size(), 1u);
+  EXPECT_EQ(tickets[1].history().size(), 1u);
   EXPECT_EQ(tickets[1].size_after, 300u);  // overwrite keeps the size
   // Append resolves against the latest assigned size (300, page-aligned)
   // and may leave a short final page as the new end of the blob.
@@ -57,7 +58,84 @@ TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
   EXPECT_EQ(tickets[2].offset, 300u);
   EXPECT_EQ(tickets[2].size_after, 550u);
   EXPECT_EQ(tickets[2].cap_pages, 8u);  // 6 pages -> cap 8
-  EXPECT_EQ(tickets[2].history.size(), 2u);
+  EXPECT_EQ(tickets[2].history().size(), 2u);
+}
+
+// Tickets share prefixes of their blob's write log instead of copying it.
+// Hold a few tickets while 1,000 assigns double the log from 8 to 1,024
+// records, then check each still reads exactly the records of the versions
+// before it. A log grown in place would free those records under the held
+// tickets, which the sanitizer build reports as a use-after-free.
+TEST(VersionManager, TicketsKeepTheirHistoryAcrossLogGrowth) {
+  sim::Simulator sim;
+  net::Network net(sim, tiny_net());
+  blob::VersionManager vm(sim, net, {0});
+  std::vector<blob::WriteRecord> records;  // rebuilt from every ticket
+  std::vector<blob::WriteTicket> held;
+  auto proc = [](blob::VersionManager& v, std::vector<blob::WriteRecord>* recs,
+                 std::vector<blob::WriteTicket>* keep) -> sim::Task<void> {
+    constexpr uint64_t kPage = 100;
+    auto desc = co_await v.create_blob(1, kPage, 1);
+    for (uint32_t i = 0; i < 1000; ++i) {
+      // Appends of 1-3 pages and, every seventh write, a one-page
+      // overwrite near the front: records differ in range and size, and
+      // the capacity grows.
+      const bool overwrite = i % 7 == 3;
+      const uint64_t pages = overwrite ? 1 : 1 + i % 3;
+      const uint64_t offset =
+          overwrite ? (i % 5) * kPage : blob::VersionManager::kAppendOffset;
+      blob::WriteTicket t =
+          co_await v.assign_write(1, desc.id, offset, pages * kPage);
+      recs->push_back({t.version, {t.offset / kPage, pages}, t.size_after,
+                       t.cap_pages});
+      if (t.version == 1 || t.version == 2 || t.version == 9 ||
+          t.version == 500) {
+        keep->push_back(std::move(t));
+      }
+    }
+  };
+  sim.spawn(proc(vm, &records, &held));
+  sim.run();
+  // Seven doublings, the last one after v500 was handed out.
+  EXPECT_EQ(vm.history_records_copied(), 8u + 16 + 32 + 64 + 128 + 256 + 512);
+  ASSERT_EQ(records.size(), 1000u);
+  ASSERT_EQ(held.size(), 4u);
+  for (const blob::WriteTicket& t : held) {
+    const std::span<const blob::WriteRecord> history = t.history();
+    ASSERT_EQ(history.size(), t.version - 1) << "v" << t.version;
+    for (size_t i = 0; i < history.size(); ++i) {
+      const blob::WriteRecord& want = records[i];
+      EXPECT_EQ(history[i].version, want.version) << "v" << t.version;
+      EXPECT_EQ(history[i].range.first, want.range.first) << "v" << t.version;
+      EXPECT_EQ(history[i].range.count, want.range.count) << "v" << t.version;
+      EXPECT_EQ(history[i].size_after, want.size_after) << "v" << t.version;
+      EXPECT_EQ(history[i].cap_after, want.cap_after) << "v" << t.version;
+    }
+  }
+}
+
+// Handing out a ticket costs amortized O(1) record copies: the log is
+// copied only when it doubles. Copying the whole history into every ticket
+// would copy 0 + 1 + ... + 4,095 = 8,386,560 records here.
+TEST(VersionManager, AssignmentCopiesAmortizedConstantRecords) {
+  sim::Simulator sim;
+  net::Network net(sim, tiny_net());
+  blob::VersionManager vm(sim, net, {0});
+  constexpr uint64_t kAppends = 4096;
+  uint64_t assigned = 0;
+  auto proc = [](blob::VersionManager& v, uint64_t n,
+                 uint64_t* out) -> sim::Task<void> {
+    auto desc = co_await v.create_blob(1, 100, 1);
+    for (uint64_t i = 0; i < n; ++i) {
+      auto t = co_await v.assign_write(
+          1, desc.id, blob::VersionManager::kAppendOffset, 100);
+      *out = t.version;
+    }
+  };
+  sim.spawn(proc(vm, kAppends, &assigned));
+  sim.run();
+  EXPECT_EQ(assigned, kAppends);
+  EXPECT_LE(vm.history_records_copied(), 2 * kAppends);
 }
 
 TEST(VersionManager, PublicationRequiresCommitPrefix) {

@@ -89,7 +89,7 @@ TEST(VmShard, SiblingPathsCoverEveryShard) {
 // semantics survived the sharding exactly.
 
 struct ChainSet {
-  std::vector<std::vector<blob::WriteRecord>> chains;
+  std::vector<blob::WriteHistory> chains;
   std::vector<blob::Version> published;
   std::map<net::NodeId, uint64_t> per_shard;
 };
