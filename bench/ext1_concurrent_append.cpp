@@ -8,7 +8,14 @@
 //   (c) HDFS: unsupported (append returns failure) — reported as such.
 // The claim to validate: (a) scales like (b) — sharing one file costs
 // almost nothing because only version assignment is centralized.
+//
+// The claim is a gate: the bench exits nonzero unless HDFS refuses the
+// append and shared/distinct per-client throughput is at least
+// kMinSharedOverDistinct at every client count. It reports
+// gate/clients=N/shared_over_distinct in --json.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/harness.h"
 #include "sim/parallel.h"
@@ -19,6 +26,43 @@ using namespace bs::bench;
 namespace {
 
 constexpr uint64_t kBytesPerClient = 1 * kGiB;
+// "Costs almost nothing": the shared file keeps at least this share of
+// the distinct-files throughput.
+constexpr double kMinSharedOverDistinct = 0.9;
+
+// One point of the sweep: shared/distinct per-client throughput.
+struct SharePoint {
+  uint32_t clients;
+  double ratio;
+};
+
+// The §V claim: HDFS refuses the append, and appending to one shared file
+// keeps kMinSharedOverDistinct of the distinct-files throughput at every
+// client count. Returns the bench's exit code (1 if the claim broke).
+int gate(BenchReport& report, bool hdfs_refused,
+         const std::vector<SharePoint>& sweep) {
+  int failures = 0;
+  report.say("\n");
+  if (!hdfs_refused) {
+    std::fprintf(stderr, "GATE FAIL: HDFS accepted an append\n");
+    ++failures;
+  }
+  for (const SharePoint& p : sweep) {
+    report.metric("gate/clients=" + std::to_string(p.clients) +
+                      "/shared_over_distinct",
+                  p.ratio);
+    report.say("%u clients: shared/distinct per-client throughput %.2fx "
+               "(gate: at least %.2f)\n",
+               p.clients, p.ratio, kMinSharedOverDistinct);
+    if (p.ratio >= kMinSharedOverDistinct) continue;
+    std::fprintf(stderr,
+                 "GATE FAIL: %u clients appending to one file get %.2fx the "
+                 "per-client throughput of distinct files\n",
+                 p.clients, p.ratio);
+    ++failures;
+  }
+  return failures == 0 ? 0 : 1;
+}
 
 }  // namespace
 
@@ -29,9 +73,9 @@ int main(int argc, char** argv) {
   report.say("throughput as N clients writing N distinct files\n\n");
 
   // HDFS check: append is unsupported (paper §II.C).
+  bool refused = false;
   {
     HdfsWorld hdfs_world;
-    bool refused = false;
     auto probe = [](HdfsWorld* world, bool* out) -> sim::Task<void> {
       co_await put_file(*world->fs, 0, "/shared", kMiB, 1);
       auto client = world->fs->make_client(1);
@@ -46,7 +90,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "shared-file append MB/s per client",
                "distinct-files write MB/s per client", "shared/distinct"});
-  uint32_t round = 0;
+  std::vector<SharePoint> sweep;
   for (uint32_t n : client_sweep()) {
     // (a) shared file.
     BsfsWorld shared_world;
@@ -100,9 +144,8 @@ int main(int argc, char** argv) {
     report.metric(k + "/distinct_write_mbps_per_client",
                   distinct_res.per_client_mbps.mean());
     report.metric(k + "/shared_over_distinct", ratio);
-    ++round;
+    sweep.push_back({n, ratio});
   }
-  (void)round;
   report.table(table);
-  return 0;
+  return gate(report, refused, sweep);
 }
