@@ -122,6 +122,45 @@ void BM_FlowSolverLevels(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSolverLevels)->Arg(64)->Arg(250);
 
+// Standing load: node i keeps long transfers open to i+1..i+S (270 * S
+// classes of equal load, so each fill takes few rounds) while 256 short
+// transfers arrive one per instant. Every arrival and departure re-solves
+// all the standing classes, so the time tracks the solver's per-class cost
+// rather than its round count. The run stops before any long one ends.
+void BM_FlowSolverStanding(benchmark::State& state) {
+  const auto fanout = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::ClusterConfig cfg;
+    cfg.num_nodes = 270;
+    cfg.nodes_per_rack = 30;
+    cfg.rack_uplink_bps = 4.0e9;
+    net::Network net(sim, cfg);
+    auto proc = [](sim::Simulator& s, net::Network& n, net::NodeId src,
+                   net::NodeId dst, double bytes,
+                   double start) -> sim::Task<void> {
+      co_await s.delay(start);
+      co_await n.transfer(src, dst, bytes);
+    };
+    for (net::NodeId i = 0; i < cfg.num_nodes; ++i) {
+      for (uint32_t k = 1; k <= fanout; ++k) {
+        sim.spawn(proc(sim, net, i, (i + k) % cfg.num_nodes, 1e9, 0));
+      }
+    }
+    Rng rng(3);
+    for (int j = 0; j < 256; ++j) {
+      const auto src = static_cast<net::NodeId>(rng.below(cfg.num_nodes));
+      auto dst = static_cast<net::NodeId>(rng.below(cfg.num_nodes - 1));
+      if (dst >= src) ++dst;
+      sim.spawn(proc(sim, net, src, dst, 1e5, 0.001 * (j + 1)));
+    }
+    sim.run_until(0.5);
+    benchmark::DoNotOptimize(net.solver_stats().class_solves);
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_FlowSolverStanding)->Arg(1)->Arg(4)->Arg(8);
+
 // Steady-state call_at: one self-rescheduling callback, so the pooled slot
 // is recycled every tick — the loop should not allocate after warm-up.
 void BM_CallAt(benchmark::State& state) {

@@ -20,6 +20,9 @@ namespace {
 // arithmetic accumulates tiny float error that this absorbs.
 constexpr double kRemainingEps = 0.5;
 
+// A position's bit within its 64-bit bitmap word.
+uint64_t bit(uint32_t pos) { return uint64_t{1} << (pos % 64); }
+
 std::string xfer_args(NodeId src, NodeId dst, double bytes) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"src\":%u,\"dst\":%u,\"bytes\":%.0f", src,
@@ -71,6 +74,13 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
                                             cfg_.disk_write_bps,
                                             cfg_.disk_seek_s));
   }
+  const size_t links = link_capacity_.size();
+  link_classes_.resize(links);
+  link_load_.assign(links, 0);
+  link_slot_.assign(links, 0);
+  scratch_remaining_.assign(links, 0);
+  scratch_count_.assign(links, 0);
+  link_marked_.assign(links, 0);
   rx_bytes_.assign(n, 0);
   tx_bytes_.assign(n, 0);
   up_.assign(n, 1);
@@ -215,50 +225,60 @@ sim::Task<bool> Network::try_control(NodeId src, NodeId dst) {
 }
 
 uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
-  const auto key = std::make_tuple(src, dst, cap);
-  auto it = class_index_.find(key);
-  if (it != class_index_.end()) {
-    ++classes_[it->second].n;
-    return it->second;
+  const auto [it, created] = class_index_.try_emplace(
+      std::make_tuple(src, dst, cap), static_cast<uint32_t>(classes_.size()));
+  if (created) {
+    // Appending keeps positions in creation order and every link's list
+    // of positions ascending.
+    PathClass& c = classes_.emplace_back();
+    c.src = src;
+    c.dst = dst;
+    c.cap = cap;
+    c.path[c.path_len++] = link_node_up(src);
+    if (!cfg_.same_rack(src, dst)) {
+      c.path[c.path_len++] = link_rack_up(cfg_.rack_of(src));
+      c.path[c.path_len++] = link_rack_down(cfg_.rack_of(dst));
+    }
+    c.path[c.path_len++] = link_node_down(dst);
+    for (uint32_t k = 0; k < c.path_len; ++k) {
+      link_classes_[c.path[k]].push_back(it->second);
+    }
+    if (it->second % 64 == 0) live_.push_back(0);
+    live_.back() |= bit(it->second);
+    if (cap > 0) ++live_caps_[cap];
+    ++sstats_.path_classes_created;
   }
-  uint32_t ci;
-  if (!free_classes_.empty()) {
-    ci = free_classes_.back();
-    free_classes_.pop_back();
-  } else {
-    ci = static_cast<uint32_t>(classes_.size());
-    classes_.emplace_back();
+  PathClass& c = classes_[it->second];
+  ++c.n;
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (link_load_[l]++ > 0) continue;
+    link_slot_[l] = static_cast<uint32_t>(loaded_links_.size());
+    loaded_links_.push_back(l);
   }
-  PathClass& c = classes_[ci];
-  c.cid = next_class_id_++;
-  c.src = src;
-  c.dst = dst;
-  c.cap = cap;
-  c.n = 1;
-  c.rate = 0;
-  c.path_len = 0;
-  c.path[c.path_len++] = link_node_up(src);
-  if (!cfg_.same_rack(src, dst)) {
-    c.path[c.path_len++] = link_rack_up(cfg_.rack_of(src));
-    c.path[c.path_len++] = link_rack_down(cfg_.rack_of(dst));
-  }
-  c.path[c.path_len++] = link_node_down(dst);
-  // New classes get the largest cid so far, so appending keeps the active
-  // list sorted by creation id (the solver's deterministic order).
-  active_classes_.push_back(ci);
-  class_index_.emplace(key, ci);
-  ++sstats_.path_classes_created;
-  return ci;
+  return it->second;
 }
 
 void Network::release_member(uint32_t cls) {
   PathClass& c = classes_[cls];
   BS_DCHECK(c.n > 0);
-  if (--c.n == 0) {
-    class_index_.erase(std::make_tuple(c.src, c.dst, c.cap));
-    // The dead slot stays in active_classes_ until the next solve's
-    // compaction sweep recycles it.
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (--link_load_[l] > 0) continue;
+    const uint32_t last = loaded_links_.back();
+    loaded_links_[link_slot_[l]] = last;
+    link_slot_[last] = link_slot_[l];
+    loaded_links_.pop_back();
   }
+  if (--c.n > 0) return;
+  // The class stays as a hole until the compaction that drops it.
+  live_[cls / 64] &= ~bit(cls);
+  class_index_.erase(std::make_tuple(c.src, c.dst, c.cap));
+  if (c.cap > 0) {
+    const auto it = live_caps_.find(c.cap);
+    if (--it->second == 0) live_caps_.erase(it);
+  }
+  ++holes_;
 }
 
 void Network::add_flow(NodeId src, NodeId dst, double bytes, double cap,
@@ -269,17 +289,9 @@ void Network::add_flow(NodeId src, NodeId dst, double bytes, double cap,
     eff_cap = eff_cap > 0 ? std::min(eff_cap, cfg_.per_stream_cap_bps)
                           : cfg_.per_stream_cap_bps;
   }
-  Flow f;
-  f.id = next_flow_id_++;
-  f.cls = class_for(src, dst, eff_cap);
-  f.remaining = bytes;
-  f.done = done;
-  f.src = src;
-  f.dst = dst;
-  auto [it, inserted] = flows_.emplace(f.id, f);
-  BS_CHECK(inserted);
-  // Ids are monotonically increasing, so push_back keeps the order sorted.
-  flow_order_.push_back(&it->second);
+  flows_.push_back(Flow{.cls = class_for(src, dst, eff_cap),
+                        .remaining = bytes,
+                        .done = done});
   ++flows_started_;
   mark_rates_dirty();
 }
@@ -288,38 +300,47 @@ bool Network::advance() {
   const double now = sim_.now();
   const double dt = now - last_advance_;
   last_advance_ = now;
-  if (flows_.empty()) return false;
   // Zero elapsed time moves no bytes: skip the O(flows) sweep.
-  if (dt <= 0) return false;
+  if (flows_.empty() || dt <= 0) return false;
   bool any_finished = false;
-  for (Flow* f : flow_order_) {
-    f->remaining -= f->rate * dt;
-    if (f->remaining <= kRemainingEps) any_finished = true;
+  for (Flow& f : flows_) {
+    f.remaining -= f.rate * dt;
+    if (f.remaining <= kRemainingEps) any_finished = true;
   }
   if (!any_finished) return false;
-  auto it = std::remove_if(flow_order_.begin(), flow_order_.end(),
-                           [this](Flow* f) {
-                             if (f->remaining > kRemainingEps) return false;
-                             f->done->set();
-                             release_member(f->cls);
-                             flows_.erase(f->id);
-                             return true;
-                           });
-  flow_order_.erase(it, flow_order_.end());
+  std::erase_if(flows_, [this](const Flow& f) {
+    if (f.remaining > kRemainingEps) return false;
+    f.done->set();
+    release_member(f.cls);
+    return true;
+  });
   return true;
 }
 
-void Network::compact_dead_classes() {
-  size_t w = 0;
-  for (size_t r = 0; r < active_classes_.size(); ++r) {
-    const uint32_t ci = active_classes_[r];
-    if (classes_[ci].n == 0) {
-      free_classes_.push_back(ci);
-      continue;
-    }
-    active_classes_[w++] = ci;
+void Network::compact_classes() {
+  // Live classes keep their relative (creation) order, so every list of
+  // positions stays ascending.
+  constexpr uint32_t kHole = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> moved(classes_.size(), kHole);
+  uint32_t live = 0;
+  for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
+    if (classes_[pos].n == 0) continue;
+    moved[pos] = live;
+    classes_[live++] = classes_[pos];
   }
-  active_classes_.resize(w);
+  classes_.resize(live);
+  holes_ = 0;
+  live_.assign((live + 63) / 64, ~uint64_t{0});
+  if (live % 64 != 0) live_.back() = bit(live) - 1;
+  for (Flow& f : flows_) f.cls = moved[f.cls];
+  for (auto& [key, pos] : class_index_) pos = moved[pos];
+  for (std::vector<uint32_t>& on : link_classes_) {
+    size_t kept = 0;
+    for (uint32_t pos : on) {
+      if (moved[pos] != kHole) on[kept++] = moved[pos];
+    }
+    on.resize(kept);
+  }
 }
 
 bool Network::bottlenecked(const PathClass& c, double limit) const {
@@ -330,7 +351,9 @@ bool Network::bottlenecked(const PathClass& c, double limit) const {
   return false;
 }
 
-void Network::freeze(PathClass& c, double rate) {
+void Network::freeze(uint32_t pos, double rate) {
+  unfrozen_[pos / 64] &= ~bit(pos);
+  PathClass& c = classes_[pos];
   c.rate = rate;
   const double used = rate * c.n;
   for (uint32_t k = 0; k < c.path_len; ++k) {
@@ -340,74 +363,38 @@ void Network::freeze(PathClass& c, double rate) {
   }
 }
 
-void Network::index_unfrozen_by_link() {
-  // link_end_ holds each live link's unfrozen-class count from the first
-  // bottleneck round; turn the counts into offsets, then fill.
-  uint32_t offset = 0;
-  for (uint32_t l : scratch_links_) {
-    link_begin_[l] = offset;
-    offset += link_end_[l];
-    link_end_[l] = link_begin_[l];
-  }
-  link_classes_.resize(offset);
-  for (uint32_t pos : unfrozen_) {
-    const PathClass& c = classes_[active_classes_[pos]];
-    for (uint32_t k = 0; k < c.path_len; ++k) {
-      link_classes_[link_end_[c.path[k]]++] = pos;
-    }
-  }
-  candidates_.assign((active_classes_.size() + 63) / 64, 0);
-}
-
 void Network::mark_link(uint32_t l, uint32_t from) {
   link_marked_[l] = sstats_.fill_rounds;
-  uint32_t i = link_begin_[l];
-  const uint32_t end = link_end_[l];
-  while (i < end && link_classes_[i] < from) ++i;
+  const std::vector<uint32_t>& on = link_classes_[l];
+  auto it = std::lower_bound(on.begin(), on.end(), from);
   // Positions ascend, so each bitmap word is written once per run.
-  while (i < end) {
-    const uint32_t w = link_classes_[i] / 64;
+  while (it != on.end()) {
+    const uint32_t w = *it / 64;
     uint64_t bits = 0;
-    for (; i < end && link_classes_[i] / 64 == w; ++i) {
-      bits |= uint64_t{1} << (link_classes_[i] % 64);
-    }
-    candidates_[w] |= bits;
+    for (; it != on.end() && *it / 64 == w; ++it) bits |= bit(*it);
+    candidates_[w] |= bits & unfrozen_[w];
   }
 }
 
 void Network::solve_classes() {
   ++sstats_.class_solves;
   m_solves_->inc();
-  compact_dead_classes();
+  if (holes_ > 0 && 2 * holes_ >= classes_.size()) compact_classes();
   if (flows_.empty()) return;
-  const size_t links = link_capacity_.size();
-  if (scratch_remaining_.size() != links) {
-    scratch_remaining_.resize(links);
-    scratch_count_.resize(links);
-    link_begin_.resize(links);
-    link_end_.resize(links);
-    link_marked_.resize(links);
+  unfrozen_ = live_;
+  candidates_.resize(live_.size());
+  // Seed the loaded links from their standing member-flow counts (flows,
+  // not classes, so the fair-share arithmetic matches the per-flow
+  // solver's).
+  scratch_links_ = loaded_links_;
+  for (uint32_t l : scratch_links_) {
+    scratch_remaining_[l] = link_capacity_[l];
+    scratch_count_[l] = link_load_[l];
   }
-  // Seed link loads: scratch_count_ carries member flows, not classes, so
-  // the fair-share arithmetic matches the per-flow solver's semantics.
-  scratch_links_.clear();
-  double cap_floor = std::numeric_limits<double>::infinity();
-  for (uint32_t ci : active_classes_) {
-    PathClass& c = classes_[ci];
-    c.rate = -1;  // -1 = unfrozen
-    if (c.cap > 0) cap_floor = std::min(cap_floor, c.cap);
-    for (uint32_t k = 0; k < c.path_len; ++k) {
-      const uint32_t l = c.path[k];
-      if (scratch_count_[l] == 0) {
-        scratch_remaining_[l] = link_capacity_[l];
-        link_end_[l] = 0;
-        scratch_links_.push_back(l);
-      }
-      scratch_count_[l] += c.n;
-    }
-  }
-  size_t unfrozen = active_classes_.size();
-  bool indexed = false;
+  double cap_floor = live_caps_.empty()
+                         ? std::numeric_limits<double>::infinity()
+                         : live_caps_.begin()->first;
+  size_t unfrozen = classes_.size() - holes_;
   while (unfrozen > 0) {
     ++sstats_.fill_rounds;
     // One scan of the live links finds the round's share and keeps every
@@ -431,16 +418,16 @@ void Network::solve_classes() {
       near_links_.push_back(l);
     }
     scratch_links_.resize(live);
-    // Caps binding at or below the share freeze first, in cid order.
+    // Caps binding at or below the share freeze first, in creation order.
     // cap_floor is at most every unfrozen cap, so below it none binds.
     if (best_share >= cap_floor) {
       bool froze_capped = false;
       cap_floor = std::numeric_limits<double>::infinity();
-      for (uint32_t ci : active_classes_) {
-        PathClass& c = classes_[ci];
-        if (c.rate >= 0 || c.cap <= 0) continue;
+      for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
+        const PathClass& c = classes_[pos];
+        if (c.cap <= 0 || !(unfrozen_[pos / 64] & bit(pos))) continue;
         if (c.cap <= best_share) {
-          freeze(c, c.cap);
+          freeze(pos, c.cap);
           --unfrozen;
           froze_capped = true;
         } else {
@@ -451,62 +438,41 @@ void Network::solve_classes() {
     }
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
-    if (!indexed) {
-      // First bottleneck round: test every class, counting the links of
-      // those left unfrozen for the index. Most solves end here.
-      unfrozen_.clear();
-      for (uint32_t pos = 0; pos < active_classes_.size(); ++pos) {
-        PathClass& c = classes_[active_classes_[pos]];
-        if (c.rate >= 0) continue;
-        ++sstats_.class_tests;
-        if (bottlenecked(c, limit)) {
-          freeze(c, share);
-          --unfrozen;
-          continue;
-        }
-        unfrozen_.push_back(pos);
-        for (uint32_t k = 0; k < c.path_len; ++k) ++link_end_[c.path[k]];
-      }
-      if (unfrozen > 0) {
-        index_unfrozen_by_link();
-        indexed = true;
-      }
-      continue;
-    }
-    // Later rounds test only classes on a link that passes now, and walk
-    // them in cid order. Freezing never makes a link pass in exact
+    // Test only classes on a link that passes now, walking them in
+    // creation order. Freezing never makes a link pass in exact
     // arithmetic; rounding can, so a freeze re-checks its links and marks
     // their later classes.
     for (uint32_t l : near_links_) {
       if (scratch_remaining_[l] <= limit * scratch_count_[l]) mark_link(l, 0);
     }
+    const size_t unfrozen_before = unfrozen;
     for (size_t w = 0; w < candidates_.size(); ++w) {
       while (const uint64_t bits = candidates_[w]) {
         candidates_[w] = bits & (bits - 1);
         const auto pos = static_cast<uint32_t>(
             w * 64 + static_cast<size_t>(std::countr_zero(bits)));
-        PathClass& c = classes_[active_classes_[pos]];
-        if (c.rate >= 0) continue;  // frozen in an earlier round
+        const PathClass& c = classes_[pos];
         ++sstats_.class_tests;
         if (!bottlenecked(c, limit)) continue;
-        // freeze(c, share), re-checking each link as it is updated.
-        c.rate = share;
-        const double used = share * c.n;
+        freeze(pos, share);
+        --unfrozen;
         for (uint32_t k = 0; k < c.path_len; ++k) {
           const uint32_t l = c.path[k];
-          const double left = scratch_remaining_[l] -= used;
-          const uint32_t cnt = scratch_count_[l] -= c.n;
-          if (cnt != 0 && left <= limit * cnt &&
+          const uint32_t cnt = scratch_count_[l];
+          if (cnt != 0 && scratch_remaining_[l] <= limit * cnt &&
               link_marked_[l] != sstats_.fill_rounds) {
             mark_link(l, pos + 1);
           }
         }
-        --unfrozen;
       }
     }
+    // The link with the minimum share passes its own test, so a round
+    // that freezes nothing means the per-link state is corrupt: stop
+    // rather than spin.
+    BS_CHECK_MSG(unfrozen < unfrozen_before,
+                 "a bottleneck round froze no path class");
   }
-  // Every class froze, so every link's count is back to zero.
-  for (Flow* f : flow_order_) f->rate = classes_[f->cls].rate;
+  for (Flow& f : flows_) f.rate = classes_[f.cls].rate;
 }
 
 void Network::mark_rates_dirty() {
@@ -532,8 +498,8 @@ void Network::retime() {
     return;
   }
   double next = std::numeric_limits<double>::infinity();
-  for (const Flow* f : flow_order_) {
-    if (f->rate > 0) next = std::min(next, f->remaining / f->rate);
+  for (const Flow& f : flows_) {
+    if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
   }
   BS_CHECK_MSG(next < std::numeric_limits<double>::infinity(),
                "active flows but no positive rates");
@@ -571,11 +537,7 @@ void Network::on_timer(uint64_t generation) {
 
 SolverStats Network::solver_stats() const {
   SolverStats s = sstats_;
-  size_t active = 0;
-  for (uint32_t ci : active_classes_) {
-    if (classes_[ci].n > 0) ++active;
-  }
-  s.active_path_classes = active;
+  s.active_path_classes = classes_.size() - holes_;
   return s;
 }
 
@@ -583,18 +545,18 @@ double Network::solver_oracle_max_rel_diff() const {
   if (flows_.empty() || rates_dirty_) return 0;
   std::vector<std::vector<uint32_t>> paths;
   std::vector<double> caps;
-  paths.reserve(flow_order_.size());
-  caps.reserve(flow_order_.size());
-  for (const Flow* f : flow_order_) {
-    const PathClass& c = classes_[f->cls];
+  paths.reserve(flows_.size());
+  caps.reserve(flows_.size());
+  for (const Flow& f : flows_) {
+    const PathClass& c = classes_[f.cls];
     paths.emplace_back(c.path, c.path + c.path_len);
     caps.push_back(c.cap);
   }
   const std::vector<double> want = reference_max_min(paths, caps, link_capacity_);
   double max_rel = 0;
-  for (size_t i = 0; i < flow_order_.size(); ++i) {
+  for (size_t i = 0; i < flows_.size(); ++i) {
     const double denom = std::max(std::abs(want[i]), 1.0);
-    max_rel = std::max(max_rel, std::abs(want[i] - flow_order_[i]->rate) / denom);
+    max_rel = std::max(max_rel, std::abs(want[i] - flows_[i].rate) / denom);
   }
   return max_rel;
 }

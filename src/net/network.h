@@ -18,16 +18,20 @@
 //    count, not over individual flows.
 //  - Bottleneck-driven filling (Bertsekas & Gallager, Data Networks §6.5):
 //    each round scans the live links for the minimum fair share, but tests
-//    only classes on a link that passes the bottleneck test. The first
-//    bottleneck round tests every class; a fill that outlives it indexes
-//    the unfrozen classes by link once, and later rounds walk a bitmap of
-//    candidates in creation order, marking a link's later classes when a
-//    freeze makes it pass. The capped-class sweep is skipped while the
-//    share stays below the lowest unfrozen cap. A solve costs
-//    O(classes + rounds·links) plus one test per candidate, where a sweep
-//    of every class per round cost O(rounds·classes). Every round's share,
-//    the freeze order, each link's sequence of subtractions and the
-//    operands of every test are those of that sweep, so every rate is
+//    only classes on a link that passes the bottleneck test. The solver's
+//    state outlives a solve: classes sit in creation order, and each link
+//    keeps the ascending positions of the classes that cross it and its
+//    member-flow count, updated as flows arrive and depart. Every round
+//    marks the unfrozen classes of its passing links in a bitmap and walks
+//    the marks in creation order; a freeze that makes one of its links pass
+//    marks that link's later classes. The capped-class sweep is skipped
+//    while the share stays below the lowest live cap. A dead class stays
+//    as a hole until holes fill half the table; one compaction then
+//    renumbers every stored position. A solve costs
+//    O(live links + rounds·links + tests), and each class is tested about
+//    once: when a bottleneck freezes it. Every round's share, the freeze
+//    order, each link's sequence of subtractions and the operands of every
+//    test are those of a sweep of every class per round, so every rate is
 //    bit-identical to it.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
@@ -53,7 +57,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/container.h"
 #include "common/stats.h"
 #include "net/cluster.h"
 #include "net/liveness.h"
@@ -138,7 +141,10 @@ struct SolverStats {
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
   uint64_t fill_rounds = 0;     // progressive-filling rounds, all solves
-  uint64_t class_tests = 0;     // bottleneck tests run on unfrozen classes
+  // Bottleneck tests run on unfrozen classes: about one per class frozen by
+  // a bottleneck (a class on a passing link is tested when the round's walk
+  // reaches it; capped freezes run no test).
+  uint64_t class_tests = 0;
 };
 
 class Network {
@@ -239,25 +245,22 @@ class Network {
 
   // All flows between one (src, dst) pair under one cap share this: one
   // link path, one max-min rate. `n` members are solved as one weighted
-  // entity. Slots are recycled; `cid` (monotonic creation id) keeps the
-  // solver's iteration order deterministic.
+  // entity. A class's position in classes_ is its creation rank, which
+  // keeps the solver's iteration order deterministic.
   struct PathClass {
-    uint64_t cid = 0;
     uint32_t path[4] = {0, 0, 0, 0};
     uint32_t path_len = 0;
-    uint32_t n = 0;        // member flow count (0 = dead slot)
+    uint32_t n = 0;        // member flow count (0 = dead: a hole)
     double cap = 0;        // per-flow cap (0 = none); part of the key
     double rate = 0;       // per-flow rate from the last solve
     NodeId src = 0, dst = 0;
   };
 
   struct Flow {
-    uint64_t id;
-    uint32_t cls;       // index into classes_
+    uint32_t cls;       // position in classes_
     double remaining;   // bytes
     double rate = 0;    // current fair rate, bytes/sec
     sim::Event* done;
-    NodeId src, dst;
   };
 
   // Link layout: [0, N): node up; [N, 2N): node down;
@@ -276,19 +279,17 @@ class Network {
   // Advances all flows to `now`, completing any that finished. Returns
   // whether any flow completed (and was removed).
   bool advance();
-  // Recycles class slots whose membership dropped to zero.
-  void compact_dead_classes();
+  // Drops the holes, renumbering every stored class position.
+  void compact_classes();
   // Rate re-solve: progressive filling over path classes weighted by
   // member count, rates written back to flows.
   void solve_classes();
   // Solver helpers over the scratch link state. `bottlenecked` is the
   // round's test: some link of `c` has at most `limit` left per member.
   bool bottlenecked(const PathClass& c, double limit) const;
-  void freeze(PathClass& c, double rate);
-  // Indexes the classes in unfrozen_ by link.
-  void index_unfrozen_by_link();
-  // Marks link `l`'s indexed classes at positions >= `from` as candidates
-  // and stamps it with the current round.
+  void freeze(uint32_t pos, double rate);
+  // Marks link `l`'s unfrozen classes at positions >= `from` as
+  // candidates and stamps it with the current round.
   void mark_link(uint32_t l, uint32_t from);
   // Marks rates stale and defers solve+retime to the simulator's
   // instant-end flush (one solve per instant, however many
@@ -304,42 +305,44 @@ class Network {
   sim::Simulator& sim_;
   ClusterConfig cfg_;
   std::vector<double> link_capacity_;
-  bs::unordered_map<uint64_t, Flow> flows_;
-  // Path classes: slot storage + free list; active slots listed in cid
-  // order (dead slots are compacted out during the next solve); ordered
-  // key index for arrival lookup.
+  // Active flows in start order (completions fire in this order).
+  std::vector<Flow> flows_;
+  // Path classes in creation order; a dead class stays as a hole until
+  // holes fill half the table. Ordered key index for arrival lookup.
   std::vector<PathClass> classes_;
-  std::vector<uint32_t> free_classes_;
-  std::vector<uint32_t> active_classes_;
+  size_t holes_ = 0;
   std::map<std::tuple<NodeId, NodeId, double>, uint32_t> class_index_;
+  // Kept across solves, per link: the ascending positions of the classes
+  // that cross it (holes included), and its member-flow count. The loaded
+  // links (count > 0) are listed in no particular order; link_slot_ holds
+  // each one's index in that list.
+  std::vector<std::vector<uint32_t>> link_classes_;
+  std::vector<uint32_t> link_load_;
+  std::vector<uint32_t> loaded_links_;
+  std::vector<uint32_t> link_slot_;
+  // Live capped classes per cap value; the first key is the lowest cap.
+  std::map<double, uint32_t> live_caps_;
   // Scratch for the solver (sized to the link count, reused).
   std::vector<double> scratch_remaining_;
   std::vector<uint32_t> scratch_count_;
   // Links still carrying unfrozen classes; drained ones drop out as the
   // rounds' share scans pass them.
   std::vector<uint32_t> scratch_links_;
-  // Link → unfrozen classes as active positions, ascending: one flat CSR
-  // array, [link_begin_[l], link_end_[l]) per link. Built at most once per
-  // solve; entries frozen since are skipped by the walk.
-  std::vector<uint32_t> link_begin_;
-  std::vector<uint32_t> link_end_;
-  std::vector<uint32_t> link_classes_;
   // Round that last marked each link, as a value of sstats_.fill_rounds
   // (which never resets, so stamps need no clearing).
   std::vector<uint64_t> link_marked_;
-  // Candidate classes of the current round: one bit per active position.
-  // Every bit is cleared as the round walks it.
+  // Bitmaps with one bit per position. live_ marks the live classes and
+  // is kept across solves; each solve starts unfrozen_ as a copy and clears
+  // a class's bit when it freezes, so holes and frozen classes are never
+  // candidates. candidates_ holds the current round's marks; every bit is
+  // cleared as the round walks it.
+  std::vector<uint64_t> live_;
+  std::vector<uint64_t> unfrozen_;
   std::vector<uint64_t> candidates_;
-  // The round's links near its minimum share, and the active positions
-  // left unfrozen by the first bottleneck round.
+  // The round's links near its minimum share.
   std::vector<uint32_t> near_links_;
-  std::vector<uint32_t> unfrozen_;
-  // Active flows sorted by id (deterministic, maintained incrementally).
-  std::vector<Flow*> flow_order_;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
-  uint64_t next_flow_id_ = 1;
-  uint64_t next_class_id_ = 1;
   uint64_t timer_generation_ = 0;
   bool timer_pending_ = false;
   double timer_deadline_ = 0;
