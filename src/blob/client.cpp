@@ -5,10 +5,19 @@
 #include "common/assert.h"
 #include "common/container.h"
 #include "net/replica_order.h"
-#include "common/log.h"
 #include "sim/parallel.h"
 
 namespace bs::blob {
+
+namespace {
+// Max in-flight page transfers per operation (per-client striping width).
+constexpr uint32_t kPageParallelism = 8;
+// Max in-flight DHT puts while storing a version's tree nodes.
+constexpr uint32_t kMetaParallelism = 16;
+// How many times a writer re-requests replacement providers for a page
+// whose replica stores failed (provider crashed mid-write).
+constexpr uint32_t kWriteRetryLimit = 2;
+}  // namespace
 
 BlobClient::BlobClient(net::NodeId node, sim::Simulator& sim,
                        net::Network& net, VersionManager& vm,
@@ -61,7 +70,7 @@ sim::Task<Version> BlobClient::write(BlobId blob, uint64_t offset,
                                            desc.replication, &placement[p]));
     }
     co_await sim::when_all_limited(sim_, std::move(stores),
-                                   cfg_.page_parallelism);
+                                   kPageParallelism);
   }
 
   // 4. Build and store this version's metadata tree nodes.
@@ -82,10 +91,9 @@ sim::Task<Version> BlobClient::write(BlobId blob, uint64_t offset,
     for (const MetaNode& n : nodes) {
       puts.push_back(
           dht_.put(node_, meta_key(blob, n.range, n.version), n.serialize()));
-      ++meta_nodes_written_;
     }
     co_await sim::when_all_limited(sim_, std::move(puts),
-                                   cfg_.meta_parallelism);
+                                   kMetaParallelism);
   }
 
   // 5. Commit; wait for in-order publication (read-your-write).
@@ -115,13 +123,12 @@ sim::Task<void> BlobClient::store_page_replicas(
     for (size_t i = 0; i < targets.size(); ++i) {
       if (acks[i]) {
         stored.push_back(targets[i]);
-        ++pages_written_;
       } else {
         failed.push_back(targets[i]);
         ++write_replica_failures_;
       }
     }
-    if (stored.size() >= replication || attempt >= cfg_.write_retry_limit) {
+    if (stored.size() >= replication || attempt >= kWriteRetryLimit) {
       break;
     }
     // Some targets died under us: ask the PM for live replacements (its
@@ -145,7 +152,6 @@ sim::Task<std::vector<MetaNode>> BlobClient::walk(BlobId blob, PageRange range,
   }
   auto raw = co_await dht_.get(node_, meta_key(blob, range, version));
   BS_CHECK_MSG(raw.has_value(), "metadata node missing for published version");
-  ++meta_nodes_read_;
   MetaNode node = MetaNode::deserialize(*raw);
   if (node.is_leaf()) {
     co_return std::vector<MetaNode>{std::move(node)};
@@ -158,14 +164,6 @@ sim::Task<std::vector<MetaNode>> BlobClient::walk(BlobId blob, PageRange range,
   out.insert(out.end(), std::make_move_iterator(results[1].begin()),
              std::make_move_iterator(results[1].end()));
   co_return out;
-}
-
-sim::Task<std::vector<MetaNode>> BlobClient::collect_leaves(
-    BlobId blob, const VersionInfo& info, uint64_t page_size,
-    PageRange target) {
-  (void)page_size;
-  co_return co_await walk(blob, PageRange{0, info.cap_pages}, info.version,
-                          target);
 }
 
 sim::Task<DataSpec> BlobClient::fetch_page(BlobId blob, uint64_t page_index,
@@ -190,11 +188,8 @@ sim::Task<DataSpec> BlobClient::fetch_page(BlobId blob, uint64_t page_index,
     Provider* provider = providers_.find(order[i]);
     if (provider == nullptr) continue;  // unknown/retired node in the leaf
     auto page = co_await provider->get_page(node_, key);
-    if (!page.has_value()) {
-      ++read_failovers_;
-      continue;  // down or lost the replica: fail over to the next one
-    }
-    ++pages_read_;
+    // Down or lost the replica: fail over to the next one.
+    if (!page.has_value()) continue;
     if (page->size() > logical_len) {
       // Stored page is longer than this version's logical extent (an old
       // full page under a version whose size ends inside it).
@@ -237,8 +232,8 @@ sim::Task<DataSpec> BlobClient::read(BlobId blob, Version version,
   const uint64_t end_page = pages_for_bytes(offset + size, ps);
   const PageRange target{first_page, end_page - first_page};
 
-  std::vector<MetaNode> leaves =
-      co_await collect_leaves(blob, info, ps, target);
+  std::vector<MetaNode> leaves = co_await walk(
+      blob, PageRange{0, info.cap_pages}, info.version, target);
   bs::unordered_map<uint64_t, const MetaNode*> leaf_by_page;
   for (const MetaNode& l : leaves) leaf_by_page[l.range.first] = &l;
 
@@ -251,7 +246,7 @@ sim::Task<DataSpec> BlobClient::read(BlobId blob, Version version,
     fetches.push_back(fetch_page(blob, p, leaf, ps, info.size));
   }
   auto pages = co_await sim::when_all_limited(sim_, std::move(fetches),
-                                              cfg_.page_parallelism);
+                                              kPageParallelism);
 
   // Trim the first and last page to the requested byte range, then stitch.
   const uint64_t lead = offset - first_page * ps;
@@ -305,8 +300,8 @@ sim::Task<std::vector<PageLocation>> BlobClient::locate(BlobId blob,
   const uint64_t end_page = pages_for_bytes(offset + size, ps);
   const PageRange target{first_page, end_page - first_page};
 
-  std::vector<MetaNode> leaves =
-      co_await collect_leaves(blob, info, ps, target);
+  std::vector<MetaNode> leaves = co_await walk(
+      blob, PageRange{0, info.cap_pages}, info.version, target);
   bs::unordered_map<uint64_t, const MetaNode*> leaf_by_page;
   for (const MetaNode& l : leaves) leaf_by_page[l.range.first] = &l;
   for (uint64_t p = first_page; p < end_page; ++p) {

@@ -37,18 +37,11 @@
 namespace bs::blob {
 
 struct ClientConfig {
-  // Max in-flight page transfers per operation (per-client striping width).
-  uint32_t page_parallelism = 8;
-  // Max in-flight DHT operations during tree build/walk.
-  uint32_t meta_parallelism = 16;
   // Liveness view consulted before contacting a provider (typically the
   // failure detector). Replicas believed dead are tried last, so reads
   // between a crash and its detection pay the RPC timeout once, and reads
   // after detection fail over for free. Null = assume everything is up.
   const net::LivenessView* liveness = nullptr;
-  // How many times a writer re-requests replacement providers for a page
-  // whose replica stores failed (provider crashed mid-write).
-  uint32_t write_retry_limit = 2;
 };
 
 // Directory of provider services, shared by clients and the cluster
@@ -100,29 +93,14 @@ class BlobClient {
   sim::Task<std::vector<PageLocation>> locate(BlobId blob, Version version,
                                               uint64_t offset, uint64_t size);
 
-  // Statistics for this client.
-  uint64_t pages_written() const { return pages_written_; }
-  uint64_t pages_read() const { return pages_read_; }
-  uint64_t meta_nodes_written() const { return meta_nodes_written_; }
-  uint64_t meta_nodes_read() const { return meta_nodes_read_; }
-  // Degraded-mode counters: reads that fell over to a backup replica, and
-  // replica stores dropped/re-placed because a provider died mid-write.
-  uint64_t read_failovers() const { return read_failovers_; }
+  // Degraded-mode counter: replica stores dropped/re-placed because a
+  // provider died mid-write.
   uint64_t write_replica_failures() const { return write_replica_failures_; }
 
  private:
-  struct LeafInfo {
-    MetaNode node;  // leaf metadata
-  };
-
   // Fetches the subtree leaves of (range@version) intersecting `target`.
   sim::Task<std::vector<MetaNode>> walk(BlobId blob, PageRange range,
                                         Version version, PageRange target);
-
-  sim::Task<std::vector<MetaNode>> collect_leaves(BlobId blob,
-                                                  const VersionInfo& info,
-                                                  uint64_t page_size,
-                                                  PageRange target);
 
   // Fetches (and caches) the blob's immutable descriptor.
   sim::Task<BlobDescriptor> descriptor(BlobId blob);
@@ -150,11 +128,6 @@ class BlobClient {
   ClientConfig cfg_;
   bs::unordered_map<BlobId, BlobDescriptor> desc_cache_;
 
-  uint64_t pages_written_ = 0;
-  uint64_t pages_read_ = 0;
-  uint64_t meta_nodes_written_ = 0;
-  uint64_t meta_nodes_read_ = 0;
-  uint64_t read_failovers_ = 0;
   uint64_t write_replica_failures_ = 0;
 };
 

@@ -23,8 +23,7 @@ BlobSeerCluster::BlobSeerCluster(sim::Simulator& sim, net::Network& net,
       sim_, net_,
       cfg_.version_manager_nodes.empty()
           ? std::vector<net::NodeId>{cfg_.version_manager_node}
-          : cfg_.version_manager_nodes,
-      cfg_.version_mgr);
+          : cfg_.version_manager_nodes);
   pm_ = std::make_unique<ProviderManager>(net_, cfg_.provider_manager_node,
                                           cfg_.provider_nodes, cfg_.manager);
 

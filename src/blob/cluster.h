@@ -30,8 +30,7 @@ struct BlobSeerConfig {
   net::NodeId provider_manager_node = 0;
 
   ProviderConfig provider;          // per-provider knobs (node is overwritten)
-  ProviderManagerConfig manager;    // placement policy etc.
-  VersionManagerConfig version_mgr; // service time
+  ProviderManagerConfig manager;    // placement policy
   dht::DhtConfig dht;
   ClientConfig client;
 };

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -87,7 +86,7 @@ void Provider::settle(const Window::Entry& page, Window::Fate fate) {
 }
 
 sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
-                                   DataSpec data, double rate_cap) {
+                                   DataSpec data) {
   const uint64_t size = data.size();
   BS_CHECK(size > 0);
   BS_CHECK_MSG(size <= cfg_.ram_bytes,
@@ -98,8 +97,7 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
   }
   const double t0 = sim_.now();
   // Page body travels client → provider.
-  co_await net_.transfer(client, cfg_.node, static_cast<double>(size),
-                         rate_cap);
+  co_await net_.transfer(client, cfg_.node, static_cast<double>(size));
   if (down_) co_return false;  // crashed mid-transfer: bytes discarded
 
   // Admission: wait until the page fits in RAM. Clean pages are evicted
@@ -190,8 +188,7 @@ sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
   co_return data;
 }
 
-sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key,
-                                       double rate_cap) {
+sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key) {
   if (down_ || dst.down_) co_return false;
   const std::string skey = key.to_string();
   auto it = pages_.find(skey);
@@ -204,8 +201,7 @@ sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key,
     cache_touch(skey, data.size());
   }
   // put_page pays the provider→provider flow (client = this node).
-  const bool ok = co_await dst.put_page(cfg_.node, key, std::move(data),
-                                        rate_cap);
+  const bool ok = co_await dst.put_page(cfg_.node, key, std::move(data));
   if (ok) m_replications_->inc();
   co_return ok;
 }

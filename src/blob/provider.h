@@ -78,10 +78,7 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // the provider is down — at request time (the caller waits out the
   // connection timeout), mid-transfer (the bytes are discarded), or if a
   // power loss destroyed the page before its durability settled.
-  // `rate_cap` caps the incoming flow's rate (used by the repair service to
-  // throttle background re-replication traffic; 0 = uncapped).
-  sim::Task<bool> put_page(net::NodeId client, PageKey key, DataSpec data,
-                           double rate_cap = 0);
+  sim::Task<bool> put_page(net::NodeId client, PageKey key, DataSpec data);
 
   // Sends the page back to `client`; nullopt if unknown or down (a down
   // provider costs the caller the connection timeout).
@@ -91,7 +88,7 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // Copies one page replica straight to another provider (repair traffic:
   // disk read here if not RAM-resident, then a provider→provider flow).
   // False if either end is down or the page is unknown here.
-  sim::Task<bool> replicate_to(Provider& dst, PageKey key, double rate_cap);
+  sim::Task<bool> replicate_to(Provider& dst, PageKey key);
 
   // --- fault injection (called by the fault layer, not clients) ---
   //
@@ -104,7 +101,6 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // data.
   void crash(bool wipe_storage = false);
   void recover();
-  bool is_down() const { return down_; }
 
   // Blocks until every buffered page is on disk, forcing batches out
   // regardless of the count-or-time trigger (used by tests/benches to

@@ -8,11 +8,20 @@
 
 namespace bs::blob {
 
+namespace {
+// Per-request service time at the provider manager.
+constexpr double kServiceTimeS = 60e-6;
+// Seed of the placement policies' tie-breaking and sampling.
+constexpr uint64_t kPlacementSeed = 0x9db5;
+// Providers kRandomK samples per pick (the d of power-of-d-choices).
+constexpr uint32_t kRandomKChoices = 3;
+}  // namespace
+
 ProviderManager::ProviderManager(net::Network& net, net::NodeId node,
                                  std::vector<net::NodeId> provider_nodes,
                                  ProviderManagerConfig cfg)
-    : net_(net), cfg_(cfg), svc_(net, node, cfg.service_time_s),
-      providers_(std::move(provider_nodes)), rng_(cfg.seed) {
+    : net_(net), cfg_(cfg), svc_(net, node, kServiceTimeS),
+      providers_(std::move(provider_nodes)), rng_(kPlacementSeed) {
   BS_CHECK_MSG(!providers_.empty(), "need at least one provider");
   for (size_t i = 0; i < providers_.size(); ++i) {
     load_[providers_[i]] = 0;
@@ -67,7 +76,7 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
       uint64_t best_load = std::numeric_limits<uint64_t>::max();
       bool found = false;
       const uint32_t k = cfg_.policy == PlacementPolicy::kRandomK
-                             ? cfg_.random_k
+                             ? kRandomKChoices
                              : 1;  // kLocalFirst replicas: plain random
       for (uint32_t attempt = 0, picked = 0;
            picked < k && attempt < 16 * (k + 1); ++attempt) {

@@ -5,7 +5,7 @@
 //   kLeastLoaded  — BlobSeer's default: pick the provider with the least
 //                   allocated bytes (ties broken pseudo-randomly).
 //   kRoundRobin   — global rotation, ignores sizes.
-//   kRandomK      — sample k providers uniformly, keep the least loaded
+//   kRandomK      — sample 3 providers uniformly, keep the least loaded
 //                   (power-of-d-choices).
 //   kLocalFirst   — HDFS-style: first replica on the writing client's node
 //                   when it hosts a provider (ablation A1 contrasts this
@@ -31,10 +31,7 @@ namespace bs::blob {
 enum class PlacementPolicy { kLeastLoaded, kRoundRobin, kRandomK, kLocalFirst };
 
 struct ProviderManagerConfig {
-  double service_time_s = 60e-6;
   PlacementPolicy policy = PlacementPolicy::kLeastLoaded;
-  uint32_t random_k = 3;
-  uint64_t seed = 0x9db5;
 };
 
 class ProviderManager {

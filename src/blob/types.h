@@ -35,9 +35,6 @@ struct PageRange {
   bool intersects(const PageRange& o) const {
     return count > 0 && o.count > 0 && first < o.end() && o.first < end();
   }
-  bool contains(const PageRange& o) const {
-    return first <= o.first && o.end() <= end();
-  }
   bool operator==(const PageRange& o) const {
     return first == o.first && count == o.count;
   }

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,6 +16,9 @@ namespace {
 // full avalanche is what actually spreads consecutive ids.
 uint64_t ring_key(BlobId blob) { return splitmix64(blob); }
 
+// Per-request service time at a version-manager shard.
+constexpr double kServiceTimeS = 80e-6;
+
 // Capacity of a blob's first write log; it doubles from there, so a blob
 // that sees few writes stays small.
 constexpr size_t kInitialLogCapacity = 8;
@@ -24,10 +26,9 @@ constexpr size_t kInitialLogCapacity = 8;
 }  // namespace
 
 VersionManager::VersionManager(sim::Simulator& sim, net::Network& net,
-                               std::vector<net::NodeId> nodes,
-                               VersionManagerConfig cfg)
+                               std::vector<net::NodeId> nodes)
     : sim_(sim), net_(net),
-      ring_(net, nodes, cfg.service_time_s, "blob/vm_requests") {
+      ring_(net, nodes, kServiceTimeS, "blob/vm_requests") {
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_requests_ = &m.counter("blob/vm_requests");

@@ -36,18 +36,13 @@
 
 namespace bs::blob {
 
-struct VersionManagerConfig {
-  double service_time_s = 80e-6;
-};
-
 class VersionManager {
  public:
   // `nodes` host the per-blob serial points (each blob is owned by one of
   // them, chosen by consistent hashing); one node is the centralized
   // single-server manager.
   VersionManager(sim::Simulator& sim, net::Network& net,
-                 std::vector<net::NodeId> nodes,
-                 VersionManagerConfig cfg = {});
+                 std::vector<net::NodeId> nodes);
 
   // --- client-facing RPCs (all model control latency + service time) ---
 

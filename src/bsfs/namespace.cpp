@@ -11,6 +11,9 @@ namespace bs::bsfs {
 
 namespace {
 
+// Per-request service time at a namespace shard.
+constexpr double kServiceTimeS = 60e-6;
+
 // The splitmix64 finalizer avalanches FNV's weakly-mixed tail bytes —
 // sibling paths ("/d/f1", "/d/f2", ...) otherwise cluster on a few arcs.
 uint64_t ring_key(const std::string& path) {
@@ -25,7 +28,7 @@ NamespaceManager::NamespaceManager(sim::Simulator& sim, net::Network& net,
       ring_(net,
             cfg.shard_nodes.empty() ? std::vector<net::NodeId>{cfg.node}
                                     : cfg.shard_nodes,
-            cfg.service_time_s, "bsfs/ns_requests") {
+            kServiceTimeS, "bsfs/ns_requests") {
   entries_["/"] = NsEntry{true, 0, 0, false};
 }
 

@@ -40,7 +40,6 @@ struct NamespaceConfig {
   // Sharded deployment: entry owners by path hash (empty = {node}, the
   // centralized manager).
   std::vector<net::NodeId> shard_nodes;
-  double service_time_s = 60e-6;
 };
 
 struct NsEntry {
@@ -74,7 +73,6 @@ class NamespaceManager {
                          const std::string& to);
 
   uint64_t total_requests() const { return ring_.total_requests(); }
-  size_t file_count() const { return entries_.size(); }
   size_t shard_count() const { return ring_.size(); }
   // The node owning `path`'s entry.
   net::NodeId shard_node(const std::string& path) const;

@@ -1,67 +1,16 @@
 #include "common/stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-
-#include "common/assert.h"
 
 namespace bs {
 
 void Summary::add(double x) {
-  samples_.push_back(x);
+  ++count_;
   sum_ += x;
 }
 
 double Summary::mean() const {
-  return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-}
-
-double Summary::min() const {
-  BS_CHECK(!samples_.empty());
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double Summary::max() const {
-  BS_CHECK(!samples_.empty());
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double Summary::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0;
-  for (double x : samples_) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
-double Summary::percentile(double q) const {
-  // Tolerant edge-case contract (shared with obs::Histogram): an empty
-  // summary reports 0 and out-of-range quantiles clamp instead of indexing
-  // out of bounds.
-  if (samples_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-void Summary::clear() {
-  samples_.clear();
-  sum_ = 0;
-}
-
-uint64_t Counters::get(const std::string& name) const {
-  auto it = map_.find(name);
-  return it == map_.end() ? 0 : it->second;
-}
-
-void Counters::merge(const Counters& other) {
-  for (const auto& [k, v] : other.map_) map_[k] += v;
+  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
 std::string format_bytes(double bytes) {
@@ -73,22 +22,6 @@ std::string format_bytes(double bytes) {
     ++u;
   }
   std::snprintf(buf, sizeof(buf), "%.1f %s", bytes, units[u]);
-  return buf;
-}
-
-std::string format_rate(double bytes_per_sec) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f MB/s", bytes_per_sec / (1024.0 * 1024.0));
-  return buf;
-}
-
-std::string format_duration(double seconds) {
-  char buf[64];
-  if (seconds < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.0f ms", seconds * 1000.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1f s", seconds);
-  }
   return buf;
 }
 

@@ -1,55 +1,24 @@
-// Small statistics helpers used by benches and the MapReduce framework:
-// running summaries (count/mean/min/max), exact percentiles over collected
-// samples, and named counters.
+// Small statistics helpers used by the benches: a running mean over
+// per-client samples, and human-readable byte counts.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace bs {
 
-// Accumulates samples; percentile queries sort a copy on demand.
+// Mean of the samples added so far; an empty summary reports 0.
 class Summary {
  public:
   void add(double x);
-  size_t count() const { return samples_.size(); }
-  double sum() const { return sum_; }
   double mean() const;
-  double min() const;
-  double max() const;
-  double stddev() const;
-  // Linear interpolation between closest ranks; q is clamped to [0, 1]
-  // and an empty summary reports 0.
-  double percentile(double q) const;
-  const std::vector<double>& samples() const { return samples_; }
-  void clear();
 
  private:
-  std::vector<double> samples_;
+  uint64_t count_ = 0;
   double sum_ = 0;
-};
-
-// Named monotonically increasing counters (cache hits, RPC counts, ...).
-class Counters {
- public:
-  void inc(const std::string& name, uint64_t by = 1) { map_[name] += by; }
-  uint64_t get(const std::string& name) const;
-  const std::map<std::string, uint64_t>& all() const { return map_; }
-  void clear() { map_.clear(); }
-  // Merges another counter set into this one.
-  void merge(const Counters& other);
-
- private:
-  std::map<std::string, uint64_t> map_;
 };
 
 // Formats a byte count as a human-readable string ("1.5 GB").
 std::string format_bytes(double bytes);
-// Formats bytes/sec as "NN.N MB/s".
-std::string format_rate(double bytes_per_sec);
-// Formats seconds as "12.3 s" or "456 ms".
-std::string format_duration(double seconds);
 
 }  // namespace bs

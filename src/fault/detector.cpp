@@ -66,7 +66,6 @@ sim::Task<void> FailureDetector::heartbeat_loop(net::NodeId node,
       const bool delivered = co_await net_.try_control(node, cfg_.node);
       if (delivered) {
         states_[node].last_beat = sim_.now();
-        ++heartbeats_received_;
         m_heartbeats_->inc();
       }
     }
@@ -83,7 +82,6 @@ sim::Task<void> FailureDetector::sweep_loop(uint64_t generation) {
       if (st.believed_up && !lease_ok) {
         st.believed_up = false;
         ++deaths_detected_;
-        last_death_detected_at_ = sim_.now();
         m_deaths_->inc();
         m_believed_dead_->add(1);
         if (tracer_->enabled()) {
@@ -98,7 +96,6 @@ sim::Task<void> FailureDetector::sweep_loop(uint64_t generation) {
         if (tracer_->enabled()) {
           tracer_->instant("fault", "fault", n, "detected_up");
         }
-        for (auto& cb : recovery_cbs_) cb(n);
       }
     }
   }

@@ -55,23 +55,16 @@ class FailureDetector final : public net::LivenessView {
   // Detected state (lags ground truth by up to timeout_s + sweep interval).
   bool is_up(net::NodeId node) const override;
   std::vector<net::NodeId> dead_nodes() const;
-  const std::vector<net::NodeId>& monitored() const { return monitored_; }
 
-  // Fired from the sweep loop when a node's state flips (e.g. to kick the
-  // repair service). Callbacks run at detection time on the sim clock.
+  // Fired from the sweep loop when a node is declared dead (e.g. to kick
+  // the repair service). Callbacks run at detection time on the sim clock.
   void on_death(std::function<void(net::NodeId)> fn) {
     death_cbs_.push_back(std::move(fn));
-  }
-  void on_recovery(std::function<void(net::NodeId)> fn) {
-    recovery_cbs_.push_back(std::move(fn));
   }
 
   // --- introspection ---
   uint64_t deaths_detected() const { return deaths_detected_; }
   uint64_t recoveries_detected() const { return recoveries_detected_; }
-  uint64_t heartbeats_received() const { return heartbeats_received_; }
-  // Sim time the most recent death was detected (0 if none yet).
-  double last_death_detected_at() const { return last_death_detected_at_; }
 
  private:
   struct NodeState {
@@ -88,13 +81,10 @@ class FailureDetector final : public net::LivenessView {
   std::vector<net::NodeId> monitored_;
   bs::unordered_map<net::NodeId, NodeState> states_;
   std::vector<std::function<void(net::NodeId)>> death_cbs_;
-  std::vector<std::function<void(net::NodeId)>> recovery_cbs_;
   bool running_ = false;
   uint64_t generation_ = 0;
   uint64_t deaths_detected_ = 0;
   uint64_t recoveries_detected_ = 0;
-  uint64_t heartbeats_received_ = 0;
-  double last_death_detected_at_ = 0;
   obs::Tracer* tracer_;
   obs::Counter* m_deaths_;
   obs::Counter* m_recoveries_;

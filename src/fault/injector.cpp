@@ -25,12 +25,10 @@ FaultInjector::FaultInjector(sim::Simulator& sim, net::Network& net,
 sim::Task<void> FaultInjector::fire_crash(net::NodeId node, double t) {
   co_await sim_.delay(t - sim_.now());
   net_.set_node_up(node, false);
-  if (crash_hook_) crash_hook_(node, cfg_.wipe_storage);
-  ++crashes_fired_;
+  if (crash_hook_) crash_hook_(node);
   m_crashes_->inc();
   if (tracer_->enabled()) {
-    tracer_->instant("fault", "fault", node, "crash",
-                     cfg_.wipe_storage ? "\"wipe\":true" : "\"wipe\":false");
+    tracer_->instant("fault", "fault", node, "crash", "\"wipe\":true");
   }
 }
 
@@ -38,7 +36,6 @@ sim::Task<void> FaultInjector::fire_recovery(net::NodeId node, double t) {
   co_await sim_.delay(t - sim_.now());
   net_.set_node_up(node, true);
   if (recovery_hook_) recovery_hook_(node);
-  ++recoveries_fired_;
   m_recoveries_->inc();
   if (tracer_->enabled()) {
     tracer_->instant("fault", "fault", node, "recover");
@@ -82,15 +79,12 @@ sim::Task<void> FaultInjector::fire_perf(net::NodeId node, net::NodePerf perf,
                                          double t) {
   co_await sim_.delay(t - sim_.now());
   net_.set_node_perf(node, perf);
-  ++slowdowns_fired_;
   m_slowdowns_->inc();
   if (tracer_->enabled()) {
-    const bool restore = perf.nic == 1.0 && perf.disk == 1.0 && perf.cpu == 1.0;
     char args[64];
     std::snprintf(args, sizeof(args), "\"cpu\":%g,\"disk\":%g,\"nic\":%g",
                   perf.cpu, perf.disk, perf.nic);
-    tracer_->instant("fault", "fault", node,
-                     restore ? "restore_node" : "slow_node", args);
+    tracer_->instant("fault", "fault", node, "slow_node", args);
   }
 }
 
@@ -99,11 +93,6 @@ void FaultInjector::slow_node_at(net::NodeId node, double factor, double t) {
   BS_CHECK(factor > 1);
   const double s = 1.0 / factor;
   sim_.spawn(fire_perf(node, net::NodePerf{s, s, s}, t));
-}
-
-void FaultInjector::restore_node_at(net::NodeId node, double t) {
-  BS_CHECK(t >= sim_.now());
-  sim_.spawn(fire_perf(node, net::NodePerf{}, t));
 }
 
 std::vector<net::NodeId> FaultInjector::slow_fraction_at(
@@ -125,16 +114,16 @@ std::vector<net::NodeId> FaultInjector::crash_rack_at(
 }
 
 void wire_blobseer(FaultInjector& injector, blob::BlobSeerCluster& cluster) {
-  injector.set_crash_hook([&cluster](net::NodeId node, bool wipe) {
-    cluster.crash_provider(node, wipe);
+  injector.set_crash_hook([&cluster](net::NodeId node) {
+    cluster.crash_provider(node, /*wipe_storage=*/true);
   });
   injector.set_recovery_hook(
       [&cluster](net::NodeId node) { cluster.recover_provider(node); });
 }
 
 void wire_hdfs(FaultInjector& injector, hdfs::Hdfs& fs) {
-  injector.set_crash_hook([&fs](net::NodeId node, bool wipe) {
-    fs.crash_datanode(node, wipe);
+  injector.set_crash_hook([&fs](net::NodeId node) {
+    fs.crash_datanode(node, /*wipe_storage=*/true);
   });
   injector.set_recovery_hook(
       [&fs](net::NodeId node) { fs.recover_datanode(node); });

@@ -14,17 +14,21 @@
 //                                    (crash-during-write when t lands
 //                                    inside a workload),
 //   * crash_rack_at                — correlated top-of-rack/PDU failure,
-//   * slow_node_at / restore_node_at / slow_fraction_at — degradation
-//     instead of death: the node's disk, NIC, and CPU run `factor`×
-//     slower (a failing drive, a half-negotiated link). Slow nodes keep
+//   * slow_node_at / slow_fraction_at — degradation instead of death: the
+//     node's disk, NIC, and CPU run `factor`× slower for the rest of the
+//     run (a failing drive, a half-negotiated link). Slow nodes keep
 //     heartbeating and keep accepting work, which is precisely the
 //     straggler scenario speculative execution exists to beat.
 //
-// Every crash also bumps the victim's power-loss incarnation at the
+// Every injected crash is a disk loss: the victim's provider or DataNode
+// drops everything it stored, so a recovered node serves nothing from
+// before the crash and only re-replication restores the data (the repair
+// services exist for this case). A power loss that keeps the synced data
+// is a direct crash_provider / crash_datanode call with wipe_storage
+// false. Every crash also bumps the victim's power-loss incarnation at the
 // network (net::Network::set_node_up), which is what destroys MapReduce
-// local-disk intermediate data held there: a recovered tasktracker serves
-// nothing spilled before the crash (mr/shuffle.h, LocalDiskShuffleStore),
-// wipe_storage or not. Repair, by contrast, deliberately leaves
+// local-disk intermediate data held there (mr/shuffle.h,
+// LocalDiskShuffleStore). Repair, by contrast, deliberately leaves
 // _intermediate/ files alone (fault/repair.h, repair_namespace).
 #pragma once
 
@@ -48,11 +52,6 @@ namespace bs::fault {
 
 struct FaultInjectorConfig {
   uint64_t seed = 0xfa117;
-  // Whether crashed nodes lose their persisted pages/blocks (disk loss).
-  // With false, a recovered node still serves everything it stored; with
-  // true, only re-replication can restore the data — the repair services
-  // exist for this case.
-  bool wipe_storage = true;
 };
 
 class FaultInjector {
@@ -62,7 +61,7 @@ class FaultInjector {
 
   // How to crash/recover one node. The injector always flips the network
   // ground truth itself; hooks add the service-level state change.
-  void set_crash_hook(std::function<void(net::NodeId, bool wipe)> fn) {
+  void set_crash_hook(std::function<void(net::NodeId)> fn) {
     crash_hook_ = std::move(fn);
   }
   void set_recovery_hook(std::function<void(net::NodeId)> fn) {
@@ -84,20 +83,14 @@ class FaultInjector {
       uint32_t rack, const std::vector<net::NodeId>& candidates, double t);
 
   // Degrades one node at time t: disk, NIC, and CPU all run `factor`×
-  // slower until restore_node_at. factor > 1.
+  // slower from then on. factor > 1.
   void slow_node_at(net::NodeId node, double factor, double t);
-  void restore_node_at(net::NodeId node, double t);
 
   // Degrades ceil(fraction * candidates) distinct nodes at time t; returns
   // the victims (chosen now, deterministically).
   std::vector<net::NodeId> slow_fraction_at(
       const std::vector<net::NodeId>& candidates, double fraction,
       double factor, double t);
-
-  // --- introspection ---
-  uint64_t crashes_fired() const { return crashes_fired_; }
-  uint64_t recoveries_fired() const { return recoveries_fired_; }
-  uint64_t slowdowns_fired() const { return slowdowns_fired_; }
 
  private:
   sim::Task<void> fire_crash(net::NodeId node, double t);
@@ -110,11 +103,8 @@ class FaultInjector {
   net::Network& net_;
   FaultInjectorConfig cfg_;
   Rng rng_;
-  std::function<void(net::NodeId, bool)> crash_hook_;
+  std::function<void(net::NodeId)> crash_hook_;
   std::function<void(net::NodeId)> recovery_hook_;
-  uint64_t crashes_fired_ = 0;
-  uint64_t recoveries_fired_ = 0;
-  uint64_t slowdowns_fired_ = 0;
   obs::Tracer* tracer_;
   obs::Counter* m_crashes_;
   obs::Counter* m_recoveries_;

@@ -36,7 +36,6 @@ sim::Task<void> RepairService::repair_leaf(blob::BlobId blob, uint64_t page,
   auto raw = co_await dht.get(cfg_.node, key);
   if (!raw.has_value()) co_return;  // pruned/GC'd version
   MetaNode leaf = MetaNode::deserialize(*raw);
-  ++stats->leaves_scanned;
 
   // "alive" means up AND holding the page (the has_page check models the
   // block report a restarted node sends): a provider that crashed with a
@@ -72,7 +71,7 @@ sim::Task<void> RepairService::repair_leaf(blob::BlobId blob, uint64_t page,
       bool copied = false;
       for (net::NodeId src : alive) {
         copied = co_await cluster_.provider_on(src).replicate_to(
-            cluster_.provider_on(target), pkey, cfg_.copy_rate_cap_bps);
+            cluster_.provider_on(target), pkey);
         if (copied) break;
       }
       if (copied) {
@@ -88,7 +87,6 @@ sim::Task<void> RepairService::repair_leaf(blob::BlobId blob, uint64_t page,
   // Publish the healthy replica set (drop dead nodes even when enough live
   // replicas remain, so readers stop paying timeouts on them).
   if (healthy != leaf.providers) {
-    stats->replicas_dropped += dead.size();
     leaf.providers = std::move(healthy);
     co_await dht.put(cfg_.node, key, leaf.serialize());
   }
@@ -132,11 +130,11 @@ sim::Task<RepairStats> RepairService::repair_blob(blob::BlobId blob) {
   co_return stats;
 }
 
-sim::Task<RepairStats> RepairService::repair_namespace(
-    bsfs::Bsfs& fs, const std::string& root) {
+sim::Task<RepairStats> RepairService::repair_namespace(bsfs::Bsfs& fs) {
   bsfs::NamespaceManager& ns = fs.ns();
   std::vector<blob::BlobId> blobs;
-  std::vector<std::string> stack{root};
+  std::vector<std::string> stack;
+  stack.emplace_back("/");
   while (!stack.empty()) {
     const std::string dir = stack.back();
     stack.pop_back();

@@ -12,13 +12,10 @@
 // metadata DHT with the healthy replica set.
 //
 // Repair traffic is background traffic: copies run `copy_parallelism` at a
-// time and each flow can be rate-capped, so re-replication does not
-// flatline foreground clients — the classic repair-bandwidth trade-off.
+// time, so re-replication does not flatline foreground clients.
 #pragma once
 
 #include <cstdint>
-
-#include <string>
 #include <vector>
 
 #include "blob/cluster.h"
@@ -37,25 +34,18 @@ struct RepairConfig {
   net::NodeId node = 0;
   // Max concurrent page copies (throttle).
   uint32_t copy_parallelism = 8;
-  // Per-copy flow rate cap in bytes/sec (0 = uncapped): keeps background
-  // re-replication from starving foreground reads.
-  double copy_rate_cap_bps = 0;
 };
 
 struct RepairStats {
-  uint64_t leaves_scanned = 0;
   uint64_t under_replicated = 0;   // leaves found below the target degree
   uint64_t replicas_restored = 0;  // new replicas successfully created
-  uint64_t replicas_dropped = 0;   // dead providers removed from leaves
   uint64_t bytes_copied = 0;
   uint64_t unrepairable = 0;       // no live source replica survived
   double finished_at = 0;          // sim time the repair pass completed
 
   void merge(const RepairStats& o) {
-    leaves_scanned += o.leaves_scanned;
     under_replicated += o.under_replicated;
     replicas_restored += o.replicas_restored;
-    replicas_dropped += o.replicas_dropped;
     bytes_copied += o.bytes_copied;
     unrepairable += o.unrepairable;
     finished_at = finished_at > o.finished_at ? finished_at : o.finished_at;
@@ -76,7 +66,7 @@ class RepairService {
   // already parallel/throttled).
   sim::Task<RepairStats> repair_blobs(std::vector<blob::BlobId> blobs);
 
-  // Walks the BSFS namespace under `root` and repairs the blob of every
+  // Walks the whole BSFS namespace and repairs the blob of every
   // finalized file — EXCEPT MapReduce scratch data: anything under an
   // `_intermediate` or `_attempts` directory is left alone. Shuffle
   // intermediates are job-lifetime-only and have their own fault story
@@ -84,8 +74,7 @@ class RepairService {
   // map re-execution); spending background repair bandwidth on them would
   // only steal it from the persistent data whose degree actually needs
   // restoring.
-  sim::Task<RepairStats> repair_namespace(bsfs::Bsfs& fs,
-                                          const std::string& root = "/");
+  sim::Task<RepairStats> repair_namespace(bsfs::Bsfs& fs);
 
  private:
   // Restores one leaf; fills `stats` (serialized by the caller's joins).

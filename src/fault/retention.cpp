@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,8 @@ sim::Task<RetentionStats> RetentionService::run_pass() {
   // Walk the namespace the way the repair service does, skipping MapReduce
   // scratch (job-lifetime-only; swept by the engine, not by GC policy).
   std::vector<std::pair<std::string, blob::BlobId>> files;
-  std::vector<std::string> stack{cfg_.root};
+  std::vector<std::string> stack;
+  stack.emplace_back("/");
   while (!stack.empty()) {
     const std::string dir = stack.back();
     stack.pop_back();
@@ -65,9 +67,9 @@ sim::Task<RetentionStats> RetentionService::run_pass() {
     // live jobs: a registered pin (or an in-flight pin_all resolution,
     // which reports version 0) caps the watermark below every version a
     // consumer still reads. Checked twice: here, to skip files with
-    // nothing reclaimable (and count pins_honored), and again INSIDE the
-    // prune via pin_cap, evaluated atomically with the watermark flip at
-    // the version manager — so a pin registered while this pass was
+    // nothing reclaimable, and again INSIDE the prune via pin_cap,
+    // evaluated atomically with the watermark flip at the version
+    // manager — so a pin registered while this pass was
     // already in flight (a job resolving "<path>@v<N>" between our check
     // and the prune landing) is still honored.
     // Matched by path AND by blob identity: a pinned file that was
@@ -79,17 +81,11 @@ sim::Task<RetentionStats> RetentionService::run_pass() {
       return *p == 0 ? 1 : static_cast<blob::Version>(*p);
     };
     const blob::Version cap = pin_cap();
-    if (cap != blob::kNoVersion && cap < target) {
-      target = cap;
-      ++pass.pins_honored;
-    }
+    if (cap != blob::kNoVersion && cap < target) target = cap;
     if (target <= 1) continue;  // nothing below the watermark to reclaim
     const blob::GcStats gc = co_await blob::collect_garbage(
         cluster, cfg_.node, blob, target, pin_cap);
     pass.merge(gc);
-    if (gc.page_replicas_deleted > 0 || gc.meta_nodes_deleted > 0) {
-      ++pass.files_pruned;
-    }
   }
 
   ++pass.passes;

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "blob/gc.h"
 #include "sim/task.h"
@@ -45,15 +44,11 @@ struct RetentionConfig {
   // Retention window: this many newest published versions are always kept
   // (>= 1; the latest published version is never pruned).
   uint32_t keep_last = 1;
-  // Namespace subtree the pass walks.
-  std::string root = "/";
 };
 
 struct RetentionStats {
   uint64_t passes = 0;
   uint64_t files_scanned = 0;
-  uint64_t files_pruned = 0;    // files where the pass reclaimed anything
-  uint64_t pins_honored = 0;    // files where a live pin lowered the target
   uint64_t page_replicas_deleted = 0;
   uint64_t meta_nodes_deleted = 0;
   uint64_t bytes_reclaimed = 0;
@@ -67,8 +62,6 @@ struct RetentionStats {
   void merge(const RetentionStats& o) {
     passes += o.passes;
     files_scanned += o.files_scanned;
-    files_pruned += o.files_pruned;
-    pins_honored += o.pins_honored;
     page_replicas_deleted += o.page_replicas_deleted;
     meta_nodes_deleted += o.meta_nodes_deleted;
     bytes_reclaimed += o.bytes_reclaimed;

@@ -72,7 +72,6 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     if (down_) co_return false;  // crashed mid-transfer: bytes discarded
     blocks_.insert_or_assign(id, std::move(data));
     cache_touch(id, size);  // freshly written blocks sit in page cache
-    ++blocks_stored_;
     m_blocks_received_->inc();
     m_bytes_received_->inc(bytes);
     if (tracer_->enabled()) {
@@ -88,7 +87,6 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   if (down_) co_return false;  // crashed mid-transfer: bytes discarded
   blocks_.insert_or_assign(id, std::move(data));
   cache_touch(id, size);
-  ++blocks_stored_;
   const uint64_t my_seq = window_.push(id, size);
   m_blocks_received_->inc();
   m_bytes_received_->inc(bytes);
@@ -127,12 +125,10 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   DataSpec out = it->second.slice(offset, length);
   if (cache_contains(id)) {
     // Served from the page cache: network only.
-    ++cache_hits_;
     m_cache_hits_->inc();
     cache_touch(id, size);
     co_await net_.transfer(node_, client, static_cast<double>(length));
   } else {
-    ++cache_misses_;
     m_cache_misses_->inc();
     // Disk read and network send overlap (streaming).
     std::vector<sim::Task<void>> legs;
@@ -144,7 +140,6 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   // Crashed while serving (mid-read): the stream resets; the reader fails
   // over to another replica.
   if (down_) co_return std::nullopt;
-  bytes_served_ += length;
   m_bytes_served_->inc(static_cast<double>(length));
   if (tracer_->enabled()) {
     tracer_->complete("hdfs", "hdfs", node_, "read_block", t0,
@@ -153,23 +148,17 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   co_return out;
 }
 
-sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id,
-                                       double rate_cap) {
+sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id) {
   if (down_ || dst.down_) co_return false;
   auto it = blocks_.find(id);
   if (it == blocks_.end()) co_return false;
   DataSpec block = it->second;
-  if (cache_contains(id)) {
-    ++cache_hits_;
-    cache_touch(id, block.size());
-  } else {
-    ++cache_misses_;
+  if (!cache_contains(id)) {
     co_await net_.disk(node_).read(static_cast<double>(block.size()));
-    cache_touch(id, block.size());
   }
+  cache_touch(id, block.size());
   // receive_block pays the dn→dn flow and the destination disk write.
-  const bool ok =
-      co_await dst.receive_block(node_, id, std::move(block), rate_cap);
+  const bool ok = co_await dst.receive_block(node_, id, std::move(block));
   if (ok) m_replications_->inc();
   co_return ok;
 }

@@ -74,7 +74,7 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
 
   // Copies a whole block straight to another datanode (NameNode-driven
   // re-replication): disk read here, then a dn→dn pipeline hop.
-  sim::Task<bool> replicate_to(DataNode& dst, BlockId id, double rate_cap);
+  sim::Task<bool> replicate_to(DataNode& dst, BlockId id);
 
   // Drops a stored block immediately (pipeline teardown: a hop downstream
   // of a dead datanode discards what it streamed). No modeled cost.
@@ -85,17 +85,12 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
   // reached the platter); wipe_storage additionally models a disk loss.
   void crash(bool wipe_storage = false);
   void recover() { down_ = false; }
-  bool is_down() const { return down_; }
 
   // Blocks until every unsynced block is on disk, forcing batches out
   // regardless of the count-or-time trigger.
   sim::Task<void> drain() { return window_.drain(); }
 
   bool has_block(BlockId id) const;
-  uint64_t blocks_stored() const { return blocks_stored_; }
-  uint64_t bytes_served() const { return bytes_served_; }
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
   // The durability spectrum's observable side.
   uint64_t unsynced_blocks() const { return window_.unsynced(); }
   uint64_t unsynced_bytes() const { return window_.unsynced_bytes(); }
@@ -131,10 +126,6 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
                      std::list<std::pair<BlockId, uint64_t>>::iterator>
       lru_index_;
   uint64_t ram_used_ = 0;
-  uint64_t blocks_stored_ = 0;
-  uint64_t bytes_served_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
   bool down_ = false;
   // Background hsync (kBatched/kNone only; kImmediate syncs inline).
   Window window_;

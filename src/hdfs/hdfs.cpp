@@ -58,8 +58,7 @@ void Hdfs::recover_datanode(net::NodeId node) {
 }
 
 sim::Task<void> Hdfs::repair_block(NameNode::UnderReplicated block,
-                                   double rate_cap_bps, RepairStats* stats) {
-  ++stats->blocks_scanned;
+                                   RepairStats* stats) {
   if (block.live.empty()) {
     // Every replica died: the block is lost until a node recovers un-wiped.
     ++stats->unrepairable;
@@ -73,7 +72,7 @@ sim::Task<void> Hdfs::repair_block(NameNode::UnderReplicated block,
       bool copied = false;
       for (net::NodeId src : block.live) {
         copied = co_await datanodes_.at(src)->replicate_to(
-            *datanodes_.at(target), block.block, rate_cap_bps);
+            *datanodes_.at(target), block.block);
         if (copied) break;
       }
       if (copied) {
@@ -87,7 +86,7 @@ sim::Task<void> Hdfs::repair_block(NameNode::UnderReplicated block,
 }
 
 sim::Task<Hdfs::RepairStats> Hdfs::repair_under_replicated(
-    net::NodeId initiator, uint32_t copy_parallelism, double rate_cap_bps) {
+    net::NodeId initiator, uint32_t copy_parallelism) {
   RepairStats stats;
   // One modeled round trip for the namespace scan (the NameNode owns all
   // block metadata, so the scan itself is a local walk there).
@@ -104,7 +103,7 @@ sim::Task<Hdfs::RepairStats> Hdfs::repair_under_replicated(
   std::vector<sim::Task<void>> copies;
   copies.reserve(under.size());
   for (auto& u : under) {
-    copies.push_back(repair_block(std::move(u), rate_cap_bps, &stats));
+    copies.push_back(repair_block(std::move(u), &stats));
   }
   co_await sim::when_all_limited(sim_, std::move(copies), copy_parallelism);
   stats.finished_at = sim_.now();
@@ -341,7 +340,6 @@ sim::Task<DataSpec> HdfsReader::read(uint64_t offset, uint64_t size) {
     }
     BS_CHECK_MSG(data.has_value(),
                  "read failed: every replica of the block is gone");
-    ++blocks_fetched_;
     cached_start_ = block_start;
     cached_data_ = *std::move(data);
   }

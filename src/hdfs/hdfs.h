@@ -59,8 +59,6 @@ class HdfsReader final : public fs::FsReader {
   sim::Task<DataSpec> read(uint64_t offset, uint64_t size) override;
   uint64_t size() const override { return size_; }
 
-  uint64_t blocks_fetched() const { return blocks_fetched_; }
-
  private:
   Hdfs& owner_;
   net::NodeId node_;
@@ -69,7 +67,6 @@ class HdfsReader final : public fs::FsReader {
   // Streaming buffer: the block currently held.
   uint64_t cached_start_ = UINT64_MAX;
   DataSpec cached_data_;
-  uint64_t blocks_fetched_ = 0;
 };
 
 class HdfsClient final : public fs::FsClient {
@@ -133,7 +130,6 @@ class Hdfs final : public fs::FileSystem {
   void recover_datanode(net::NodeId node);
 
   struct RepairStats {
-    uint64_t blocks_scanned = 0;
     uint64_t under_replicated = 0;
     uint64_t replicas_restored = 0;
     uint64_t bytes_copied = 0;
@@ -143,12 +139,10 @@ class Hdfs final : public fs::FileSystem {
   // NameNode-driven re-replication: scans the namespace for blocks below
   // the replication target, picks live replacement datanodes, and copies
   // each block dn→dn from a surviving replica. `copy_parallelism` bounds
-  // concurrent copies and `rate_cap_bps` caps each copy flow (background
-  // repair bandwidth). Runs from `initiator` (usually the NameNode's own
+  // concurrent copies. Runs from `initiator` (usually the NameNode's own
   // node).
   sim::Task<RepairStats> repair_under_replicated(net::NodeId initiator,
-                                                 uint32_t copy_parallelism = 8,
-                                                 double rate_cap_bps = 0);
+                                                 uint32_t copy_parallelism = 8);
 
  private:
   friend class HdfsClient;
@@ -156,7 +150,7 @@ class Hdfs final : public fs::FileSystem {
   friend class HdfsWriter;
 
   sim::Task<void> repair_block(NameNode::UnderReplicated block,
-                               double rate_cap_bps, RepairStats* stats);
+                               RepairStats* stats);
 
   sim::Simulator& sim_;
   net::Network& net_;

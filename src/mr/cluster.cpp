@@ -8,7 +8,6 @@
 
 #include "common/assert.h"
 #include "common/hash.h"
-#include "common/log.h"
 #include "common/wordlist.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -186,9 +186,7 @@ class MapReduceCluster {
   // (sim.run() returning), not merely until run_job completes.
   sim::Task<JobStats> run_job(JobConfig config);
 
-  fs::FileSystem& filesystem() { return fs_; }
   const MrConfig& config() const { return cfg_; }
-  size_t active_jobs() const { return jobs_.size(); }
 
  private:
   enum class TaskKind { kMap, kReduce };

@@ -85,7 +85,6 @@ struct MapOutput {
 class ShuffleStore {
  public:
   virtual ~ShuffleStore() = default;
-  virtual const char* name() const = 0;
 
   // True when a mapper-node crash destroys this store's committed map
   // outputs (kLocalDisk); false when the store survives crashes on its
@@ -140,7 +139,6 @@ class LocalDiskShuffleStore final : public ShuffleStore {
  public:
   LocalDiskShuffleStore(sim::Simulator& sim, net::Network& net)
       : sim_(sim), net_(net) {}
-  const char* name() const override { return "local-disk"; }
   bool crash_loses_output() const override { return true; }
 
   sim::Task<bool> write_map_output(const std::string& job_dir,
@@ -167,7 +165,6 @@ class DfsShuffleStore final : public ShuffleStore {
   DfsShuffleStore(sim::Simulator& sim, net::Network& net, fs::FileSystem& fs,
                   uint32_t replication)
       : sim_(sim), net_(net), fs_(fs), replication_(replication) {}
-  const char* name() const override { return "dfs"; }
   bool crash_loses_output() const override { return false; }
 
   sim::Task<bool> write_map_output(const std::string& job_dir,

@@ -21,8 +21,6 @@ struct ClusterConfig {
   double nic_bps = 119.0 * 1024 * 1024;
   // Top-of-rack uplink into the core (20 Gb/s), shared by the rack.
   double rack_uplink_bps = 20.0 / 8 * 1e9;
-  // Loopback "transfer" rate for src == dst (memory copy).
-  double loopback_bps = 2.0e9;
 
   // One-way latency of small control messages (RPC request or response).
   double control_latency_s = 200e-6;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "net/reference_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,6 +18,9 @@ namespace {
 // A flow is "finished" when less than half a byte remains; fluid-model
 // arithmetic accumulates tiny float error that this absorbs.
 constexpr double kRemainingEps = 0.5;
+
+// Loopback "transfer" rate for src == dst (memory copy).
+constexpr double kLoopbackBps = 2.0e9;
 
 // A position's bit within its 64-bit bitmap word.
 uint64_t bit(uint32_t pos) { return uint64_t{1} << (pos % 64); }
@@ -81,8 +83,6 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   scratch_remaining_.assign(links, 0);
   scratch_count_.assign(links, 0);
   link_marked_.assign(links, 0);
-  rx_bytes_.assign(n, 0);
-  tx_bytes_.assign(n, 0);
   up_.assign(n, 1);
   incarnation_.assign(n, 0);
   perf_.assign(n, NodePerf{});
@@ -136,12 +136,10 @@ sim::Task<void> Network::transfer(NodeId src, NodeId dst, double bytes,
   BS_CHECK(src < cfg_.num_nodes && dst < cfg_.num_nodes);
   if (bytes <= 0) co_return;
   bytes_moved_ += bytes;
-  tx_bytes_[src] += bytes;
-  rx_bytes_[dst] += bytes;
   m_bytes_->inc(bytes);
   const double t0 = sim_.now();
   if (src == dst) {
-    co_await sim_.delay(bytes / cfg_.loopback_bps);
+    co_await sim_.delay(bytes / kLoopbackBps);
   } else {
     m_flows_->inc();
     if (!cfg_.same_rack(src, dst)) {
@@ -165,8 +163,7 @@ sim::Task<void> Network::control(NodeId src, NodeId dst) {
   co_await sim_.delay(cfg_.control_latency_s);
 }
 
-sim::Task<bool> Network::try_transfer(NodeId src, NodeId dst, double bytes,
-                                      double rate_cap) {
+sim::Task<bool> Network::try_transfer(NodeId src, NodeId dst, double bytes) {
   BS_CHECK(src < cfg_.num_nodes && dst < cfg_.num_nodes);
   if (!up_[src] || !up_[dst]) {
     // Connecting to (or from) a dead node: the caller learns by timeout,
@@ -183,7 +180,7 @@ sim::Task<bool> Network::try_transfer(NodeId src, NodeId dst, double bytes,
   // power AND rebooted while the stream was in flight.
   const uint64_t src_inc = incarnation_[src];
   const uint64_t dst_inc = incarnation_[dst];
-  co_await transfer(src, dst, bytes, rate_cap);
+  co_await transfer(src, dst, bytes);
   // An endpoint that lost power mid-stream discarded the bytes (or stopped
   // producing them); the fluid flow completed but the transfer did not.
   co_return up_[src] && up_[dst] && incarnation_[src] == src_inc &&

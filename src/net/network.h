@@ -97,14 +97,11 @@ class Disk {
 
   double bytes_read() const { return bytes_read_; }
   double bytes_written() const { return bytes_written_; }
-  double write_bps() const { return write_bps_ * scale_; }
-  double read_bps() const { return read_bps_ * scale_; }
 
   // Degradation knob (slow-node fault injection): scales both directions'
   // bandwidth. 1 = healthy. Requests already queued finish at the rate in
   // effect when they reach the head of the FIFO.
   void set_scale(double scale) { scale_ = scale; }
-  double scale() const { return scale_; }
 
  private:
   sim::Task<void> io(double bytes, bool is_read);
@@ -191,8 +188,7 @@ class Network {
   // came from — a dead node: the caller gets false and must treat the
   // fetch as failed. The shuffle path of the MapReduce engine feeds its
   // fetch-failure detection from exactly this.
-  sim::Task<bool> try_transfer(NodeId src, NodeId dst, double bytes,
-                               double rate_cap = 0);
+  sim::Task<bool> try_transfer(NodeId src, NodeId dst, double bytes);
   // Local disk I/O guarded by node power: false immediately when the node
   // is already off (nothing on a dead node can issue I/O), and false after
   // the I/O when the node lost power mid-operation (the write never hit
@@ -222,9 +218,6 @@ class Network {
   uint64_t flows_started() const { return flows_started_; }
   double bytes_moved() const { return bytes_moved_; }
   size_t active_flows() const { return flows_.size(); }
-  // Bytes received per node (hotspot analysis).
-  const std::vector<double>& rx_bytes() const { return rx_bytes_; }
-  const std::vector<double>& tx_bytes() const { return tx_bytes_; }
 
   // --- solver introspection (tests / bench gates) ---
   SolverStats solver_stats() const;
@@ -350,8 +343,6 @@ class Network {
   uint64_t flows_started_ = 0;
   double bytes_moved_ = 0;
   SolverStats sstats_;
-  std::vector<double> rx_bytes_;
-  std::vector<double> tx_bytes_;
   std::vector<char> up_;  // ground-truth power state per node
   std::vector<uint64_t> incarnation_;  // power-loss count per node
   std::vector<NodePerf> perf_;  // degradation factors per node

@@ -35,13 +35,6 @@ inline void json_escape_to(std::string_view s, std::string* out) {
   }
 }
 
-inline std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  json_escape_to(s, &out);
-  return out;
-}
-
 // Convenience: escaped and quoted.
 inline std::string json_quote(std::string_view s) {
   std::string out;

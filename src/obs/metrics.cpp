@@ -59,16 +59,6 @@ const std::vector<double>& latency_buckets_s() {
   return kBuckets;
 }
 
-const std::vector<double>& size_buckets_bytes() {
-  static const std::vector<double> kBuckets = [] {
-    std::vector<double> out;
-    for (double v = 1024.0; v <= 16.0 * 1024 * 1024 * 1024; v *= 4.0)
-      out.push_back(v);
-    return out;
-  }();
-  return kBuckets;
-}
-
 std::string MetricsRegistry::canonical_key(std::string_view name,
                                            const Labels& labels) {
   std::string key(name);

@@ -85,8 +85,7 @@ class Histogram {
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
 
   // Linear interpolation inside the bucket holding rank q*count; q is
-  // clamped to [0,1] and an empty histogram reports 0 (mirrors the
-  // bs::Summary edge-case contract).
+  // clamped to [0,1] and an empty histogram reports 0.
   double percentile(double q) const;
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -102,10 +101,9 @@ class Histogram {
   double max_ = 0;
 };
 
-// Default bucket ladders. Log-spaced 1-2-5 series: wide enough for both a
+// Default bucket ladder. Log-spaced 1-2-5 series: wide enough for both a
 // sub-millisecond RPC and an hour-long job in one scheme.
 const std::vector<double>& latency_buckets_s();  // 100 µs .. 5000 s
-const std::vector<double>& size_buckets_bytes();  // 1 KiB .. 16 GiB
 
 class MetricsRegistry {
  public:

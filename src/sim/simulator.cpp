@@ -3,24 +3,15 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/order_audit.h"
 
 namespace bs::sim {
 
-namespace {
-double sim_time_hook(void* ctx) { return static_cast<Simulator*>(ctx)->now(); }
-}  // namespace
-
-Simulator::Simulator() {
-  // Log lines emitted while this world runs carry its simulated time.
-  log::set_time_hook(&sim_time_hook, this);
-}
+Simulator::Simulator() = default;
 
 Simulator::~Simulator() {
-  log::clear_time_hook(this);
   // Drop queued events (PODs, non-owning) and pooled callbacks first, then
   // destroy still-live process frames; destruction runs their locals'
   // destructors, which may only touch primitives that outlive them

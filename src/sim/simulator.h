@@ -69,10 +69,6 @@ class Simulator {
     return Awaiter{*this, dt};
   }
 
-  // Awaitable: re-enqueues the coroutine at the current time (lets other
-  // ready events run first; useful for fairness in tight loops).
-  auto yield() { return delay(0); }
-
   // Detaches a task: it starts at the current time and is owned by the
   // simulator until completion. An escaped exception in a detached task
   // aborts the simulation (it is a bug, not a modeled failure): it is

@@ -8,7 +8,6 @@
 
 #include <coroutine>
 #include <deque>
-#include <optional>
 
 #include "common/assert.h"
 #include "sim/simulator.h"
@@ -46,8 +45,6 @@ class CondVar {
     waiters_.clear();
   }
 
-  size_t waiting() const { return waiters_.size(); }
-
  private:
   Simulator& sim_;
   std::deque<std::coroutine_handle<>> waiters_;
@@ -58,8 +55,6 @@ class CondVar {
 class Event {
  public:
   explicit Event(Simulator& sim) : cv_(sim) {}
-
-  bool is_set() const { return set_; }
 
   void set() {
     if (set_) return;
@@ -109,56 +104,12 @@ class Semaphore {
     permits_ += n;
   }
 
-  size_t available() const { return permits_; }
   size_t waiting() const { return waiters_.size(); }
 
  private:
   Simulator& sim_;
   size_t permits_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// Mutex with RAII guard:  auto lock = co_await mtx.lock();
-class Mutex {
- public:
-  explicit Mutex(Simulator& sim) : sem_(sim, 1) {}
-
-  class Guard {
-   public:
-    explicit Guard(Mutex* m) : m_(m) {}
-    Guard(Guard&& o) noexcept : m_(std::exchange(o.m_, nullptr)) {}
-    Guard& operator=(Guard&& o) noexcept {
-      if (this != &o) {
-        unlock();
-        m_ = std::exchange(o.m_, nullptr);
-      }
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { unlock(); }
-
-    void unlock() {
-      if (m_ != nullptr) {
-        m_->sem_.release();
-        m_ = nullptr;
-      }
-    }
-
-   private:
-    Mutex* m_;
-  };
-
-  Task<Guard> lock() {
-    co_await sem_.acquire();
-    co_return Guard(this);
-  }
-
-  bool locked() const { return sem_.available() == 0; }
-
- private:
-  friend class Guard;
-  Semaphore sem_;
 };
 
 // Completion counter: add(n) before spawning, done() in each task,
@@ -178,65 +129,9 @@ class WaitGroup {
     while (count_ > 0) co_await cv_.wait();
   }
 
-  size_t count() const { return count_; }
-
  private:
   CondVar cv_;
   size_t count_ = 0;
-};
-
-// Bounded MPMC channel. pop() returns nullopt once closed and drained.
-template <typename T>
-class Channel {
- public:
-  // capacity == 0 means unbounded.
-  Channel(Simulator& sim, size_t capacity = 0)
-      : capacity_(capacity), not_empty_(sim), not_full_(sim) {}
-
-  Task<void> push(T value) {
-    while (capacity_ != 0 && queue_.size() >= capacity_ && !closed_) {
-      co_await not_full_.wait();
-    }
-    BS_CHECK_MSG(!closed_, "push on closed channel");
-    queue_.push_back(std::move(value));
-    not_empty_.notify_one();
-  }
-
-  // Non-blocking push; returns false if the channel is at capacity.
-  bool try_push(T value) {
-    BS_CHECK_MSG(!closed_, "push on closed channel");
-    if (capacity_ != 0 && queue_.size() >= capacity_) return false;
-    queue_.push_back(std::move(value));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  Task<std::optional<T>> pop() {
-    while (queue_.empty()) {
-      if (closed_) co_return std::nullopt;
-      co_await not_empty_.wait();
-    }
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    not_full_.notify_one();
-    co_return std::optional<T>(std::move(v));
-  }
-
-  void close() {
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const { return closed_; }
-  size_t size() const { return queue_.size(); }
-
- private:
-  size_t capacity_;
-  std::deque<T> queue_;
-  bool closed_ = false;
-  CondVar not_empty_;
-  CondVar not_full_;
 };
 
 }  // namespace bs::sim

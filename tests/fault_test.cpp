@@ -856,6 +856,56 @@ TEST(FaultRecovery, WipedAndRecoveredReplicaIsReCreated) {
   EXPECT_TRUE(all_present);
 }
 
+TEST(FaultInjection, InjectedCrashWipesStorage) {
+  // Every crash the injector fires is a disk loss, on both back-ends: a
+  // node brought back by recover_at is up but holds nothing. A direct
+  // crash without the wipe (a power loss) keeps what reached the disk.
+  FaultWorld w;  // injector wired to the providers by wire_blobseer
+  auto put_pages = [](blob::Provider& p) -> sim::Task<void> {
+    for (uint64_t i = 0; i < 3; ++i) {
+      const bool ok = co_await p.put_page(0, blob::PageKey{1, i, 1},
+                                          DataSpec::pattern(i, 0, kPage));
+      BS_CHECK(ok);
+    }
+    co_await p.drain();  // on disk: only a wipe can lose them now
+  };
+  w.sim.spawn(put_pages(w.cluster.provider_on(4)));
+  w.sim.spawn(put_pages(w.cluster.provider_on(5)));
+  w.sim.run();
+  ASSERT_EQ(w.cluster.provider_on(4).page_count(), 3u);
+  ASSERT_EQ(w.cluster.provider_on(5).page_count(), 3u);
+  w.injector.crash_at(4, w.sim.now() + 1.0);
+  w.injector.recover_at(4, w.sim.now() + 2.0);
+  w.cluster.crash_provider(5, /*wipe_storage=*/false);
+  w.sim.run();
+  w.cluster.recover_provider(5);
+  EXPECT_TRUE(w.net.node_up(4));
+  EXPECT_EQ(w.cluster.provider_on(4).page_count(), 0u);
+  EXPECT_EQ(w.cluster.provider_on(5).page_count(), 3u);
+
+  sim::Simulator sim;
+  net::Network net(sim, test_net());
+  hdfs::HdfsConfig hcfg;
+  hcfg.namenode.node = 0;
+  hdfs::Hdfs fs(sim, net, hcfg, FaultWorld::storage_nodes(test_net()));
+  FaultInjector injector(sim, net);
+  wire_hdfs(injector, fs);
+  auto put_block = [](hdfs::DataNode& dn) -> sim::Task<void> {
+    // The default DataNode policy syncs a block before acking it.
+    const bool ok =
+        co_await dn.receive_block(0, /*id=*/7, DataSpec::pattern(7, 0, kPage));
+    BS_CHECK(ok);
+  };
+  sim.spawn(put_block(fs.datanode_on(4)));
+  sim.run();
+  ASSERT_TRUE(fs.datanode_on(4).has_block(7));
+  injector.crash_at(4, sim.now() + 1.0);
+  injector.recover_at(4, sim.now() + 2.0);
+  sim.run();
+  EXPECT_TRUE(net.node_up(4));
+  EXPECT_FALSE(fs.datanode_on(4).has_block(7));
+}
+
 TEST(FaultRecovery, RepairOntoARecoveredHolderCountsItsRamOnce) {
   // A provider that crashes without a wipe is dropped from the leaf and
   // recovers still holding the page. A second repair of that page can pick

@@ -129,10 +129,10 @@ bool valid_json(const std::string& text) {
 }
 
 TEST(ObsJson, EscapeCoversControlAndQuoting) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(obs::json_quote("plain"), "\"plain\"");
+  EXPECT_EQ(obs::json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(obs::json_quote("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+  EXPECT_EQ(obs::json_quote(std::string("\x01", 1)), "\"\\u0001\"");
   EXPECT_EQ(obs::json_quote("k\"ey"), "\"k\\\"ey\"");
   EXPECT_TRUE(valid_json(obs::json_quote("quote\" back\\slash \n \x02 end")));
 }

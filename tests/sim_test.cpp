@@ -200,26 +200,6 @@ TEST(Sync, SemaphoreIsFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(Sync, MutexGuardsReleaseOnScopeExit) {
-  Simulator sim;
-  Mutex mtx(sim);
-  int inside = 0;
-  bool overlap = false;
-  auto critical = [](Simulator& s, Mutex& m, int* in, bool* ovl) -> Task<void> {
-    auto guard = co_await m.lock();
-    if (*in != 0) *ovl = true;
-    ++*in;
-    co_await s.delay(0.5);
-    --*in;
-    // guard released by destructor
-  };
-  for (int i = 0; i < 4; ++i) sim.spawn(critical(sim, mtx, &inside, &overlap));
-  sim.run();
-  EXPECT_FALSE(overlap);
-  EXPECT_FALSE(mtx.locked());
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
 TEST(Sync, EventWakesAllWaiters) {
   Simulator sim;
   Event ev(sim);
@@ -266,53 +246,6 @@ TEST(Sync, WaitGroupJoins) {
   sim.spawn(joiner(sim, wg, &joined_at));
   sim.run();
   EXPECT_DOUBLE_EQ(joined_at, 3.0);
-}
-
-TEST(Sync, ChannelDeliversInOrder) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  auto producer = [](Simulator& s, Channel<int>& c) -> Task<void> {
-    for (int i = 0; i < 5; ++i) {
-      co_await s.delay(0.1);
-      co_await c.push(i);
-    }
-    c.close();
-  };
-  auto consumer = [](Channel<int>& c, std::vector<int>* out) -> Task<void> {
-    while (true) {
-      auto v = co_await c.pop();
-      if (!v) break;
-      out->push_back(*v);
-    }
-  };
-  sim.spawn(producer(sim, ch));
-  sim.spawn(consumer(ch, &got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Sync, BoundedChannelAppliesBackpressure) {
-  Simulator sim;
-  Channel<int> ch(sim, 2);
-  double producer_done = -1;
-  auto producer = [](Simulator& s, Channel<int>& c, double* done) -> Task<void> {
-    for (int i = 0; i < 6; ++i) co_await c.push(i);
-    *done = s.now();
-    c.close();
-  };
-  auto consumer = [](Simulator& s, Channel<int>& c) -> Task<void> {
-    while (true) {
-      auto v = co_await c.pop();
-      if (!v) break;
-      co_await s.delay(1.0);
-    }
-  };
-  sim.spawn(producer(sim, ch, &producer_done));
-  sim.spawn(consumer(sim, ch));
-  sim.run();
-  // Producer must have been throttled by the consumer's pace.
-  EXPECT_GT(producer_done, 2.5);
 }
 
 TEST(Parallel, WhenAllCollectsInInputOrder) {
