@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "blob/metadata.h"
 #include "blob/version_manager.h"
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 
 namespace bs {
 namespace {
@@ -30,6 +32,49 @@ void BM_EventLoopDelay(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopDelay);
+
+// The shape of the suite's metadata storm: N clients loop over request
+// hops to one of 16 shards, a FIFO hand-off through the shard's gate, a
+// service time that depends on the op, and a reply hop. Three fixed delays
+// plus schedule_now hand-offs, with N events pending, so this measures the
+// event queue at depth (BM_EventLoopDelay keeps one entry queued).
+constexpr double kStormHop = 200e-6;
+constexpr double kStormService[2] = {60e-6, 80e-6};
+
+sim::Task<void> storm_client(sim::Simulator& s, sim::Semaphore& gate, int id) {
+  for (int op = 0; op < 20; ++op) {
+    co_await s.delay(kStormHop);
+    co_await gate.acquire();
+    co_await s.delay(kStormService[(id + op) & 1]);
+    gate.release();
+    co_await s.delay(kStormHop);
+  }
+}
+
+void BM_EventLoopStorm(benchmark::State& state) {
+  const int clients = static_cast<int>(state.range(0));
+  constexpr int kShards = 16;
+  uint64_t events = 0;
+  uint64_t heap = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    std::vector<std::unique_ptr<sim::Semaphore>> gates;
+    for (int g = 0; g < kShards; ++g) {
+      gates.push_back(std::make_unique<sim::Semaphore>(sim, 1));
+    }
+    for (int i = 0; i < clients; ++i) {
+      sim.spawn(storm_client(sim, *gates[i % kShards], i));
+    }
+    sim.run();
+    benchmark::DoNotOptimize(sim.now());
+    events += sim.events_processed();
+    heap += sim.heap_events();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["heap_share"] =
+      static_cast<double>(heap) / static_cast<double>(events);
+}
+BENCHMARK(BM_EventLoopStorm)->Arg(1000)->Arg(10000);
 
 void BM_FlowSolver(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));

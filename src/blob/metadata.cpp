@@ -23,6 +23,7 @@ uint64_t get_u64(const Bytes& in, size_t& at) {
 
 Bytes MetaNode::serialize() const {
   Bytes out;
+  out.reserve(8 * (7 + providers.size()));
   put_u64(out, range.first);
   put_u64(out, range.count);
   put_u64(out, version);

@@ -156,11 +156,11 @@ sim::Task<void> Network::transfer(NodeId src, NodeId dst, double bytes,
   }
 }
 
-sim::Task<void> Network::control(NodeId src, NodeId dst) {
+sim::Simulator::Delay Network::control(NodeId src, NodeId dst) {
   (void)src;
   (void)dst;
   m_rpcs_->inc();
-  co_await sim_.delay(cfg_.control_latency_s);
+  return sim_.delay(cfg_.control_latency_s);
 }
 
 sim::Task<bool> Network::try_transfer(NodeId src, NodeId dst, double bytes) {
@@ -203,7 +203,7 @@ sim::Task<bool> Network::try_disk_write(NodeId node, double bytes) {
   co_return up_[node] && incarnation_[node] == inc;
 }
 
-sim::Task<bool> Network::try_control(NodeId src, NodeId dst) {
+Network::ControlHop Network::try_control(NodeId src, NodeId dst) {
   BS_CHECK(src < cfg_.num_nodes && dst < cfg_.num_nodes);
   m_rpcs_->inc();
   if (!up_[dst]) {
@@ -214,11 +214,9 @@ sim::Task<bool> Network::try_control(NodeId src, NodeId dst) {
       std::snprintf(args, sizeof(args), "\"dst\":%u", dst);
       tracer_->instant("net", "net", src, "rpc_timeout", args);
     }
-    co_await sim_.delay(cfg_.rpc_timeout_s);
-    co_return false;
+    return ControlHop{sim_.delay(cfg_.rpc_timeout_s), false};
   }
-  co_await sim_.delay(cfg_.control_latency_s);
-  co_return true;
+  return ControlHop{sim_.delay(cfg_.control_latency_s), true};
 }
 
 uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {

@@ -159,8 +159,9 @@ class Network {
   sim::Task<void> transfer(NodeId src, NodeId dst, double bytes,
                            double rate_cap = 0);
 
-  // One-way control-message latency.
-  sim::Task<void> control(NodeId src, NodeId dst);
+  // One-way control-message latency: one delay event and no coroutine
+  // frame. Counts the RPC when called, so await the result at once.
+  sim::Simulator::Delay control(NodeId src, NodeId dst);
 
   // --- node-down semantics (driven by the fault injector) ---
   //
@@ -209,8 +210,17 @@ class Network {
   // Control round trip that can fail: if `dst` is down when the request
   // would arrive, the caller waits out the connection timeout and gets
   // false. Returns true after a normal one-way latency otherwise (the
-  // caller models the response leg itself, as with control()).
-  sim::Task<bool> try_control(NodeId src, NodeId dst);
+  // caller models the response leg itself, as with control()). Like
+  // control(), one delay event and no coroutine frame; the outcome is
+  // decided when called.
+  struct [[nodiscard]] ControlHop {
+    sim::Simulator::Delay wait;
+    bool delivered;
+    bool await_ready() const noexcept { return wait.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { wait.await_suspend(h); }
+    bool await_resume() const noexcept { return delivered; }
+  };
+  ControlHop try_control(NodeId src, NodeId dst);
 
   Disk& disk(NodeId node) { return *disks_[node]; }
 

@@ -41,9 +41,11 @@ class Service {
     if (counter_ != nullptr) counter_->inc();
   }
 
-  // The return hop to `client`. A plain function: the caller awaits the
-  // hop's own task, so a reply adds no coroutine frame.
-  sim::Task<void> reply(NodeId client) { return net_.control(node_, client); }
+  // The return hop to `client`: the caller awaits the hop itself, so a
+  // reply makes one delay event and no coroutine frame.
+  sim::Simulator::Delay reply(NodeId client) {
+    return net_.control(node_, client);
+  }
 
   uint64_t requests() const { return requests_; }
   size_t queue_depth() const { return gate_.waiting(); }

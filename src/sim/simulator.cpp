@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -17,17 +18,31 @@ Simulator::~Simulator() {
   // destructors, which may only touch primitives that outlive them
   // (standard teardown order: services own primitives, harness owns
   // services and the simulator).
-  queue_ = {};
+  heap_ = {};
+  lanes_ = {};
   callback_slots_.clear();
   spawned_.clear();
 }
 
-void Simulator::schedule_at(Time t, std::coroutine_handle<> h) {
-  BS_DCHECK(t >= now_);
-  BS_DCHECK(h != nullptr);
-  const auto addr = reinterpret_cast<uintptr_t>(h.address());
-  BS_DCHECK((addr & 1) == 0);  // frames are new-aligned; bit 0 is the tag
-  queue_.push(Event{std::max(t, now_), seq_++, addr});
+void Simulator::Lane::grow() {
+  std::vector<Event> bigger(ring.empty() ? 16 : 2 * ring.size());
+  for (uint32_t k = 0; k < size; ++k) bigger[k] = ring[(head + k) & mask];
+  ring = std::move(bigger);
+  mask = static_cast<uint32_t>(ring.size() - 1);
+  head = 0;
+}
+
+void Simulator::schedule_after(Time dt, std::coroutine_handle<> h) {
+  BS_DCHECK(dt > 0);
+  // The lane that holds dt, else the first empty lane; lane 0 is delay 0's.
+  int free_lane = kNone;
+  for (int i = 1; i < kLanes; ++i) {
+    if (lanes_[i].dt == dt) return lane_push(i, dt, h);
+    if (free_lane == kNone && lanes_[i].size == 0) free_lane = i;
+  }
+  if (free_lane != kNone) return lane_push(free_lane, dt, h);
+  heap_.push(Event{now_ + dt, seq_++, payload_of(h)});
+  ++heap_events_;
 }
 
 void Simulator::call_at(Time t, std::function<void()> fn) {
@@ -41,8 +56,36 @@ void Simulator::call_at(Time t, std::function<void()> fn) {
     slot = static_cast<uint32_t>(callback_slots_.size());
     callback_slots_.push_back(std::move(fn));
   }
-  queue_.push(Event{std::max(t, now_), seq_++,
-                    (static_cast<uintptr_t>(slot) << 1) | 1});
+  heap_.push(Event{std::max(t, now_), seq_++,
+                   (static_cast<uintptr_t>(slot) << 1) | 1});
+  ++heap_events_;
+}
+
+int Simulator::earliest() const {
+  int best = heap_.empty() ? kNone : kHeap;
+  const Event* b = best == kHeap ? &heap_.top() : nullptr;
+  for (uint32_t m = busy_lanes_; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    const Event& e = lanes_[i].front();
+    if (b == nullptr || e.t < b->t || (e.t == b->t && e.seq < b->seq)) {
+      best = i;
+      b = &e;
+    }
+  }
+  return best;
+}
+
+Simulator::Event Simulator::take(int src) {
+  if (src == kHeap) {
+    const Event ev = heap_.top();
+    heap_.pop();
+    return ev;
+  }
+  Lane& l = lanes_[src];
+  const Event ev = l.front();
+  l.pop();
+  if (l.size == 0) busy_lanes_ &= ~(1u << src);
+  return ev;
 }
 
 void Simulator::spawn(Task<void> task) {
@@ -106,7 +149,8 @@ void Simulator::run_flush_hooks() {
 
 Time Simulator::run() {
   for (;;) {
-    if (flush_requested_ && (queue_.empty() || queue_.top().t != now_)) {
+    const int src = earliest();
+    if (flush_requested_ && (src == kNone || head(src).t != now_)) {
       // The current instant has drained: flush deferred work (it may
       // enqueue new events at `now` or later), then re-evaluate.
       flush_requested_ = false;
@@ -114,10 +158,8 @@ Time Simulator::run() {
       if (!finished_.empty()) drain_finished();
       continue;
     }
-    if (queue_.empty()) break;
-    const Event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
+    if (src == kNone) break;
+    dispatch(take(src));
     if (!finished_.empty()) drain_finished();
   }
   return now_;
@@ -125,16 +167,15 @@ Time Simulator::run() {
 
 Time Simulator::run_until(Time t) {
   for (;;) {
-    if (flush_requested_ && (queue_.empty() || queue_.top().t != now_)) {
+    const int src = earliest();
+    if (flush_requested_ && (src == kNone || head(src).t != now_)) {
       flush_requested_ = false;
       run_flush_hooks();
       if (!finished_.empty()) drain_finished();
       continue;
     }
-    if (queue_.empty() || queue_.top().t > t) break;
-    const Event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
+    if (src == kNone || head(src).t > t) break;
+    dispatch(take(src));
     if (!finished_.empty()) drain_finished();
   }
   now_ = std::max(now_, t);

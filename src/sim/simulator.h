@@ -1,9 +1,22 @@
 // Simulator — deterministic discrete-event loop driving all coroutines.
 //
-// A single event queue orders (time, sequence) pairs; ties are broken by
+// Events are ordered by (time, sequence) pairs; ties are broken by
 // insertion order, so runs are bit-reproducible. The simulated world is
 // single-threaded by construction (C++ Core Guidelines CP.3: parallelism is
 // *modeled*, not executed, so there is no shared mutable state to race on).
+//
+// Pending events sit in FIFO lanes and one binary heap. Almost every event
+// is a coroutine resumed at `now` plus one of a few fixed delays (a control
+// latency, a service time, 0 for a hand-off), and events sharing one delay
+// are pushed in (time, seq) order: `now` never decreases, `now + dt` is
+// monotone in `now`, and seq only grows. So a lane — a ring buffer holding
+// the pending events of one delay value — is sorted by construction, and
+// push and pop are O(1) (the calendar-queue idea, Brown, CACM 1988,
+// narrowed to fixed delays). One lane is kept for delay 0; a new delay
+// value takes a free lane only when the lane is empty. call_at and delays
+// that find no lane go to the heap. The next event is the (time, seq)
+// minimum over the heap top and the lane heads, the order one heap of
+// every event would give.
 //
 // The loop is allocation-free in steady state: an Event is a 24-byte POD
 // whose payload is either a coroutine handle or an index into a pooled
@@ -15,6 +28,7 @@
 // at the dispatch that finished the task, not at some later reap boundary.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -22,6 +36,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/assert.h"
 #include "sim/task.h"
 
 namespace bs::obs {
@@ -45,9 +60,15 @@ class Simulator {
 
   Time now() const { return now_; }
 
-  // Schedules a coroutine resumption at absolute time `t` (>= now).
-  void schedule_at(Time t, std::coroutine_handle<> h);
-  void schedule_now(std::coroutine_handle<> h) { schedule_at(now_, h); }
+  // FIFO lanes for pending events (see the header comment). Lane 0 holds
+  // delay 0 (schedule_now); the others take delay values on demand. More
+  // lanes catch more distinct delays but lengthen the scan for the next
+  // event.
+  static constexpr int kLanes = 8;
+
+  // Schedules a coroutine resumption at the current time, after every
+  // event already queued for it.
+  void schedule_now(std::coroutine_handle<> h) { lane_push(0, 0, h); }
 
   // Schedules a plain callback (used by the flow solver's retimeable wake).
   // Callback storage is pooled: the std::function lives in a reusable slot,
@@ -55,19 +76,16 @@ class Simulator {
   // the function's inline buffer still allocate inside std::function).
   void call_at(Time t, std::function<void()> fn);
 
-  // Awaitable: suspends the current coroutine for `dt` simulated seconds.
-  auto delay(Time dt) {
-    struct Awaiter {
-      Simulator& sim;
-      Time dt;
-      bool await_ready() const noexcept { return dt <= 0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim.schedule_at(sim.now_ + dt, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, dt};
-  }
+  // Awaitable: suspends the current coroutine for `dt` simulated seconds
+  // (not at all when dt <= 0). One event, no coroutine frame.
+  struct [[nodiscard]] Delay {
+    Simulator& sim;
+    Time dt;
+    bool await_ready() const noexcept { return dt <= 0; }
+    void await_suspend(std::coroutine_handle<> h) { sim.schedule_after(dt, h); }
+    void await_resume() const noexcept {}
+  };
+  Delay delay(Time dt) { return Delay{*this, dt}; }
 
   // Detaches a task: it starts at the current time and is owned by the
   // simulator until completion. An escaped exception in a detached task
@@ -82,6 +100,9 @@ class Simulator {
 
   // Number of events processed so far (for tests and perf reporting).
   uint64_t events_processed() const { return events_processed_; }
+  // Events that went through the binary heap: every call_at, and each delay
+  // that found no lane. The rest took a FIFO lane.
+  uint64_t heap_events() const { return heap_events_; }
   size_t live_processes() const { return live_; }
 
   // --- instant-end hooks -----------------------------------------------
@@ -131,6 +152,50 @@ class Simulator {
     }
   };
 
+  // Pending events of one delay value, in (time, seq) order: a ring
+  // buffer whose capacity is 0 or a power of two.
+  struct Lane {
+    const Event& front() const { return ring[head]; }
+    void push(const Event& ev) {
+      if (size == ring.size()) grow();
+      ring[(head + size++) & mask] = ev;
+    }
+    void pop() {
+      head = (head + 1) & mask;
+      --size;
+    }
+    void grow();
+
+    std::vector<Event> ring;
+    uint32_t mask = 0;  // ring.size() - 1 once allocated
+    uint32_t head = 0;
+    uint32_t size = 0;
+    Time dt = 0;  // 0 on an unassigned lane other than lane 0
+  };
+  // earliest() result when the heap top is next, or nothing is pending.
+  static constexpr int kHeap = kLanes;
+  static constexpr int kNone = kLanes + 1;
+
+  // Frames come from operator new, so bit 0 (the callback tag) is clear.
+  static uintptr_t payload_of(std::coroutine_handle<> h) {
+    const auto addr = reinterpret_cast<uintptr_t>(h.address());
+    BS_DCHECK(h != nullptr && (addr & 1) == 0);
+    return addr;
+  }
+  void schedule_after(Time dt, std::coroutine_handle<> h);
+  void lane_push(int lane, Time dt, std::coroutine_handle<> h) {
+    Lane& l = lanes_[lane];
+    l.dt = dt;
+    l.push(Event{now_ + dt, seq_++, payload_of(h)});
+    busy_lanes_ |= 1u << lane;
+  }
+  // Where the (time, seq)-earliest pending event sits: a lane, kHeap or
+  // kNone. head() reads it, take() pops it.
+  int earliest() const;
+  const Event& head(int src) const {
+    return src == kHeap ? heap_.top() : lanes_[src].front();
+  }
+  Event take(int src);
   void dispatch(const Event& ev);
   // Destroys tasks that linked themselves onto the finished list during the
   // last dispatch; rethrows the first escaped exception it finds.
@@ -139,7 +204,9 @@ class Simulator {
   // Called from a detached task's final suspend (via the promise hook).
   static void on_task_finished(void* sim, uint32_t slot);
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::array<Lane, kLanes> lanes_;
+  uint32_t busy_lanes_ = 0;  // bit i set: lane i is non-empty
   // Detached tasks live in slab slots (stable under growth via index
   // addressing); finished tasks push their slot here at final suspend.
   std::vector<Task<void>> spawned_;
@@ -161,6 +228,7 @@ class Simulator {
   Time now_ = 0;
   uint64_t seq_ = 0;
   uint64_t events_processed_ = 0;
+  uint64_t heap_events_ = 0;
   size_t live_ = 0;
   bool flush_requested_ = false;
 };

@@ -213,6 +213,35 @@ TEST(Network, ControlLatencyIsConstant) {
   sim.spawn(proc(net));
   sim.run();
   EXPECT_NEAR(sim.now(), 4e-3, 1e-12);
+  // One RPC and one event per hop (plus the spawn's).
+  EXPECT_EQ(sim.metrics().counter("net/rpcs").value(), 4.0);
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(Network, TryControlToDownNodeTimesOut) {
+  sim::Simulator sim;
+  const ClusterConfig cfg = small_config();
+  Network net(sim, cfg);
+  net.set_node_up(7, false);
+  bool to_up = false;
+  bool to_down = true;
+  double waited = -1;
+  auto proc = [](sim::Simulator& s, Network& n, bool* up, bool* down,
+                 double* w) -> sim::Task<void> {
+    *up = co_await n.try_control(0, 6);
+    const double t0 = s.now();
+    *down = co_await n.try_control(0, 7);
+    *w = s.now() - t0;
+  };
+  sim.spawn(proc(sim, net, &to_up, &to_down, &waited));
+  sim.run();
+  EXPECT_TRUE(to_up);
+  EXPECT_FALSE(to_down);
+  EXPECT_DOUBLE_EQ(waited, cfg.rpc_timeout_s);
+  EXPECT_NEAR(sim.now(), cfg.control_latency_s + cfg.rpc_timeout_s, 1e-12);
+  EXPECT_EQ(sim.metrics().counter("net/rpcs").value(), 2.0);
+  EXPECT_EQ(sim.metrics().counter("net/rpc_timeouts").value(), 1.0);
+  EXPECT_EQ(sim.events_processed(), 3u);  // the spawn and one per hop
 }
 
 TEST(Disk, SequentialServiceTime) {

@@ -2,9 +2,13 @@
 // synchronization primitives, determinism, and structured concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "sim/order_audit.h"
 #include "sim/parallel.h"
@@ -225,6 +229,47 @@ TEST(Sync, EventWakesAllWaiters) {
   sim.spawn(late_waiter(ev, &late));
   sim.run();
   EXPECT_TRUE(late);
+}
+
+TEST(Sync, EventWaitAfterSetDoesNotSuspend) {
+  Simulator sim;
+  Event ev(sim);
+  ev.set();
+  EXPECT_TRUE(ev.wait().await_ready());
+  uint64_t before = 0;
+  uint64_t after = 1;
+  auto proc = [](Simulator& s, Event& e, uint64_t* b,
+                 uint64_t* a) -> Task<void> {
+    *b = s.events_processed();
+    co_await e.wait();
+    *a = s.events_processed();  // still inside the same dispatch
+  };
+  sim.spawn(proc(sim, ev, &before, &after));
+  sim.run();
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(sim.events_processed(), 1u);  // the spawn only
+}
+
+TEST(Sync, EventWakesWaitersInFifoOrder) {
+  Simulator sim;
+  Event ev(sim);
+  std::vector<int> order;
+  // Waiter i starts waiting at 5 - i, so they queue as 4, 3, 2, 1, 0: not
+  // the spawn order.
+  auto waiter = [](Simulator& s, Event& e, int id,
+                   std::vector<int>* out) -> Task<void> {
+    co_await s.delay(5.0 - id);
+    co_await e.wait();
+    out->push_back(id);
+  };
+  for (int i = 0; i < 5; ++i) sim.spawn(waiter(sim, ev, i, &order));
+  sim.run();
+  EXPECT_TRUE(order.empty());
+  const uint64_t parked = sim.events_processed();
+  ev.set();
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(sim.events_processed(), parked + 5);  // one wake each
 }
 
 TEST(Sync, WaitGroupJoins) {
@@ -543,6 +588,110 @@ TEST(Simulator, CallAtSlotsAreRecycled) {
   sim.run();
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+// --- FIFO lanes ---------------------------------------------------------
+
+// A schedule as its test scheduled it: `when[i]` is the time of the i-th
+// event scheduled, so indices follow seq; `ran` lists indices in dispatch
+// order.
+struct ScheduleLog {
+  std::vector<double> when;
+  std::vector<size_t> ran;
+  size_t calls = 0;  // call_at events among `when`
+  size_t note(double t) {
+    when.push_back(t);
+    return when.size() - 1;
+  }
+};
+
+// Resumes the awaiting coroutine through schedule_now.
+struct Yield {
+  Simulator& sim;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim.schedule_now(h); }
+  void await_resume() const noexcept {}
+};
+
+Task<void> lane_actor(Simulator& s, ScheduleLog* log, uint64_t seed,
+                      int steps) {
+  constexpr double kRepeated[] = {1e-3, 2.5e-3, 7e-3};
+  Rng rng(seed);
+  for (int i = 0; i < steps; ++i) {
+    const uint64_t kind = rng.below(8);
+    size_t me;
+    if (kind < 4) {
+      const double dt = kRepeated[rng.below(3)];
+      me = log->note(s.now() + dt);
+      co_await s.delay(dt);
+    } else if (kind < 6) {
+      // One of 40 distinct delays: far more values than lanes.
+      const double dt = 1e-4 * static_cast<double>(1 + rng.below(40));
+      me = log->note(s.now() + dt);
+      co_await s.delay(dt);
+    } else if (kind == 6) {
+      me = log->note(s.now());
+      co_await Yield{s};
+    } else {
+      const double t = s.now() + 1e-4 * static_cast<double>(rng.below(50));
+      const size_t cb = log->note(t);
+      ++log->calls;
+      s.call_at(t, [log, cb] { log->ran.push_back(cb); });
+      continue;
+    }
+    log->ran.push_back(me);
+  }
+}
+
+TEST(Simulator, LanesDispatchInTimeSeqOrder) {
+  Simulator sim;
+  ScheduleLog log;
+  for (uint64_t a = 0; a < 12; ++a) {
+    sim.spawn(lane_actor(sim, &log, 1000 + a, 100));
+  }
+  for (const double b : {0.01, 0.05, 0.05, 0.2}) {
+    sim.run_until(b);
+    EXPECT_DOUBLE_EQ(sim.now(), b);
+    for (const size_t i : log.ran) EXPECT_LE(log.when[i], b);
+    const size_t cb = log.note(b);  // at the boundary, from outside
+    ++log.calls;
+    sim.call_at(b, [&log, cb] { log.ran.push_back(cb); });
+  }
+  sim.run();
+  // A stable sort by time keeps ties in scheduling (seq) order.
+  std::vector<size_t> expected(log.when.size());
+  std::iota(expected.begin(), expected.end(), size_t{0});
+  std::stable_sort(expected.begin(), expected.end(), [&](size_t a, size_t b) {
+    return log.when[a] < log.when[b];
+  });
+  EXPECT_EQ(log.ran, expected);
+  // Distinct delays overflowed the lanes into the heap, yet the lanes took
+  // most of the events.
+  EXPECT_GT(sim.heap_events(), log.calls);
+  EXPECT_LT(sim.heap_events(), log.when.size() / 2);
+}
+
+TEST(Simulator, LaneIsReassignedAfterItEmpties) {
+  Simulator sim;
+  std::vector<double> woke;
+  auto sleeper = [](Simulator& s, double dt,
+                    std::vector<double>* out) -> Task<void> {
+    co_await s.delay(dt);
+    out->push_back(s.now());
+  };
+  // Delays 1, 2, ... fill every lane beside delay 0's; one more value
+  // finds them all busy and goes to the heap.
+  for (int k = 1; k < Simulator::kLanes; ++k) sim.spawn(sleeper(sim, k, &woke));
+  sim.spawn(sleeper(sim, 0.5, &woke));
+  sim.run_until(1.0);
+  EXPECT_EQ(sim.heap_events(), 1u);
+  // Delay 1's lane emptied at t = 1, so 0.5 takes it now.
+  sim.spawn(sleeper(sim, 0.5, &woke));
+  sim.run();
+  EXPECT_EQ(sim.heap_events(), 1u);
+  std::vector<double> expected = {0.5, 1, 1.5};
+  for (int k = 2; k < Simulator::kLanes; ++k) expected.push_back(k);
+  EXPECT_EQ(woke, expected);
 }
 
 class DelayParamTest : public ::testing::TestWithParam<double> {};
