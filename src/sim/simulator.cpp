@@ -67,7 +67,7 @@ int Simulator::earliest() const {
   for (uint32_t m = busy_lanes_; m != 0; m &= m - 1) {
     const int i = std::countr_zero(m);
     const Event& e = lanes_[i].front();
-    if (b == nullptr || e.t < b->t || (e.t == b->t && e.seq < b->seq)) {
+    if (b == nullptr || before(e, *b)) {
       best = i;
       b = &e;
     }

@@ -145,10 +145,13 @@ class Simulator {
     uint64_t seq;
     uintptr_t payload;
   };
+  // Dispatch order: by time, ties by seq.
+  static bool before(const Event& a, const Event& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  }
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+      return before(b, a);
     }
   };
 
