@@ -62,8 +62,9 @@ struct RunStats {
   uint64_t retimes_scheduled = 0;
   uint64_t retimes_damped = 0;
   uint64_t classes_created = 0;
-  uint64_t fill_rounds = 0;       // progressive-filling rounds, all solves
+  uint64_t fill_rounds = 0;       // progressive-filling rounds run, all solves
   uint64_t class_tests = 0;       // bottleneck tests on unfrozen classes
+  uint64_t rounds_replayed = 0;   // rounds taken from the previous solve's log
   double oracle_max_rel_diff = 0;
 };
 
@@ -139,6 +140,7 @@ RunStats run_storm() {
   out.classes_created = s.path_classes_created;
   out.fill_rounds = s.fill_rounds;
   out.class_tests = s.class_tests;
+  out.rounds_replayed = s.rounds_replayed;
   out.oracle_max_rel_diff = oracle_diff;
   report_world_events(sim.events_processed());
   return out;
@@ -157,6 +159,8 @@ void report_run(BenchReport& report, const std::string& prefix,
   report.metric(prefix + "/makespan_s", s.makespan_s);
   report.metric(prefix + "/fill_rounds", static_cast<double>(s.fill_rounds));
   report.metric(prefix + "/class_tests", static_cast<double>(s.class_tests));
+  report.metric(prefix + "/rounds_replayed",
+                static_cast<double>(s.rounds_replayed));
 }
 
 }  // namespace
@@ -193,8 +197,9 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(incr.flows),
              static_cast<unsigned long long>(incr.classes_created),
              flows_per_class, static_cast<unsigned long long>(max_solves));
-  report.say("%llu fill rounds, %llu class tests\n",
+  report.say("%llu fill rounds run, %llu replayed, %llu class tests\n",
              static_cast<unsigned long long>(incr.fill_rounds),
+             static_cast<unsigned long long>(incr.rounds_replayed),
              static_cast<unsigned long long>(incr.class_tests));
   report.say("reference max rel diff %.2e, makespan drift %.2e\n",
              incr.oracle_max_rel_diff, makespan_rel);

@@ -76,6 +76,12 @@ void BM_EventLoopStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopStorm)->Arg(1000)->Arg(10000);
 
+// The share of one run's filling rounds taken from the solve log.
+double replayed_share(const net::SolverStats& s) {
+  const auto total = static_cast<double>(s.fill_rounds + s.rounds_replayed);
+  return total > 0 ? static_cast<double>(s.rounds_replayed) / total : 0;
+}
+
 void BM_FlowSolver(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -136,6 +142,7 @@ BENCHMARK(BM_FlowSolverChurn)->Arg(256)->Arg(1024)->Arg(4096);
 // and are uncapped; BM_FlowSolverChurn repeats 8 paths).
 void BM_FlowSolverLevels(benchmark::State& state) {
   const auto clients = static_cast<uint32_t>(state.range(0));
+  net::SolverStats work;
   for (auto _ : state) {
     sim::Simulator sim;
     net::ClusterConfig cfg;
@@ -162,8 +169,10 @@ void BM_FlowSolverLevels(benchmark::State& state) {
     }
     sim.run();
     benchmark::DoNotOptimize(net.bytes_moved());
+    work = net.solver_stats();
   }
   state.SetItemsProcessed(state.iterations() * clients * 4);
+  state.counters["replayed_share"] = replayed_share(work);
 }
 BENCHMARK(BM_FlowSolverLevels)->Arg(64)->Arg(250);
 
@@ -174,6 +183,7 @@ BENCHMARK(BM_FlowSolverLevels)->Arg(64)->Arg(250);
 // rather than its round count. The run stops before any long one ends.
 void BM_FlowSolverStanding(benchmark::State& state) {
   const auto fanout = static_cast<uint32_t>(state.range(0));
+  net::SolverStats work;
   for (auto _ : state) {
     sim::Simulator sim;
     net::ClusterConfig cfg;
@@ -200,9 +210,11 @@ void BM_FlowSolverStanding(benchmark::State& state) {
       sim.spawn(proc(sim, net, src, dst, 1e5, 0.001 * (j + 1)));
     }
     sim.run_until(0.5);
-    benchmark::DoNotOptimize(net.solver_stats().class_solves);
+    work = net.solver_stats();
+    benchmark::DoNotOptimize(work.class_solves);
   }
   state.SetItemsProcessed(state.iterations() * 256);
+  state.counters["replayed_share"] = replayed_share(work);
 }
 BENCHMARK(BM_FlowSolverStanding)->Arg(1)->Arg(4)->Arg(8);
 

@@ -83,6 +83,8 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   scratch_remaining_.assign(links, 0);
   scratch_count_.assign(links, 0);
   link_marked_.assign(links, 0);
+  solved_load_.assign(links, 0);
+  link_listed_.assign(links, 0);
   up_.assign(n, 1);
   incarnation_.assign(n, 0);
   perf_.assign(n, NodePerf{});
@@ -128,6 +130,7 @@ void Network::set_node_perf(NodeId node, NodePerf perf) {
   link_capacity_[link_node_up(node)] = cfg_.nic_bps * perf.nic;
   link_capacity_[link_node_down(node)] = cfg_.nic_bps * perf.nic;
   disks_[node]->set_scale(perf.disk);
+  log_valid_ = false;  // the logged shares assumed the old capacities
   mark_rates_dirty();
 }
 
@@ -244,7 +247,7 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     ++sstats_.path_classes_created;
   }
   PathClass& c = classes_[it->second];
-  ++c.n;
+  if (c.n++ == c.logged_n) touched_.push_back(it->second);
   for (uint32_t k = 0; k < c.path_len; ++k) {
     const uint32_t l = c.path[k];
     if (link_load_[l]++ > 0) continue;
@@ -265,6 +268,7 @@ void Network::release_member(uint32_t cls) {
     link_slot_[last] = link_slot_[l];
     loaded_links_.pop_back();
   }
+  if (c.n == c.logged_n) touched_.push_back(cls);
   if (--c.n > 0) return;
   // The class stays as a hole until the compaction that drops it.
   live_[cls / 64] &= ~bit(cls);
@@ -325,6 +329,7 @@ void Network::compact_classes() {
   }
   classes_.resize(live);
   holes_ = 0;
+  log_valid_ = false;
   live_.assign((live + 63) / 64, ~uint64_t{0});
   if (live % 64 != 0) live_.back() = bit(live) - 1;
   for (Flow& f : flows_) f.cls = moved[f.cls];
@@ -346,11 +351,8 @@ bool Network::bottlenecked(const PathClass& c, double limit) const {
   return false;
 }
 
-void Network::freeze(uint32_t pos, double rate) {
-  unfrozen_[pos / 64] &= ~bit(pos);
-  PathClass& c = classes_[pos];
-  c.rate = rate;
-  const double used = rate * c.n;
+void Network::take(const PathClass& c) {
+  const double used = c.rate * c.n;
   for (uint32_t k = 0; k < c.path_len; ++k) {
     const uint32_t l = c.path[k];
     scratch_remaining_[l] -= used;
@@ -358,38 +360,152 @@ void Network::freeze(uint32_t pos, double rate) {
   }
 }
 
+void Network::freeze(uint32_t pos, double rate) {
+  unfrozen_[pos / 64] &= ~bit(pos);
+  PathClass& c = classes_[pos];
+  c.rate = rate;
+  take(c);
+  c.logged_round = static_cast<uint32_t>(rounds_.size() - 1);
+  froze_.push_back(pos);
+}
+
 void Network::mark_link(uint32_t l, uint32_t from) {
   link_marked_[l] = sstats_.fill_rounds;
-  const std::vector<uint32_t>& on = link_classes_[l];
-  auto it = std::lower_bound(on.begin(), on.end(), from);
-  // Positions ascend, so each bitmap word is written once per run.
-  while (it != on.end()) {
-    const uint32_t w = *it / 64;
+  std::vector<uint32_t>& on = link_classes_[l];
+  size_t i = static_cast<size_t>(
+      std::lower_bound(on.begin(), on.end(), from) - on.begin());
+  size_t kept = i;
+  // Positions ascend, so each bitmap word is written once per run. A hole
+  // (live bit clear) is dropped from the list as the walk passes it.
+  while (i < on.size()) {
+    const uint32_t w = on[i] / 64;
+    const uint64_t live = live_[w];
     uint64_t bits = 0;
-    for (; it != on.end() && *it / 64 == w; ++it) bits |= bit(*it);
+    for (; i < on.size() && on[i] / 64 == w; ++i) {
+      const uint64_t b = bit(on[i]);
+      if (!(live & b)) continue;
+      bits |= b;
+      on[kept++] = on[i];
+    }
     candidates_[w] |= bits & unfrozen_[w];
   }
+  on.resize(kept);
+}
+
+uint32_t Network::collect_changes() {
+  changed_.clear();
+  new_cap_floor_ = std::numeric_limits<double>::infinity();
+  uint32_t bound = log_valid_ ? static_cast<uint32_t>(rounds_.size()) : 0;
+  for (uint32_t pos : touched_) {
+    PathClass& c = classes_[pos];
+    if (c.n == c.logged_n) continue;  // moved back, or listed twice
+    if (pos < logged_classes_) {
+      // It filled with its old count until the round that froze it.
+      bound = std::min(bound, c.logged_round);
+    } else if (c.cap > 0 && c.n > 0) {
+      new_cap_floor_ = std::min(new_cap_floor_, c.cap);
+    }
+    c.logged_n = c.n;
+    for (uint32_t k = 0; k < c.path_len; ++k) {
+      const uint32_t l = c.path[k];
+      if (link_listed_[l] == sstats_.class_solves) continue;
+      link_listed_[l] = sstats_.class_solves;
+      const uint32_t was = solved_load_[l];
+      solved_load_[l] = link_load_[l];
+      changed_.push_back({l, was > link_load_[l] ? was - link_load_[l] : 0});
+    }
+  }
+  touched_.clear();
+  return bound;
+}
+
+uint32_t Network::replay_rounds(uint32_t bound, size_t& unfrozen) {
+  uint32_t round = 0;
+  for (; round < bound; ++round) {
+    Round& r = rounds_[round];
+    // A new class capped at or below the share would freeze here. (A share
+    // that is not positive admits no bound below; stop there too.)
+    if (!(r.share > 0) || r.share >= new_cap_floor_) break;
+    const size_t end = round + 1 < rounds_.size() ? rounds_[round + 1].begin
+                                                  : froze_.size();
+    // Each of the round's subtractions takes at most the share per member,
+    // so in exact arithmetic a link above the near bound at the round's
+    // start stays above it. Rounding moves a link by at most about one
+    // unit in the last place of its remaining capacity per subtraction;
+    // widening the bound by 1e-15 (several units) per freeze of the round
+    // covers that. A changed link at or below `reach` per member —
+    // counting the members it lost, so with the larger of its old and new
+    // counts — could pass the bottleneck test or set the share in this
+    // round. No other link changed, so while none is that near, every
+    // test of the round comes out as logged.
+    const double reach =
+        r.near * (1 + static_cast<double>(end - r.begin + 8) * 1e-15);
+    bool reached = false;
+    for (const Changed& ch : changed_) {
+      const uint32_t cnt = scratch_count_[ch.link] + ch.lost;
+      if (cnt != 0 && !(scratch_remaining_[ch.link] > reach * cnt)) {
+        reached = true;
+        break;
+      }
+    }
+    if (reached) break;
+    // The new classes are unfrozen through the round: the logged floor
+    // must stay at or below their caps for the next solve that resumes
+    // here.
+    r.cap_floor = std::min(r.cap_floor, new_cap_floor_);
+    for (size_t i = r.begin; i < end; ++i) {
+      const uint32_t pos = froze_[i];
+      unfrozen_[pos / 64] &= ~bit(pos);
+      take(classes_[pos]);
+    }
+    unfrozen -= end - r.begin;
+  }
+  return round;
 }
 
 void Network::solve_classes() {
   ++sstats_.class_solves;
   m_solves_->inc();
+  uint32_t bound = collect_changes();
   if (holes_ > 0 && 2 * holes_ >= classes_.size()) compact_classes();
-  if (flows_.empty()) return;
+  if (flows_.empty()) {
+    log_valid_ = false;
+    return;
+  }
+  if (!log_valid_) bound = 0;  // the compaction renumbered the positions
   unfrozen_ = live_;
   candidates_.resize(live_.size());
   // Seed the loaded links from their standing member-flow counts (flows,
   // not classes, so the fair-share arithmetic matches the per-flow
-  // solver's).
+  // solver's), and the changed links that lost their last member.
   scratch_links_ = loaded_links_;
   for (uint32_t l : scratch_links_) {
     scratch_remaining_[l] = link_capacity_[l];
     scratch_count_[l] = link_load_[l];
   }
+  for (const Changed& ch : changed_) {
+    if (link_load_[ch.link] != 0) continue;
+    scratch_remaining_[ch.link] = link_capacity_[ch.link];
+    scratch_count_[ch.link] = 0;
+  }
+  size_t unfrozen = classes_.size() - holes_;
+  const uint32_t resume = replay_rounds(bound, unfrozen);
+  sstats_.rounds_replayed += resume;
+  // The cap floor at the resume round is the logged one, lowered to the
+  // new classes' caps; at round 0 it is the lowest live cap.
   double cap_floor = live_caps_.empty()
                          ? std::numeric_limits<double>::infinity()
                          : live_caps_.begin()->first;
-  size_t unfrozen = classes_.size() - holes_;
+  if (resume > 0) {
+    cap_floor = std::min(resume < rounds_.size()
+                             ? rounds_[resume].cap_floor
+                             : std::numeric_limits<double>::infinity(),
+                         new_cap_floor_);
+  }
+  if (resume < rounds_.size()) {
+    froze_.resize(rounds_[resume].begin);
+    rounds_.resize(resume);
+  }
   while (unfrozen > 0) {
     ++sstats_.fill_rounds;
     // One scan of the live links finds the round's share and keeps every
@@ -413,6 +529,10 @@ void Network::solve_classes() {
       near_links_.push_back(l);
     }
     scratch_links_.resize(live);
+    rounds_.push_back(Round{.share = best_share,
+                            .near = near,
+                            .cap_floor = cap_floor,
+                            .begin = static_cast<uint32_t>(froze_.size())});
     // Caps binding at or below the share freeze first, in creation order.
     // cap_floor is at most every unfrozen cap, so below it none binds.
     if (best_share >= cap_floor) {
@@ -467,6 +587,8 @@ void Network::solve_classes() {
     BS_CHECK_MSG(unfrozen < unfrozen_before,
                  "a bottleneck round froze no path class");
   }
+  log_valid_ = true;
+  logged_classes_ = classes_.size();
   for (Flow& f : flows_) f.rate = classes_[f.cls].rate;
 }
 

@@ -27,12 +27,25 @@
 //    marks that link's later classes. The capped-class sweep is skipped
 //    while the share stays below the lowest live cap. A dead class stays
 //    as a hole until holes fill half the table; one compaction then
-//    renumbers every stored position. A solve costs
+//    renumbers every stored position, and marking drops the holes it
+//    passes from a link's list. A solve costs
 //    O(live links + rounds·links + tests), and each class is tested about
 //    once: when a bottleneck freezes it. Every round's share, the freeze
 //    order, each link's sequence of subtractions and the operands of every
 //    test are those of a sweep of every class per round, so every rate is
 //    bit-identical to it.
+//  - Prefix replay (the lazy-update idea of SimGrid, Casanova et al.,
+//    JPDC 2014, applied along the filling order): a solve logs each
+//    round's share, near bound and cap floor, and the classes it froze in
+//    order. A re-solve follows a few arrivals and departures, and the
+//    rounds before the first one those changes can reach — a changed
+//    class's freeze round, the first share at or above a new class's cap,
+//    the first round at which a link whose count changed comes near the
+//    share with its old or new count — fill exactly as before. Those
+//    rounds are replayed from the log: their subtractions are applied with
+//    the logged rates and order, with no scan, mark or test. Filling then
+//    resumes; a full solve (first solve, after a compaction or a capacity
+//    change) is the same loop resumed at round 0.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -137,11 +150,15 @@ struct SolverStats {
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
-  uint64_t fill_rounds = 0;     // progressive-filling rounds, all solves
+  // Progressive-filling rounds run, all solves (replayed rounds excluded).
+  uint64_t fill_rounds = 0;
   // Bottleneck tests run on unfrozen classes: about one per class frozen by
-  // a bottleneck (a class on a passing link is tested when the round's walk
-  // reaches it; capped freezes run no test).
+  // a bottleneck in a round that runs (a class on a passing link is tested
+  // when the round's walk reaches it; capped freezes and replayed rounds
+  // run no test).
   uint64_t class_tests = 0;
+  // Rounds taken from the previous solve's log instead of being run.
+  uint64_t rounds_replayed = 0;
 };
 
 class Network {
@@ -257,6 +274,10 @@ class Network {
     double cap = 0;        // per-flow cap (0 = none); part of the key
     double rate = 0;       // per-flow rate from the last solve
     NodeId src = 0, dst = 0;
+    // The solve log's entry: the round that froze the class in the last
+    // solve, and its member count then.
+    uint32_t logged_round = 0;
+    uint32_t logged_n = 0;
   };
 
   struct Flow {
@@ -282,17 +303,30 @@ class Network {
   // Advances all flows to `now`, completing any that finished. Returns
   // whether any flow completed (and was removed).
   bool advance();
-  // Drops the holes, renumbering every stored class position.
+  // Drops the holes, renumbering every stored class position (and so
+  // dropping the solve log).
   void compact_classes();
   // Rate re-solve: progressive filling over path classes weighted by
-  // member count, rates written back to flows.
+  // member count, rates written back to flows. Resumes at the first round
+  // the changes since the last solve can reach, replaying the rounds
+  // before it from the log.
   void solve_classes();
+  // Collects the changes since the last solve into changed_ and
+  // new_cap_floor_, brings the logged counts up to date, and returns the
+  // first logged round a changed class could alter.
+  uint32_t collect_changes();
+  // Applies logged rounds from 0 while none can be reached by the changes;
+  // returns the first round that must run.
+  uint32_t replay_rounds(uint32_t bound, size_t& unfrozen);
   // Solver helpers over the scratch link state. `bottlenecked` is the
   // round's test: some link of `c` has at most `limit` left per member.
   bool bottlenecked(const PathClass& c, double limit) const;
+  // Subtracts c's members at c.rate from its links.
+  void take(const PathClass& c);
   void freeze(uint32_t pos, double rate);
   // Marks link `l`'s unfrozen classes at positions >= `from` as
-  // candidates and stamps it with the current round.
+  // candidates and stamps it with the current round; drops the holes it
+  // passes from the link's list.
   void mark_link(uint32_t l, uint32_t from);
   // Marks rates stale and defers solve+retime to the simulator's
   // instant-end flush (one solve per instant, however many
@@ -316,9 +350,10 @@ class Network {
   size_t holes_ = 0;
   std::map<std::tuple<NodeId, NodeId, double>, uint32_t> class_index_;
   // Kept across solves, per link: the ascending positions of the classes
-  // that cross it (holes included), and its member-flow count. The loaded
-  // links (count > 0) are listed in no particular order; link_slot_ holds
-  // each one's index in that list.
+  // that cross it (holes included until marking passes them or compaction
+  // drops them), and its member-flow count. The loaded links (count > 0)
+  // are listed in no particular order; link_slot_ holds each one's index
+  // in that list.
   std::vector<std::vector<uint32_t>> link_classes_;
   std::vector<uint32_t> link_load_;
   std::vector<uint32_t> loaded_links_;
@@ -344,6 +379,43 @@ class Network {
   std::vector<uint64_t> candidates_;
   // The round's links near its minimum share.
   std::vector<uint32_t> near_links_;
+
+  // The last solve's log, per round (each class's own entry sits in its
+  // PathClass). Within a round, freezes ascend in position (the capped
+  // sweep and the walk both go in position order), so froze_ lists each
+  // round's classes in the order their subtractions were made.
+  struct Round {
+    double share;      // the scan's minimum fair share
+    double near;       // share + |share|·4e-12, as the scan computes it
+    double cap_floor;  // at the round's start
+    uint32_t begin;    // the round's first entry in froze_
+  };
+  // A link on the path of a class whose member count changed since the
+  // last solve (new and dead classes included), so its own count may have
+  // changed; a new class's links are listed even when it is not, since
+  // the new class would freeze in any round in which one of them passes. The
+  // link's count in the last solve, at any round, is at most its count now
+  // plus `lost`.
+  struct Changed {
+    uint32_t link;
+    uint32_t lost;
+  };
+  std::vector<Round> rounds_;
+  std::vector<uint32_t> froze_;  // class positions in freeze order
+  size_t logged_classes_ = 0;    // classes_.size() at the last solve
+  // Cleared by a compaction (positions renumber), a capacity change and a
+  // solve with no flows; the next solve then resumes at round 0.
+  bool log_valid_ = false;
+  // Positions whose member count moved off its logged value since the
+  // last solve (a position may repeat).
+  std::vector<uint32_t> touched_;
+  // Per link: the member-flow count at the last solve, and the solve that
+  // last listed the link in changed_ (a value of class_solves).
+  std::vector<uint32_t> solved_load_;
+  std::vector<uint64_t> link_listed_;
+  std::vector<Changed> changed_;
+  // The lowest cap among classes created since the last solve.
+  double new_cap_floor_ = 0;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
   uint64_t timer_generation_ = 0;

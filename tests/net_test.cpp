@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -632,17 +633,26 @@ TEST(Network, OracleProbeDoesNotPerturbCounters) {
   EXPECT_EQ(plain_snapshot, probed_snapshot);
 }
 
-// A fluid stepper over reference_max_min: between events (an arrival or a
-// completion) every active flow moves at its reference rate. A flow
-// finishes once under half a byte remains, as in Network.
+// A fluid stepper over reference_max_min: between events (an arrival, a
+// completion or a NIC rescale) every active flow moves at its reference
+// rate. A flow finishes once under half a byte remains, as in Network.
 struct FluidFlow {
   NodeId src, dst;
   double bytes;
   double start;
+  double cap = 0;  // per-flow rate cap, 0 = none
 };
 
-std::vector<double> reference_completions(const ClusterConfig& cfg,
-                                          const std::vector<FluidFlow>& flows) {
+// A set_node_perf NIC factor taking effect at `at`.
+struct NicChange {
+  double at;
+  NodeId node;
+  double nic;
+};
+
+std::vector<double> reference_completions(
+    const ClusterConfig& cfg, const std::vector<FluidFlow>& flows,
+    const std::vector<NicChange>& nic_changes = {}) {
   const uint32_t n = cfg.num_nodes;
   const uint32_t r = cfg.num_racks();
   // Network's link layout: node up, node down, rack up, rack down.
@@ -663,6 +673,7 @@ std::vector<double> reference_completions(const ClusterConfig& cfg,
   std::vector<double> remaining(flows.size());
   std::vector<double> done(flows.size(), -1);
   std::vector<char> started(flows.size(), 0);
+  size_t changes_applied = 0;
   double now = 0;
   for (size_t completed = 0; completed < flows.size();) {
     for (size_t i = 0; i < flows.size(); ++i) {
@@ -671,18 +682,28 @@ std::vector<double> reference_completions(const ClusterConfig& cfg,
         remaining[i] = flows[i].bytes;
       }
     }
+    for (; changes_applied < nic_changes.size() &&
+           nic_changes[changes_applied].at <= now;
+         ++changes_applied) {
+      const NicChange& c = nic_changes[changes_applied];
+      capacity[c.node] = capacity[n + c.node] = cfg.nic_bps * c.nic;
+    }
     std::vector<size_t> active;
     std::vector<std::vector<uint32_t>> paths;
+    std::vector<double> caps;
     for (size_t i = 0; i < flows.size(); ++i) {
       if (!started[i] || done[i] >= 0) continue;
       active.push_back(i);
       paths.push_back(path_of(flows[i]));
+      caps.push_back(flows[i].cap);
     }
-    const std::vector<double> rates = reference_max_min(
-        paths, std::vector<double>(active.size(), 0), capacity);
+    const std::vector<double> rates = reference_max_min(paths, caps, capacity);
     double next = inf;
     for (size_t i = 0; i < flows.size(); ++i) {
       if (!started[i]) next = std::min(next, flows[i].start);
+    }
+    if (changes_applied < nic_changes.size()) {
+      next = std::min(next, nic_changes[changes_applied].at);
     }
     for (size_t k = 0; k < active.size(); ++k) {
       next = std::min(next, now + remaining[active[k]] / rates[k]);
@@ -866,6 +887,214 @@ TEST(Network, FillTestsEachClassAboutOncePerSolve) {
   EXPECT_EQ(first.fill_rounds, kLevels);
   EXPECT_EQ(first.class_tests, classes);
   EXPECT_EQ(diff, 0.0);
+}
+
+// --- prefix replay -----------------------------------------------------------
+
+// Seeded churn for the replay tests on 32 nodes in 4 racks with narrow
+// uplinks. A quarter of the flows arrive together on a 0.125 s grid with
+// equal sizes, so some also finish together; the rest arrive at distinct
+// instants. A third are capped. kDistinct gives every flow its own
+// (src, dst) pair, so every class has one member and the solver's
+// arithmetic is the per-flow reference's to the bit; kShared draws pairs
+// from a pool of 24 and caps from two levels, so classes gain and lose
+// members.
+enum class Keys { kDistinct, kShared };
+
+ClusterConfig replay_config() {
+  ClusterConfig cfg = small_config();
+  cfg.num_nodes = 32;
+  cfg.nodes_per_rack = 8;
+  cfg.rack_uplink_bps = 250e6;
+  return cfg;
+}
+
+std::vector<FluidFlow> replay_churn(const ClusterConfig& cfg, uint64_t seed,
+                                    Keys keys) {
+  Rng rng(seed);
+  const uint32_t nodes = cfg.num_nodes;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId s = 0; s < nodes; ++s) {
+    for (NodeId d = 0; d < nodes; ++d) {
+      if (s != d) pairs.emplace_back(s, d);
+    }
+  }
+  // Seeded Fisher-Yates: the first flows take the first pairs.
+  for (size_t i = pairs.size() - 1; i > 0; --i) {
+    std::swap(pairs[i], pairs[rng.below(i + 1)]);
+  }
+  std::vector<FluidFlow> flows;
+  for (size_t i = 0; i < 300; ++i) {
+    const auto [s, d] = pairs[keys == Keys::kDistinct ? i : i % 24];
+    const bool batch = i % 4 == 0;
+    const double start = batch ? 0.125 * static_cast<double>(rng.below(24))
+                               : rng.uniform() * 3.0;
+    const double bytes = batch ? 8e6 : 1e6 + rng.uniform() * 30e6;
+    double cap = 0;
+    if (i % 3 == 0) {
+      cap = keys == Keys::kDistinct ? 8e6 + rng.uniform() * 40e6
+                                    : (i % 2 == 0 ? 15e6 : 35e6);
+    }
+    flows.push_back({s, d, bytes, start, cap});
+  }
+  return flows;
+}
+
+// Node 5's NIC drops to half at 0.7 s and recovers at 1.9 s.
+const std::vector<NicChange> kReplayNicChanges = {{0.7, 5, 0.5},
+                                                  {1.9, 5, 1.0}};
+
+struct ChurnRun {
+  std::vector<double> finished;
+  SolverStats stats;
+  double worst_oracle = 0;  // over the rates after every solve
+  uint64_t oracle_checks = 0;
+};
+
+// Runs `flows` and the NIC changes. With `full_solves`, every start and
+// completion also calls set_node_perf with the node's unchanged perf, which
+// drops the solve log, so every solve fills from round 0: the reference
+// the replaying run must match bit for bit. (Both calls happen at instants
+// that re-solve anyway, and bill no time of their own.)
+ChurnRun run_churn(const ClusterConfig& cfg,
+                   const std::vector<FluidFlow>& flows, bool full_solves) {
+  sim::Simulator sim;
+  Network net(sim, cfg);
+  ChurnRun out;
+  out.finished.assign(flows.size(), -1);
+  // Registered after the network's own hook, so it runs after each
+  // instant's solve.
+  struct Probe {
+    Network* net;
+    ChurnRun* out;
+    uint64_t solves = 0;
+  } probe{&net, &out};
+  sim.add_flush_hook(
+      [](void* ctx) {
+        auto* p = static_cast<Probe*>(ctx);
+        const uint64_t solves = p->net->solver_stats().class_solves;
+        if (solves == p->solves) return;
+        p->solves = solves;
+        p->out->worst_oracle = std::max(p->out->worst_oracle,
+                                        p->net->solver_oracle_max_rel_diff());
+        ++p->out->oracle_checks;
+      },
+      &probe);
+  auto xfer = [](Network& n, FluidFlow f, bool full_solves,
+                 double* at) -> sim::Task<void> {
+    co_await n.simulator().delay(f.start);
+    if (full_solves) n.set_node_perf(0, n.node_perf(0));
+    co_await n.transfer(f.src, f.dst, f.bytes, f.cap);
+    if (full_solves) n.set_node_perf(0, n.node_perf(0));
+    *at = n.simulator().now();
+  };
+  for (size_t i = 0; i < flows.size(); ++i) {
+    sim.spawn(xfer(net, flows[i], full_solves, &out.finished[i]));
+  }
+  auto rescale = [](Network& n, NicChange c) -> sim::Task<void> {
+    co_await n.simulator().delay(c.at);
+    n.set_node_perf(c.node, NodePerf{.nic = c.nic});
+  };
+  for (const NicChange& c : kReplayNicChanges) sim.spawn(rescale(net, c));
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  out.stats = net.solver_stats();
+  return out;
+}
+
+class SolverReplayTest
+    : public ::testing::TestWithParam<std::tuple<Keys, int>> {};
+
+TEST_P(SolverReplayTest, ReplayedSolvesMatchFullSolvesBitForBit) {
+  const auto [keys, seed] = GetParam();
+  const ClusterConfig cfg = replay_config();
+  const std::vector<FluidFlow> flows = replay_churn(cfg, seed, keys);
+  const ChurnRun replayed = run_churn(cfg, flows, /*full_solves=*/false);
+  const ChurnRun full = run_churn(cfg, flows, /*full_solves=*/true);
+
+  // Some instants batch several departures.
+  EXPECT_LT(std::set<double>(replayed.finished.begin(), replayed.finished.end())
+                .size(),
+            flows.size());
+  // Same solves, and every completion at the same instant to the bit.
+  EXPECT_EQ(replayed.stats.class_solves, full.stats.class_solves);
+  EXPECT_EQ(full.stats.rounds_replayed, 0u);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(replayed.finished[i], full.finished[i]) << "flow " << i;
+  }
+  // The replay did take a real share of the rounds.
+  EXPECT_GT(replayed.stats.rounds_replayed, replayed.stats.fill_rounds / 10);
+  EXPECT_EQ(replayed.stats.fill_rounds + replayed.stats.rounds_replayed,
+            full.stats.fill_rounds);
+  // The live rates after every solve against the per-flow reference: exact
+  // when every class has one member, within rounding otherwise.
+  EXPECT_EQ(replayed.oracle_checks, replayed.stats.class_solves);
+  if (keys == Keys::kDistinct) {
+    EXPECT_EQ(replayed.worst_oracle, 0.0);
+  } else {
+    EXPECT_LT(replayed.worst_oracle, 1e-9);
+  }
+  // And the completions against the fluid model driven by the reference.
+  const std::vector<double> want =
+      reference_completions(cfg, flows, kReplayNicChanges);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_NEAR(replayed.finished[i], want[i],
+                1e-9 * std::max(1.0, want[i]))
+        << "flow " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverReplayTest,
+                         ::testing::Combine(::testing::Values(Keys::kDistinct,
+                                                              Keys::kShared),
+                                            ::testing::Range(1, 6)));
+
+TEST(Network, ReplayResumesAtTheFirstReachableRound) {
+  // The 8-level fill of FillTestsEachClassAboutOncePerSolve: round k
+  // freezes destination 7 - k's classes at nic / (8 - k). A flow between
+  // two idle nodes has a NIC share of nic, so it joins the last round:
+  // the 7 rounds below it replay. A flow into destination 7, whose share
+  // is the lowest, reaches round 0: nothing replays.
+  constexpr uint32_t kLevels = 8;
+  ClusterConfig cfg = small_config();
+  cfg.num_nodes = 64;
+  cfg.nodes_per_rack = 64;
+  sim::Simulator sim;
+  Network net(sim, cfg);
+  auto xfer = [](Network& n, NodeId s, NodeId d,
+                 double start) -> sim::Task<void> {
+    co_await n.simulator().delay(start);
+    co_await n.transfer(s, d, 100e6);
+  };
+  NodeId src = kLevels;
+  for (NodeId dst = 0; dst < kLevels; ++dst) {
+    for (uint32_t i = 0; i <= dst; ++i) sim.spawn(xfer(net, src++, dst, 0));
+  }
+  sim.spawn(xfer(net, 60, 61, 0.25));        // idle pair
+  sim.spawn(xfer(net, 62, kLevels - 1, 0.5));  // lowest share
+  std::vector<SolverStats> at;
+  std::vector<double> oracle;
+  auto probe = [](Network& n, std::vector<SolverStats>* out,
+                  std::vector<double>* diff) -> sim::Task<void> {
+    for (double t : {0.125, 0.375, 0.625}) {
+      co_await n.simulator().delay(t - n.simulator().now());
+      out->push_back(n.solver_stats());
+      diff->push_back(n.solver_oracle_max_rel_diff());
+    }
+  };
+  sim.spawn(probe(net, &at, &oracle));
+  sim.run();
+  ASSERT_EQ(at.size(), 3u);
+  EXPECT_EQ(at[0].class_solves, 1u);
+  EXPECT_EQ(at[0].fill_rounds, kLevels);
+  EXPECT_EQ(at[0].rounds_replayed, 0u);
+  EXPECT_EQ(at[1].class_solves, 2u);
+  EXPECT_EQ(at[1].rounds_replayed, kLevels - 1);
+  EXPECT_EQ(at[1].fill_rounds, kLevels + 1);
+  EXPECT_EQ(at[2].class_solves, 3u);
+  EXPECT_EQ(at[2].rounds_replayed, kLevels - 1);
+  EXPECT_EQ(at[2].fill_rounds, 2 * kLevels + 1);
+  for (double d : oracle) EXPECT_EQ(d, 0.0);
 }
 
 }  // namespace
