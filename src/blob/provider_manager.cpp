@@ -21,11 +21,12 @@ ProviderManager::ProviderManager(net::Network& net, net::NodeId node,
                                  std::vector<net::NodeId> provider_nodes,
                                  ProviderManagerConfig cfg)
     : net_(net), cfg_(cfg), svc_(net, node, kServiceTimeS),
-      providers_(std::move(provider_nodes)), rng_(kPlacementSeed) {
+      providers_(std::move(provider_nodes)), load_(providers_.size(), 0),
+      rng_(kPlacementSeed) {
   BS_CHECK_MSG(!providers_.empty(), "need at least one provider");
   for (size_t i = 0; i < providers_.size(); ++i) {
-    load_[providers_[i]] = 0;
-    index_of_[providers_[i]] = i;
+    BS_CHECK_MSG(index_of_.emplace(providers_[i], i).second,
+                 "a provider node is listed twice");
   }
 }
 
@@ -34,8 +35,10 @@ std::vector<std::pair<net::NodeId, uint64_t>> ProviderManager::load_sorted()
   std::vector<std::pair<net::NodeId, uint64_t>> out;
   out.reserve(providers_.size());
   // providers_ is the construction order; sorting by node id decouples the
-  // report from both insertion history and hash buckets.
-  for (const auto& [node, bytes] : load_) out.emplace_back(node, bytes);
+  // report from it.
+  for (size_t i = 0; i < providers_.size(); ++i) {
+    out.emplace_back(providers_[i], load_[i]);
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -51,9 +54,9 @@ size_t ProviderManager::eligible_count(
   return n;
 }
 
-net::NodeId ProviderManager::pick_one(net::NodeId client,
-                                      const std::vector<net::NodeId>& exclude,
-                                      uint32_t exclude_rack) {
+size_t ProviderManager::pick_one(net::NodeId client,
+                                 const std::vector<net::NodeId>& exclude,
+                                 uint32_t exclude_rack) {
   const auto& cfg = net_.config();
   auto excluded = [&](net::NodeId n) {
     if (node_dead(n)) return true;
@@ -67,12 +70,15 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
 
   switch (cfg_.policy) {
     case PlacementPolicy::kLocalFirst: {
-      if (exclude.empty() && index_of_.count(client) > 0) return client;
+      if (exclude.empty()) {
+        const auto local = index_of_.find(client);
+        if (local != index_of_.end()) return local->second;
+      }
       // Fall through to random choice for non-first replicas.
       [[fallthrough]];
     }
     case PlacementPolicy::kRandomK: {
-      net::NodeId best = 0;
+      size_t best = 0;
       uint64_t best_load = std::numeric_limits<uint64_t>::max();
       bool found = false;
       const uint32_t k = cfg_.policy == PlacementPolicy::kRandomK
@@ -80,13 +86,13 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
                              : 1;  // kLocalFirst replicas: plain random
       for (uint32_t attempt = 0, picked = 0;
            picked < k && attempt < 16 * (k + 1); ++attempt) {
-        const net::NodeId n = providers_[rng_.below(providers_.size())];
-        if (excluded(n)) continue;
+        const size_t i = rng_.below(providers_.size());
+        if (excluded(providers_[i])) continue;
         ++picked;
         found = true;
-        if (load_[n] < best_load) {
-          best_load = load_[n];
-          best = n;
+        if (load_[i] < best_load) {
+          best_load = load_[i];
+          best = i;
         }
       }
       if (found) return best;
@@ -94,9 +100,9 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
     }
     case PlacementPolicy::kRoundRobin: {
       for (size_t tries = 0; tries < providers_.size(); ++tries) {
-        const net::NodeId n = providers_[rr_cursor_];
+        const size_t i = rr_cursor_;
         rr_cursor_ = (rr_cursor_ + 1) % providers_.size();
-        if (!excluded(n)) return n;
+        if (!excluded(providers_[i])) return i;
       }
       break;
     }
@@ -105,30 +111,31 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
   }
 
   // Least-loaded scan (also the fallback for the other policies).
-  net::NodeId best = providers_[0];
+  size_t best = 0;
   uint64_t best_load = std::numeric_limits<uint64_t>::max();
   // Random starting point so equal loads don't all pick provider 0.
   const size_t start = rng_.below(providers_.size());
-  for (size_t i = 0; i < providers_.size(); ++i) {
-    const net::NodeId n = providers_[(start + i) % providers_.size()];
-    if (excluded(n)) continue;
-    if (load_[n] < best_load) {
-      best_load = load_[n];
-      best = n;
+  for (size_t k = 0; k < providers_.size(); ++k) {
+    const size_t i = (start + k) % providers_.size();
+    if (excluded(providers_[i])) continue;
+    if (load_[i] < best_load) {
+      best_load = load_[i];
+      best = i;
     }
   }
   if (best_load == std::numeric_limits<uint64_t>::max()) {
     // Rack spreading is best-effort: when liveness has shrunk the cluster
     // to (mostly) the first replica's rack, place there rather than abort.
-    for (size_t i = 0; i < providers_.size(); ++i) {
-      const net::NodeId n = providers_[(start + i) % providers_.size()];
+    for (size_t k = 0; k < providers_.size(); ++k) {
+      const size_t i = (start + k) % providers_.size();
+      const net::NodeId n = providers_[i];
       if (node_dead(n) ||
           std::find(exclude.begin(), exclude.end(), n) != exclude.end()) {
         continue;
       }
-      if (load_[n] < best_load) {
-        best_load = load_[n];
-        best = n;
+      if (load_[i] < best_load) {
+        best_load = load_[i];
+        best = i;
       }
     }
   }
@@ -161,11 +168,12 @@ sim::Task<std::vector<std::vector<net::NodeId>>> ProviderManager::allocate(
     uint32_t first_rack = UINT32_MAX;
     for (uint32_t r = 0; r < replication; ++r) {
       if (replicas.size() >= live_providers) break;  // degraded placement
-      const net::NodeId n =
+      const size_t i =
           pick_one(client, replicas, r == 1 ? first_rack : UINT32_MAX);
+      const net::NodeId n = providers_[i];
       if (r == 0) first_rack = ncfg.rack_of(n);
       replicas.push_back(n);
-      load_[n] += page_size;
+      load_[i] += page_size;
     }
     BS_CHECK_MSG(!replicas.empty(), "no live provider for page placement");
   }
@@ -190,9 +198,9 @@ sim::Task<std::vector<net::NodeId>> ProviderManager::allocate_replacements(
     std::vector<net::NodeId> taken = std::move(keep);
     taken.insert(taken.end(), avoid.begin(), avoid.end());
     if (eligible_count(taken) == 0) break;
-    const net::NodeId n = pick_one(client, taken, exclude_rack);
-    out.push_back(n);
-    load_[n] += page_size;
+    const size_t i = pick_one(client, taken, exclude_rack);
+    out.push_back(providers_[i]);
+    load_[i] += page_size;
   }
   co_await svc_.reply(client);
   co_return out;

@@ -67,13 +67,8 @@ class ProviderManager {
   // nodes stop receiving new pages once detected. Null = everything is up.
   void set_liveness(const net::LivenessView* view) { liveness_ = view; }
 
-  // Allocated bytes per provider (the PM's own load view). Keyed lookups
-  // only — iteration order is hash-scrambled; use load_sorted() wherever
-  // the traversal order can reach output.
-  const bs::unordered_map<net::NodeId, uint64_t>& load() const {
-    return load_;
-  }
-  // Same data ordered by node id, for reports and balance sweeps.
+  // Allocated bytes per provider (the PM's own load view), ordered by node
+  // id, for reports and balance sweeps.
   std::vector<std::pair<net::NodeId, uint64_t>> load_sorted() const;
   uint64_t total_requests() const { return svc_.requests(); }
 
@@ -83,15 +78,16 @@ class ProviderManager {
   }
   // Providers not in `exclude` and not detected dead.
   size_t eligible_count(const std::vector<net::NodeId>& exclude) const;
-  net::NodeId pick_one(net::NodeId client,
-                       const std::vector<net::NodeId>& exclude,
-                       uint32_t exclude_rack);
+  // Returns the picked provider's position in providers_.
+  size_t pick_one(net::NodeId client, const std::vector<net::NodeId>& exclude,
+                  uint32_t exclude_rack);
 
   net::Network& net_;
   ProviderManagerConfig cfg_;
   net::Service svc_;
   std::vector<net::NodeId> providers_;
-  bs::unordered_map<net::NodeId, uint64_t> load_;
+  // Allocated bytes per provider, indexed like providers_.
+  std::vector<uint64_t> load_;
   bs::unordered_map<net::NodeId, size_t> index_of_;
   const net::LivenessView* liveness_ = nullptr;
   Rng rng_;

@@ -4,6 +4,7 @@
 // These run with real byte payloads so every read is verified byte-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <string>
@@ -380,7 +381,11 @@ TEST(BlobCore, LocalFirstPolicyPrefersClientNode) {
   };
   w.sim.spawn(proc(*client));
   w.sim.run();
-  EXPECT_EQ(w.cluster.provider_manager().load().at(5), kPage * 8);
+  const auto load = w.cluster.provider_manager().load_sorted();
+  const auto local = std::find_if(load.begin(), load.end(),
+                                  [](const auto& p) { return p.first == 5; });
+  ASSERT_NE(local, load.end());
+  EXPECT_EQ(local->second, kPage * 8);
 }
 
 TEST(BlobCore, VersionsPublishInOrderEvenIfCommitsArriveOutOfOrder) {
