@@ -22,6 +22,9 @@ constexpr double kRemainingEps = 0.5;
 // Loopback "transfer" rate for src == dst (memory copy).
 constexpr double kLoopbackBps = 2.0e9;
 
+// No class position: past every one.
+constexpr uint32_t kNoClass = std::numeric_limits<uint32_t>::max();
+
 // A position's bit within its 64-bit bitmap word.
 uint64_t bit(uint32_t pos) { return uint64_t{1} << (pos % 64); }
 
@@ -83,8 +86,8 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   scratch_remaining_.assign(links, 0);
   scratch_count_.assign(links, 0);
   link_marked_.assign(links, 0);
-  solved_load_.assign(links, 0);
-  link_listed_.assign(links, 0);
+  link_logged_.assign(links, 0);
+  link_dirty_.assign(links, 0);
   up_.assign(n, 1);
   incarnation_.assign(n, 0);
   perf_.assign(n, NodePerf{});
@@ -130,7 +133,7 @@ void Network::set_node_perf(NodeId node, NodePerf perf) {
   link_capacity_[link_node_up(node)] = cfg_.nic_bps * perf.nic;
   link_capacity_[link_node_down(node)] = cfg_.nic_bps * perf.nic;
   disks_[node]->set_scale(perf.disk);
-  log_valid_ = false;  // the logged shares assumed the old capacities
+  log_.clear();  // the logged shares assumed the old capacities
   mark_rates_dirty();
 }
 
@@ -329,7 +332,7 @@ void Network::compact_classes() {
   }
   classes_.resize(live);
   holes_ = 0;
-  log_valid_ = false;
+  log_.clear();
   live_.assign((live + 63) / 64, ~uint64_t{0});
   if (live % 64 != 0) live_.back() = bit(live) - 1;
   for (Flow& f : flows_) f.cls = moved[f.cls];
@@ -351,26 +354,39 @@ bool Network::bottlenecked(const PathClass& c, double limit) const {
   return false;
 }
 
-void Network::take(const PathClass& c) {
-  const double used = c.rate * c.n;
-  for (uint32_t k = 0; k < c.path_len; ++k) {
-    const uint32_t l = c.path[k];
-    scratch_remaining_[l] -= used;
-    scratch_count_[l] -= c.n;
+void Network::take(const PathClass& c, double rate) {
+  const double used = rate * c.n;
+  const uint32_t n = c.n;
+  double* const remaining = scratch_remaining_.data();
+  uint32_t* const count = scratch_count_.data();
+  // Every path is a NIC pair, with a rack pair between them when the racks
+  // differ.
+  const uint32_t up = c.path[0];
+  const uint32_t down = c.path[c.path_len - 1];
+  remaining[up] -= used;
+  remaining[down] -= used;
+  count[up] -= n;
+  count[down] -= n;
+  if (c.path_len == 4) {
+    const uint32_t rack_up = c.path[1];
+    const uint32_t rack_down = c.path[2];
+    remaining[rack_up] -= used;
+    remaining[rack_down] -= used;
+    count[rack_up] -= n;
+    count[rack_down] -= n;
   }
 }
 
 void Network::freeze(uint32_t pos, double rate) {
   unfrozen_[pos / 64] &= ~bit(pos);
   PathClass& c = classes_[pos];
+  take(c, rate);
   c.rate = rate;
-  take(c);
-  c.logged_round = static_cast<uint32_t>(rounds_.size() - 1);
-  froze_.push_back(pos);
+  next_.froze.push_back(pos);
 }
 
-void Network::mark_link(uint32_t l, uint32_t from) {
-  link_marked_[l] = sstats_.fill_rounds;
+void Network::mark_classes(uint32_t l, uint32_t from,
+                           std::vector<uint64_t>& bits) {
   std::vector<uint32_t>& on = link_classes_[l];
   size_t i = static_cast<size_t>(
       std::lower_bound(on.begin(), on.end(), from) - on.begin());
@@ -380,133 +396,269 @@ void Network::mark_link(uint32_t l, uint32_t from) {
   while (i < on.size()) {
     const uint32_t w = on[i] / 64;
     const uint64_t live = live_[w];
-    uint64_t bits = 0;
+    uint64_t run = 0;
     for (; i < on.size() && on[i] / 64 == w; ++i) {
       const uint64_t b = bit(on[i]);
       if (!(live & b)) continue;
-      bits |= b;
+      run |= b;
       on[kept++] = on[i];
     }
-    candidates_[w] |= bits & unfrozen_[w];
+    bits[w] |= run & unfrozen_[w];
   }
   on.resize(kept);
 }
 
-uint32_t Network::collect_changes() {
-  changed_.clear();
-  new_cap_floor_ = std::numeric_limits<double>::infinity();
-  uint32_t bound = log_valid_ ? static_cast<uint32_t>(rounds_.size()) : 0;
+void Network::mark_link(uint32_t l, uint32_t from) {
+  link_marked_[l] = stamp_;
+  // A link the replayed log marked that was clean at the round's start is
+  // in the new log already.
+  if (link_logged_[l] != stamp_ || link_dirty_[l] <= stamp_) {
+    next_.marked.push_back(l);
+  }
+  mark_classes(l, from, candidates_);
+}
+
+bool Network::within_reach(uint32_t l, double near) const {
+  // Each subtraction of the round takes at most the share per member, so
+  // in exact arithmetic a link above the near bound stays above it.
+  // Rounding moves a link by about one unit in the last place of its
+  // remaining capacity per subtraction, and it takes at most one per
+  // member; widening the bound by 1e-15 (several units) per member, plus
+  // 8, covers that.
+  const double cnt = scratch_count_[l];
+  return !(scratch_remaining_[l] > near * (1 + (cnt + 8) * 1e-15) * cnt);
+}
+
+void Network::collect_changes() {
+  dirty_links_.clear();
+  suspect_cap_floor_ = std::numeric_limits<double>::infinity();
   for (uint32_t pos : touched_) {
     PathClass& c = classes_[pos];
     if (c.n == c.logged_n) continue;  // moved back, or listed twice
-    if (pos < logged_classes_) {
-      // It filled with its old count until the round that froze it.
-      bound = std::min(bound, c.logged_round);
-    } else if (c.cap > 0 && c.n > 0) {
-      new_cap_floor_ = std::min(new_cap_floor_, c.cap);
-    }
     c.logged_n = c.n;
+    if (pos >= logged_classes_ && c.cap > 0 && c.n > 0) {
+      suspect_cap_floor_ = std::min(suspect_cap_floor_, c.cap);
+    }
     for (uint32_t k = 0; k < c.path_len; ++k) {
       const uint32_t l = c.path[k];
-      if (link_listed_[l] == sstats_.class_solves) continue;
-      link_listed_[l] = sstats_.class_solves;
-      const uint32_t was = solved_load_[l];
-      solved_load_[l] = link_load_[l];
-      changed_.push_back({l, was > link_load_[l] ? was - link_load_[l] : 0});
+      if (dirty(l)) continue;
+      link_dirty_[l] = solve_stamp_;
+      dirty_links_.push_back(l);
     }
   }
   touched_.clear();
-  return bound;
 }
 
-uint32_t Network::replay_rounds(uint32_t bound, size_t& unfrozen) {
-  uint32_t round = 0;
-  for (; round < bound; ++round) {
-    Round& r = rounds_[round];
-    // A new class capped at or below the share would freeze here. (A share
-    // that is not positive admits no bound below; stop there too.)
-    if (!(r.share > 0) || r.share >= new_cap_floor_) break;
-    const size_t end = round + 1 < rounds_.size() ? rounds_[round + 1].begin
-                                                  : froze_.size();
-    // Each of the round's subtractions takes at most the share per member,
-    // so in exact arithmetic a link above the near bound at the round's
-    // start stays above it. Rounding moves a link by at most about one
-    // unit in the last place of its remaining capacity per subtraction;
-    // widening the bound by 1e-15 (several units) per freeze of the round
-    // covers that. A changed link at or below `reach` per member —
-    // counting the members it lost, so with the larger of its old and new
-    // counts — could pass the bottleneck test or set the share in this
-    // round. No other link changed, so while none is that near, every
-    // test of the round comes out as logged.
-    const double reach =
-        r.near * (1 + static_cast<double>(end - r.begin + 8) * 1e-15);
-    bool reached = false;
-    for (const Changed& ch : changed_) {
-      const uint32_t cnt = scratch_count_[ch.link] + ch.lost;
-      if (cnt != 0 && !(scratch_remaining_[ch.link] > reach * cnt)) {
-        reached = true;
-        break;
-      }
-    }
-    if (reached) break;
-    // The new classes are unfrozen through the round: the logged floor
-    // must stay at or below their caps for the next solve that resumes
-    // here.
-    r.cap_floor = std::min(r.cap_floor, new_cap_floor_);
-    for (size_t i = r.begin; i < end; ++i) {
-      const uint32_t pos = froze_[i];
-      unfrozen_[pos / 64] &= ~bit(pos);
-      take(classes_[pos]);
-    }
-    unfrozen -= end - r.begin;
+bool Network::replayable(uint32_t r, uint32_t& anchor) const {
+  const Round& round = log_.rounds[r];
+  const double share = round.share;
+  // A new or diverged class capped at or below the share would freeze in
+  // the capped sweep. (A share that is not positive admits no reach bound
+  // below; stop there too.)
+  if (!(share > 0) || !(share < suspect_cap_floor_)) return false;
+  const uint32_t froze_end = log_.froze_end(r);
+  const uint32_t marked_end = log_.marked_end(r);
+  // A clean link holds the share: clean links hold their logged values, so
+  // none is below it. A link at the share passes at the round's start, so
+  // the round marked every one.
+  anchor = round.anchor;
+  if (dirty(anchor)) {
+    const auto it = std::find_if(
+        log_.marked.begin() + round.marked_begin,
+        log_.marked.begin() + marked_end, [&](uint32_t l) {
+          return !dirty(l) && scratch_remaining_[l] / scratch_count_[l] == share;
+        });
+    if (it == log_.marked.begin() + marked_end) return false;
+    anchor = *it;
   }
-  return round;
+  // And no dirty link is below it, by the scan's own division.
+  for (uint32_t l : dirty_links_) {
+    const uint32_t cnt = scratch_count_[l];
+    if (cnt != 0 && scratch_remaining_[l] / cnt < share) return false;
+  }
+  // A capped round stays one only while a class is left for its sweep.
+  if (round.capped) {
+    return std::any_of(log_.froze.begin() + round.froze_begin,
+                       log_.froze.begin() + froze_end, [&](uint32_t pos) {
+                         return (unfrozen_[pos / 64] & bit(pos)) != 0;
+                       });
+  }
+  return true;
+}
+
+void Network::diverge(uint32_t pos, double near) {
+  const PathClass& c = classes_[pos];
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (dirty(l)) continue;
+    link_dirty_[l] = stamp_ + 1;
+    dirty_links_.push_back(l);
+    if (scratch_count_[l] != 0 &&
+        (link_logged_[l] == stamp_ || within_reach(l, near))) {
+      mark_classes(l, pos + 1, suspects_);
+    }
+  }
+}
+
+uint32_t Network::lowest_candidate(uint32_t from_word) const {
+  for (size_t w = from_word; w < candidates_.size(); ++w) {
+    if (const uint64_t bits = candidates_[w]) {
+      return static_cast<uint32_t>(
+          w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+  return kNoClass;
+}
+
+void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
+  ++stamp_;
+  ++sstats_.rounds_replayed;
+  const Round& round = log_.rounds[r];
+  const uint32_t froze_end = log_.froze_end(r);
+  const uint32_t marked_end = log_.marked_end(r);
+  next_.rounds.push_back(
+      Round{.share = round.share,
+            .anchor = anchor,
+            .froze_begin = static_cast<uint32_t>(next_.froze.size()),
+            .marked_begin = static_cast<uint32_t>(next_.marked.size()),
+            .capped = round.capped});
+  const size_t unfrozen_before = unfrozen;
+  if (round.capped) {
+    // The sweep freezes the logged classes still unfrozen, at their caps.
+    for (uint32_t i = round.froze_begin; i < froze_end; ++i) {
+      const uint32_t pos = log_.froze[i];
+      if (!(unfrozen_[pos / 64] & bit(pos))) continue;
+      freeze(pos, classes_[pos].cap);
+      --unfrozen;
+    }
+    return;
+  }
+  const double share = round.share;
+  const double near = share + std::abs(share) * 4e-12;  // as the scan has it
+  const double limit = share * (1 + 1e-12);
+  // The logged marks: a dirty one makes its classes suspect; a clean one
+  // goes into the new log as it is.
+  for (uint32_t i = round.marked_begin; i < marked_end; ++i) {
+    const uint32_t l = log_.marked[i];
+    if (scratch_count_[l] == 0) continue;  // drained: it cannot pass again
+    link_logged_[l] = stamp_;
+    if (dirty(l)) {
+      mark_classes(l, 0, suspects_);
+    } else {
+      next_.marked.push_back(l);
+    }
+  }
+  // A dirty link within reach of the share makes its classes suspect, and
+  // one that passes marks them as candidates, as a round that runs would.
+  for (uint32_t l : dirty_links_) {
+    const uint32_t cnt = scratch_count_[l];
+    if (cnt == 0) continue;
+    if (link_logged_[l] != stamp_ && within_reach(l, near)) {
+      mark_classes(l, 0, suspects_);
+    }
+    if (scratch_remaining_[l] <= limit * cnt) mark_link(l, 0);
+  }
+  // Walk the logged freezes merged with the candidates in position order.
+  // Marks land after the current position, so the lowest candidate only
+  // changes when a tested class is visited.
+  const uint32_t* const logged_at = log_.froze.data();
+  uint64_t* const unfrozen_bits = unfrozen_.data();
+  const uint64_t* const suspect_bits = suspects_.data();
+  uint32_t next_candidate = lowest_candidate(0);
+  for (uint32_t i = round.froze_begin;;) {
+    uint32_t pos = i < froze_end ? logged_at[i] : kNoClass;
+    const bool logged = pos <= next_candidate;
+    if (logged) {
+      if (pos == kNoClass) break;
+      ++i;
+    } else {
+      pos = next_candidate;
+    }
+    const size_t w = pos / 64;
+    const uint64_t b = bit(pos);
+    if (pos == next_candidate) {
+      candidates_[w] &= ~b;
+    } else if (!(unfrozen_bits[w] & b)) {
+      // Dead, or frozen in an earlier round: its links are dirty already.
+      continue;
+    } else if (!(suspect_bits[w] & b)) {
+      // Every link it can pass through holds its logged value, and its
+      // rate is the logged share already.
+      unfrozen_bits[w] &= ~b;
+      take(classes_[pos], share);
+      next_.froze.push_back(pos);
+      --unfrozen;
+      continue;
+    }
+    const PathClass& c = classes_[pos];
+    ++sstats_.class_tests;
+    if (bottlenecked(c, limit)) {
+      freeze(pos, share);
+      --unfrozen;
+      if (!logged) diverge(pos, near);  // it froze where the log did not
+      for (uint32_t k = 0; k < c.path_len; ++k) {
+        const uint32_t l = c.path[k];
+        const uint32_t cnt = scratch_count_[l];
+        if (cnt != 0 && dirty(l) && scratch_remaining_[l] <= limit * cnt &&
+            link_marked_[l] != stamp_) {
+          mark_link(l, pos + 1);
+        }
+      }
+    } else if (logged) {
+      // It did not freeze where the log did, and stays unfrozen.
+      if (c.cap > 0) suspect_cap_floor_ = std::min(suspect_cap_floor_, c.cap);
+      diverge(pos, near);
+    }
+    next_candidate = lowest_candidate(static_cast<uint32_t>(w));
+  }
+  std::fill(suspects_.begin(), suspects_.end(), 0);
+  BS_CHECK_MSG(unfrozen < unfrozen_before,
+               "a bottleneck round froze no path class");
 }
 
 void Network::solve_classes() {
   ++sstats_.class_solves;
   m_solves_->inc();
-  uint32_t bound = collect_changes();
+  // Skip the stamp a divergence in the last solve's final round gave its
+  // links, so that every link starts this solve clean.
+  stamp_ += 2;
+  solve_stamp_ = stamp_;
+  collect_changes();
   if (holes_ > 0 && 2 * holes_ >= classes_.size()) compact_classes();
   if (flows_.empty()) {
-    log_valid_ = false;
+    log_.clear();
     return;
   }
-  if (!log_valid_) bound = 0;  // the compaction renumbered the positions
   unfrozen_ = live_;
   candidates_.resize(live_.size());
+  suspects_.resize(live_.size());
+  next_.clear();
   // Seed the loaded links from their standing member-flow counts (flows,
   // not classes, so the fair-share arithmetic matches the per-flow
-  // solver's), and the changed links that lost their last member.
+  // solver's), and the dirty links that lost their last member.
   scratch_links_ = loaded_links_;
   for (uint32_t l : scratch_links_) {
     scratch_remaining_[l] = link_capacity_[l];
     scratch_count_[l] = link_load_[l];
   }
-  for (const Changed& ch : changed_) {
-    if (link_load_[ch.link] != 0) continue;
-    scratch_remaining_[ch.link] = link_capacity_[ch.link];
-    scratch_count_[ch.link] = 0;
+  for (uint32_t l : dirty_links_) {
+    if (link_load_[l] != 0) continue;
+    scratch_remaining_[l] = link_capacity_[l];
+    scratch_count_[l] = 0;
   }
   size_t unfrozen = classes_.size() - holes_;
-  const uint32_t resume = replay_rounds(bound, unfrozen);
-  sstats_.rounds_replayed += resume;
-  // The cap floor at the resume round is the logged one, lowered to the
-  // new classes' caps; at round 0 it is the lowest live cap.
+  uint32_t r = 0;
+  for (uint32_t anchor = 0;
+       r < log_.rounds.size() && unfrozen > 0 && replayable(r, anchor); ++r) {
+    replay_round(r, anchor, unfrozen);
+  }
+  // The lowest live cap is at most every unfrozen cap, and the first
+  // capped sweep makes it exact.
   double cap_floor = live_caps_.empty()
                          ? std::numeric_limits<double>::infinity()
                          : live_caps_.begin()->first;
-  if (resume > 0) {
-    cap_floor = std::min(resume < rounds_.size()
-                             ? rounds_[resume].cap_floor
-                             : std::numeric_limits<double>::infinity(),
-                         new_cap_floor_);
-  }
-  if (resume < rounds_.size()) {
-    froze_.resize(rounds_[resume].begin);
-    rounds_.resize(resume);
-  }
   while (unfrozen > 0) {
+    ++stamp_;
     ++sstats_.fill_rounds;
     // One scan of the live links finds the round's share and keeps every
     // link within 4e-12 of the running minimum: a superset of the links
@@ -514,6 +666,7 @@ void Network::solve_classes() {
     // rounding. Links drained by earlier rounds drop out for good.
     double best_share = std::numeric_limits<double>::infinity();
     double near = best_share;
+    uint32_t anchor = 0;
     size_t live = 0;
     near_links_.clear();
     for (uint32_t l : scratch_links_) {
@@ -525,14 +678,17 @@ void Network::solve_classes() {
       if (fair < best_share) {
         best_share = fair;
         near = fair + std::abs(fair) * 4e-12;
+        anchor = l;
       }
       near_links_.push_back(l);
     }
     scratch_links_.resize(live);
-    rounds_.push_back(Round{.share = best_share,
-                            .near = near,
-                            .cap_floor = cap_floor,
-                            .begin = static_cast<uint32_t>(froze_.size())});
+    next_.rounds.push_back(
+        Round{.share = best_share,
+              .anchor = anchor,
+              .froze_begin = static_cast<uint32_t>(next_.froze.size()),
+              .marked_begin = static_cast<uint32_t>(next_.marked.size()),
+              .capped = false});
     // Caps binding at or below the share freeze first, in creation order.
     // cap_floor is at most every unfrozen cap, so below it none binds.
     if (best_share >= cap_floor) {
@@ -549,7 +705,10 @@ void Network::solve_classes() {
           cap_floor = std::min(cap_floor, c.cap);
         }
       }
-      if (froze_capped) continue;
+      if (froze_capped) {
+        next_.rounds.back().capped = true;
+        continue;
+      }
     }
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
@@ -575,7 +734,7 @@ void Network::solve_classes() {
           const uint32_t l = c.path[k];
           const uint32_t cnt = scratch_count_[l];
           if (cnt != 0 && scratch_remaining_[l] <= limit * cnt &&
-              link_marked_[l] != sstats_.fill_rounds) {
+              link_marked_[l] != stamp_) {
             mark_link(l, pos + 1);
           }
         }
@@ -587,9 +746,8 @@ void Network::solve_classes() {
     BS_CHECK_MSG(unfrozen < unfrozen_before,
                  "a bottleneck round froze no path class");
   }
-  log_valid_ = true;
+  std::swap(log_, next_);
   logged_classes_ = classes_.size();
-  for (Flow& f : flows_) f.rate = classes_[f.cls].rate;
 }
 
 void Network::mark_rates_dirty() {
@@ -605,18 +763,29 @@ void Network::flush_solver() {
   if (!rates_dirty_) return;
   rates_dirty_ = false;
   solve_classes();
-  retime();
+  // One sweep hands every flow its class's new rate and finds the earliest
+  // completion.
+  double next = std::numeric_limits<double>::infinity();
+  for (Flow& f : flows_) {
+    f.rate = classes_[f.cls].rate;
+    if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
+  }
+  retime(next);
 }
 
-void Network::retime() {
+double Network::next_completion() const {
+  double next = std::numeric_limits<double>::infinity();
+  for (const Flow& f : flows_) {
+    if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
+  }
+  return next;
+}
+
+void Network::retime(double next) {
   if (flows_.empty()) {
     ++timer_generation_;  // invalidate any pending wake-up
     timer_pending_ = false;
     return;
-  }
-  double next = std::numeric_limits<double>::infinity();
-  for (const Flow& f : flows_) {
-    if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
   }
   BS_CHECK_MSG(next < std::numeric_limits<double>::infinity(),
                "active flows but no positive rates");
@@ -648,7 +817,7 @@ void Network::on_timer(uint64_t generation) {
     // instant-end flush will solve and reschedule — rates are stale here,
     // so computing a deadline from them would be wrong.
   } else {
-    retime();
+    retime(next_completion());
   }
 }
 

@@ -34,18 +34,26 @@
 //    order, each link's sequence of subtractions and the operands of every
 //    test are those of a sweep of every class per round, so every rate is
 //    bit-identical to it.
-//  - Prefix replay (the lazy-update idea of SimGrid, Casanova et al.,
-//    JPDC 2014, applied along the filling order): a solve logs each
-//    round's share, near bound and cap floor, and the classes it froze in
-//    order. A re-solve follows a few arrivals and departures, and the
-//    rounds before the first one those changes can reach — a changed
-//    class's freeze round, the first share at or above a new class's cap,
-//    the first round at which a link whose count changed comes near the
-//    share with its old or new count — fill exactly as before. Those
-//    rounds are replayed from the log: their subtractions are applied with
-//    the logged rates and order, with no scan, mark or test. Filling then
-//    resumes; a full solve (first solve, after a compaction or a capacity
-//    change) is the same loop resumed at round 0.
+//  - Change-propagating replay (SimGrid's lazy update, Casanova et al.,
+//    JPDC 2014, at the grain of one freeze; change propagation over the
+//    filling trace, as in Acar's self-adjusting computation): a solve logs
+//    each round's share, a link that held it, the links the round marked
+//    and the classes it froze in order. A re-solve follows a few arrivals
+//    and departures. A link is dirty once its remaining capacity or count
+//    may differ from the log's at the same point of the fill: at first the
+//    links of every class whose count changed, then those of every class
+//    whose outcome in a replayed round differs from the log's. A logged
+//    round replays while a clean link still holds its share, no dirty link
+//    falls below it, no new or diverged class's cap binds at it, and (for
+//    a capped round) one of its capped classes is left to freeze. In a
+//    replayed round a logged freeze is applied with its subtraction alone
+//    unless the class is suspect: it sits on a dirty link that the logged
+//    round marked or that comes within reach of the share. Suspect classes
+//    and the later classes of a dirty link that passes are tested and
+//    marked as the walk does, so every freeze comes out as a full solve's.
+//    The first round that cannot replay, and every one after it, fill as
+//    usual; a full solve (first solve, after a compaction or a capacity
+//    change) is the same loop with an empty log.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -154,8 +162,8 @@ struct SolverStats {
   uint64_t fill_rounds = 0;
   // Bottleneck tests run on unfrozen classes: about one per class frozen by
   // a bottleneck in a round that runs (a class on a passing link is tested
-  // when the round's walk reaches it; capped freezes and replayed rounds
-  // run no test).
+  // when the round's walk reaches it), plus a replayed round's re-tests of
+  // suspect and candidate classes. Capped freezes run no test.
   uint64_t class_tests = 0;
   // Rounds taken from the previous solve's log instead of being run.
   uint64_t rounds_replayed = 0;
@@ -274,10 +282,7 @@ class Network {
     double cap = 0;        // per-flow cap (0 = none); part of the key
     double rate = 0;       // per-flow rate from the last solve
     NodeId src = 0, dst = 0;
-    // The solve log's entry: the round that froze the class in the last
-    // solve, and its member count then.
-    uint32_t logged_round = 0;
-    uint32_t logged_n = 0;
+    uint32_t logged_n = 0;  // member count at the last solve
   };
 
   struct Flow {
@@ -307,26 +312,40 @@ class Network {
   // dropping the solve log).
   void compact_classes();
   // Rate re-solve: progressive filling over path classes weighted by
-  // member count, rates written back to flows. Resumes at the first round
-  // the changes since the last solve can reach, replaying the rounds
-  // before it from the log.
+  // member count. Replays the logged rounds the changes since the last
+  // solve cannot move, then fills the rest.
   void solve_classes();
-  // Collects the changes since the last solve into changed_ and
-  // new_cap_floor_, brings the logged counts up to date, and returns the
-  // first logged round a changed class could alter.
-  uint32_t collect_changes();
-  // Applies logged rounds from 0 while none can be reached by the changes;
-  // returns the first round that must run.
-  uint32_t replay_rounds(uint32_t bound, size_t& unfrozen);
+  // Brings the logged counts up to date, dirtying the links of every class
+  // whose count changed, and sets suspect_cap_floor_ to the lowest cap of
+  // the classes created since the last solve.
+  void collect_changes();
+  // Whether logged round `r` can be replayed; if so, `anchor` is a clean
+  // link that holds its share.
+  bool replayable(uint32_t r, uint32_t& anchor) const;
+  // Applies logged round `r`, re-testing only what the dirt can reach.
+  void replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen);
+  // Dirties the links of class `pos` whose outcome in the replayed round
+  // differs from the log's; a newly dirty link that the logged round marked
+  // or that is within reach of `near` makes its later classes suspect.
+  void diverge(uint32_t pos, double near);
+  // The lowest candidate position in words from `from_word` on, or
+  // kNoClass.
+  uint32_t lowest_candidate(uint32_t from_word) const;
+  bool dirty(uint32_t l) const { return link_dirty_[l] >= solve_stamp_; }
+  // Whether link `l` could pass a bottleneck test at a share whose near
+  // bound is `near` before the round ends.
+  bool within_reach(uint32_t l, double near) const;
   // Solver helpers over the scratch link state. `bottlenecked` is the
   // round's test: some link of `c` has at most `limit` left per member.
   bool bottlenecked(const PathClass& c, double limit) const;
-  // Subtracts c's members at c.rate from its links.
-  void take(const PathClass& c);
+  // Subtracts c's members at `rate` from its links.
+  void take(const PathClass& c, double rate);
   void freeze(uint32_t pos, double rate);
-  // Marks link `l`'s unfrozen classes at positions >= `from` as
-  // candidates and stamps it with the current round; drops the holes it
-  // passes from the link's list.
+  // Sets the bits of link `l`'s unfrozen classes at positions >= `from`
+  // in `bits`; drops the holes it passes from the link's list.
+  void mark_classes(uint32_t l, uint32_t from, std::vector<uint64_t>& bits);
+  // Marks link `l`'s later classes as candidates, stamps it with the
+  // current round and lists it in the new log.
   void mark_link(uint32_t l, uint32_t from);
   // Marks rates stale and defers solve+retime to the simulator's
   // instant-end flush (one solve per instant, however many
@@ -334,9 +353,11 @@ class Network {
   void mark_rates_dirty();
   void flush_solver();
   static void flush_hook(void* self);
-  // Schedules the wake-up for the next flow completion. Damped: a pending
-  // timer at the same deadline is left alone.
-  void retime();
+  // Schedules the wake-up `next` seconds from now, the earliest flow
+  // completion (infinite when no flow is active). Damped: a pending timer
+  // at the same deadline is left alone.
+  void retime(double next);
+  double next_completion() const;
   void on_timer(uint64_t generation);
 
   sim::Simulator& sim_;
@@ -366,56 +387,75 @@ class Network {
   // Links still carrying unfrozen classes; drained ones drop out as the
   // rounds' share scans pass them.
   std::vector<uint32_t> scratch_links_;
-  // Round that last marked each link, as a value of sstats_.fill_rounds
-  // (which never resets, so stamps need no clearing).
+  // Grows at each solve's start (by two) and by one at each round's, run
+  // or replayed; the per-link stamps below hold its values, so they never
+  // need clearing. solve_stamp_ is its value at the current solve's start.
+  uint64_t stamp_ = 0;
+  uint64_t solve_stamp_ = 0;
+  // Per link: the round that last marked it (its later classes became
+  // candidates), the replayed round whose log lists it as marked, and the
+  // stamp from which it is dirty (dirty in this solve when at least
+  // solve_stamp_; a link that turns dirty mid-round gets the next round's).
   std::vector<uint64_t> link_marked_;
+  std::vector<uint64_t> link_logged_;
+  std::vector<uint64_t> link_dirty_;
+  std::vector<uint32_t> dirty_links_;  // this solve's, in the order dirtied
   // Bitmaps with one bit per position. live_ marks the live classes and
   // is kept across solves; each solve starts unfrozen_ as a copy and clears
   // a class's bit when it freezes, so holes and frozen classes are never
   // candidates. candidates_ holds the current round's marks; every bit is
-  // cleared as the round walks it.
+  // cleared as the round walks it. suspects_ holds a replayed round's
+  // suspect classes and is cleared at the round's end.
   std::vector<uint64_t> live_;
   std::vector<uint64_t> unfrozen_;
   std::vector<uint64_t> candidates_;
+  std::vector<uint64_t> suspects_;
   // The round's links near its minimum share.
   std::vector<uint32_t> near_links_;
 
-  // The last solve's log, per round (each class's own entry sits in its
-  // PathClass). Within a round, freezes ascend in position (the capped
-  // sweep and the walk both go in position order), so froze_ lists each
-  // round's classes in the order their subtractions were made.
+  // A solve's log. Within a round, freezes ascend in position (the capped
+  // sweep and the walk both go in position order), so `froze` lists each
+  // round's classes in the order their subtractions were made; `marked`
+  // lists each link a round marked once.
   struct Round {
-    double share;      // the scan's minimum fair share
-    double near;       // share + |share|·4e-12, as the scan computes it
-    double cap_floor;  // at the round's start
-    uint32_t begin;    // the round's first entry in froze_
+    double share;           // the scan's minimum fair share
+    uint32_t anchor;        // a link whose remaining / count was the share
+    uint32_t froze_begin;   // the round's first entry in `froze`
+    uint32_t marked_begin;  // the round's first entry in `marked`
+    bool capped;            // froze capped classes at their caps only
   };
-  // A link on the path of a class whose member count changed since the
-  // last solve (new and dead classes included), so its own count may have
-  // changed; a new class's links are listed even when it is not, since
-  // the new class would freeze in any round in which one of them passes. The
-  // link's count in the last solve, at any round, is at most its count now
-  // plus `lost`.
-  struct Changed {
-    uint32_t link;
-    uint32_t lost;
+  struct SolveLog {
+    std::vector<Round> rounds;
+    std::vector<uint32_t> froze;   // class positions in freeze order
+    std::vector<uint32_t> marked;  // link ids
+    // One past round r's last entry in `froze`, and in `marked`.
+    uint32_t froze_end(size_t r) const {
+      return r + 1 < rounds.size() ? rounds[r + 1].froze_begin
+                                   : static_cast<uint32_t>(froze.size());
+    }
+    uint32_t marked_end(size_t r) const {
+      return r + 1 < rounds.size() ? rounds[r + 1].marked_begin
+                                   : static_cast<uint32_t>(marked.size());
+    }
+    void clear() {
+      rounds.clear();
+      froze.clear();
+      marked.clear();
+    }
   };
-  std::vector<Round> rounds_;
-  std::vector<uint32_t> froze_;  // class positions in freeze order
-  size_t logged_classes_ = 0;    // classes_.size() at the last solve
-  // Cleared by a compaction (positions renumber), a capacity change and a
-  // solve with no flows; the next solve then resumes at round 0.
-  bool log_valid_ = false;
+  // The last solve's log (emptied by a compaction, which renumbers the
+  // positions, a capacity change and a solve with no flows), and the one
+  // the current solve writes; they swap when the solve ends.
+  SolveLog log_;
+  SolveLog next_;
+  size_t logged_classes_ = 0;  // classes_.size() at the last solve
   // Positions whose member count moved off its logged value since the
   // last solve (a position may repeat).
   std::vector<uint32_t> touched_;
-  // Per link: the member-flow count at the last solve, and the solve that
-  // last listed the link in changed_ (a value of class_solves).
-  std::vector<uint32_t> solved_load_;
-  std::vector<uint64_t> link_listed_;
-  std::vector<Changed> changed_;
-  // The lowest cap among classes created since the last solve.
-  double new_cap_floor_ = 0;
+  // The lowest cap among the classes created since the last solve and the
+  // classes a replayed round left unfrozen where the log froze them: at a
+  // share at or above it, a capped sweep could freeze one the log did not.
+  double suspect_cap_floor_ = 0;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
   uint64_t timer_generation_ = 0;

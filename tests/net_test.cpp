@@ -889,7 +889,7 @@ TEST(Network, FillTestsEachClassAboutOncePerSolve) {
   EXPECT_EQ(diff, 0.0);
 }
 
-// --- prefix replay -----------------------------------------------------------
+// --- solve replay ------------------------------------------------------------
 
 // Seeded churn for the replay tests on 32 nodes in 4 racks with narrow
 // uplinks. A quarter of the flows arrive together on a 0.125 s grid with
@@ -951,6 +951,29 @@ struct ChurnRun {
   uint64_t oracle_checks = 0;
 };
 
+// Checks the live rates against the per-flow reference after every solve.
+// Built after the network, so its flush hook runs after the network's, at
+// the end of each instant that solved.
+struct OracleProbe {
+  OracleProbe(sim::Simulator& sim, Network& net, ChurnRun& out)
+      : net(&net), out(&out) {
+    sim.add_flush_hook(
+        [](void* ctx) {
+          auto* p = static_cast<OracleProbe*>(ctx);
+          const uint64_t solves = p->net->solver_stats().class_solves;
+          if (solves == p->solves) return;
+          p->solves = solves;
+          p->out->worst_oracle = std::max(
+              p->out->worst_oracle, p->net->solver_oracle_max_rel_diff());
+          ++p->out->oracle_checks;
+        },
+        this);
+  }
+  Network* net;
+  ChurnRun* out;
+  uint64_t solves = 0;
+};
+
 // Runs `flows` and the NIC changes. With `full_solves`, every start and
 // completion also calls set_node_perf with the node's unchanged perf, which
 // drops the solve log, so every solve fills from round 0: the reference
@@ -962,24 +985,7 @@ ChurnRun run_churn(const ClusterConfig& cfg,
   Network net(sim, cfg);
   ChurnRun out;
   out.finished.assign(flows.size(), -1);
-  // Registered after the network's own hook, so it runs after each
-  // instant's solve.
-  struct Probe {
-    Network* net;
-    ChurnRun* out;
-    uint64_t solves = 0;
-  } probe{&net, &out};
-  sim.add_flush_hook(
-      [](void* ctx) {
-        auto* p = static_cast<Probe*>(ctx);
-        const uint64_t solves = p->net->solver_stats().class_solves;
-        if (solves == p->solves) return;
-        p->solves = solves;
-        p->out->worst_oracle = std::max(p->out->worst_oracle,
-                                        p->net->solver_oracle_max_rel_diff());
-        ++p->out->oracle_checks;
-      },
-      &probe);
+  OracleProbe probe(sim, net, out);
   auto xfer = [](Network& n, FluidFlow f, bool full_solves,
                  double* at) -> sim::Task<void> {
     co_await n.simulator().delay(f.start);
@@ -1049,13 +1055,97 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverReplayTest,
                                                               Keys::kShared),
                                             ::testing::Range(1, 6)));
 
-TEST(Network, ReplayResumesAtTheFirstReachableRound) {
-  // The 8-level fill of FillTestsEachClassAboutOncePerSolve: round k
-  // freezes destination 7 - k's classes at nic / (8 - k). A flow between
-  // two idle nodes has a NIC share of nic, so it joins the last round:
-  // the 7 rounds below it replay. A flow into destination 7, whose share
-  // is the lowest, reaches round 0: nothing replays.
-  constexpr uint32_t kLevels = 8;
+// The shape of the suite's write_append: each of the 16 nodes of racks 0
+// and 1 keeps kStreams capped streams busy, every stream writing a run of
+// flows of varied size to the 48 nodes of the other racks, the next
+// starting the instant the last ends. Uplinks are wide and destinations
+// rarely take more than kStreams flows, so most classes freeze in one
+// round at a share of nic / kStreams tied across the sources, and nearly
+// every departure reaches that round. Completions are in stream order.
+constexpr uint32_t kSources = 16;
+constexpr uint32_t kStreams = 4;
+constexpr uint32_t kFlowsPerStream = 6;
+
+ClusterConfig tied_config() {
+  ClusterConfig cfg = small_config();
+  cfg.num_nodes = 64;
+  cfg.nodes_per_rack = 8;
+  cfg.rack_uplink_bps = 2e9;
+  return cfg;
+}
+
+ChurnRun run_tied(const ClusterConfig& cfg, uint64_t seed, bool full_solves) {
+  sim::Simulator sim;
+  Network net(sim, cfg);
+  ChurnRun out;
+  out.finished.assign(size_t{kSources} * kStreams * kFlowsPerStream, -1);
+  OracleProbe probe(sim, net, out);
+  auto stream = [](Network& n, NodeId src, uint64_t seed, double cap,
+                   bool full_solves, double* at) -> sim::Task<void> {
+    const uint32_t nodes = n.config().num_nodes;
+    Rng rng(seed);
+    for (uint32_t i = 0; i < kFlowsPerStream; ++i) {
+      const auto dst =
+          static_cast<NodeId>(kSources + rng.below(nodes - kSources));
+      if (full_solves) n.set_node_perf(0, n.node_perf(0));
+      co_await n.transfer(src, dst, 4e6 + rng.uniform() * 12e6, cap);
+      at[i] = n.simulator().now();
+    }
+    if (full_solves) n.set_node_perf(0, n.node_perf(0));
+  };
+  for (NodeId src = 0; src < kSources; ++src) {
+    for (uint32_t j = 0; j < kStreams; ++j) {
+      const size_t first = (size_t{src} * kStreams + j) * kFlowsPerStream;
+      // Caps above the tied share; the lower one binds once one of a
+      // node's streams is held back at its destination.
+      const double cap = j % 2 == 0 ? 26e6 : 40e6;
+      sim.spawn(stream(net, src, seed * 1000 + first, cap, full_solves,
+                       &out.finished[first]));
+    }
+  }
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  out.stats = net.solver_stats();
+  return out;
+}
+
+class SolverTiedReplayTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverTiedReplayTest, TiedShareChurnReplaysBitForBit) {
+  const ClusterConfig cfg = tied_config();
+  const ChurnRun replayed = run_tied(cfg, GetParam(), /*full_solves=*/false);
+  const ChurnRun full = run_tied(cfg, GetParam(), /*full_solves=*/true);
+  EXPECT_EQ(replayed.stats.class_solves, full.stats.class_solves);
+  EXPECT_EQ(full.stats.rounds_replayed, 0u);
+  for (size_t i = 0; i < replayed.finished.size(); ++i) {
+    EXPECT_EQ(replayed.finished[i], full.finished[i]) << "flow " << i;
+  }
+  // Same rounds as the full solves, most of them replayed, with a small
+  // fraction of the full solves' bottleneck tests.
+  EXPECT_EQ(replayed.stats.fill_rounds + replayed.stats.rounds_replayed,
+            full.stats.fill_rounds);
+  EXPECT_GT(replayed.stats.rounds_replayed * 5, full.stats.fill_rounds * 2);
+  EXPECT_LT(replayed.stats.class_tests * 3, full.stats.class_tests);
+  EXPECT_EQ(replayed.oracle_checks, replayed.stats.class_solves);
+  EXPECT_LT(replayed.worst_oracle, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverTiedReplayTest, ::testing::Range(1, 6));
+
+// The 8-level fill of FillTestsEachClassAboutOncePerSolve, started at
+// t = 0, plus `extra` flows of the same size, each (src, dst, start). Round
+// k freezes destination 7 - k's classes at nic / (8 - k). Returns the
+// solver stats and the oracle difference at each probe time.
+constexpr uint32_t kLevels = 8;
+
+struct LevelProbes {
+  std::vector<SolverStats> at;
+  std::vector<double> oracle;
+};
+
+LevelProbes run_levels(
+    const std::vector<std::tuple<NodeId, NodeId, double>>& extra,
+    const std::vector<double>& probes) {
   ClusterConfig cfg = small_config();
   cfg.num_nodes = 64;
   cfg.nodes_per_rack = 64;
@@ -1070,31 +1160,75 @@ TEST(Network, ReplayResumesAtTheFirstReachableRound) {
   for (NodeId dst = 0; dst < kLevels; ++dst) {
     for (uint32_t i = 0; i <= dst; ++i) sim.spawn(xfer(net, src++, dst, 0));
   }
-  sim.spawn(xfer(net, 60, 61, 0.25));        // idle pair
-  sim.spawn(xfer(net, 62, kLevels - 1, 0.5));  // lowest share
-  std::vector<SolverStats> at;
-  std::vector<double> oracle;
-  auto probe = [](Network& n, std::vector<SolverStats>* out,
-                  std::vector<double>* diff) -> sim::Task<void> {
-    for (double t : {0.125, 0.375, 0.625}) {
+  for (const auto& [s, d, start] : extra) sim.spawn(xfer(net, s, d, start));
+  LevelProbes out;
+  auto probe = [](Network& n, const std::vector<double>& times,
+                  LevelProbes* out) -> sim::Task<void> {
+    for (double t : times) {
       co_await n.simulator().delay(t - n.simulator().now());
-      out->push_back(n.solver_stats());
-      diff->push_back(n.solver_oracle_max_rel_diff());
+      out->at.push_back(n.solver_stats());
+      out->oracle.push_back(n.solver_oracle_max_rel_diff());
     }
   };
-  sim.spawn(probe(net, &at, &oracle));
+  sim.spawn(probe(net, probes, &out));
   sim.run();
-  ASSERT_EQ(at.size(), 3u);
-  EXPECT_EQ(at[0].class_solves, 1u);
-  EXPECT_EQ(at[0].fill_rounds, kLevels);
-  EXPECT_EQ(at[0].rounds_replayed, 0u);
-  EXPECT_EQ(at[1].class_solves, 2u);
-  EXPECT_EQ(at[1].rounds_replayed, kLevels - 1);
-  EXPECT_EQ(at[1].fill_rounds, kLevels + 1);
-  EXPECT_EQ(at[2].class_solves, 3u);
-  EXPECT_EQ(at[2].rounds_replayed, kLevels - 1);
-  EXPECT_EQ(at[2].fill_rounds, 2 * kLevels + 1);
-  for (double d : oracle) EXPECT_EQ(d, 0.0);
+  return out;
+}
+
+TEST(Network, ReplayStopsAtTheFirstRoundWhoseShareMoves) {
+  // A flow between two idle nodes, 60 to 61, leaves every share where it
+  // was: all 8 rounds replay, and its links, dirty but out of reach until
+  // the last round, make it the one class tested, as a candidate when they
+  // pass in round 7. Two more flows from node 60 tie its NIC with round
+  // 5's share of nic / 3: all 8 rounds replay again, and its three classes
+  // are tested as candidates there (60 to 61 two rounds before the log
+  // froze it). A flow into destination 7 lowers round 0's share: nothing
+  // replays.
+  const LevelProbes p = run_levels({{60, 61, 0.25},          // idle pair
+                                    {60, 50, 0.5},           // node 60's NIC
+                                    {60, 51, 0.5},           //   at nic / 3
+                                    {62, kLevels - 1, 0.75}},  // lowest share
+                                   {0.125, 0.375, 0.625, 0.875});
+  ASSERT_EQ(p.at.size(), 4u);
+  EXPECT_EQ(p.at[0].class_solves, 1u);
+  EXPECT_EQ(p.at[0].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[0].rounds_replayed, 0u);
+  EXPECT_EQ(p.at[1].class_solves, 2u);
+  EXPECT_EQ(p.at[1].rounds_replayed, kLevels);
+  EXPECT_EQ(p.at[1].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[1].class_tests, p.at[0].class_tests + 1);
+  EXPECT_EQ(p.at[2].class_solves, 3u);
+  EXPECT_EQ(p.at[2].rounds_replayed, 2 * kLevels);
+  EXPECT_EQ(p.at[2].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[2].class_tests, p.at[1].class_tests + 3);
+  EXPECT_EQ(p.at[3].class_solves, 4u);
+  EXPECT_EQ(p.at[3].rounds_replayed, 2 * kLevels);
+  EXPECT_EQ(p.at[3].fill_rounds, 2 * kLevels);
+  for (double d : p.oracle) EXPECT_EQ(d, 0.0);
+}
+
+TEST(Network, LastRoundDivergenceLeavesTheNextSolveClean) {
+  // Node 8 is destination 0's one source, frozen at nic in round 7. A
+  // second flow from node 8 ties its NIC with round 6's share of nic / 2,
+  // so both of its classes freeze there as candidates and the solve ends a
+  // round early: 8 to 0 froze where the log did not, and dirtied
+  // destination 0's NIC in the solve's last round. That dirt must not
+  // carry over: when a flow from idle node 59 joins destination 0, its NIC
+  // (now at nic / 2) must be checked and marked like any changed link, so
+  // 59 to 0 freezes in round 6 too and no round is added.
+  const LevelProbes p = run_levels({{kLevels, 61, 0.25}, {59, 0, 0.5}},
+                                   {0.125, 0.375, 0.625});
+  ASSERT_EQ(p.at.size(), 3u);
+  EXPECT_EQ(p.at[0].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[1].class_solves, 2u);
+  EXPECT_EQ(p.at[1].rounds_replayed, kLevels - 1);
+  EXPECT_EQ(p.at[1].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[1].class_tests, p.at[0].class_tests + 2);
+  EXPECT_EQ(p.at[2].class_solves, 3u);
+  EXPECT_EQ(p.at[2].rounds_replayed, 2 * (kLevels - 1));
+  EXPECT_EQ(p.at[2].fill_rounds, kLevels);
+  EXPECT_EQ(p.at[2].class_tests, p.at[1].class_tests + 2);
+  for (double d : p.oracle) EXPECT_EQ(d, 0.0);
 }
 
 }  // namespace
