@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -980,7 +981,9 @@ struct OracleProbe {
 // the replaying run must match bit for bit. (Both calls happen at instants
 // that re-solve anyway, and bill no time of their own.)
 ChurnRun run_churn(const ClusterConfig& cfg,
-                   const std::vector<FluidFlow>& flows, bool full_solves) {
+                   const std::vector<FluidFlow>& flows,
+                   const std::vector<NicChange>& nic_changes,
+                   bool full_solves) {
   sim::Simulator sim;
   Network net(sim, cfg);
   ChurnRun out;
@@ -1001,7 +1004,7 @@ ChurnRun run_churn(const ClusterConfig& cfg,
     co_await n.simulator().delay(c.at);
     n.set_node_perf(c.node, NodePerf{.nic = c.nic});
   };
-  for (const NicChange& c : kReplayNicChanges) sim.spawn(rescale(net, c));
+  for (const NicChange& c : nic_changes) sim.spawn(rescale(net, c));
   sim.run();
   EXPECT_EQ(net.active_flows(), 0u);
   out.stats = net.solver_stats();
@@ -1015,8 +1018,10 @@ TEST_P(SolverReplayTest, ReplayedSolvesMatchFullSolvesBitForBit) {
   const auto [keys, seed] = GetParam();
   const ClusterConfig cfg = replay_config();
   const std::vector<FluidFlow> flows = replay_churn(cfg, seed, keys);
-  const ChurnRun replayed = run_churn(cfg, flows, /*full_solves=*/false);
-  const ChurnRun full = run_churn(cfg, flows, /*full_solves=*/true);
+  const ChurnRun replayed =
+      run_churn(cfg, flows, kReplayNicChanges, /*full_solves=*/false);
+  const ChurnRun full =
+      run_churn(cfg, flows, kReplayNicChanges, /*full_solves=*/true);
 
   // Some instants batch several departures.
   EXPECT_LT(std::set<double>(replayed.finished.begin(), replayed.finished.end())
@@ -1229,6 +1234,69 @@ TEST(Network, LastRoundDivergenceLeavesTheNextSolveClean) {
   EXPECT_EQ(p.at[2].fill_rounds, kLevels);
   EXPECT_EQ(p.at[2].class_tests, p.at[1].class_tests + 2);
   for (double d : p.oracle) EXPECT_EQ(d, 0.0);
+}
+
+TEST(Network, ReplayRetestsLinksThatRoundingCanMakePass) {
+  // A replayed round in which a subtraction makes a link pass by rounding
+  // alone (the construction of determinism_test's rounding-flipped
+  // bottleneck). Rack uplinks have capacity s; every NIC has nic, the
+  // smallest double above limit * (kB + kF + 1) for limit = s (1 + 1e-12),
+  // with s searched for until fl(nic - s) <= fl(limit * (kB + kF)). In
+  // creation order: c (0 to 4, one flow), B (5 to 4, kB flows), c2 (5 to
+  // 1, one flow), B2 (5 to 6, kF flows) and F (7 to 4, kF - 1 flows, one
+  // more at 0.25 s). c and c2 are alone on their rack uplinks, so round 0's
+  // share is s. Node 4's NIC down (D) carries c, B and F; node 5's NIC up
+  // (E) carries B, c2 and B2.
+  //
+  // First solve: c2's subtraction makes E pass, so B2 freezes in round 0
+  // too; D, one member short, stays far above the share. Second solve:
+  // round 0 replays. F's arrival has made D dirty and within reach of the
+  // share, so c is re-tested, and its subtraction makes D pass: B freezes
+  // as a candidate, where the log did not. That turns E dirty mid-round,
+  // kB members lighter than in the log when c2 subtracts, so it no longer
+  // passes and B2 must not freeze in round 0. Skipping the re-test of c (a
+  // dirty link within reach at the round's start) misses B's freeze;
+  // skipping that of c2 and B2 (a link turned dirty mid-round) keeps B2's.
+  // B2's rate then differs by about 1e-12 relative, too little to move a
+  // flow that ends in one event with others, so B2's flows are half the
+  // size: they finish first, at an instant their rate sets to the bit.
+  constexpr uint32_t kB = 100;
+  constexpr uint32_t kF = 12000;
+  constexpr double k = kB + kF;
+  double s = 1.5e6;
+  double nic = 0;
+  bool flips = false;
+  for (int i = 0; i < 1000 && !flips; ++i) {
+    s += 0.37;
+    const double limit = s * (1 + 1e-12);
+    nic = std::nextafter(limit * (k + 1),
+                         std::numeric_limits<double>::infinity());
+    flips = nic - s <= limit * k && nic / (k + 1) >= s;
+  }
+  ASSERT_TRUE(flips);
+  ClusterConfig cfg = small_config();
+  cfg.nic_bps = nic;
+  cfg.rack_uplink_bps = s;
+  std::vector<FluidFlow> flows;
+  flows.push_back({0, 4, 1e6, 0});                    // c
+  flows.insert(flows.end(), kB, {5, 4, 1e6, 0});      // B
+  flows.push_back({5, 1, 1e6, 0});                    // c2
+  flows.insert(flows.end(), kF, {5, 6, 0.5e6, 0});    // B2
+  flows.insert(flows.end(), kF - 1, {7, 4, 1e6, 0});  // F
+  flows.push_back({7, 4, 1e6, 0.25});                 //   and its arrival
+  const ChurnRun replayed = run_churn(cfg, flows, {}, /*full_solves=*/false);
+  const ChurnRun full = run_churn(cfg, flows, {}, /*full_solves=*/true);
+  EXPECT_EQ(replayed.stats.class_solves, full.stats.class_solves);
+  size_t differ = 0;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    differ += replayed.finished[i] != full.finished[i] ? 1 : 0;
+  }
+  EXPECT_EQ(differ, 0u);
+  EXPECT_GT(replayed.stats.rounds_replayed, 0u);
+  EXPECT_EQ(replayed.stats.fill_rounds + replayed.stats.rounds_replayed,
+            full.stats.fill_rounds);
+  EXPECT_EQ(replayed.oracle_checks, replayed.stats.class_solves);
+  EXPECT_LT(replayed.worst_oracle, 1e-9);
 }
 
 }  // namespace
