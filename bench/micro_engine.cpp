@@ -4,6 +4,7 @@
 // costs (the "instrument error" of every other bench).
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "net/network.h"
+#include "net/rpc.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 
@@ -75,6 +77,43 @@ void BM_EventLoopStorm(benchmark::State& state) {
       static_cast<double>(heap) / static_cast<double>(events);
 }
 BENCHMARK(BM_EventLoopStorm)->Arg(1000)->Arg(10000);
+
+// The same storm through net::Service, as the metadata plane runs it: the
+// request hop, the slot (with a FIFO hand-off when it is taken) and the
+// reply hop, so this times the request path itself and not only the queue.
+sim::Task<void> service_client(net::Service& svc, net::NodeId node) {
+  for (int op = 0; op < 20; ++op) {
+    co_await svc.request(node);
+    co_await svc.reply(node);
+  }
+}
+
+void BM_ServiceStorm(benchmark::State& state) {
+  const int clients = static_cast<int>(state.range(0));
+  constexpr uint32_t kShards = 16;
+  net::ClusterConfig cfg;
+  cfg.num_nodes = 64;
+  cfg.control_latency_s = kStormHop;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::Network net(sim, cfg);
+    std::deque<net::Service> shards;
+    for (uint32_t g = 0; g < kShards; ++g) {
+      shards.emplace_back(net, g, kStormService[g & 1]);
+    }
+    for (int i = 0; i < clients; ++i) {
+      const auto node =
+          static_cast<net::NodeId>(kShards + i % (cfg.num_nodes - kShards));
+      sim.spawn(service_client(shards[i % kShards], node));
+    }
+    sim.run();
+    benchmark::DoNotOptimize(sim.now());
+    events += sim.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_ServiceStorm)->Arg(1000)->Arg(10000);
 
 // The share of one run's filling rounds taken from the solve log.
 double replayed_share(const net::SolverStats& s) {

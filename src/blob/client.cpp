@@ -103,8 +103,7 @@ sim::Task<Version> BlobClient::write(BlobId blob, uint64_t offset,
 }
 
 sim::Task<Version> BlobClient::append(BlobId blob, DataSpec data) {
-  co_return co_await write(blob, VersionManager::kAppendOffset,
-                           std::move(data));
+  return write(blob, VersionManager::kAppendOffset, std::move(data));
 }
 
 sim::Task<void> BlobClient::store_page_replicas(
@@ -274,7 +273,7 @@ sim::Task<uint64_t> BlobClient::size(BlobId blob, Version version) {
 }
 
 sim::Task<VersionInfo> BlobClient::latest(BlobId blob) {
-  co_return co_await vm_.latest(node_, blob);
+  return vm_.latest(node_, blob);
 }
 
 sim::Task<std::vector<PageLocation>> BlobClient::locate(BlobId blob,

@@ -194,9 +194,15 @@ sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key) {
   auto it = pages_.find(skey);
   if (it == pages_.end()) co_return false;
   DataSpec data = it->second;
+  // A repair read goes through the page cache like get_page, and is
+  // counted with it.
   if (ram_resident(skey)) {
+    ++cache_hits_;
+    m_cache_hits_->inc();
     if (dirty_seq_.count(skey) == 0) cache_touch(skey, data.size());
   } else {
+    ++cache_misses_;
+    m_cache_misses_->inc();
     co_await net_.disk(cfg_.node).read(static_cast<double>(data.size()));
     cache_touch(skey, data.size());
   }

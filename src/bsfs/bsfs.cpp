@@ -33,9 +33,12 @@ std::unique_ptr<fs::FsClient> Bsfs::make_client(net::NodeId node) {
 
 sim::Task<std::optional<NsEntry>> Bsfs::cached_lookup(net::NodeId node,
                                                       const std::string& path) {
-  if (cfg_.lease_ttl_s <= 0) {
-    co_return co_await ns_.lookup(node, path);
-  }
+  if (cfg_.lease_ttl_s <= 0) return ns_.lookup(node, path);
+  return leased_lookup(node, path);
+}
+
+sim::Task<std::optional<NsEntry>> Bsfs::leased_lookup(net::NodeId node,
+                                                      const std::string& path) {
   NodeLeases& cache = leases_[node];
   auto it = cache.ns.find(path);
   if (it != cache.ns.end()) {
@@ -68,10 +71,15 @@ sim::Task<std::optional<NsEntry>> Bsfs::cached_lookup(net::NodeId node,
 
 sim::Task<blob::VersionInfo> Bsfs::cached_latest(net::NodeId node,
                                                  blob::BlobId blob) {
-  blob::VersionManager& vm = cluster_.version_manager();
   if (cfg_.lease_ttl_s <= 0) {
-    co_return co_await vm.latest(node, blob);
+    return cluster_.version_manager().latest(node, blob);
   }
+  return leased_latest(node, blob);
+}
+
+sim::Task<blob::VersionInfo> Bsfs::leased_latest(net::NodeId node,
+                                                 blob::BlobId blob) {
+  blob::VersionManager& vm = cluster_.version_manager();
   NodeLeases& cache = leases_[node];
   auto it = cache.vm.find(blob);
   if (it != cache.vm.end()) {
@@ -110,17 +118,17 @@ sim::Task<blob::Version> Bsfs::snapshot(net::NodeId node,
 std::pair<std::string, blob::Version> parse_versioned_path(
     const std::string& path) {
   // One scanner for the "@v<digits>, final component only" rule:
-  // fs::snapshot_base_path, which the SnapshotRegistry also uses to let a
+  // fs::snapshot_base_size, which the SnapshotRegistry also uses to let a
   // pre-resolution pin on a decorated name guard its base path. Layering
   // on it keeps the two sides of that contract in lockstep ("/logs@v2/f"
   // stays a plain path — the '/' fails the digits scan).
-  std::string base = fs::snapshot_base_path(path);
-  if (base.size() == path.size()) return {path, blob::kNoVersion};
+  const size_t at = fs::snapshot_base_size(path);
+  if (at == path.size()) return {path, blob::kNoVersion};
   blob::Version v = 0;
-  for (size_t i = base.size() + 2; i < path.size(); ++i) {
+  for (size_t i = at + 2; i < path.size(); ++i) {
     v = v * 10 + static_cast<blob::Version>(path[i] - '0');
   }
-  return {std::move(base), v};
+  return {path.substr(0, at), v};
 }
 
 std::string versioned_path(const std::string& base, blob::Version version) {
@@ -134,12 +142,21 @@ std::string versioned_path(const std::string& base, blob::Version version) {
 
 // ---------- BsfsClient ----------
 
+namespace {
+
+// Whether `path` names a version ("<path>@v<N>"), without copying it.
+bool is_versioned(const std::string& path) {
+  return fs::snapshot_base_size(path) != path.size();
+}
+
+}  // namespace
+
 BsfsClient::BsfsClient(Bsfs& owner, net::NodeId node)
     : owner_(owner), node_(node) {}
 
 sim::Task<std::unique_ptr<fs::FsWriter>> BsfsClient::create(
     const std::string& path) {
-  co_return co_await create_replicated(path, 0);
+  return create_replicated(path, 0);
 }
 
 sim::Task<std::unique_ptr<fs::FsWriter>> BsfsClient::create_replicated(
@@ -170,6 +187,12 @@ sim::Task<std::pair<std::string, blob::Version>> BsfsClient::resolve_name(
 }
 
 sim::Task<std::unique_ptr<fs::FsReader>> BsfsClient::open(
+    const std::string& path) {
+  if (!is_versioned(path)) return open_at_version(path, blob::kNoVersion);
+  return open_versioned(path);
+}
+
+sim::Task<std::unique_ptr<fs::FsReader>> BsfsClient::open_versioned(
     const std::string& path) {
   auto [base, version] = co_await resolve_name(path);
   co_return co_await open_at_version(base, version);
@@ -283,7 +306,10 @@ sim::Task<std::vector<fs::BlockLocation>> BsfsClient::snapshot_locations(
 
 sim::Task<std::optional<fs::FileStat>> BsfsClient::stat(
     const std::string& path) {
-  auto [base, version] = co_await resolve_name(path);
+  // Only a decorated name needs resolve_name (its literal-first lookup).
+  std::pair<std::string, blob::Version> name{path, blob::kNoVersion};
+  if (is_versioned(path)) name = co_await resolve_name(path);
+  const auto& [base, version] = name;
   auto entry = co_await owner_.cached_lookup(node_, base);
   if (!entry.has_value()) co_return std::nullopt;
   fs::FileStat st;
@@ -304,16 +330,16 @@ sim::Task<std::optional<fs::FileStat>> BsfsClient::stat(
 }
 
 sim::Task<std::vector<std::string>> BsfsClient::list(const std::string& dir) {
-  co_return co_await owner_.ns_.list(node_, dir);
+  return owner_.ns_.list(node_, dir);
 }
 
 sim::Task<bool> BsfsClient::remove(const std::string& path) {
-  co_return co_await owner_.ns_.remove(node_, path);
+  return owner_.ns_.remove(node_, path);
 }
 
 sim::Task<bool> BsfsClient::rename(const std::string& from,
                                    const std::string& to) {
-  co_return co_await owner_.ns_.rename(node_, from, to);
+  return owner_.ns_.rename(node_, from, to);
 }
 
 sim::Task<std::vector<fs::BlockLocation>> BsfsClient::locations(

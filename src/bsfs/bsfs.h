@@ -152,6 +152,9 @@ class BsfsClient final : public fs::FsClient {
   // versioned_path/parse_versioned_path round-trip safely.
   sim::Task<std::pair<std::string, blob::Version>> resolve_name(
       const std::string& path);
+  // open() of a decorated name: resolve_name, then open_at_version.
+  sim::Task<std::unique_ptr<fs::FsReader>> open_versioned(
+      const std::string& path);
   // The blob a snapshot pins: its recorded identity (immune to namespace
   // mutation), or the current namespace entry for path-only snapshots.
   sim::Task<std::optional<blob::BlobId>> snapshot_blob(
@@ -233,9 +236,15 @@ class Bsfs final : public fs::FileSystem {
   // time (the answer is local); validity = TTL not expired AND the
   // invalidation channel is quiet (namespace epoch unchanged / cached
   // version still the published one). Negative lookups are never cached.
+  // With leases off they return the namespace's or version manager's own
+  // task; the leased_* coroutines hold the cache path.
   sim::Task<std::optional<NsEntry>> cached_lookup(net::NodeId node,
                                                   const std::string& path);
   sim::Task<blob::VersionInfo> cached_latest(net::NodeId node,
+                                             blob::BlobId blob);
+  sim::Task<std::optional<NsEntry>> leased_lookup(net::NodeId node,
+                                                  const std::string& path);
+  sim::Task<blob::VersionInfo> leased_latest(net::NodeId node,
                                              blob::BlobId blob);
 
   sim::Simulator& sim_;

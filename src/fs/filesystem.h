@@ -200,20 +200,25 @@ class FsClient {
       const std::string& path, uint64_t offset, uint64_t length) = 0;
 };
 
-// Lexical helper: strips a "<path>@v<N>" version decoration (final
-// component only, all-digits suffix) back to the base path; returns the
-// path unchanged when it carries none. The "@v" convention is implemented
-// by the BSFS back-end (bsfs::parse_versioned_path agrees with this rule),
-// but the registry must understand it too: a pre-resolution pin_all on a
+// Lexical helper: the length of `path` without its "<path>@v<N>" version
+// decoration (final component only, all-digits suffix), or path.size()
+// when it carries none. The "@v" convention is implemented by the BSFS
+// back-end (bsfs::parse_versioned_path agrees with this rule), but the
+// registry must understand it too: a pre-resolution pin_all on a
 // decorated input name has to protect the BASE path's history, which is
 // what retention looks up.
-inline std::string snapshot_base_path(const std::string& path) {
+inline size_t snapshot_base_size(const std::string& path) {
   const size_t at = path.rfind("@v");
-  if (at == std::string::npos || at + 2 >= path.size()) return path;
+  if (at == std::string::npos || at + 2 >= path.size()) return path.size();
   for (size_t i = at + 2; i < path.size(); ++i) {
-    if (path[i] < '0' || path[i] > '9') return path;
+    if (path[i] < '0' || path[i] > '9') return path.size();
   }
-  return path.substr(0, at);
+  return at;
+}
+
+// The base path itself: `path` unchanged when it carries no decoration.
+inline std::string snapshot_base_path(const std::string& path) {
+  return path.substr(0, snapshot_base_size(path));
 }
 
 // Registry of live snapshot pins, one per FileSystem. A pin is a promise

@@ -153,7 +153,12 @@ sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id) {
   auto it = blocks_.find(id);
   if (it == blocks_.end()) co_return false;
   DataSpec block = it->second;
-  if (!cache_contains(id)) {
+  // A repair read goes through the page cache like a client read, and is
+  // counted with them.
+  if (cache_contains(id)) {
+    m_cache_hits_->inc();
+  } else {
+    m_cache_misses_->inc();
     co_await net_.disk(node_).read(static_cast<double>(block.size()));
   }
   cache_touch(id, block.size());

@@ -114,7 +114,7 @@ sim::Task<Hdfs::RepairStats> Hdfs::repair_under_replicated(
 
 sim::Task<std::unique_ptr<fs::FsWriter>> HdfsClient::create(
     const std::string& path) {
-  co_return co_await create_replicated(path, 0);
+  return create_replicated(path, 0);
 }
 
 sim::Task<std::unique_ptr<fs::FsWriter>> HdfsClient::create_replicated(
@@ -160,16 +160,16 @@ sim::Task<std::optional<fs::FileStat>> HdfsClient::stat(
 }
 
 sim::Task<std::vector<std::string>> HdfsClient::list(const std::string& dir) {
-  co_return co_await owner_.namenode_->list(node_, dir);
+  return owner_.namenode_->list(node_, dir);
 }
 
 sim::Task<bool> HdfsClient::remove(const std::string& path) {
-  co_return co_await owner_.namenode_->remove(node_, path);
+  return owner_.namenode_->remove(node_, path);
 }
 
 sim::Task<bool> HdfsClient::rename(const std::string& from,
                                    const std::string& to) {
-  co_return co_await owner_.namenode_->rename(node_, from, to);
+  return owner_.namenode_->rename(node_, from, to);
 }
 
 sim::Task<std::vector<fs::BlockLocation>> HdfsClient::locations(

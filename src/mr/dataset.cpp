@@ -86,7 +86,7 @@ sim::Task<std::vector<InputSplit>> Dataset::plan_splits(
 
 sim::Task<std::unique_ptr<fs::FsReader>> Dataset::open_split(
     fs::FsClient& client, const InputSplit& split) const {
-  co_return co_await client.open_snapshot(snaps_[split.input]);
+  return client.open_snapshot(snaps_[split.input]);
 }
 
 sim::Task<uint64_t> Dataset::bytes_ingested_since_pin(net::NodeId node) const {

@@ -32,16 +32,16 @@ void Simulator::Lane::grow() {
   head = 0;
 }
 
-void Simulator::schedule_after(Time dt, std::coroutine_handle<> h) {
+void Simulator::push_after(Time dt, uintptr_t payload) {
   BS_DCHECK(dt > 0);
   // The lane that holds dt, else the first empty lane; lane 0 is delay 0's.
   int free_lane = kNone;
   for (int i = 1; i < kLanes; ++i) {
-    if (lanes_[i].dt == dt) return lane_push(i, dt, h);
+    if (lanes_[i].dt == dt) return lane_push(i, dt, payload);
     if (free_lane == kNone && lanes_[i].size == 0) free_lane = i;
   }
-  if (free_lane != kNone) return lane_push(free_lane, dt, h);
-  heap_.push(Event{now_ + dt, seq_++, payload_of(h)});
+  if (free_lane != kNone) return lane_push(free_lane, dt, payload);
+  heap_.push(Event{now_ + dt, seq_++, payload});
   ++heap_events_;
 }
 
@@ -112,10 +112,13 @@ void Simulator::dispatch(const Event& ev) {
   now_ = ev.t;
   ++events_processed_;
   if (auditor_) auditor_->record(ev.t, ev.seq);
-  if ((ev.payload & 1) == 0) {
+  if ((ev.payload & 3) == 0) {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(ev.payload))
         .resume();
+  } else if ((ev.payload & 1) == 0) {
+    Step& s = *reinterpret_cast<Step*>(ev.payload & ~uintptr_t{2});
+    s.fn(s);
   } else {
     const auto slot = static_cast<uint32_t>(ev.payload >> 1);
     std::function<void()> fn = std::move(callback_slots_[slot]);

@@ -19,10 +19,16 @@
 // every event would give.
 //
 // The loop is allocation-free in steady state: an Event is a 24-byte POD
-// whose payload is either a coroutine handle or an index into a pooled
-// callback-slot table (tagged in the low bit — coroutine frames come from
-// operator new and are at least pointer-aligned, so bit 0 is free), and
-// detached tasks link themselves onto an intrusive finished list at final
+// whose payload is one of three kinds, told apart by its two low bits
+// (coroutine frames come from operator new and Steps are pointer-aligned,
+// so both bits of their addresses are free):
+//   * a coroutine handle (bits clear), resumed;
+//   * an index into a pooled callback-slot table (bit 0), called;
+//   * a Step (bit 1): an awaiter that lives in its caller's frame and acts
+//     at several events before it resumes the caller, so one co_await can
+//     span a chain of events without a coroutine frame of its own
+//     (net::Service::Request).
+// Detached tasks link themselves onto an intrusive finished list at final
 // suspend instead of being discovered by a periodic scan of every live
 // process. An escaped exception in a detached task rethrows out of run()
 // at the dispatch that finished the task, not at some later reap boundary.
@@ -68,7 +74,23 @@ class Simulator {
 
   // Schedules a coroutine resumption at the current time, after every
   // event already queued for it.
-  void schedule_now(std::coroutine_handle<> h) { lane_push(0, 0, h); }
+  void schedule_now(std::coroutine_handle<> h) {
+    lane_push(0, 0, payload_of(h));
+  }
+
+  // The third event payload: its event calls `fn(*this)`. An awaiter that
+  // derives from Step re-points `fn` before it schedules each of its
+  // events, and must stay at one address until the last has dispatched.
+  struct Step {
+    void (*fn)(Step& self);
+  };
+  static_assert(alignof(Step) >= 4, "bits 0 and 1 of a payload are tags");
+
+  // Schedules `s` at the current time, after every event already queued
+  // for it, or `dt` > 0 simulated seconds from now: the same lanes, heap
+  // and seq as a coroutine resumed after the same delay.
+  void schedule_now(Step& s) { lane_push(0, 0, payload_of(s)); }
+  void schedule_after(Time dt, Step& s) { push_after(dt, payload_of(s)); }
 
   // Schedules a plain callback (used by the flow solver's retimeable wake).
   // Callback storage is pooled: the std::function lives in a reusable slot,
@@ -82,7 +104,9 @@ class Simulator {
     Simulator& sim;
     Time dt;
     bool await_ready() const noexcept { return dt <= 0; }
-    void await_suspend(std::coroutine_handle<> h) { sim.schedule_after(dt, h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      sim.push_after(dt, payload_of(h));
+    }
     void await_resume() const noexcept {}
   };
   Delay delay(Time dt) { return Delay{*this, dt}; }
@@ -138,8 +162,8 @@ class Simulator {
 
  private:
   // POD event: 24 bytes, trivially copyable, so priority-queue sifts are
-  // memcpys. `payload` is a coroutine handle address (bit 0 clear) or
-  // (callback_slot << 1) | 1.
+  // memcpys. `payload` is a coroutine handle address (bits 0 and 1 clear),
+  // (callback_slot << 1) | 1, or a Step's address | 2.
   struct Event {
     Time t;
     uint64_t seq;
@@ -179,17 +203,22 @@ class Simulator {
   static constexpr int kHeap = kLanes;
   static constexpr int kNone = kLanes + 1;
 
-  // Frames come from operator new, so bit 0 (the callback tag) is clear.
+  // Frames come from operator new, so both tag bits are clear.
   static uintptr_t payload_of(std::coroutine_handle<> h) {
     const auto addr = reinterpret_cast<uintptr_t>(h.address());
-    BS_DCHECK(h != nullptr && (addr & 1) == 0);
+    BS_DCHECK(h != nullptr && (addr & 3) == 0);
     return addr;
   }
-  void schedule_after(Time dt, std::coroutine_handle<> h);
-  void lane_push(int lane, Time dt, std::coroutine_handle<> h) {
+  static uintptr_t payload_of(Step& s) {
+    return reinterpret_cast<uintptr_t>(&s) | 2;
+  }
+  // Pushes `payload` to run `dt` > 0 from now: onto its delay's lane, a
+  // free lane, or the heap.
+  void push_after(Time dt, uintptr_t payload);
+  void lane_push(int lane, Time dt, uintptr_t payload) {
     Lane& l = lanes_[lane];
     l.dt = dt;
-    l.push(Event{now_ + dt, seq_++, payload_of(h)});
+    l.push(Event{now_ + dt, seq_++, payload});
     busy_lanes_ |= 1u << lane;
   }
   // Where the (time, seq)-earliest pending event sits: a lane, kHeap or

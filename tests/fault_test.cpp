@@ -950,6 +950,69 @@ TEST(FaultRecovery, RepairOntoARecoveredHolderCountsItsRamOnce) {
   EXPECT_EQ(cluster.provider_on(a).ram_used(), kBigPage);
 }
 
+TEST(FaultRecovery, RepairReadsCountAsCacheHitsAndMisses) {
+  // A repair copy reads its source through the page cache as a client read
+  // does, and is counted with client reads: a cold copy is one miss (and a
+  // disk read), a cached copy one hit. Both back-ends.
+  sim::Simulator sim;
+  net::Network net(sim, test_net());
+  blob::ProviderConfig cold_cfg;
+  cold_cfg.node = 1;
+  cold_cfg.read_cache = false;  // a synced page leaves RAM at once
+  blob::ProviderConfig cached_cfg;
+  cached_cfg.node = 2;
+  blob::ProviderConfig dst_cfg;
+  dst_cfg.node = 3;
+  blob::Provider cold(sim, net, cold_cfg);
+  blob::Provider cached(sim, net, cached_cfg);
+  blob::Provider dst(sim, net, dst_cfg);
+  auto repair_copy = [](blob::Provider& src, blob::Provider& to,
+                        blob::PageKey key, bool* ok) -> sim::Task<void> {
+    const bool put =
+        co_await src.put_page(0, key, DataSpec::pattern(5, 0, kPage));
+    BS_CHECK(put);
+    co_await src.drain();
+    *ok = co_await src.replicate_to(to, key);
+  };
+  bool cold_ok = false;
+  bool cached_ok = false;
+  sim.spawn(repair_copy(cold, dst, blob::PageKey{1, 0, 1}, &cold_ok));
+  sim.spawn(repair_copy(cached, dst, blob::PageKey{1, 1, 1}, &cached_ok));
+  sim.run();
+  EXPECT_TRUE(cold_ok);
+  EXPECT_TRUE(cached_ok);
+  EXPECT_EQ(cold.cache_misses(), 1u);
+  EXPECT_EQ(cold.cache_hits(), 0u);
+  EXPECT_EQ(cached.cache_hits(), 1u);
+  EXPECT_EQ(cached.cache_misses(), 0u);
+  EXPECT_EQ(sim.metrics().counter("blob/cache_misses").value(), 1.0);
+  EXPECT_EQ(sim.metrics().counter("blob/cache_hits").value(), 1.0);
+  EXPECT_NEAR(net.disk(1).bytes_read(), kPage, 1e-9);
+  EXPECT_NEAR(net.disk(2).bytes_read(), 0, 1e-9);
+
+  hdfs::DataNode cold_dn(sim, net, 4, /*ram_bytes=*/0);  // caches nothing
+  hdfs::DataNode cached_dn(sim, net, 5);
+  hdfs::DataNode dst_dn(sim, net, 6);
+  auto block_copy = [](hdfs::DataNode& src, hdfs::DataNode& to,
+                       hdfs::BlockId id, bool* ok) -> sim::Task<void> {
+    const bool put =
+        co_await src.receive_block(0, id, DataSpec::pattern(7, 0, kPage));
+    BS_CHECK(put);
+    *ok = co_await src.replicate_to(to, id);
+  };
+  bool cold_dn_ok = false;
+  bool cached_dn_ok = false;
+  sim.spawn(block_copy(cold_dn, dst_dn, 1, &cold_dn_ok));
+  sim.spawn(block_copy(cached_dn, dst_dn, 2, &cached_dn_ok));
+  sim.run();
+  EXPECT_TRUE(cold_dn_ok);
+  EXPECT_TRUE(cached_dn_ok);
+  EXPECT_EQ(sim.metrics().counter("hdfs/dn_cache_misses").value(), 1.0);
+  EXPECT_EQ(sim.metrics().counter("hdfs/dn_cache_hits").value(), 1.0);
+  EXPECT_NEAR(net.disk(4).bytes_read(), kPage, 1e-9);
+  EXPECT_NEAR(net.disk(5).bytes_read(), 0, 1e-9);
+}
+
 TEST(FaultRecovery, RepairIsIdempotentOnHealthyBlob) {
   FaultWorld w;
   auto client = w.cluster.make_client(1);

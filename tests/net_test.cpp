@@ -436,6 +436,139 @@ TEST(Service, SerializesAndQueues) {
   EXPECT_EQ(svc.queue_depth(), 0u);
 }
 
+// Events a request makes: the hop and the slot, plus a hand-off when it
+// waited. Each spawn adds one start event.
+TEST(Service, IdleRoundTripMakesThreeEvents) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  sim.spawn(service_call(&svc, 0));
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 1u + 3u);  // hop, slot, reply
+}
+
+TEST(Service, QueuedRoundTripAddsTheHandOff) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  sim.spawn(service_call(&svc, 0));
+  sim.spawn(service_call(&svc, 1));
+  sim.run();
+  // The first is served at once (3 events); the second waits and is handed
+  // the slot at the first's slot end (4).
+  EXPECT_EQ(sim.events_processed(), 2u + 3u + 4u);
+  EXPECT_NEAR(sim.now(), 2 * 1e-3 + 0.2, 1e-12);
+  EXPECT_EQ(svc.requests(), 2u);
+}
+
+TEST(Service, CountedWhenTheCallerResumes) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  obs::Counter counter;
+  Service svc(net, 3, 0.1, &counter);
+  struct Seen {
+    uint64_t requests;
+    double counted;
+    double at;
+  };
+  std::vector<Seen> seen;
+  auto caller = [](Service* s, obs::Counter* c, sim::Simulator* sm,
+                   std::vector<Seen>* out) -> sim::Task<void> {
+    co_await s->request(0);
+    out->push_back({s->requests(), c->value(), sm->now()});
+  };
+  sim.spawn(caller(&svc, &counter, &sim, &seen));
+  sim.spawn(caller(&svc, &counter, &sim, &seen));
+  sim.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].requests, 1u);
+  EXPECT_EQ(seen[0].counted, 1.0);
+  EXPECT_NEAR(seen[0].at, 1e-3 + 0.1, 1e-12);
+  EXPECT_EQ(seen[1].requests, 2u);
+  EXPECT_EQ(seen[1].counted, 2.0);
+  EXPECT_NEAR(seen[1].at, 1e-3 + 0.2, 1e-12);
+}
+
+TEST(Service, ZeroServiceTimeMakesNoSlotEvent) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.0);
+  // Arriving together, neither waits: the first frees the slot at once.
+  sim.spawn(service_call(&svc, 0));
+  sim.spawn(service_call(&svc, 1));
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 2u + 2u * 2u);  // hop and reply each
+  EXPECT_NEAR(sim.now(), 2 * 1e-3, 1e-12);
+  EXPECT_EQ(svc.requests(), 2u);
+  // A cost of 0 on a timed service holds the slot for no time either.
+  Service timed(net, 3, 0.1);
+  const uint64_t before = sim.events_processed();
+  sim.spawn(service_call(&timed, 0, 0.0));
+  sim.run();
+  EXPECT_EQ(sim.events_processed() - before, 1u + 2u);
+}
+
+TEST(Service, RequestWithoutDelaysDoesNotSuspend) {
+  sim::Simulator sim;
+  auto cfg = small_config();
+  cfg.control_latency_s = 0;
+  Network net(sim, cfg);
+  obs::Counter counter;
+  Service svc(net, 3, 0.0, &counter);
+  struct Seen {
+    uint64_t events;
+    double now;
+    uint64_t requests;
+    double counted;
+  };
+  std::vector<Seen> seen;
+  auto caller = [](sim::Simulator* s, Service* svc, obs::Counter* c,
+                   std::vector<Seen>* out) -> sim::Task<void> {
+    co_await s->delay(0.5);
+    out->push_back({s->events_processed(), s->now(), svc->requests(),
+                    c->value()});
+    co_await svc->request(0);
+    out->push_back({s->events_processed(), s->now(), svc->requests(),
+                    c->value()});
+  };
+  sim.spawn(caller(&sim, &svc, &counter, &seen));
+  sim.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1].events, seen[0].events);
+  EXPECT_EQ(seen[1].now, seen[0].now);
+  EXPECT_EQ(seen[1].requests, 1u);
+  EXPECT_EQ(seen[1].counted, 1.0);
+  EXPECT_EQ(sim.events_processed(), 2u);  // the start and the delay
+}
+
+// Requests take the slot in arrival order: a waiter is never passed, not by
+// a later waiter and not by a request that arrives in the instant between
+// a slot's end and its hand-off event.
+TEST(Service, ServesInArrivalOrder) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  std::vector<int> done;
+  auto caller = [](sim::Simulator* s, Service* svc, double start, int id,
+                   std::vector<int>* out) -> sim::Task<void> {
+    co_await s->delay(start);
+    co_await svc->request(0);
+    out->push_back(id);
+  };
+  // 0 takes the slot at 1 ms; 1, 2 and 3 queue behind it in that order.
+  // 4's hop lands at 0.1 + 1 ms, the instant 0's slot ends: 0's slot
+  // event comes first (it was scheduled earlier) and hands the slot to 1,
+  // so 4 queues behind 3.
+  const double starts[] = {0.0, 0.01, 0.02, 0.03, 0.1};
+  for (int id = 0; id < 5; ++id) {
+    sim.spawn(caller(&sim, &svc, starts[id], id, &done));
+  }
+  sim.run();
+  EXPECT_EQ(done, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_NEAR(sim.now(), 1e-3 + 0.5, 1e-12);
+  EXPECT_EQ(svc.queue_depth(), 0u);
+}
+
 // Property sweep: under randomized concurrent transfers, conservation holds:
 // simulated completion time must be bounded below by every aggregate
 // capacity constraint, and all bytes must arrive.

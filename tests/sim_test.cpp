@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -643,11 +644,51 @@ Task<void> lane_actor(Simulator& s, ScheduleLog* log, uint64_t seed,
   }
 }
 
+// The Step counterpart of lane_actor: reschedules itself `steps` times,
+// through schedule_now, a repeated delay or a distinct one.
+struct StepActor : Simulator::Step {
+  StepActor(Simulator& s, ScheduleLog* l, uint64_t seed, int steps)
+      : Step{&on_event}, sim(s), log(l), rng(seed), left(steps) {}
+
+  void next() {
+    constexpr double kRepeated[] = {1e-3, 2.5e-3, 7e-3};
+    if (left-- == 0) return;
+    const uint64_t kind = rng.below(4);
+    if (kind == 0) {
+      me = log->note(sim.now());
+      sim.schedule_now(*this);
+      return;
+    }
+    const double dt = kind < 3
+                          ? kRepeated[rng.below(3)]
+                          : 1e-4 * static_cast<double>(1 + rng.below(40));
+    me = log->note(sim.now() + dt);
+    sim.schedule_after(dt, *this);
+  }
+  static void on_event(Simulator::Step& s) {
+    auto& a = static_cast<StepActor&>(s);
+    a.log->ran.push_back(a.me);
+    a.next();
+  }
+
+  Simulator& sim;
+  ScheduleLog* log;
+  Rng rng;
+  int left;
+  size_t me = 0;
+};
+
 TEST(Simulator, LanesDispatchInTimeSeqOrder) {
   Simulator sim;
   ScheduleLog log;
   for (uint64_t a = 0; a < 12; ++a) {
     sim.spawn(lane_actor(sim, &log, 1000 + a, 100));
+  }
+  // Steps share the lanes, the heap and seq with coroutines and callbacks.
+  std::vector<std::unique_ptr<StepActor>> steppers;
+  for (uint64_t a = 0; a < 6; ++a) {
+    steppers.push_back(std::make_unique<StepActor>(sim, &log, 2000 + a, 100));
+    steppers.back()->next();
   }
   for (const double b : {0.01, 0.05, 0.05, 0.2}) {
     sim.run_until(b);
