@@ -67,6 +67,4 @@ struct DurabilityPolicy {
   bool operator==(const DurabilityPolicy&) const = default;
 };
 
-const char* durability_level_name(DurabilityLevel level);
-
 }  // namespace bs

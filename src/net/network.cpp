@@ -449,14 +449,30 @@ void Network::collect_changes() {
   touched_.clear();
 }
 
-bool Network::replayable(uint32_t r, uint32_t& anchor) const {
+bool Network::replayable(uint32_t r, uint32_t& anchor, bool& dirty_min) const {
   const Round& round = log_.rounds[r];
   const double share = round.share;
+  // No dirty link may be below the share, by the scan's own division. A
+  // link with more than share * (1 + 1e-15) per member left is above it by
+  // several units in the last place, which the division's rounding cannot
+  // undo, so only the links under that bound are divided.
+  const double above = share > 0 ? share * (1 + 1e-15)
+                                 : std::numeric_limits<double>::infinity();
+  dirty_min = false;
+  for (uint32_t l : dirty_links_) {
+    const uint32_t cnt = scratch_count_[l];
+    if (cnt == 0 || scratch_remaining_[l] > above * cnt) continue;
+    const double fair = scratch_remaining_[l] / cnt;
+    if (fair < share) {
+      dirty_min = true;
+      return false;
+    }
+    if (fair == share) dirty_min = true;
+  }
   // A new or diverged class capped at or below the share would freeze in
   // the capped sweep. (A share that is not positive admits no reach bound
   // below; stop there too.)
   if (!(share > 0) || !(share < suspect_cap_floor_)) return false;
-  const uint32_t froze_end = log_.froze_end(r);
   const uint32_t marked_end = log_.marked_end(r);
   // A clean link holds the share: clean links hold their logged values, so
   // none is below it. A link at the share passes at the round's start, so
@@ -471,28 +487,42 @@ bool Network::replayable(uint32_t r, uint32_t& anchor) const {
     if (it == log_.marked.begin() + marked_end) return false;
     anchor = *it;
   }
-  // And no dirty link is below it, by the scan's own division.
-  for (uint32_t l : dirty_links_) {
-    const uint32_t cnt = scratch_count_[l];
-    if (cnt != 0 && scratch_remaining_[l] / cnt < share) return false;
-  }
-  // A capped round stays one only while a class is left for its sweep.
-  if (round.capped) {
-    return std::any_of(log_.froze.begin() + round.froze_begin,
-                       log_.froze.begin() + froze_end, [&](uint32_t pos) {
-                         return (unfrozen_[pos / 64] & bit(pos)) != 0;
-                       });
-  }
   return true;
+}
+
+bool Network::pending(uint32_t r) const {
+  return std::any_of(log_.froze.begin() + log_.rounds[r].froze_begin,
+                     log_.froze.begin() + log_.froze_end(r), [&](uint32_t pos) {
+                       return (unfrozen_[pos / 64] & bit(pos)) != 0;
+                     });
+}
+
+bool Network::make_dirty(uint32_t l) {
+  if (dirty(l)) return false;
+  link_dirty_[l] = stamp_ + 1;
+  dirty_links_.push_back(l);
+  return true;
+}
+
+void Network::dirty_class(uint32_t pos) {
+  const PathClass& c = classes_[pos];
+  for (uint32_t k = 0; k < c.path_len; ++k) make_dirty(c.path[k]);
+}
+
+void Network::left_unfrozen(uint32_t pos) {
+  // One frozen in an earlier round froze where the log did not, and its
+  // links are dirty already.
+  if (!(unfrozen_[pos / 64] & bit(pos))) return;
+  const double cap = classes_[pos].cap;
+  if (cap > 0) suspect_cap_floor_ = std::min(suspect_cap_floor_, cap);
+  dirty_class(pos);
 }
 
 void Network::diverge(uint32_t pos, double near) {
   const PathClass& c = classes_[pos];
   for (uint32_t k = 0; k < c.path_len; ++k) {
     const uint32_t l = c.path[k];
-    if (dirty(l)) continue;
-    link_dirty_[l] = stamp_ + 1;
-    dirty_links_.push_back(l);
+    if (!make_dirty(l)) continue;
     if (scratch_count_[l] != 0 &&
         (link_logged_[l] == stamp_ || within_reach(l, near))) {
       mark_classes(l, pos + 1, suspects_);
@@ -550,14 +580,18 @@ void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
   }
   // A dirty link within reach of the share makes its classes suspect, and
   // one that passes marks them as candidates, as a round that runs would.
+  // Drained ones drop out of the list: they cannot pass again.
+  size_t kept = 0;
   for (uint32_t l : dirty_links_) {
     const uint32_t cnt = scratch_count_[l];
     if (cnt == 0) continue;
+    dirty_links_[kept++] = l;
     if (link_logged_[l] != stamp_ && within_reach(l, near)) {
       mark_classes(l, 0, suspects_);
     }
     if (scratch_remaining_[l] <= limit * cnt) mark_link(l, 0);
   }
+  dirty_links_.resize(kept);
   // Walk the logged freezes merged with the candidates in position order.
   // Marks land after the current position, so the lowest candidate only
   // changes when a tested class is visited.
@@ -647,107 +681,189 @@ void Network::solve_classes() {
     scratch_count_[l] = 0;
   }
   size_t unfrozen = classes_.size() - holes_;
-  uint32_t r = 0;
-  for (uint32_t anchor = 0;
-       r < log_.rounds.size() && unfrozen > 0 && replayable(r, anchor); ++r) {
-    replay_round(r, anchor, unfrozen);
-  }
   // The lowest live cap is at most every unfrozen cap, and the first
   // capped sweep makes it exact.
   double cap_floor = live_caps_.empty()
                          ? std::numeric_limits<double>::infinity()
                          : live_caps_.begin()->first;
+  // The log cursor: every logged round before it was replayed, matched by
+  // a round that ran, or passed.
+  uint32_t r = 0;
   while (unfrozen > 0) {
-    ++stamp_;
-    ++sstats_.fill_rounds;
-    // One scan of the live links finds the round's share and keeps every
-    // link within 4e-12 of the running minimum: a superset of the links
-    // that pass the bottleneck test below, which admits 1e-12 plus
-    // rounding. Links drained by earlier rounds drop out for good.
-    double best_share = std::numeric_limits<double>::infinity();
-    double near = best_share;
+    // A logged round whose classes all froze elsewhere has nothing left to
+    // freeze, and passing it leaves no class unfrozen where the log froze
+    // it. (So a capped round replays only while its sweep has a class.)
+    while (r < log_.rounds.size() && !pending(r)) ++r;
     uint32_t anchor = 0;
+    // Past the end of a log every link with members is dirty: the logged
+    // fill left none.
+    bool dirty_min = !log_.rounds.empty();
+    if (r < log_.rounds.size() && replayable(r, anchor, dirty_min)) {
+      replay_round(r++, anchor, unfrozen);
+    } else {
+      run_round(r, dirty_min, cap_floor, unfrozen);
+      r = resume_log(r);
+    }
+  }
+  std::swap(log_, next_);
+  logged_classes_ = classes_.size();
+}
+
+void Network::run_round(uint32_t r, bool dirty_min, double& cap_floor,
+                        size_t& unfrozen) {
+  ++stamp_;
+  ++sstats_.fill_rounds;
+  double best_share = std::numeric_limits<double>::infinity();
+  double near = best_share;
+  uint32_t anchor = 0;
+  near_links_.clear();
+  // Keeps link `l` if it is within 4e-12 of the running minimum: the kept
+  // links are a superset of the links that pass the bottleneck test below,
+  // which admits 1e-12 plus rounding.
+  const auto scan = [&](uint32_t l, uint32_t cnt) {
+    const double fair = scratch_remaining_[l] / cnt;
+    if (fair > near) return;
+    if (fair < best_share) {
+      best_share = fair;
+      near = fair + std::abs(fair) * 4e-12;
+      anchor = l;
+    }
+    near_links_.push_back(l);
+  };
+  if (dirty_min) {
+    // Clean links hold the logged values, so none is below the logged
+    // share, and a dirty link is at or below it: a dirty link holds the
+    // round's share.
+    size_t kept = 0;
+    for (uint32_t l : dirty_links_) {
+      const uint32_t cnt = scratch_count_[l];
+      if (cnt == 0) continue;
+      dirty_links_[kept++] = l;
+      scan(l, cnt);
+    }
+    dirty_links_.resize(kept);
+    // A clean link that passes at a share at most the logged one passed at
+    // the logged round's start, which marked it.
+    if (r < log_.rounds.size() && log_.rounds[r].share <= near) {
+      for (uint32_t i = log_.rounds[r].marked_begin; i < log_.marked_end(r);
+           ++i) {
+        const uint32_t l = log_.marked[i];
+        if (!dirty(l) && scratch_count_[l] != 0) near_links_.push_back(l);
+      }
+    }
+  } else {
+    // One scan of the live links; links drained by earlier rounds drop out
+    // for good.
     size_t live = 0;
-    near_links_.clear();
     for (uint32_t l : scratch_links_) {
       const uint32_t cnt = scratch_count_[l];
       if (cnt == 0) continue;
       scratch_links_[live++] = l;
-      const double fair = scratch_remaining_[l] / cnt;
-      if (fair > near) continue;
-      if (fair < best_share) {
-        best_share = fair;
-        near = fair + std::abs(fair) * 4e-12;
-        anchor = l;
-      }
-      near_links_.push_back(l);
+      scan(l, cnt);
     }
     scratch_links_.resize(live);
-    next_.rounds.push_back(
-        Round{.share = best_share,
-              .anchor = anchor,
-              .froze_begin = static_cast<uint32_t>(next_.froze.size()),
-              .marked_begin = static_cast<uint32_t>(next_.marked.size()),
-              .capped = false});
-    // Caps binding at or below the share freeze first, in creation order.
-    // cap_floor is at most every unfrozen cap, so below it none binds.
-    if (best_share >= cap_floor) {
-      bool froze_capped = false;
-      cap_floor = std::numeric_limits<double>::infinity();
-      for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
-        const PathClass& c = classes_[pos];
-        if (c.cap <= 0 || !(unfrozen_[pos / 64] & bit(pos))) continue;
-        if (c.cap <= best_share) {
-          freeze(pos, c.cap);
-          --unfrozen;
-          froze_capped = true;
-        } else {
-          cap_floor = std::min(cap_floor, c.cap);
-        }
-      }
-      if (froze_capped) {
-        next_.rounds.back().capped = true;
-        continue;
-      }
-    }
-    const double share = best_share;
-    const double limit = share * (1 + 1e-12);
-    // Test only classes on a link that passes now, walking them in
-    // creation order. Freezing never makes a link pass in exact
-    // arithmetic; rounding can, so a freeze re-checks its links and marks
-    // their later classes.
-    for (uint32_t l : near_links_) {
-      if (scratch_remaining_[l] <= limit * scratch_count_[l]) mark_link(l, 0);
-    }
-    const size_t unfrozen_before = unfrozen;
-    for (size_t w = 0; w < candidates_.size(); ++w) {
-      while (const uint64_t bits = candidates_[w]) {
-        candidates_[w] = bits & (bits - 1);
-        const auto pos = static_cast<uint32_t>(
-            w * 64 + static_cast<size_t>(std::countr_zero(bits)));
-        const PathClass& c = classes_[pos];
-        ++sstats_.class_tests;
-        if (!bottlenecked(c, limit)) continue;
-        freeze(pos, share);
-        --unfrozen;
-        for (uint32_t k = 0; k < c.path_len; ++k) {
-          const uint32_t l = c.path[k];
-          const uint32_t cnt = scratch_count_[l];
-          if (cnt != 0 && scratch_remaining_[l] <= limit * cnt &&
-              link_marked_[l] != stamp_) {
-            mark_link(l, pos + 1);
-          }
-        }
-      }
-    }
-    // The link with the minimum share passes its own test, so a round
-    // that freezes nothing means the per-link state is corrupt: stop
-    // rather than spin.
-    BS_CHECK_MSG(unfrozen < unfrozen_before,
-                 "a bottleneck round froze no path class");
   }
-  std::swap(log_, next_);
-  logged_classes_ = classes_.size();
+  next_.rounds.push_back(
+      Round{.share = best_share,
+            .anchor = anchor,
+            .froze_begin = static_cast<uint32_t>(next_.froze.size()),
+            .marked_begin = static_cast<uint32_t>(next_.marked.size()),
+            .capped = false});
+  // Caps binding at or below the share freeze first, in creation order.
+  // cap_floor is at most every unfrozen cap, so below it none binds.
+  if (best_share >= cap_floor) {
+    bool froze_capped = false;
+    cap_floor = std::numeric_limits<double>::infinity();
+    for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
+      const PathClass& c = classes_[pos];
+      if (c.cap <= 0 || !(unfrozen_[pos / 64] & bit(pos))) continue;
+      if (c.cap <= best_share) {
+        freeze(pos, c.cap);
+        --unfrozen;
+        froze_capped = true;
+      } else {
+        cap_floor = std::min(cap_floor, c.cap);
+      }
+    }
+    if (froze_capped) {
+      next_.rounds.back().capped = true;
+      return;
+    }
+  }
+  const double share = best_share;
+  const double limit = share * (1 + 1e-12);
+  // Test only classes on a link that passes now, walking them in creation
+  // order. Freezing never makes a link pass in exact arithmetic; rounding
+  // can, so a freeze re-checks its links and marks their later classes.
+  for (uint32_t l : near_links_) {
+    if (scratch_remaining_[l] <= limit * scratch_count_[l]) mark_link(l, 0);
+  }
+  const size_t unfrozen_before = unfrozen;
+  for (size_t w = 0; w < candidates_.size(); ++w) {
+    while (const uint64_t bits = candidates_[w]) {
+      candidates_[w] = bits & (bits - 1);
+      const auto pos = static_cast<uint32_t>(
+          w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      const PathClass& c = classes_[pos];
+      ++sstats_.class_tests;
+      if (!bottlenecked(c, limit)) continue;
+      freeze(pos, share);
+      --unfrozen;
+      for (uint32_t k = 0; k < c.path_len; ++k) {
+        const uint32_t l = c.path[k];
+        const uint32_t cnt = scratch_count_[l];
+        if (cnt != 0 && scratch_remaining_[l] <= limit * cnt &&
+            link_marked_[l] != stamp_) {
+          mark_link(l, pos + 1);
+        }
+      }
+    }
+  }
+  // The link with the minimum share passes its own test, so a round that
+  // freezes nothing means the per-link state is corrupt: stop rather than
+  // spin.
+  BS_CHECK_MSG(unfrozen < unfrozen_before,
+               "a bottleneck round froze no path class");
+}
+
+uint32_t Network::resume_log(uint32_t r) {
+  const Round& ran = next_.rounds.back();
+  const uint32_t* const froze = next_.froze.data();
+  const auto ran_end = static_cast<uint32_t>(next_.froze.size());
+  // The logged rounds a full solve runs before this one: the classes they
+  // froze that are still unfrozen diverge.
+  for (; r < log_.rounds.size() && log_.rounds[r].before(ran); ++r) {
+    for (uint32_t i = log_.rounds[r].froze_begin; i < log_.froze_end(r); ++i) {
+      left_unfrozen(log_.froze[i]);
+    }
+  }
+  const bool match = r < log_.rounds.size() &&
+                     log_.rounds[r].share == ran.share &&
+                     log_.rounds[r].capped == ran.capped;
+  if (!match) {
+    for (uint32_t i = ran.froze_begin; i < ran_end; ++i) dirty_class(froze[i]);
+    return r;
+  }
+  // The logged round with this share: a class in only one of the two lists
+  // (both ascend) diverges.
+  uint32_t i = log_.rounds[r].froze_begin;
+  const uint32_t logged_end = log_.froze_end(r);
+  uint32_t j = ran.froze_begin;
+  while (i < logged_end || j < ran_end) {
+    const uint32_t logged = i < logged_end ? log_.froze[i] : kNoClass;
+    const uint32_t now = j < ran_end ? froze[j] : kNoClass;
+    if (logged == now) {
+      ++i;
+      ++j;
+    } else if (logged < now) {
+      left_unfrozen(logged);
+      ++i;
+    } else {
+      dirty_class(now);
+      ++j;
+    }
+  }
+  return r + 1;
 }
 
 void Network::mark_rates_dirty() {

@@ -51,9 +51,17 @@
 //    round marked or that comes within reach of the share. Suspect classes
 //    and the later classes of a dirty link that passes are tested and
 //    marked as the walk does, so every freeze comes out as a full solve's.
-//    The first round that cannot replay, and every one after it, fill as
-//    usual; a full solve (first solve, after a compaction or a capacity
-//    change) is the same loop with an empty log.
+//    A round that cannot replay runs, and the log's cursor then moves past
+//    it: logged rounds a full solve would have run before it are passed, a
+//    logged round with its share is consumed, and every class whose outcome
+//    differs from the log's (frozen where the log did not, or left unfrozen
+//    where it froze) dirties its links. The next logged round is then
+//    tested for replay again, and one whose classes all froze elsewhere is
+//    passed. A round runs from the dirty links alone when one of them is at
+//    or below the logged share (clean links never are), adding the logged
+//    round's clean marked links when that share is near the new one; other
+//    rounds scan every live link. A full solve (first solve, after a
+//    compaction or a capacity change) is the same loop with an empty log.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -158,14 +166,17 @@ struct SolverStats {
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
-  // Progressive-filling rounds run, all solves (replayed rounds excluded).
+  // Progressive-filling rounds run, all solves: the rounds no logged round
+  // could replay (replayed rounds excluded). With rounds_replayed they add
+  // up to a full solve's rounds.
   uint64_t fill_rounds = 0;
   // Bottleneck tests run on unfrozen classes: about one per class frozen by
   // a bottleneck in a round that runs (a class on a passing link is tested
   // when the round's walk reaches it), plus a replayed round's re-tests of
   // suspect and candidate classes. Capped freezes run no test.
   uint64_t class_tests = 0;
-  // Rounds taken from the previous solve's log instead of being run.
+  // Rounds taken from the previous solve's log instead of being run,
+  // including those after a round that ran.
   uint64_t rounds_replayed = 0;
 };
 
@@ -313,17 +324,39 @@ class Network {
   void compact_classes();
   // Rate re-solve: progressive filling over path classes weighted by
   // member count. Replays the logged rounds the changes since the last
-  // solve cannot move, then fills the rest.
+  // solve cannot move and runs the others.
   void solve_classes();
   // Brings the logged counts up to date, dirtying the links of every class
   // whose count changed, and sets suspect_cap_floor_ to the lowest cap of
   // the classes created since the last solve.
   void collect_changes();
   // Whether logged round `r` can be replayed; if so, `anchor` is a clean
-  // link that holds its share.
-  bool replayable(uint32_t r, uint32_t& anchor) const;
+  // link that holds its share. `dirty_min` tells whether a dirty link with
+  // members is at or below the share, which puts the round's share on a
+  // dirty link.
+  bool replayable(uint32_t r, uint32_t& anchor, bool& dirty_min) const;
+  // Whether a class logged round `r` froze is still unfrozen.
+  bool pending(uint32_t r) const;
   // Applies logged round `r`, re-testing only what the dirt can reach.
   void replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen);
+  // Runs one round. With `dirty_min` (a dirty link is at or below the
+  // share of logged round `r`, the log cursor, or the log is spent) the
+  // share comes from the dirty links and the logged round's clean marked
+  // links; without it, from a scan of every live link.
+  void run_round(uint32_t r, bool dirty_min, double& cap_floor,
+                 size_t& unfrozen);
+  // Moves the log cursor `r` past the round that just ran: passes the
+  // logged rounds that come before it, consumes one that has its share,
+  // and dirties the links of every class whose outcome differs from the
+  // log's. Returns the new cursor.
+  uint32_t resume_log(uint32_t r);
+  // Dirties link `l` from the next round on; false if it was dirty.
+  bool make_dirty(uint32_t l);
+  // Dirties the links of class `pos`, whose outcome differs from the log's.
+  void dirty_class(uint32_t pos);
+  // A class the log froze that is still unfrozen: dirties its links, and
+  // its cap may bind where the log's did not.
+  void left_unfrozen(uint32_t pos);
   // Dirties the links of class `pos` whose outcome in the replayed round
   // differs from the log's; a newly dirty link that the logged round marked
   // or that is within reach of `near` makes its later classes suspect.
@@ -399,7 +432,9 @@ class Network {
   std::vector<uint64_t> link_marked_;
   std::vector<uint64_t> link_logged_;
   std::vector<uint64_t> link_dirty_;
-  std::vector<uint32_t> dirty_links_;  // this solve's, in the order dirtied
+  // This solve's dirty links in the order dirtied; drained ones drop out as
+  // replayed rounds and rounds run from the dirty links pass them.
+  std::vector<uint32_t> dirty_links_;
   // Bitmaps with one bit per position. live_ marks the live classes and
   // is kept across solves; each solve starts unfrozen_ as a copy and clears
   // a class's bit when it freezes, so holes and frozen classes are never
@@ -423,6 +458,11 @@ class Network {
     uint32_t froze_begin;   // the round's first entry in `froze`
     uint32_t marked_begin;  // the round's first entry in `marked`
     bool capped;            // froze capped classes at their caps only
+    // A full solve's rounds come in this order: by share, and at one share
+    // a capped round before the round that follows it uncapped.
+    bool before(const Round& o) const {
+      return share < o.share || (share == o.share && capped && !o.capped);
+    }
   };
   struct SolveLog {
     std::vector<Round> rounds;

@@ -489,8 +489,8 @@ void run_durability_iteration(const std::string& backend, uint64_t seed) {
   SCOPED_TRACE(backend + " durability seed=" + std::to_string(seed));
   Rng rng(seed);
   const DurabilityPlan plan = random_durability_plan(rng);
-  SCOPED_TRACE(std::string("level=") +
-               durability_level_name(plan.policy.level) +
+  SCOPED_TRACE("level=" +
+               std::to_string(static_cast<int>(plan.policy.level)) +
                " window=" + std::to_string(plan.policy.max_records) +
                " cycles=" + std::to_string(plan.cycles.size()));
 
