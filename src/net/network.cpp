@@ -449,26 +449,9 @@ void Network::collect_changes() {
   touched_.clear();
 }
 
-bool Network::replayable(uint32_t r, uint32_t& anchor, bool& dirty_min) const {
+bool Network::replayable(uint32_t r, uint32_t& anchor) const {
   const Round& round = log_.rounds[r];
   const double share = round.share;
-  // No dirty link may be below the share, by the scan's own division. A
-  // link with more than share * (1 + 1e-15) per member left is above it by
-  // several units in the last place, which the division's rounding cannot
-  // undo, so only the links under that bound are divided.
-  const double above = share > 0 ? share * (1 + 1e-15)
-                                 : std::numeric_limits<double>::infinity();
-  dirty_min = false;
-  for (uint32_t l : dirty_links_) {
-    const uint32_t cnt = scratch_count_[l];
-    if (cnt == 0 || scratch_remaining_[l] > above * cnt) continue;
-    const double fair = scratch_remaining_[l] / cnt;
-    if (fair < share) {
-      dirty_min = true;
-      return false;
-    }
-    if (fair == share) dirty_min = true;
-  }
   // A new or diverged class capped at or below the share would freeze in
   // the capped sweep. (A share that is not positive admits no reach bound
   // below; stop there too.)
@@ -486,6 +469,11 @@ bool Network::replayable(uint32_t r, uint32_t& anchor, bool& dirty_min) const {
         });
     if (it == log_.marked.begin() + marked_end) return false;
     anchor = *it;
+  }
+  // And no dirty link is below it, by the scan's own division.
+  for (uint32_t l : dirty_links_) {
+    const uint32_t cnt = scratch_count_[l];
+    if (cnt != 0 && scratch_remaining_[l] / cnt < share) return false;
   }
   return true;
 }
@@ -695,13 +683,10 @@ void Network::solve_classes() {
     // it. (So a capped round replays only while its sweep has a class.)
     while (r < log_.rounds.size() && !pending(r)) ++r;
     uint32_t anchor = 0;
-    // Past the end of a log every link with members is dirty: the logged
-    // fill left none.
-    bool dirty_min = !log_.rounds.empty();
-    if (r < log_.rounds.size() && replayable(r, anchor, dirty_min)) {
+    if (r < log_.rounds.size() && replayable(r, anchor)) {
       replay_round(r++, anchor, unfrozen);
     } else {
-      run_round(r, dirty_min, cap_floor, unfrozen);
+      run_round(cap_floor, unfrozen);
       r = resume_log(r);
     }
   }
@@ -709,60 +694,32 @@ void Network::solve_classes() {
   logged_classes_ = classes_.size();
 }
 
-void Network::run_round(uint32_t r, bool dirty_min, double& cap_floor,
-                        size_t& unfrozen) {
+void Network::run_round(double& cap_floor, size_t& unfrozen) {
   ++stamp_;
   ++sstats_.fill_rounds;
+  // One scan of the live links finds the round's share and keeps every
+  // link within 4e-12 of the running minimum: a superset of the links that
+  // pass the bottleneck test below, which admits 1e-12 plus rounding.
+  // Links drained by earlier rounds drop out for good.
   double best_share = std::numeric_limits<double>::infinity();
   double near = best_share;
   uint32_t anchor = 0;
+  size_t live = 0;
   near_links_.clear();
-  // Keeps link `l` if it is within 4e-12 of the running minimum: the kept
-  // links are a superset of the links that pass the bottleneck test below,
-  // which admits 1e-12 plus rounding.
-  const auto scan = [&](uint32_t l, uint32_t cnt) {
+  for (uint32_t l : scratch_links_) {
+    const uint32_t cnt = scratch_count_[l];
+    if (cnt == 0) continue;
+    scratch_links_[live++] = l;
     const double fair = scratch_remaining_[l] / cnt;
-    if (fair > near) return;
+    if (fair > near) continue;
     if (fair < best_share) {
       best_share = fair;
       near = fair + std::abs(fair) * 4e-12;
       anchor = l;
     }
     near_links_.push_back(l);
-  };
-  if (dirty_min) {
-    // Clean links hold the logged values, so none is below the logged
-    // share, and a dirty link is at or below it: a dirty link holds the
-    // round's share.
-    size_t kept = 0;
-    for (uint32_t l : dirty_links_) {
-      const uint32_t cnt = scratch_count_[l];
-      if (cnt == 0) continue;
-      dirty_links_[kept++] = l;
-      scan(l, cnt);
-    }
-    dirty_links_.resize(kept);
-    // A clean link that passes at a share at most the logged one passed at
-    // the logged round's start, which marked it.
-    if (r < log_.rounds.size() && log_.rounds[r].share <= near) {
-      for (uint32_t i = log_.rounds[r].marked_begin; i < log_.marked_end(r);
-           ++i) {
-        const uint32_t l = log_.marked[i];
-        if (!dirty(l) && scratch_count_[l] != 0) near_links_.push_back(l);
-      }
-    }
-  } else {
-    // One scan of the live links; links drained by earlier rounds drop out
-    // for good.
-    size_t live = 0;
-    for (uint32_t l : scratch_links_) {
-      const uint32_t cnt = scratch_count_[l];
-      if (cnt == 0) continue;
-      scratch_links_[live++] = l;
-      scan(l, cnt);
-    }
-    scratch_links_.resize(live);
   }
+  scratch_links_.resize(live);
   next_.rounds.push_back(
       Round{.share = best_share,
             .anchor = anchor,

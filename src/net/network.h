@@ -57,11 +57,8 @@
 //    differs from the log's (frozen where the log did not, or left unfrozen
 //    where it froze) dirties its links. The next logged round is then
 //    tested for replay again, and one whose classes all froze elsewhere is
-//    passed. A round runs from the dirty links alone when one of them is at
-//    or below the logged share (clean links never are), adding the logged
-//    round's clean marked links when that share is near the new one; other
-//    rounds scan every live link. A full solve (first solve, after a
-//    compaction or a capacity change) is the same loop with an empty log.
+//    passed. A full solve (first solve, after a compaction or a capacity
+//    change) is the same loop with an empty log.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -331,20 +328,14 @@ class Network {
   // the classes created since the last solve.
   void collect_changes();
   // Whether logged round `r` can be replayed; if so, `anchor` is a clean
-  // link that holds its share. `dirty_min` tells whether a dirty link with
-  // members is at or below the share, which puts the round's share on a
-  // dirty link.
-  bool replayable(uint32_t r, uint32_t& anchor, bool& dirty_min) const;
+  // link that holds its share.
+  bool replayable(uint32_t r, uint32_t& anchor) const;
   // Whether a class logged round `r` froze is still unfrozen.
   bool pending(uint32_t r) const;
   // Applies logged round `r`, re-testing only what the dirt can reach.
   void replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen);
-  // Runs one round. With `dirty_min` (a dirty link is at or below the
-  // share of logged round `r`, the log cursor, or the log is spent) the
-  // share comes from the dirty links and the logged round's clean marked
-  // links; without it, from a scan of every live link.
-  void run_round(uint32_t r, bool dirty_min, double& cap_floor,
-                 size_t& unfrozen);
+  // Runs one round from a scan of every live link.
+  void run_round(double& cap_floor, size_t& unfrozen);
   // Moves the log cursor `r` past the round that just ran: passes the
   // logged rounds that come before it, consumes one that has its share,
   // and dirties the links of every class whose outcome differs from the
@@ -433,7 +424,7 @@ class Network {
   std::vector<uint64_t> link_logged_;
   std::vector<uint64_t> link_dirty_;
   // This solve's dirty links in the order dirtied; drained ones drop out as
-  // replayed rounds and rounds run from the dirty links pass them.
+  // replayed rounds pass them.
   std::vector<uint32_t> dirty_links_;
   // Bitmaps with one bit per position. live_ marks the live classes and
   // is kept across solves; each solve starts unfrozen_ as a copy and clears

@@ -1374,9 +1374,8 @@ TEST(Network, ReplayResumesAfterARoundWhoseShareMoves) {
   // 5's share of nic / 3: all 8 rounds replay again, and its three classes
   // are tested as candidates there (60 to 61 two rounds before the log
   // froze it). A flow into destination 7 moves round 0's share down to
-  // nic / 9: that round runs, from the dirty links alone, and freezes all
-  // of destination 7's classes, so logged round 0 has nothing left and
-  // the other 7 rounds replay.
+  // nic / 9: that round runs and freezes all of destination 7's classes,
+  // so logged round 0 has nothing left and the other 7 rounds replay.
   const LevelProbes p = run_levels({{60, 61, 0.25},          // idle pair
                                     {60, 50, 0.5},           // node 60's NIC
                                     {60, 51, 0.5},           //   at nic / 3
@@ -1406,10 +1405,10 @@ TEST(Network, RunRoundAtALoggedShareRejoinsTheLog) {
   // and the other 7 rounds replay). The instant it ends, node 63 takes its
   // place: destination 7's NIC keeps 9 members and the share nic / 9, but
   // it is dirty, and it was round 0's one marked link, so round 0 cannot
-  // replay. It runs from the dirty links, at the logged share, freezing
-  // the logged classes but 62 to 7 and the new 63 to 7: the round that ran
-  // consumes logged round 0, and the other 7 rounds replay. (Each short
-  // flow takes 0.09 s at nic / 9.)
+  // replay. It runs at the logged share, freezing the logged classes but
+  // 62 to 7 and the new 63 to 7: the round that ran consumes logged round
+  // 0, and the other 7 rounds replay. (Each short flow takes 0.09 s at
+  // nic / 9.)
   const LevelProbes p = run_levels(
       {{.src = 62, .dst = kLevels - 1, .start = 0.25, .bytes = 1e6,
         .relay = 63}},
@@ -1506,6 +1505,42 @@ TEST(Network, ReplayRetestsLinksThatRoundingCanMakePass) {
     differ += replayed.finished[i] != full.finished[i] ? 1 : 0;
   }
   EXPECT_EQ(differ, 0u);
+  EXPECT_GT(replayed.stats.rounds_replayed, 0u);
+  EXPECT_EQ(replayed.stats.fill_rounds + replayed.stats.rounds_replayed,
+            full.stats.fill_rounds);
+  EXPECT_EQ(replayed.oracle_checks, replayed.stats.class_solves);
+  EXPECT_LT(replayed.worst_oracle, 1e-9);
+}
+
+TEST(Network, RoundBelowACappedLoggedRoundFreezesEveryLinkThatPasses) {
+  // Five flows into node 1 hold its NIC at nic / 5 = 20 MB/s, a flow from
+  // node 8 to 9 is capped at exactly that, and two flows into node 12 hold
+  // its NIC at nic / 2. The first solve logs a capped round at 20 MB/s,
+  // which marks no link, then the round that freezes node 1's classes and
+  // the one for node 12's. At 0.25 s a flow from node 7 to 10 arrives
+  // whose rack uplinks hold it 1e-13 below 20 MB/s: the next solve runs a
+  // round at that share while the log's cursor is on the capped round. No
+  // cap binds there, but node 1's NIC, clean, passes the round's test
+  // (which admits 1e-12), so its five classes freeze at the lower share,
+  // as in a full solve. Node 12's round still replays.
+  ClusterConfig cfg = small_config();
+  cfg.num_nodes = 16;
+  cfg.nodes_per_rack = 8;
+  cfg.rack_uplink_bps = 20e6 * (1 - 1e-13);
+  std::vector<FluidFlow> flows;
+  for (NodeId src = 2; src <= 6; ++src) flows.push_back({src, 1, 10e6, 0});
+  flows.push_back({8, 9, 20e6, 0, 20e6});
+  flows.push_back({13, 12, 50e6, 0});
+  flows.push_back({14, 12, 50e6, 0});
+  flows.push_back({7, 10, 1e6, 0.25});
+  const ChurnRun replayed = run_churn(cfg, flows, {}, /*full_solves=*/false);
+  const ChurnRun full = run_churn(cfg, flows, {}, /*full_solves=*/true);
+  EXPECT_EQ(replayed.stats.class_solves, full.stats.class_solves);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(replayed.finished[i], full.finished[i]) << "flow " << i;
+  }
+  // Node 1's flows ran below 20 MB/s while node 7's did.
+  EXPECT_GT(full.finished[0], 0.5);
   EXPECT_GT(replayed.stats.rounds_replayed, 0u);
   EXPECT_EQ(replayed.stats.fill_rounds + replayed.stats.rounds_replayed,
             full.stats.fill_rounds);
