@@ -687,7 +687,8 @@ void Network::solve_classes() {
       replay_round(r++, anchor, unfrozen);
     } else {
       run_round(cap_floor, unfrozen);
-      r = resume_log(r);
+      // Only the rounds that follow read the cursor and the dirt.
+      if (unfrozen > 0) r = resume_log(r);
     }
   }
   std::swap(log_, next_);
@@ -794,8 +795,9 @@ uint32_t Network::resume_log(uint32_t r) {
       left_unfrozen(log_.froze[i]);
     }
   }
-  const bool match = r < log_.rounds.size() &&
-                     log_.rounds[r].share == ran.share &&
+  // Past the log's end no round can replay, so no link needs dirtying.
+  if (r == log_.rounds.size()) return r;
+  const bool match = log_.rounds[r].share == ran.share &&
                      log_.rounds[r].capped == ran.capped;
   if (!match) {
     for (uint32_t i = ran.froze_begin; i < ran_end; ++i) dirty_class(froze[i]);
