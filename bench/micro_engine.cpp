@@ -88,7 +88,19 @@ sim::Task<void> service_client(net::Service& svc, net::NodeId node) {
   }
 }
 
-void BM_ServiceStorm(benchmark::State& state) {
+// The storm again with each op a call, as the metadata handlers run: the
+// slot's end runs the body (here a count) and sends the reply.
+sim::Task<void> call_client(net::Service& svc, net::NodeId node,
+                            uint64_t* served) {
+  for (int op = 0; op < 20; ++op) {
+    *served = co_await svc.call(node, [served] { return *served + 1; });
+  }
+}
+
+// Runs `clients` storm clients over 16 shards; `client(shard, node)`
+// makes one client's task.
+template <typename Client>
+void run_service_storm(benchmark::State& state, Client client) {
   const int clients = static_cast<int>(state.range(0));
   constexpr uint32_t kShards = 16;
   net::ClusterConfig cfg;
@@ -105,7 +117,7 @@ void BM_ServiceStorm(benchmark::State& state) {
     for (int i = 0; i < clients; ++i) {
       const auto node =
           static_cast<net::NodeId>(kShards + i % (cfg.num_nodes - kShards));
-      sim.spawn(service_client(shards[i % kShards], node));
+      sim.spawn(client(shards[i % kShards], node));
     }
     sim.run();
     benchmark::DoNotOptimize(sim.now());
@@ -113,7 +125,22 @@ void BM_ServiceStorm(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
+
+void BM_ServiceStorm(benchmark::State& state) {
+  run_service_storm(state, [](net::Service& svc, net::NodeId node) {
+    return service_client(svc, node);
+  });
+}
 BENCHMARK(BM_ServiceStorm)->Arg(1000)->Arg(10000);
+
+void BM_ServiceCallStorm(benchmark::State& state) {
+  uint64_t served = 0;
+  run_service_storm(state, [&served](net::Service& svc, net::NodeId node) {
+    return call_client(svc, node, &served);
+  });
+  benchmark::DoNotOptimize(served);
+}
+BENCHMARK(BM_ServiceCallStorm)->Arg(1000)->Arg(10000);
 
 // The share of one run's filling rounds taken from the solve log.
 double replayed_share(const net::SolverStats& s) {

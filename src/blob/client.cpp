@@ -273,7 +273,7 @@ sim::Task<uint64_t> BlobClient::size(BlobId blob, Version version) {
 }
 
 sim::Task<VersionInfo> BlobClient::latest(BlobId blob) {
-  return vm_.latest(node_, blob);
+  co_return co_await vm_.latest(node_, blob);
 }
 
 sim::Task<std::vector<PageLocation>> BlobClient::locate(BlobId blob,

@@ -144,66 +144,71 @@ size_t ProviderManager::pick_one(net::NodeId client,
   return best;
 }
 
-sim::Task<std::vector<std::vector<net::NodeId>>> ProviderManager::allocate(
-    net::NodeId client, uint64_t page_count, uint64_t page_size,
-    uint32_t replication) {
+net::Service::Call<std::vector<std::vector<net::NodeId>>>
+ProviderManager::allocate(net::NodeId client, uint64_t page_count,
+                          uint64_t page_size, uint32_t replication) {
   BS_CHECK(replication >= 1);
   BS_CHECK(replication <= providers_.size());
-  co_await svc_.request(client, static_cast<double>(std::max<uint64_t>(
-      1, page_count / 64)));  // bulk allocations cost a bit more
-
-  const auto& ncfg = net_.config();
-  // Live-provider census once per call: the selection loop below runs
-  // between the two control awaits, so liveness cannot change under it,
-  // and every pick is live — a page degrades to fewer replicas exactly
-  // when the live count runs out.
-  size_t live_providers = 0;
-  for (net::NodeId p : providers_) {
-    if (!node_dead(p)) ++live_providers;
-  }
-  std::vector<std::vector<net::NodeId>> out(page_count);
-  for (uint64_t p = 0; p < page_count; ++p) {
-    std::vector<net::NodeId>& replicas = out[p];
-    replicas.reserve(replication);
-    uint32_t first_rack = UINT32_MAX;
-    for (uint32_t r = 0; r < replication; ++r) {
-      if (replicas.size() >= live_providers) break;  // degraded placement
-      const size_t i =
-          pick_one(client, replicas, r == 1 ? first_rack : UINT32_MAX);
-      const net::NodeId n = providers_[i];
-      if (r == 0) first_rack = ncfg.rack_of(n);
-      replicas.push_back(n);
-      load_[i] += page_size;
+  // Bulk allocations cost a bit more.
+  const auto cost =
+      static_cast<double>(std::max<uint64_t>(1, page_count / 64));
+  return svc_.call(client, cost, [this, client, page_count, page_size,
+                                  replication] {
+    const auto& ncfg = net_.config();
+    // Live-provider census once per call: the selection loop below runs
+    // in one slot, so liveness cannot change under it, and every pick is
+    // live — a page degrades to fewer replicas exactly when the live count
+    // runs out.
+    size_t live_providers = 0;
+    for (net::NodeId p : providers_) {
+      if (!node_dead(p)) ++live_providers;
     }
-    BS_CHECK_MSG(!replicas.empty(), "no live provider for page placement");
-  }
-  co_await svc_.reply(client);
-  co_return out;
+    std::vector<std::vector<net::NodeId>> out(page_count);
+    for (uint64_t p = 0; p < page_count; ++p) {
+      std::vector<net::NodeId>& replicas = out[p];
+      replicas.reserve(replication);
+      uint32_t first_rack = UINT32_MAX;
+      for (uint32_t r = 0; r < replication; ++r) {
+        if (replicas.size() >= live_providers) break;  // degraded placement
+        const size_t i =
+            pick_one(client, replicas, r == 1 ? first_rack : UINT32_MAX);
+        const net::NodeId n = providers_[i];
+        if (r == 0) first_rack = ncfg.rack_of(n);
+        replicas.push_back(n);
+        load_[i] += page_size;
+      }
+      BS_CHECK_MSG(!replicas.empty(), "no live provider for page placement");
+    }
+    return out;
+  });
 }
 
-sim::Task<std::vector<net::NodeId>> ProviderManager::allocate_replacements(
-    net::NodeId client, uint64_t page_size, std::vector<net::NodeId> holders,
-    std::vector<net::NodeId> avoid, uint32_t count) {
-  co_await svc_.request(client);
-  const auto& ncfg = net_.config();
-  std::vector<net::NodeId> out;
-  for (uint32_t r = 0; r < count; ++r) {
-    std::vector<net::NodeId> keep = holders;
-    keep.insert(keep.end(), out.begin(), out.end());
-    // Preserve the initial placement's rack diversity: while every replica
-    // of the page sits in one rack, steer the pick off that rack so a
-    // later rack failure cannot take out the whole set (best-effort, as
-    // with initial placement).
-    const uint32_t exclude_rack = net::single_rack_of(keep, ncfg);
-    std::vector<net::NodeId> taken = std::move(keep);
-    taken.insert(taken.end(), avoid.begin(), avoid.end());
-    if (eligible_count(taken) == 0) break;
-    const size_t i = pick_one(client, taken, exclude_rack);
-    out.push_back(providers_[i]);
-    load_[i] += page_size;
-  }
-  co_await svc_.reply(client);
-  co_return out;
+net::Service::Call<std::vector<net::NodeId>>
+ProviderManager::allocate_replacements(net::NodeId client, uint64_t page_size,
+                                       const std::vector<net::NodeId>& holders,
+                                       const std::vector<net::NodeId>& avoid,
+                                       uint32_t count) {
+  return svc_.call(client, [this, client, page_size, &holders, &avoid,
+                            count] {
+    const auto& ncfg = net_.config();
+    std::vector<net::NodeId> out;
+    for (uint32_t r = 0; r < count; ++r) {
+      std::vector<net::NodeId> keep = holders;
+      keep.insert(keep.end(), out.begin(), out.end());
+      // Preserve the initial placement's rack diversity: while every
+      // replica of the page sits in one rack, steer the pick off that rack
+      // so a later rack failure cannot take out the whole set (best-effort,
+      // as with initial placement).
+      const uint32_t exclude_rack = net::single_rack_of(keep, ncfg);
+      std::vector<net::NodeId> taken = std::move(keep);
+      taken.insert(taken.end(), avoid.begin(), avoid.end());
+      if (eligible_count(taken) == 0) break;
+      const size_t i = pick_one(client, taken, exclude_rack);
+      out.push_back(providers_[i]);
+      load_[i] += page_size;
+    }
+    return out;
+  });
 }
 
 }  // namespace bs::blob

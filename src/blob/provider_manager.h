@@ -46,7 +46,9 @@ class ProviderManager {
   // result[i] = providers for page i. Providers the liveness view reports
   // dead are excluded; a page may get fewer than `replication` replicas if
   // not enough live providers remain (degraded placement, repaired later).
-  sim::Task<std::vector<std::vector<net::NodeId>>> allocate(
+  // Both requests are one slot of the manager's service, returned as a
+  // call (net/rpc.h): await it where it is made.
+  net::Service::Call<std::vector<std::vector<net::NodeId>>> allocate(
       net::NodeId client, uint64_t page_count, uint64_t page_size,
       uint32_t replication);
 
@@ -58,10 +60,10 @@ class ProviderManager {
   // (dead or already-failed nodes). Used by writers whose replica stores
   // failed mid-crash and by the repair services; may return fewer than
   // `count` when the cluster is too degraded.
-  sim::Task<std::vector<net::NodeId>> allocate_replacements(
+  net::Service::Call<std::vector<net::NodeId>> allocate_replacements(
       net::NodeId client, uint64_t page_size,
-      std::vector<net::NodeId> holders, std::vector<net::NodeId> avoid,
-      uint32_t count);
+      const std::vector<net::NodeId>& holders,
+      const std::vector<net::NodeId>& avoid, uint32_t count);
 
   // Placement consults this view (typically the failure detector) so dead
   // nodes stop receiving new pages once detected. Null = everything is up.

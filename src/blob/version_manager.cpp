@@ -62,9 +62,8 @@ void VersionManager::append_record(BlobState& b, const WriteRecord& rec) {
   b.log->push_back(rec);
 }
 
-sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
-                                                      uint64_t page_size,
-                                                      uint32_t replication) {
+net::Service::Call<BlobDescriptor> VersionManager::create_blob(
+    net::NodeId client, uint64_t page_size, uint32_t replication) {
   BS_CHECK(page_size > 0);
   BS_CHECK(replication >= 1);
   // The id is reserved before any suspension (deterministic in call order),
@@ -72,106 +71,102 @@ sim::Task<BlobDescriptor> VersionManager::create_blob(net::NodeId client,
   // serial point is visited — id allocation is a local counter in a real
   // deployment too (node-prefixed ranges), not a server round trip.
   const BlobId id = next_blob_id_++;
-  net::Service& s = ring_.owner(ring_key(id));
-  co_await s.request(client);
-  m_requests_->inc();
-  BlobState state;
-  state.desc.id = id;
-  state.desc.page_size = page_size;
-  state.desc.replication = replication;
-  state.log = std::make_shared<std::vector<WriteRecord>>();
-  state.log->reserve(kInitialLogCapacity);
-  state.publish_cv = std::make_unique<sim::CondVar>(sim_);
-  const BlobDescriptor desc = state.desc;
-  blobs_.emplace(desc.id, std::move(state));
-  co_await s.reply(client);
-  co_return desc;
+  return ring_.owner(ring_key(id)).call(
+      client, [this, id, page_size, replication] {
+        m_requests_->inc();
+        BlobState state;
+        state.desc.id = id;
+        state.desc.page_size = page_size;
+        state.desc.replication = replication;
+        state.log = std::make_shared<std::vector<WriteRecord>>();
+        state.log->reserve(kInitialLogCapacity);
+        state.publish_cv = std::make_unique<sim::CondVar>(sim_);
+        const BlobDescriptor desc = state.desc;
+        blobs_.emplace(desc.id, std::move(state));
+        return desc;
+      });
 }
 
-sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
-                                                    BlobId blob,
-                                                    uint64_t offset,
-                                                    uint64_t size) {
+net::Service::Call<WriteTicket> VersionManager::assign_write(
+    net::NodeId client, BlobId blob, uint64_t offset, uint64_t size) {
   BS_CHECK(size > 0);
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  BlobState& b = state_of(blob);
-  const uint64_t page = b.desc.page_size;
-  if (offset == kAppendOffset) {
+  return ring_.owner(ring_key(blob)).call(client, [this, blob, offset, size] {
+    m_requests_->inc();
+    BlobState& b = state_of(blob);
+    const uint64_t page = b.desc.page_size;
     // Appends attach to the latest *assigned* end, so concurrent appenders
     // get disjoint ranges. Appending to a blob whose size is not
     // page-aligned is an API misuse (the final partial page is closed);
     // BSFS only appends whole blocks, so this never triggers there.
-    offset = b.assigned_size;
-  }
-  BS_CHECK_MSG(offset % page == 0, "write offset must be page-aligned");
-  // Writes past the current end are allowed and create a hole: pages never
-  // written read as zeros (child pointer kNoVersion in the metadata tree).
-  // A write whose size is not a page multiple leaves a short final page,
-  // which is only meaningful when it forms the new end of the blob.
-  BS_CHECK_MSG(size % page == 0 || offset + size >= b.assigned_size,
-               "partial final page is only allowed at the end of the blob");
+    const uint64_t at = offset == kAppendOffset ? b.assigned_size : offset;
+    BS_CHECK_MSG(at % page == 0, "write offset must be page-aligned");
+    // Writes past the current end are allowed and create a hole: pages
+    // never written read as zeros (child pointer kNoVersion in the metadata
+    // tree). A write whose size is not a page multiple leaves a short final
+    // page, which is only meaningful when it forms the new end of the blob.
+    BS_CHECK_MSG(size % page == 0 || at + size >= b.assigned_size,
+                 "partial final page is only allowed at the end of the blob");
 
-  WriteTicket t;
-  t.blob = blob;
-  t.version = b.next_version++;
-  t.offset = offset;
-  t.size_after = std::max(b.assigned_size, offset + size);
-  t.prior = WriteHistory(b.log);  // versions < t.version
+    WriteTicket t;
+    t.blob = blob;
+    t.version = b.next_version++;
+    t.offset = at;
+    t.size_after = std::max(b.assigned_size, at + size);
+    t.prior = WriteHistory(b.log);  // versions < t.version
 
-  const uint64_t first_page = offset / page;
-  const uint64_t end_page = pages_for_bytes(offset + size, page);
-  const uint64_t pages_after = pages_for_bytes(t.size_after, page);
-  t.cap_pages = next_pow2(pages_after);
+    const uint64_t first_page = at / page;
+    const uint64_t end_page = pages_for_bytes(at + size, page);
+    const uint64_t pages_after = pages_for_bytes(t.size_after, page);
+    t.cap_pages = next_pow2(pages_after);
 
-  WriteRecord rec;
-  rec.version = t.version;
-  rec.range = PageRange{first_page, end_page - first_page};
-  rec.size_after = t.size_after;
-  rec.cap_after = t.cap_pages;
-  append_record(b, rec);
-  b.assigned_size = t.size_after;
-  b.assigned_at[t.version] = sim_.now();
-
-  co_await s.reply(client);
-  co_return t;
+    WriteRecord rec;
+    rec.version = t.version;
+    rec.range = PageRange{first_page, end_page - first_page};
+    rec.size_after = t.size_after;
+    rec.cap_after = t.cap_pages;
+    append_record(b, rec);
+    b.assigned_size = t.size_after;
+    b.assigned_at[t.version] = sim_.now();
+    return t;
+  });
 }
 
-sim::Task<void> VersionManager::commit(net::NodeId client, BlobId blob,
-                                       Version version) {
+net::Service::Call<void> VersionManager::commit(net::NodeId client,
+                                                BlobId blob, Version version) {
   const size_t shard = ring_.position(ring_key(blob));
   net::Service& s = ring_.at(shard);
-  co_await s.request(client);
-  m_requests_->inc();
-  BlobState& b = state_of(blob);
-  BS_CHECK(version > b.published);
-  BS_CHECK_MSG(version < b.next_version,
-               "commit of a version that was never assigned");
-  b.committed.insert(version);
-  // Publish in version order as far as the committed prefix allows.
-  while (b.committed.count(b.published + 1) > 0) {
-    b.committed.erase(b.published + 1);
-    b.published += 1;
-    // Publish latency = assignment → visibility; it includes the time this
-    // version waited on slower predecessors, which is the in-order-publish
-    // cost the paper's concurrent-writer experiments exercise.
-    const Version v = b.published;
-    auto at = b.assigned_at.find(v);
-    if (at != b.assigned_at.end()) {
-      const double latency = sim_.now() - at->second;
-      h_publish_s_->observe(latency);
-      h_publish_shard_[shard]->observe(latency);
-      b.assigned_at.erase(at);
+  return s.call(client, [this, &s, blob, version, shard] {
+    m_requests_->inc();
+    BlobState& b = state_of(blob);
+    BS_CHECK(version > b.published);
+    BS_CHECK_MSG(version < b.next_version,
+                 "commit of a version that was never assigned");
+    b.committed.insert(version);
+    // Publish in version order as far as the committed prefix allows.
+    while (b.committed.count(b.published + 1) > 0) {
+      b.committed.erase(b.published + 1);
+      b.published += 1;
+      // Publish latency = assignment → visibility; it includes the time
+      // this version waited on slower predecessors, which is the
+      // in-order-publish cost the paper's concurrent-writer experiments
+      // exercise.
+      const Version v = b.published;
+      auto at = b.assigned_at.find(v);
+      if (at != b.assigned_at.end()) {
+        const double latency = sim_.now() - at->second;
+        h_publish_s_->observe(latency);
+        h_publish_shard_[shard]->observe(latency);
+        b.assigned_at.erase(at);
+      }
+      if (tracer_->enabled()) {
+        char args[64];
+        std::snprintf(args, sizeof(args), "\"blob\":%u,\"version\":%u", blob,
+                      v);
+        tracer_->instant("blob", "vm", s.node(), "publish", args);
+      }
     }
-    if (tracer_->enabled()) {
-      char args[64];
-      std::snprintf(args, sizeof(args), "\"blob\":%u,\"version\":%u", blob, v);
-      tracer_->instant("blob", "vm", s.node(), "publish", args);
-    }
-  }
-  b.publish_cv->notify_all();
-  co_await s.reply(client);
+    b.publish_cv->notify_all();
+  });
 }
 
 sim::Task<void> VersionManager::wait_published(net::NodeId client, BlobId blob,
@@ -200,70 +195,64 @@ VersionInfo VersionManager::info_at(const BlobState& b, Version v) const {
   return info;
 }
 
-sim::Task<VersionInfo> VersionManager::latest(net::NodeId client, BlobId blob) {
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  const BlobState& b = state_of(blob);
-  const VersionInfo info = info_at(b, b.published);
-  co_await s.reply(client);
-  co_return info;
+net::Service::Call<VersionInfo> VersionManager::latest(net::NodeId client,
+                                                       BlobId blob) {
+  return ring_.owner(ring_key(blob)).call(client, [this, blob] {
+    m_requests_->inc();
+    const BlobState& b = state_of(blob);
+    return info_at(b, b.published);
+  });
 }
 
-sim::Task<std::optional<VersionInfo>> VersionManager::version_info(
+net::Service::Call<std::optional<VersionInfo>> VersionManager::version_info(
     net::NodeId client, BlobId blob, Version v) {
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  const BlobState& b = state_of(blob);
-  std::optional<VersionInfo> out;
-  if (v != kNoVersion && v <= b.published && v >= b.pruned_below) {
-    out = info_at(b, v);
-  }
-  co_await s.reply(client);
-  co_return out;
+  return ring_.owner(ring_key(blob)).call(client, [this, blob, v] {
+    m_requests_->inc();
+    const BlobState& b = state_of(blob);
+    std::optional<VersionInfo> out;
+    if (v != kNoVersion && v <= b.published && v >= b.pruned_below) {
+      out = info_at(b, v);
+    }
+    return out;
+  });
 }
 
-sim::Task<WriteHistory> VersionManager::full_history(net::NodeId client,
-                                                     BlobId blob) {
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  WriteHistory history(state_of(blob).log);
-  co_await s.reply(client);
-  co_return history;
+net::Service::Call<WriteHistory> VersionManager::full_history(
+    net::NodeId client, BlobId blob) {
+  return ring_.owner(ring_key(blob)).call(client, [this, blob] {
+    m_requests_->inc();
+    return WriteHistory(state_of(blob).log);
+  });
 }
 
-sim::Task<Version> VersionManager::prune(
+net::Service::Call<Version> VersionManager::prune(
     net::NodeId client, BlobId blob, Version keep_from,
     const std::function<Version()>& pin_cap) {
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  BlobState& b = state_of(blob);
-  BS_CHECK_MSG(keep_from >= 1 && keep_from <= b.published,
-               "can only prune below a published version");
-  if (pin_cap) {
-    // Last-instant pin check, atomic with the watermark flip (see the
-    // header): a pin that appeared while this request was in flight still
-    // caps the prune.
-    const Version cap = pin_cap();
-    if (cap != kNoVersion && cap < keep_from) keep_from = cap;
-  }
-  b.pruned_below = std::max(b.pruned_below, keep_from);
-  const Version watermark = b.pruned_below;
-  co_await s.reply(client);
-  co_return watermark;
+  return ring_.owner(ring_key(blob)).call(
+      client, [this, blob, keep_from, &pin_cap] {
+        m_requests_->inc();
+        BlobState& b = state_of(blob);
+        BS_CHECK_MSG(keep_from >= 1 && keep_from <= b.published,
+                     "can only prune below a published version");
+        Version keep = keep_from;
+        if (pin_cap) {
+          // Last-instant pin check, atomic with the watermark flip (see the
+          // header): a pin that appeared while this request was in flight
+          // still caps the prune.
+          const Version cap = pin_cap();
+          if (cap != kNoVersion && cap < keep) keep = cap;
+        }
+        b.pruned_below = std::max(b.pruned_below, keep);
+        return b.pruned_below;
+      });
 }
 
-sim::Task<BlobDescriptor> VersionManager::describe(net::NodeId client,
-                                                   BlobId blob) {
-  net::Service& s = ring_.owner(ring_key(blob));
-  co_await s.request(client);
-  m_requests_->inc();
-  const BlobDescriptor desc = state_of(blob).desc;
-  co_await s.reply(client);
-  co_return desc;
+net::Service::Call<BlobDescriptor> VersionManager::describe(net::NodeId client,
+                                                            BlobId blob) {
+  return ring_.owner(ring_key(blob)).call(client, [this, blob] {
+    m_requests_->inc();
+    return state_of(blob).desc;
+  });
 }
 
 Version VersionManager::published_version(BlobId blob) const {

@@ -31,6 +31,7 @@
 #include "common/container.h"
 #include "dht/ring.h"
 #include "net/network.h"
+#include "net/rpc.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -45,20 +46,25 @@ class VersionManager {
                  std::vector<net::NodeId> nodes);
 
   // --- client-facing RPCs (all model control latency + service time) ---
+  //
+  // Each but wait_published is one slot of the blob's owner shard, returned
+  // as a call (net/rpc.h): await it where it is made.
 
-  sim::Task<BlobDescriptor> create_blob(net::NodeId client, uint64_t page_size,
-                                        uint32_t replication);
+  net::Service::Call<BlobDescriptor> create_blob(net::NodeId client,
+                                                 uint64_t page_size,
+                                                 uint32_t replication);
 
   // Assigns the next version for a write at `offset` (bytes, page-aligned)
   // of `size` bytes. Pass offset = kAppendOffset to append at the current
   // end (the VM resolves the offset against the latest *assigned* size, so
   // concurrent appends get disjoint ranges — the paper's §V extension).
   static constexpr uint64_t kAppendOffset = ~0ULL;
-  sim::Task<WriteTicket> assign_write(net::NodeId client, BlobId blob,
-                                      uint64_t offset, uint64_t size);
+  net::Service::Call<WriteTicket> assign_write(net::NodeId client, BlobId blob,
+                                               uint64_t offset, uint64_t size);
 
   // Writer finished storing pages + metadata for `version`.
-  sim::Task<void> commit(net::NodeId client, BlobId blob, Version version);
+  net::Service::Call<void> commit(net::NodeId client, BlobId blob,
+                                  Version version);
 
   // Blocks until `version` is published (write() uses this for
   // read-your-write semantics).
@@ -66,9 +72,10 @@ class VersionManager {
                                  Version version);
 
   // Latest published version (readers start here).
-  sim::Task<VersionInfo> latest(net::NodeId client, BlobId blob);
+  net::Service::Call<VersionInfo> latest(net::NodeId client, BlobId blob);
   // Full write history (versions 1..latest assigned) — consumed by GC.
-  sim::Task<WriteHistory> full_history(net::NodeId client, BlobId blob);
+  net::Service::Call<WriteHistory> full_history(net::NodeId client,
+                                                BlobId blob);
   // Marks versions below `keep_from` pruned: their info becomes
   // unavailable (version_info -> nullopt), so readers can no longer open
   // them. keep_from must be published. Returns the new watermark.
@@ -83,12 +90,13 @@ class VersionManager {
   // decided on keep_from several RPC hops ago. The pin check runs on the
   // blob's owner shard, which is the blob's serial point — sharding does
   // not weaken the atomicity.
-  sim::Task<Version> prune(net::NodeId client, BlobId blob, Version keep_from,
-                           const std::function<Version()>& pin_cap = nullptr);
+  net::Service::Call<Version> prune(
+      net::NodeId client, BlobId blob, Version keep_from,
+      const std::function<Version()>& pin_cap = nullptr);
   // Info for a specific published version; nullopt if not published/known.
-  sim::Task<std::optional<VersionInfo>> version_info(net::NodeId client,
-                                                     BlobId blob, Version v);
-  sim::Task<BlobDescriptor> describe(net::NodeId client, BlobId blob);
+  net::Service::Call<std::optional<VersionInfo>> version_info(
+      net::NodeId client, BlobId blob, Version v);
+  net::Service::Call<BlobDescriptor> describe(net::NodeId client, BlobId blob);
 
   // --- local introspection (no modeled cost; used by tests/benches) ---
   Version published_version(BlobId blob) const;

@@ -33,12 +33,7 @@ std::unique_ptr<fs::FsClient> Bsfs::make_client(net::NodeId node) {
 
 sim::Task<std::optional<NsEntry>> Bsfs::cached_lookup(net::NodeId node,
                                                       const std::string& path) {
-  if (cfg_.lease_ttl_s <= 0) return ns_.lookup(node, path);
-  return leased_lookup(node, path);
-}
-
-sim::Task<std::optional<NsEntry>> Bsfs::leased_lookup(net::NodeId node,
-                                                      const std::string& path) {
+  if (!leases_on()) co_return co_await ns_.lookup(node, path);
   NodeLeases& cache = leases_[node];
   auto it = cache.ns.find(path);
   if (it != cache.ns.end()) {
@@ -71,15 +66,8 @@ sim::Task<std::optional<NsEntry>> Bsfs::leased_lookup(net::NodeId node,
 
 sim::Task<blob::VersionInfo> Bsfs::cached_latest(net::NodeId node,
                                                  blob::BlobId blob) {
-  if (cfg_.lease_ttl_s <= 0) {
-    return cluster_.version_manager().latest(node, blob);
-  }
-  return leased_latest(node, blob);
-}
-
-sim::Task<blob::VersionInfo> Bsfs::leased_latest(net::NodeId node,
-                                                 blob::BlobId blob) {
   blob::VersionManager& vm = cluster_.version_manager();
+  if (!leases_on()) co_return co_await vm.latest(node, blob);
   NodeLeases& cache = leases_[node];
   auto it = cache.vm.find(blob);
   if (it != cache.vm.end()) {
@@ -200,19 +188,30 @@ sim::Task<std::unique_ptr<fs::FsReader>> BsfsClient::open_versioned(
 
 sim::Task<std::unique_ptr<fs::FsReader>> BsfsClient::open_at_version(
     const std::string& path, blob::Version version) {
-  auto entry = co_await owner_.cached_lookup(node_, path);
+  // open() and stat() are the metadata storm's operations: with leases off
+  // they await the namespace and version-manager calls in this frame, not
+  // through cached_lookup/cached_latest.
+  std::optional<NsEntry> entry;
+  if (owner_.leases_on()) {
+    entry = co_await owner_.cached_lookup(node_, path);
+  } else {
+    entry = co_await owner_.ns_.lookup(node_, path);
+  }
   if (!entry.has_value() || entry->is_dir || entry->under_construction) {
     co_return nullptr;
   }
   auto blob_client = owner_.cluster_.make_client(node_);
   blob::VersionInfo pinned;
-  if (version == blob::kNoVersion) {
-    pinned = co_await owner_.cached_latest(node_, entry->blob);
-  } else {
+  if (version != blob::kNoVersion) {
     auto maybe = co_await owner_.cluster_.version_manager().version_info(
         node_, entry->blob, version);
     if (!maybe.has_value()) co_return nullptr;
     pinned = *maybe;
+  } else if (owner_.leases_on()) {
+    pinned = co_await owner_.cached_latest(node_, entry->blob);
+  } else {
+    pinned = co_await owner_.cluster_.version_manager().latest(node_,
+                                                               entry->blob);
   }
   co_return std::make_unique<BsfsReader>(owner_, std::move(blob_client),
                                          entry->blob, pinned);
@@ -310,22 +309,32 @@ sim::Task<std::optional<fs::FileStat>> BsfsClient::stat(
   std::pair<std::string, blob::Version> name{path, blob::kNoVersion};
   if (is_versioned(path)) name = co_await resolve_name(path);
   const auto& [base, version] = name;
-  auto entry = co_await owner_.cached_lookup(node_, base);
+  // Leases branch here, as in open_at_version.
+  std::optional<NsEntry> entry;
+  if (owner_.leases_on()) {
+    entry = co_await owner_.cached_lookup(node_, base);
+  } else {
+    entry = co_await owner_.ns_.lookup(node_, base);
+  }
   if (!entry.has_value()) co_return std::nullopt;
   fs::FileStat st;
   st.path = path;
   st.is_dir = entry->is_dir;
   st.block_size = entry->block_size;
-  if (!entry->is_dir) {
-    if (version == blob::kNoVersion) {
-      st.size = (co_await owner_.cached_latest(node_, entry->blob)).size;
-    } else {
-      auto info = co_await owner_.cluster_.version_manager().version_info(
-          node_, entry->blob, version);
-      if (!info.has_value()) co_return std::nullopt;
-      st.size = info->size;
-    }
+  if (entry->is_dir) co_return st;
+  blob::VersionInfo info;
+  if (version != blob::kNoVersion) {
+    auto maybe = co_await owner_.cluster_.version_manager().version_info(
+        node_, entry->blob, version);
+    if (!maybe.has_value()) co_return std::nullopt;
+    info = *maybe;
+  } else if (owner_.leases_on()) {
+    info = co_await owner_.cached_latest(node_, entry->blob);
+  } else {
+    info = co_await owner_.cluster_.version_manager().latest(node_,
+                                                             entry->blob);
   }
+  st.size = info.size;
   co_return st;
 }
 
@@ -334,7 +343,7 @@ sim::Task<std::vector<std::string>> BsfsClient::list(const std::string& dir) {
 }
 
 sim::Task<bool> BsfsClient::remove(const std::string& path) {
-  return owner_.ns_.remove(node_, path);
+  co_return co_await owner_.ns_.remove(node_, path);
 }
 
 sim::Task<bool> BsfsClient::rename(const std::string& from,

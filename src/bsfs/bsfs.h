@@ -232,19 +232,15 @@ class Bsfs final : public fs::FileSystem {
     bs::unordered_map<blob::BlobId, VmLease> vm;
   };
 
+  bool leases_on() const { return cfg_.lease_ttl_s > 0; }
   // lookup()/latest() through the lease cache. A hit costs zero simulated
   // time (the answer is local); validity = TTL not expired AND the
   // invalidation channel is quiet (namespace epoch unchanged / cached
   // version still the published one). Negative lookups are never cached.
-  // With leases off they return the namespace's or version manager's own
-  // task; the leased_* coroutines hold the cache path.
+  // With leases off they await the namespace's or version manager's call.
   sim::Task<std::optional<NsEntry>> cached_lookup(net::NodeId node,
                                                   const std::string& path);
   sim::Task<blob::VersionInfo> cached_latest(net::NodeId node,
-                                             blob::BlobId blob);
-  sim::Task<std::optional<NsEntry>> leased_lookup(net::NodeId node,
-                                                  const std::string& path);
-  sim::Task<blob::VersionInfo> leased_latest(net::NodeId node,
                                              blob::BlobId blob);
 
   sim::Simulator& sim_;

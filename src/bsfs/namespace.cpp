@@ -55,79 +55,67 @@ void NamespaceManager::mkdirs_locked(const std::string& path) {
   }
 }
 
-sim::Task<bool> NamespaceManager::add_file(net::NodeId client,
-                                           const std::string& path,
-                                           blob::BlobId blob,
-                                           uint64_t block_size) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  bool ok = false;
-  if (entries_.count(path) == 0) {
-    // Parent directories piggyback on this request: they are pure presence
-    // markers, so the entry owner creates them and their owners learn of
-    // them lazily (no extra round trips — Hadoop-style implicit mkdirs).
-    mkdirs_locked(fs::parent_path(path));
-    entries_[path] = NsEntry{false, blob, block_size, true};
-    bump_epoch(path);
-    ok = true;
-  }
-  co_await s.reply(client);
-  co_return ok;
+net::Service::Call<bool> NamespaceManager::add_file(net::NodeId client,
+                                                    const std::string& path,
+                                                    blob::BlobId blob,
+                                                    uint64_t block_size) {
+  return ring_.owner(ring_key(path)).call(
+      client, [this, &path, blob, block_size] {
+        if (entries_.count(path) > 0) return false;
+        // Parent directories piggyback on this request: they are pure
+        // presence markers, so the entry owner creates them and their owners
+        // learn of them lazily (no extra round trips — Hadoop-style implicit
+        // mkdirs).
+        mkdirs_locked(fs::parent_path(path));
+        entries_[path] = NsEntry{false, blob, block_size, true};
+        bump_epoch(path);
+        return true;
+      });
 }
 
-sim::Task<bool> NamespaceManager::finalize(net::NodeId client,
-                                           const std::string& path) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  auto it = entries_.find(path);
-  // Idempotent: closing an append writer (the file was already finalized
-  // once) succeeds; only directories and missing paths fail.
-  const bool ok = it != entries_.end() && !it->second.is_dir;
-  if (ok) {
-    it->second.under_construction = false;
-    bump_epoch(path);
-  }
-  co_await s.reply(client);
-  co_return ok;
-}
-
-sim::Task<bool> NamespaceManager::reopen_for_append(net::NodeId client,
+net::Service::Call<bool> NamespaceManager::finalize(net::NodeId client,
                                                     const std::string& path) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  auto it = entries_.find(path);
-  const bool ok = it != entries_.end() && !it->second.is_dir;
-  // Note: no lease is taken — BlobSeer serializes concurrent appends
-  // internally (version manager), so multiple appenders are legal.
-  co_await s.reply(client);
-  co_return ok;
+  return ring_.owner(ring_key(path)).call(client, [this, &path] {
+    auto it = entries_.find(path);
+    // Idempotent: closing an append writer (the file was already finalized
+    // once) succeeds; only directories and missing paths fail.
+    const bool ok = it != entries_.end() && !it->second.is_dir;
+    if (ok) {
+      it->second.under_construction = false;
+      bump_epoch(path);
+    }
+    return ok;
+  });
 }
 
-sim::Task<std::optional<NsEntry>> NamespaceManager::lookup(
+net::Service::Call<bool> NamespaceManager::reopen_for_append(
     net::NodeId client, const std::string& path) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  std::optional<NsEntry> out;
-  auto it = entries_.find(path);
-  if (it != entries_.end()) out = it->second;
-  co_await s.reply(client);
-  co_return out;
+  return ring_.owner(ring_key(path)).call(client, [this, &path] {
+    auto it = entries_.find(path);
+    // Note: no lease is taken — BlobSeer serializes concurrent appends
+    // internally (version manager), so multiple appenders are legal.
+    return it != entries_.end() && !it->second.is_dir;
+  });
 }
 
-sim::Task<bool> NamespaceManager::mkdir(net::NodeId client,
-                                        const std::string& path) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  bool ok = false;
-  auto it = entries_.find(path);
-  if (it == entries_.end()) {
+net::Service::Call<std::optional<NsEntry>> NamespaceManager::lookup(
+    net::NodeId client, const std::string& path) {
+  return ring_.owner(ring_key(path)).call(client, [this, &path] {
+    std::optional<NsEntry> out;
+    auto it = entries_.find(path);
+    if (it != entries_.end()) out = it->second;
+    return out;
+  });
+}
+
+net::Service::Call<bool> NamespaceManager::mkdir(net::NodeId client,
+                                                 const std::string& path) {
+  return ring_.owner(ring_key(path)).call(client, [this, &path] {
+    auto it = entries_.find(path);
+    if (it != entries_.end()) return it->second.is_dir;
     mkdirs_locked(path);
-    ok = true;
-  } else {
-    ok = it->second.is_dir;
-  }
-  co_await s.reply(client);
-  co_return ok;
+    return true;
+  });
 }
 
 sim::Task<std::vector<std::string>> NamespaceManager::list(
@@ -160,14 +148,13 @@ sim::Task<std::vector<std::string>> NamespaceManager::list(
   co_return out;
 }
 
-sim::Task<bool> NamespaceManager::remove(net::NodeId client,
-                                         const std::string& path) {
-  net::Service& s = ring_.owner(ring_key(path));
-  co_await s.request(client);
-  const bool ok = entries_.erase(path) > 0;
-  if (ok) bump_epoch(path);
-  co_await s.reply(client);
-  co_return ok;
+net::Service::Call<bool> NamespaceManager::remove(net::NodeId client,
+                                                  const std::string& path) {
+  return ring_.owner(ring_key(path)).call(client, [this, &path] {
+    const bool ok = entries_.erase(path) > 0;
+    if (ok) bump_epoch(path);
+    return ok;
+  });
 }
 
 sim::Task<bool> NamespaceManager::rename(net::NodeId client,

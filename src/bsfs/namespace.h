@@ -31,6 +31,7 @@
 #include "common/container.h"
 #include "dht/ring.h"
 #include "net/network.h"
+#include "net/rpc.h"
 #include "sim/task.h"
 
 namespace bs::bsfs {
@@ -53,22 +54,28 @@ class NamespaceManager {
  public:
   NamespaceManager(sim::Simulator& sim, net::Network& net, NamespaceConfig cfg);
 
+  // Single-entry requests are one slot of the path's owner shard, returned
+  // as a call (net/rpc.h): await it where it is made, and keep `path`
+  // alive until it resumes. list() and rename() visit several slots.
+
   // Registers a new file mapped to `blob`; creates parent directories
   // implicitly (Hadoop-style). Fails if the path exists.
-  sim::Task<bool> add_file(net::NodeId client, const std::string& path,
-                           blob::BlobId blob, uint64_t block_size);
+  net::Service::Call<bool> add_file(net::NodeId client, const std::string& path,
+                                    blob::BlobId blob, uint64_t block_size);
   // Marks a file complete (visible to readers).
-  sim::Task<bool> finalize(net::NodeId client, const std::string& path);
+  net::Service::Call<bool> finalize(net::NodeId client,
+                                    const std::string& path);
   // Reopens a finalized file for appending (BlobSeer supports this
   // natively; the §V extension).
-  sim::Task<bool> reopen_for_append(net::NodeId client, const std::string& path);
+  net::Service::Call<bool> reopen_for_append(net::NodeId client,
+                                             const std::string& path);
 
-  sim::Task<std::optional<NsEntry>> lookup(net::NodeId client,
-                                           const std::string& path);
-  sim::Task<bool> mkdir(net::NodeId client, const std::string& path);
+  net::Service::Call<std::optional<NsEntry>> lookup(net::NodeId client,
+                                                    const std::string& path);
+  net::Service::Call<bool> mkdir(net::NodeId client, const std::string& path);
   sim::Task<std::vector<std::string>> list(net::NodeId client,
                                            const std::string& dir);
-  sim::Task<bool> remove(net::NodeId client, const std::string& path);
+  net::Service::Call<bool> remove(net::NodeId client, const std::string& path);
   sim::Task<bool> rename(net::NodeId client, const std::string& from,
                          const std::string& to);
 

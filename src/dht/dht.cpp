@@ -35,15 +35,16 @@ sim::Task<void> Dht::put(net::NodeId client, std::string key, Bytes value) {
   co_await sim::when_all(sim_, std::move(writes));
 }
 
-sim::Task<std::optional<Bytes>> Dht::get(net::NodeId client, std::string key) {
+net::Service::Call<std::optional<Bytes>> Dht::get(net::NodeId client,
+                                                  const std::string& key) {
   ++gets_;
   net::Service& s = ring_.owner(fnv1a64(key));
-  co_await s.request(client);
-  std::optional<Bytes> result;
-  const auto& store = stores_[s.node()];
-  if (auto it = store.find(key); it != store.end()) result = it->second;
-  co_await s.reply(client);
-  co_return result;
+  return s.call(client, [this, node = s.node(), &key] {
+    std::optional<Bytes> result;
+    const auto& store = stores_[node];
+    if (auto it = store.find(key); it != store.end()) result = it->second;
+    return result;
+  });
 }
 
 sim::Task<bool> Dht::erase(net::NodeId client, std::string key) {

@@ -38,8 +38,10 @@ class Dht {
 
   // Stores `value` under `key` on all replicas (parallel).
   sim::Task<void> put(net::NodeId client, std::string key, Bytes value);
-  // Reads from the primary replica.
-  sim::Task<std::optional<Bytes>> get(net::NodeId client, std::string key);
+  // Reads from the primary replica: one slot, returned as a call
+  // (net/rpc.h), so keep `key` alive until it resumes.
+  net::Service::Call<std::optional<Bytes>> get(net::NodeId client,
+                                               const std::string& key);
   // Deletes `key` from all replicas; returns true if the primary had it.
   sim::Task<bool> erase(net::NodeId client, std::string key);
 

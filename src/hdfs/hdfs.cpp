@@ -160,16 +160,16 @@ sim::Task<std::optional<fs::FileStat>> HdfsClient::stat(
 }
 
 sim::Task<std::vector<std::string>> HdfsClient::list(const std::string& dir) {
-  return owner_.namenode_->list(node_, dir);
+  co_return co_await owner_.namenode_->list(node_, dir);
 }
 
 sim::Task<bool> HdfsClient::remove(const std::string& path) {
-  return owner_.namenode_->remove(node_, path);
+  co_return co_await owner_.namenode_->remove(node_, path);
 }
 
 sim::Task<bool> HdfsClient::rename(const std::string& from,
                                    const std::string& to) {
-  return owner_.namenode_->rename(node_, from, to);
+  co_return co_await owner_.namenode_->rename(node_, from, to);
 }
 
 sim::Task<std::vector<fs::BlockLocation>> HdfsClient::locations(
@@ -270,7 +270,7 @@ sim::Task<bool> HdfsWriter::flush(uint64_t threshold) {
       stored_any = !stored.empty();
       if (stored_any) {
         const bool ok = co_await owner_.namenode_->complete_block(
-            node_, path_, binfo->id, block.size(), std::move(stored));
+            node_, path_, binfo->id, block.size(), stored);
         if (!ok) co_return false;
       } else {
         // Whole pipeline failed from the first hop: abandon the block and

@@ -103,85 +103,80 @@ std::vector<net::NodeId> NameNode::choose_replicas(
   return out;
 }
 
-sim::Task<bool> NameNode::create(net::NodeId client, const std::string& path,
-                                 uint32_t replication) {
-  co_await svc_.request(client);
-  m_op_[kOpCreate]->inc();
-  bool ok = false;
-  if (entries_.count(path) == 0) {
+net::Service::Call<bool> NameNode::create(net::NodeId client,
+                                          const std::string& path,
+                                          uint32_t replication) {
+  return svc_.call(client, [this, client, &path, replication] {
+    m_op_[kOpCreate]->inc();
+    if (entries_.count(path) > 0) return false;
     mkdirs_locked(fs::parent_path(path));
     FileEntry entry;
     entry.under_construction = true;
     entry.lease_holder = client;
     entry.replication = replication;
     entries_[path] = std::move(entry);
-    ok = true;
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return true;
+  });
 }
 
-sim::Task<std::optional<BlockInfo>> NameNode::add_block(
+net::Service::Call<std::optional<BlockInfo>> NameNode::add_block(
     net::NodeId client, const std::string& path,
-    std::vector<net::NodeId> exclude) {
-  co_await svc_.request(client);
-  m_op_[kOpAddBlock]->inc();
-  std::optional<BlockInfo> out;
-  auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.under_construction &&
-      it->second.lease_holder == client) {
-    BlockInfo block;
-    block.id = next_block_++;
-    block.replicas = choose_replicas(client, exclude, degree_of(it->second));
-    it->second.blocks.push_back(block);
-    out = block;
-  }
-  co_await svc_.reply(client);
-  co_return out;
+    const std::vector<net::NodeId>& exclude) {
+  return svc_.call(client, [this, client, &path, &exclude] {
+    m_op_[kOpAddBlock]->inc();
+    std::optional<BlockInfo> out;
+    auto it = entries_.find(path);
+    if (it != entries_.end() && it->second.under_construction &&
+        it->second.lease_holder == client) {
+      BlockInfo block;
+      block.id = next_block_++;
+      block.replicas = choose_replicas(client, exclude, degree_of(it->second));
+      it->second.blocks.push_back(block);
+      out = block;
+    }
+    return out;
+  });
 }
 
-sim::Task<bool> NameNode::complete_block(net::NodeId client,
-                                         const std::string& path,
-                                         BlockId block, uint64_t size,
-                                         std::vector<net::NodeId> stored) {
-  co_await svc_.request(client);
-  m_op_[kOpCompleteBlock]->inc();
-  bool ok = false;
-  auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.lease_holder == client) {
+net::Service::Call<bool> NameNode::complete_block(
+    net::NodeId client, const std::string& path, BlockId block, uint64_t size,
+    const std::vector<net::NodeId>& stored) {
+  return svc_.call(client, [this, client, &path, block, size, &stored] {
+    m_op_[kOpCompleteBlock]->inc();
+    auto it = entries_.find(path);
+    if (it == entries_.end() || it->second.lease_holder != client) {
+      return false;
+    }
     for (auto& b : it->second.blocks) {
       if (b.id == block) {
         b.size = size;
-        if (!stored.empty()) b.replicas = std::move(stored);
+        if (!stored.empty()) b.replicas = stored;
         it->second.size += size;
-        ok = true;
-        break;
+        return true;
       }
     }
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return false;
+  });
 }
 
-sim::Task<bool> NameNode::abandon_block(net::NodeId client,
-                                        const std::string& path,
-                                        BlockId block) {
-  co_await svc_.request(client);
-  m_op_[kOpAbandonBlock]->inc();
-  bool ok = false;
-  auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.lease_holder == client) {
+net::Service::Call<bool> NameNode::abandon_block(net::NodeId client,
+                                                 const std::string& path,
+                                                 BlockId block) {
+  return svc_.call(client, [this, client, &path, block] {
+    m_op_[kOpAbandonBlock]->inc();
+    auto it = entries_.find(path);
+    if (it == entries_.end() || it->second.lease_holder != client) {
+      return false;
+    }
     auto& blocks = it->second.blocks;
     for (auto bit = blocks.begin(); bit != blocks.end(); ++bit) {
       if (bit->id == block) {
         blocks.erase(bit);
-        ok = true;
-        break;
+        return true;
       }
     }
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return false;
+  });
 }
 
 std::vector<NameNode::UnderReplicated> NameNode::scan_under_replicated(
@@ -259,108 +254,103 @@ void NameNode::set_block_replicas(const std::string& path, BlockId block,
   }
 }
 
-sim::Task<bool> NameNode::close_file(net::NodeId client,
-                                     const std::string& path) {
-  co_await svc_.request(client);
-  m_op_[kOpClose]->inc();
-  bool ok = false;
-  auto it = entries_.find(path);
-  if (it != entries_.end() && it->second.under_construction &&
-      it->second.lease_holder == client) {
+net::Service::Call<bool> NameNode::close_file(net::NodeId client,
+                                              const std::string& path) {
+  return svc_.call(client, [this, client, &path] {
+    m_op_[kOpClose]->inc();
+    auto it = entries_.find(path);
+    if (it == entries_.end() || !it->second.under_construction ||
+        it->second.lease_holder != client) {
+      return false;
+    }
     it->second.under_construction = false;
-    ok = true;
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return true;
+  });
 }
 
-sim::Task<std::optional<NameNode::Stat>> NameNode::stat(
+net::Service::Call<std::optional<NameNode::Stat>> NameNode::stat(
     net::NodeId client, const std::string& path) {
-  co_await svc_.request(client);
-  m_op_[kOpStat]->inc();
-  std::optional<Stat> out;
-  auto it = entries_.find(path);
-  if (it != entries_.end()) {
-    out = Stat{it->second.size, it->second.is_dir,
-               it->second.under_construction};
-  }
-  co_await svc_.reply(client);
-  co_return out;
+  return svc_.call(client, [this, &path] {
+    m_op_[kOpStat]->inc();
+    std::optional<Stat> out;
+    auto it = entries_.find(path);
+    if (it != entries_.end()) {
+      out = Stat{it->second.size, it->second.is_dir,
+                 it->second.under_construction};
+    }
+    return out;
+  });
 }
 
-sim::Task<std::vector<BlockInfo>> NameNode::block_locations(
+net::Service::Call<std::vector<BlockInfo>> NameNode::block_locations(
     net::NodeId client, const std::string& path, uint64_t offset,
     uint64_t length) {
-  co_await svc_.request(client);
-  m_op_[kOpLocations]->inc();
-  std::vector<BlockInfo> out;
-  auto it = entries_.find(path);
-  if (it != entries_.end() && !it->second.is_dir) {
-    uint64_t at = 0;
-    for (const auto& b : it->second.blocks) {
-      const uint64_t b_end = at + b.size;
-      if (b_end > offset && at < offset + length) out.push_back(b);
-      at = b_end;
+  return svc_.call(client, [this, &path, offset, length] {
+    m_op_[kOpLocations]->inc();
+    std::vector<BlockInfo> out;
+    auto it = entries_.find(path);
+    if (it != entries_.end() && !it->second.is_dir) {
+      uint64_t at = 0;
+      for (const auto& b : it->second.blocks) {
+        const uint64_t b_end = at + b.size;
+        if (b_end > offset && at < offset + length) out.push_back(b);
+        at = b_end;
+      }
     }
-  }
-  co_await svc_.reply(client);
-  co_return out;
+    return out;
+  });
 }
 
-sim::Task<std::vector<std::string>> NameNode::list(net::NodeId client,
-                                                   const std::string& dir) {
-  co_await svc_.request(client);
-  m_op_[kOpList]->inc();
-  std::vector<std::string> out;
-  const std::string prefix = dir == "/" ? "/" : dir + "/";
-  for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
-    const std::string& p = it->first;
-    if (p.compare(0, prefix.size(), prefix) != 0) break;
-    if (p == dir) continue;  // the directory itself is not its own child
-    if (p.find('/', prefix.size()) == std::string::npos) out.push_back(p);
-  }
-  co_await svc_.reply(client);
-  co_return out;
+net::Service::Call<std::vector<std::string>> NameNode::list(
+    net::NodeId client, const std::string& dir) {
+  return svc_.call(client, [this, &dir] {
+    m_op_[kOpList]->inc();
+    std::vector<std::string> out;
+    const std::string prefix = dir == "/" ? "/" : dir + "/";
+    for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
+      const std::string& p = it->first;
+      if (p.compare(0, prefix.size(), prefix) != 0) break;
+      if (p == dir) continue;  // the directory itself is not its own child
+      if (p.find('/', prefix.size()) == std::string::npos) out.push_back(p);
+    }
+    return out;
+  });
 }
 
-sim::Task<bool> NameNode::remove(net::NodeId client, const std::string& path) {
-  co_await svc_.request(client);
-  m_op_[kOpRemove]->inc();
-  const bool ok = entries_.erase(path) > 0;
-  co_await svc_.reply(client);
-  co_return ok;
+net::Service::Call<bool> NameNode::remove(net::NodeId client,
+                                          const std::string& path) {
+  return svc_.call(client, [this, &path] {
+    m_op_[kOpRemove]->inc();
+    return entries_.erase(path) > 0;
+  });
 }
 
-sim::Task<bool> NameNode::rename(net::NodeId client, const std::string& from,
-                                 const std::string& to) {
-  co_await svc_.request(client);
-  m_op_[kOpRename]->inc();
-  bool ok = false;
-  auto it = entries_.find(from);
-  if (it != entries_.end() && !it->second.is_dir &&
-      !it->second.under_construction && entries_.count(to) == 0) {
+net::Service::Call<bool> NameNode::rename(net::NodeId client,
+                                          const std::string& from,
+                                          const std::string& to) {
+  return svc_.call(client, [this, &from, &to] {
+    m_op_[kOpRename]->inc();
+    auto it = entries_.find(from);
+    if (it == entries_.end() || it->second.is_dir ||
+        it->second.under_construction || entries_.count(to) > 0) {
+      return false;
+    }
     mkdirs_locked(fs::parent_path(to));
     entries_[to] = std::move(it->second);
     entries_.erase(from);
-    ok = true;
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return true;
+  });
 }
 
-sim::Task<bool> NameNode::mkdir(net::NodeId client, const std::string& path) {
-  co_await svc_.request(client);
-  m_op_[kOpMkdir]->inc();
-  bool ok = false;
-  auto it = entries_.find(path);
-  if (it == entries_.end()) {
+net::Service::Call<bool> NameNode::mkdir(net::NodeId client,
+                                         const std::string& path) {
+  return svc_.call(client, [this, &path] {
+    m_op_[kOpMkdir]->inc();
+    auto it = entries_.find(path);
+    if (it != entries_.end()) return it->second.is_dir;
     mkdirs_locked(path);
-    ok = true;
-  } else {
-    ok = it->second.is_dir;
-  }
-  co_await svc_.reply(client);
-  co_return ok;
+    return true;
+  });
 }
 
 }  // namespace bs::hdfs

@@ -50,53 +50,58 @@ class NameNode {
   NameNode(sim::Simulator& sim, net::Network& net,
            std::vector<net::NodeId> datanode_nodes, NameNodeConfig cfg);
 
+  // Every request below is one slot of the NameNode's service, returned as
+  // a call (net/rpc.h): await it where it is made, and keep the referenced
+  // arguments alive until it resumes.
+
   // Creates a file under construction with `client` as the lease holder.
   // Fails if the path exists (write-once) or is a directory. `replication`
   // overrides the configured default degree for this one file (0 = use the
   // default) — 0.20-era HDFS carried replication per file the same way.
-  sim::Task<bool> create(net::NodeId client, const std::string& path,
-                         uint32_t replication = 0);
+  net::Service::Call<bool> create(net::NodeId client, const std::string& path,
+                                  uint32_t replication = 0);
   // Allocates the next block and its replica pipeline. Caller must hold the
   // lease. Returns nullopt if not. `exclude` lists datanodes the writer
   // observed failing (HDFS's excludedNodes on pipeline retry) — skipped
   // even if the liveness view has not caught up yet.
-  sim::Task<std::optional<BlockInfo>> add_block(
+  net::Service::Call<std::optional<BlockInfo>> add_block(
       net::NodeId client, const std::string& path,
-      std::vector<net::NodeId> exclude = {});
+      const std::vector<net::NodeId>& exclude);
   // Records a finished block's actual size and which datanodes actually
   // stored it (a pipeline hop that died mid-write drops out of the replica
   // set; empty = keep the allocated pipeline, the common case).
-  sim::Task<bool> complete_block(net::NodeId client, const std::string& path,
-                                 BlockId block, uint64_t size,
-                                 std::vector<net::NodeId> stored = {});
+  net::Service::Call<bool> complete_block(
+      net::NodeId client, const std::string& path, BlockId block,
+      uint64_t size, const std::vector<net::NodeId>& stored);
   // Removes a block whose entire pipeline failed (the writer re-allocates).
-  sim::Task<bool> abandon_block(net::NodeId client, const std::string& path,
-                                BlockId block);
+  net::Service::Call<bool> abandon_block(net::NodeId client,
+                                         const std::string& path,
+                                         BlockId block);
   // Closes the file: visible to readers, lease released.
-  sim::Task<bool> close_file(net::NodeId client, const std::string& path);
+  net::Service::Call<bool> close_file(net::NodeId client,
+                                      const std::string& path);
 
   struct Stat {
     uint64_t size = 0;
     bool is_dir = false;
     bool under_construction = false;
   };
-  sim::Task<std::optional<Stat>> stat(net::NodeId client,
-                                      const std::string& path);
+  net::Service::Call<std::optional<Stat>> stat(net::NodeId client,
+                                               const std::string& path);
   // Block locations intersecting [offset, offset+length). Readers call this
   // per block — the lookup load that centralizes on the NameNode.
-  sim::Task<std::vector<BlockInfo>> block_locations(net::NodeId client,
-                                                    const std::string& path,
-                                                    uint64_t offset,
-                                                    uint64_t length);
-  sim::Task<std::vector<std::string>> list(net::NodeId client,
-                                           const std::string& dir);
-  sim::Task<bool> remove(net::NodeId client, const std::string& path);
+  net::Service::Call<std::vector<BlockInfo>> block_locations(
+      net::NodeId client, const std::string& path, uint64_t offset,
+      uint64_t length);
+  net::Service::Call<std::vector<std::string>> list(net::NodeId client,
+                                                    const std::string& dir);
+  net::Service::Call<bool> remove(net::NodeId client, const std::string& path);
   // Moves a closed file (metadata only; block replicas stay where they
   // are). Fails if `from` is missing, a directory, or under construction,
   // or `to` already exists.
-  sim::Task<bool> rename(net::NodeId client, const std::string& from,
-                         const std::string& to);
-  sim::Task<bool> mkdir(net::NodeId client, const std::string& path);
+  net::Service::Call<bool> rename(net::NodeId client, const std::string& from,
+                                  const std::string& to);
+  net::Service::Call<bool> mkdir(net::NodeId client, const std::string& path);
 
   // --- fault tolerance (the NameNode is the re-replication brain) ---
 

@@ -1,6 +1,7 @@
 // Tests for the consistent-hash ring and the metadata DHT service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <set>
@@ -67,6 +68,64 @@ TEST(HashRing, SingleNodeTakesEverything) {
   EXPECT_EQ(ring.primary(999), 7u);
 }
 
+// The ring's routing against a plain reference: every node's 64 points
+// sorted by (hash, node), a key's primary the first point at or after it
+// (std::lower_bound, wrapping), its replicas the next distinct nodes.
+struct ReferenceRing {
+  std::vector<std::pair<uint64_t, net::NodeId>> points;
+
+  explicit ReferenceRing(const std::vector<net::NodeId>& nodes) {
+    for (net::NodeId n : nodes) {
+      for (uint64_t v = 0; v < 64; ++v) {
+        points.emplace_back(fnv1a64_u64(v, fnv1a64_u64(n, 0x9e3779b97f4a7c15ULL)),
+                            n);
+      }
+    }
+    std::sort(points.begin(), points.end());
+  }
+  size_t first(uint64_t key) const {
+    auto it = std::lower_bound(
+        points.begin(), points.end(), key,
+        [](const std::pair<uint64_t, net::NodeId>& p, uint64_t k) {
+          return p.first < k;
+        });
+    return it == points.end() ? 0 : static_cast<size_t>(it - points.begin());
+  }
+  std::vector<net::NodeId> replicas(uint64_t key, size_t k) const {
+    std::vector<net::NodeId> out;
+    for (size_t i = first(key), steps = 0;
+         out.size() < k && steps < points.size(); ++steps) {
+      const net::NodeId n = points[i].second;
+      if (std::find(out.begin(), out.end(), n) == out.end()) out.push_back(n);
+      i = i + 1 == points.size() ? 0 : i + 1;
+    }
+    return out;
+  }
+};
+
+TEST(HashRing, RoutesLikeABinarySearchOverThePoints) {
+  for (uint32_t count : {1u, 2u, 16u, 270u}) {
+    const std::vector<net::NodeId> nodes = nodes_0_to(count);
+    const HashRing ring(nodes);
+    const ReferenceRing ref(nodes);
+    std::vector<uint64_t> keys = {0, UINT64_MAX};
+    for (const auto& [hash, node] : ref.points) {
+      keys.push_back(hash - 1);  // wraps to UINT64_MAX below a 0 hash
+      keys.push_back(hash);
+      keys.push_back(hash + 1);
+    }
+    Rng rng(23 + count);
+    for (int i = 0; i < 100000; ++i) keys.push_back(rng.next());
+    for (uint64_t key : keys) {
+      ASSERT_EQ(ring.primary(key), ref.points[ref.first(key)].second)
+          << count << " nodes, key " << key;
+      const size_t k = 1 + key % 4;
+      ASSERT_EQ(ring.replicas(key, k), ref.replicas(key, k))
+          << count << " nodes, key " << key << " k=" << k;
+    }
+  }
+}
+
 net::ClusterConfig small_net() {
   net::ClusterConfig cfg;
   cfg.num_nodes = 16;
@@ -114,6 +173,30 @@ TEST(ServiceRing, ReplicasMatchTheHashRing) {
       ASSERT_EQ(got, ring.replicas(h, n)) << h << " k=" << n;
     }
   }
+}
+
+TEST(ServiceRing, PositionIsThePrimarysPlaceInTheNodeList) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  const std::vector<net::NodeId> nodes = {9, 3, 15, 0, 7, 12, 1, 4};
+  const HashRing ring(nodes);
+  ServiceRing services(net, nodes, 1e-3);
+  Rng rng(31);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t h = rng.next();
+    const size_t want = static_cast<size_t>(
+        std::find(nodes.begin(), nodes.end(), ring.primary(h)) -
+        nodes.begin());
+    ASSERT_EQ(services.position(h), want) << h;
+    ASSERT_EQ(&services.owner(h), &services.at(want)) << h;
+  }
+}
+
+TEST(ServiceRing, RejectsADuplicateNode) {
+  sim::Simulator sim;
+  net::Network net(sim, small_net());
+  EXPECT_DEATH(ServiceRing(net, {4, 9, 4}, 1e-3),
+               "duplicate service ring node");
 }
 
 TEST(ServiceRing, RequestsPerNodeIsSortedByNode) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -568,6 +569,181 @@ TEST(Service, ServesInArrivalOrder) {
   EXPECT_EQ(done, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_NEAR(sim.now(), 1e-3 + 0.5, 1e-12);
   EXPECT_EQ(svc.queue_depth(), 0u);
+}
+
+// A call is a request whose slot end runs a body and sends the reply: the
+// same events as a request()/reply() round trip, the body's result handed
+// to the caller when the reply lands.
+sim::Task<void> call_value(Service* s, NodeId client, int value,
+                           std::vector<int>* out) {
+  out->push_back(co_await s->call(client, [value] { return value; }));
+}
+
+TEST(Service, IdleCallMakesThreeEvents) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  std::vector<int> got;
+  sim.spawn(call_value(&svc, 0, 7, &got));
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 1u + 3u);  // hop, slot, reply
+  EXPECT_EQ(got, std::vector<int>{7});
+  EXPECT_NEAR(sim.now(), 2 * 1e-3 + 0.1, 1e-12);
+  EXPECT_EQ(svc.requests(), 1u);
+}
+
+TEST(Service, QueuedCallAddsTheHandOff) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  std::vector<int> got;
+  sim.spawn(call_value(&svc, 0, 1, &got));
+  sim.spawn(call_value(&svc, 1, 2, &got));
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 2u + 3u + 4u);
+  EXPECT_EQ(got, (std::vector<int>{1, 2}));
+  EXPECT_NEAR(sim.now(), 2 * 1e-3 + 0.2, 1e-12);
+  EXPECT_EQ(svc.requests(), 2u);
+}
+
+// request() and call() waiters share one FIFO: each is served in arrival
+// order, and a call's body runs at its own slot's end, where it sees what
+// every request served before it left, and before its reply is sent.
+TEST(Service, CallBodyRunsAtItsSlotEndInArrivalOrder) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  const obs::Counter& rpcs = sim.metrics().counter("net/rpcs");
+  struct Served {
+    int id;
+    size_t seen;     // entries already in the log
+    double at;       // simulated time it was served
+    double rpcs;     // control messages sent so far
+  };
+  std::vector<Served> log;
+  auto by_request = [](sim::Simulator* s, Service* svc, double start, int id,
+                       std::vector<Served>* out) -> sim::Task<void> {
+    co_await s->delay(start);
+    co_await svc->request(0);
+    out->push_back({id, out->size(), s->now(), -1});
+    co_await svc->reply(0);
+  };
+  auto by_call = [](sim::Simulator* s, Service* svc, const obs::Counter* c,
+                    double start, int id,
+                    std::vector<Served>* out) -> sim::Task<void> {
+    co_await s->delay(start);
+    const size_t seen = co_await svc->call(0, [s, c, id, out] {
+      out->push_back({id, out->size(), s->now(), c->value()});
+      return out->size() - 1;
+    });
+    EXPECT_EQ(seen, static_cast<size_t>(id));
+    // The reply lands one hop after the slot's end.
+    EXPECT_NEAR(s->now(), (*out)[seen].at + 1e-3, 1e-12);
+  };
+  // Even ids call, odd ones request; all but 0 queue behind 0's slot.
+  for (int id = 0; id < 6; ++id) {
+    const double start = 0.01 * id;
+    if (id % 2 == 0) {
+      sim.spawn(by_call(&sim, &svc, &rpcs, start, id, &log));
+    } else {
+      sim.spawn(by_request(&sim, &svc, start, id, &log));
+    }
+  }
+  sim.run();
+  ASSERT_EQ(log.size(), 6u);
+  for (int id = 0; id < 6; ++id) {
+    EXPECT_EQ(log[id].id, id);
+    EXPECT_EQ(log[id].seen, static_cast<size_t>(id));
+    EXPECT_NEAR(log[id].at, 1e-3 + 0.1 * (id + 1), 1e-12) << id;
+  }
+  // Every request hop (6) and the replies of the requests served earlier
+  // (id of them) were sent before a body ran; its own reply was not.
+  for (int id = 0; id < 6; id += 2) EXPECT_EQ(log[id].rpcs, 6.0 + id) << id;
+  EXPECT_EQ(svc.queue_depth(), 0u);
+}
+
+TEST(Service, CallIsCountedBeforeItsBodyRuns) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  obs::Counter counter;
+  Service svc(net, 3, 0.1, &counter);
+  std::vector<std::pair<uint64_t, double>> seen;
+  auto caller = [](Service* s, const obs::Counter* c,
+                   std::vector<std::pair<uint64_t, double>>* out)
+      -> sim::Task<void> {
+    co_await s->call(0, [s, c, out] {
+      out->emplace_back(s->requests(), c->value());
+    });
+  };
+  sim.spawn(caller(&svc, &counter, &seen));
+  sim.spawn(caller(&svc, &counter, &seen));
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, double>>{{1, 1.0},
+                                                            {2, 2.0}}));
+}
+
+TEST(Service, CallWithoutDelaysRunsInline) {
+  sim::Simulator sim;
+  auto cfg = small_config();
+  cfg.control_latency_s = 0;
+  Network net(sim, cfg);
+  Service svc(net, 3, 0.0);
+  struct Seen {
+    uint64_t events;
+    double now;
+  };
+  std::vector<Seen> seen;
+  int runs = 0;
+  auto caller = [](sim::Simulator* s, Service* svc, int* runs,
+                   std::vector<Seen>* out) -> sim::Task<void> {
+    co_await s->delay(0.5);
+    out->push_back({s->events_processed(), s->now()});
+    const int got = co_await svc->call(0, [s, runs, out] {
+      out->push_back({s->events_processed(), s->now()});
+      return ++*runs;
+    });
+    out->push_back({s->events_processed(), s->now()});
+    EXPECT_EQ(got, 1);
+  };
+  sim.spawn(caller(&sim, &svc, &runs, &seen));
+  sim.run();
+  ASSERT_EQ(seen.size(), 3u);
+  for (const Seen& x : seen) {
+    EXPECT_EQ(x.events, seen[0].events);
+    EXPECT_EQ(x.now, seen[0].now);
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(svc.requests(), 1u);
+  EXPECT_EQ(sim.events_processed(), 2u);  // the start and the delay
+}
+
+TEST(Service, CallDeliversVoidAndValueBodiesOnce) {
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  Service svc(net, 3, 0.1);
+  int void_runs = 0;
+  int value_runs = 0;
+  std::vector<std::string> got;
+  auto caller = [](Service* s, int* void_runs, int* value_runs,
+                   std::vector<std::string>* out) -> sim::Task<void> {
+    co_await s->call(0, [void_runs] { ++*void_runs; });
+    std::optional<std::string> name = co_await s->call(
+        1, 2.0, [value_runs]() -> std::optional<std::string> {
+          ++*value_runs;
+          return std::string(40, 'x');  // heap-held, so it must move intact
+        });
+    out->push_back(*name);
+  };
+  sim.spawn(caller(&svc, &void_runs, &value_runs, &got));
+  sim.spawn(caller(&svc, &void_runs, &value_runs, &got));
+  sim.run();
+  EXPECT_EQ(void_runs, 2);
+  EXPECT_EQ(value_runs, 2);
+  EXPECT_EQ(got, (std::vector<std::string>{std::string(40, 'x'),
+                                           std::string(40, 'x')}));
+  // Two unit slots and two double slots, back to back after the first hop.
+  EXPECT_NEAR(sim.now(), 1e-3 + 0.1 * 6 + 1e-3, 1e-12);
+  EXPECT_EQ(svc.requests(), 4u);
 }
 
 // Property sweep: under randomized concurrent transfers, conservation holds:

@@ -21,6 +21,13 @@
 //                            coroutine bodies — GCC 12.2 at -O2 miscompiles
 //                            the frame (the PR-6 class); hoist into a plain
 //                            noinline helper like register_job_metrics.
+//   conditional-co-await     no co_await in either arm of a conditional
+//                            operator: GCC 12.2 runs BOTH arms' awaits of
+//                            `p = c ? co_await a() : co_await b();` (at -O2
+//                            and -O0; only a declaration's initializer ran
+//                            one), so two requests go out where one was
+//                            meant and the schedule moves; branch with
+//                            if/else instead.
 //   unsorted-emitter         json_snapshot/debug_string/text_snapshot/
 //                            write_json bodies must not iterate unordered
 //                            containers: emitters define the byte-identical
@@ -40,6 +47,7 @@
 //
 // Exit codes: 0 clean, 1 unsuppressed hits (or self-test failure), 2 usage
 // or I/O error.
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -237,6 +245,9 @@ const std::vector<Rule>& rules() {
       {"coro-label-temporaries",
        "std::string initializer-list temporaries inside a Task<> coroutine "
        "body (GCC 12 frame miscompile class; hoist to a plain helper)"},
+      {"conditional-co-await",
+       "co_await in an arm of a conditional operator (GCC 12 runs both "
+       "arms' awaits; branch with if/else)"},
       {"unsorted-emitter",
        "snapshot/debug emitter iterates an unordered container (emitters "
        "must traverse sorted state)"},
@@ -245,6 +256,10 @@ const std::vector<Rule>& rules() {
        "it a config field)"},
   };
   return kRules;
+}
+
+bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
 bool path_contains(const std::string& path, const std::string& needle) {
@@ -348,6 +363,37 @@ void scan_joined_rules(const std::string& file,
             "pointer-key",
             "pointer-keyed container: iteration follows allocation "
             "addresses, which vary run to run; key by a stable id");
+  }
+
+  // conditional-co-await: from each `?`, walk the conditional's arms — up
+  // to a `;`, a brace, a `,` at the `?`'s depth, or a bracket closing one
+  // opened before it — and flag the first co_await found there. A co_await
+  // before the `?` (its condition, or one applied to a whole
+  // parenthesized conditional) is fine.
+  std::set<size_t> co_await_lines;
+  for (size_t q = joined.find('?'); q != std::string::npos;
+       q = joined.find('?', q + 1)) {
+    int depth = 0;
+    for (size_t i = q + 1; i < joined.size(); ++i) {
+      const char c = joined[i];
+      if (c == '(' || c == '[') {
+        ++depth;
+      } else if (c == ')' || c == ']') {
+        if (--depth < 0) break;
+      } else if (c == ';' || c == '{' || c == '}' || (c == ',' && depth == 0)) {
+        break;
+      } else if (c == 'c' && joined.compare(i, 8, "co_await") == 0 &&
+                 (i == 0 || !is_word_char(joined[i - 1])) &&
+                 (i + 8 >= joined.size() || !is_word_char(joined[i + 8]))) {
+        if (co_await_lines.insert(line_at(i)).second) {
+          add_hit(hits, file, line_at(i), "conditional-co-await",
+                  "co_await in an arm of a conditional operator: GCC 12 "
+                  "runs both arms' awaits; branch with if/else and await "
+                  "in each");
+        }
+        break;
+      }
+    }
   }
 
   // unsorted-emitter: collect unordered member/local names declared in this
@@ -512,6 +558,54 @@ int run_self_test() {
        "  // bslint: allow(coro-label-temporaries)\n"
        "  reg.counter(\"x\", {{\"k\", \"v\"}});\n  co_return;\n}",
        "coro-label-temporaries", 0, 1},
+      // conditional-co-await
+      {"conditional-co-await: assignment of two awaited arms fires",
+       "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  pinned = d ? co_await vm.latest(1, b) : co_await leased(1, b);\n}",
+       "conditional-co-await", 1},
+      {"conditional-co-await: member access on the result fires",
+       "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  st.size = (d ? co_await a() : co_await b()).size;\n}",
+       "conditional-co-await", 1},
+      {"conditional-co-await: one awaited arm fires", "src/c.cpp",
+       "sim::Task<int> f(bool d) {\n  co_return d ? 0 : co_await g();\n}",
+       "conditional-co-await", 1},
+      {"conditional-co-await: a statement split over lines fires",
+       "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  pinned = d\n"
+       "      ? co_await vm.latest(1, b)\n"
+       "      : co_await leased(1, b);\n}",
+       "conditional-co-await", 1},
+      {"conditional-co-await: if/else is fine", "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  if (d) {\n    pinned = co_await vm.latest(1, b);\n  } else {\n"
+       "    pinned = co_await leased(1, b);\n  }\n}",
+       "conditional-co-await", 0},
+      {"conditional-co-await: a conditional without co_await is fine",
+       "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  const int n = d ? 1 : 2;\n  co_await s.delay(n);\n"
+       "  if (d ? x : y) co_await s.delay(1);\n"
+       "  g(d ? 1 : 2, co_await h());\n}",
+       "conditional-co-await", 0},
+      {"conditional-co-await: strings and comments are fine", "src/c.cpp",
+       "sim::Task<void> f() {\n"
+       "  log(\"d ? co_await a() : co_await b()\");\n"
+       "  // p = d ? co_await a() : co_await b();\n  co_return;\n}",
+       "conditional-co-await", 0},
+      {"conditional-co-await: awaiting a whole conditional is fine",
+       "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  auto v = co_await (d ? a() : b());\n}",
+       "conditional-co-await", 0},
+      {"conditional-co-await: suppression honored", "src/c.cpp",
+       "sim::Task<void> f(bool d) {\n"
+       "  // bslint: allow(conditional-co-await)\n"
+       "  pinned = d ? co_await a() : co_await b();\n}",
+       "conditional-co-await", 0, 1},
       // unsorted-emitter
       {"unsorted-emitter: range-for over unordered member fires", "src/w.cpp",
        "struct S {\n  bs::unordered_map<int, int> load_;\n"
