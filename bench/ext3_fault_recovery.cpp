@@ -132,11 +132,10 @@ SystemResult run_bsfs(BenchReport& report) {
   fault::FailureDetector detector(world.sim, world.net, storage, dcfg);
   world.blobs->set_liveness(&detector);
 
-  // Stage one blob-backed file per client, recording blob ids for repair.
-  std::vector<blob::BlobId> blobs;
+  // Stage one blob-backed file per client.
   {
-    auto stage = [](BsfsWorld* w, std::string path, uint64_t seed,
-                    std::vector<blob::BlobId>* ids) -> sim::Task<void> {
+    auto stage = [](BsfsWorld* w, std::string path,
+                    uint64_t seed) -> sim::Task<void> {
       auto bc = w->blobs->make_client(0);
       const auto desc = co_await bc->create(w->options.page_size,
                                             w->options.bsfs_replication);
@@ -146,11 +145,9 @@ SystemResult run_bsfs(BenchReport& report) {
       BS_CHECK(ok);
       ok = co_await w->ns->finalize(0, path);
       BS_CHECK(ok);
-      ids->push_back(desc.id);
     };
     for (uint32_t i = 0; i < kClients; ++i) {
-      world.sim.spawn(
-          stage(&world, "/in/f" + std::to_string(i), 1000 + i, &blobs));
+      world.sim.spawn(stage(&world, "/in/f" + std::to_string(i), 1000 + i));
     }
     world.sim.run();
   }
@@ -181,7 +178,6 @@ SystemResult run_bsfs(BenchReport& report) {
   fault::RepairStats repair_stats;
   auto orchestrate = [](BsfsWorld* w, fault::FailureDetector* det,
                         const std::vector<net::NodeId>* victims,
-                        const std::vector<blob::BlobId>* blob_ids,
                         double kill_time, sim::WaitGroup* readers,
                         SystemResult* out,
                         fault::RepairStats* rstats) -> sim::Task<void> {
@@ -190,20 +186,21 @@ SystemResult run_bsfs(BenchReport& report) {
       co_await w->sim.delay(0.25);
     }
     out->detection_s = w->sim.now() - kill_time;
-    // Re-replicate everything (throttled background copies).
+    // Re-replicate every file the namespace holds (throttled background
+    // copies).
     fault::RepairConfig rcfg;
     rcfg.node = 0;
     rcfg.copy_parallelism = 16;
     fault::RepairService repair(*w->blobs, *det, rcfg);
-    *rstats = co_await repair.repair_blobs(*blob_ids);
+    *rstats = co_await repair.repair_namespace(*w->fs);
     out->repair_s = rstats->finished_at - kill_time;
     // A second pass must find nothing: full replication restored.
-    fault::RepairStats verify = co_await repair.repair_blobs(*blob_ids);
+    fault::RepairStats verify = co_await repair.repair_namespace(*w->fs);
     out->residual_under_replicated = verify.under_replicated;
     co_await readers->wait();
     det->stop();
   };
-  world.sim.spawn(orchestrate(&world, &detector, &victims, &blobs, kill_time,
+  world.sim.spawn(orchestrate(&world, &detector, &victims, kill_time,
                               &readers_done, &res, &repair_stats));
   world.sim.run();
 

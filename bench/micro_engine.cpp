@@ -284,25 +284,28 @@ void BM_FlowSolverStanding(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSolverStanding)->Arg(1)->Arg(4)->Arg(8);
 
-// Steady-state call_at: one self-rescheduling callback, so the pooled slot
-// is recycled every tick — the loop should not allocate after warm-up.
-void BM_CallAt(benchmark::State& state) {
-  struct Ticker {
-    sim::Simulator* sim;
-    int left;
-    void operator()() {
-      if (--left > 0) sim->call_at(sim->now() + 0.001, *this);
+// Steady-state schedule_at: one Step that reschedules itself through the
+// heap 1,000 times, as the network's wake-up does.
+void BM_ScheduleAt(benchmark::State& state) {
+  struct Ticker : sim::Simulator::Step {
+    Ticker(sim::Simulator& s, int n) : Step{&on_event}, sim(s), left(n) {}
+    static void on_event(sim::Simulator::Step& st) {
+      auto& t = static_cast<Ticker&>(st);
+      if (--t.left > 0) t.sim.schedule_at(t.sim.now() + 0.001, t);
     }
+    sim::Simulator& sim;
+    int left;
   };
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.call_at(0, Ticker{&sim, 1000});
+    Ticker ticker(sim, 1000);
+    sim.schedule_at(0, ticker);
     sim.run();
     benchmark::DoNotOptimize(sim.now());
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_CallAt);
+BENCHMARK(BM_ScheduleAt);
 
 void BM_SegmentTreeBuild(benchmark::State& state) {
   const uint64_t cap = static_cast<uint64_t>(state.range(0));

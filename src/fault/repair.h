@@ -62,10 +62,6 @@ class RepairService {
   // readers are active (leaf rewrites are atomic in the DHT model).
   sim::Task<RepairStats> repair_blob(blob::BlobId blob);
 
-  // Repair passes over many blobs, sequentially (copies within a blob are
-  // already parallel/throttled).
-  sim::Task<RepairStats> repair_blobs(std::vector<blob::BlobId> blobs);
-
   // Walks the whole BSFS namespace and repairs the blob of every
   // finalized file — EXCEPT MapReduce scratch data: anything under an
   // `_intermediate` or `_attempts` directory is left alone. Shuffle
@@ -77,6 +73,10 @@ class RepairService {
   sim::Task<RepairStats> repair_namespace(bsfs::Bsfs& fs);
 
  private:
+  // Repair passes over many blobs, sequentially (copies within a blob are
+  // already parallel/throttled).
+  sim::Task<RepairStats> repair_blobs(std::vector<blob::BlobId> blobs);
+
   // Restores one leaf; fills `stats` (serialized by the caller's joins).
   sim::Task<void> repair_leaf(blob::BlobId blob, uint64_t page,
                               blob::Version version, uint32_t target_degree,

@@ -61,11 +61,11 @@ bool MapReduceCluster::backup_eligible(const Phase& phase,
 }
 
 sim::Task<void> MapReduceCluster::speculation_loop(JobState* job) {
-  co_await sim::repeat_every(sim_, cfg_.speculation_interval_s, [this, job] {
-    if (job_complete(*job)) return false;
+  while (true) {
+    co_await sim_.delay(cfg_.speculation_interval_s);
+    if (job_complete(*job)) break;
     speculation_sweep(*job);
-    return true;
-  });
+  }
   job->attempts.done();
 }
 

@@ -858,8 +858,7 @@ double Network::next_completion() const {
 
 void Network::retime(double next) {
   if (flows_.empty()) {
-    ++timer_generation_;  // invalidate any pending wake-up
-    timer_pending_ = false;
+    timer_pending_ = false;  // a pending wake-up finds nothing armed
     return;
   }
   BS_CHECK_MSG(next < std::numeric_limits<double>::infinity(),
@@ -871,16 +870,17 @@ void Network::retime(double next) {
     ++sstats_.retimes_damped;
     return;
   }
-  ++timer_generation_;
   timer_pending_ = true;
   timer_deadline_ = deadline;
   ++sstats_.retimes_scheduled;
-  const uint64_t gen = timer_generation_;
-  sim_.call_at(deadline, [this, gen] { on_timer(gen); });
+  wake_seq_ = sim_.schedule_at(deadline, wake_);
 }
 
-void Network::on_timer(uint64_t generation) {
-  if (generation != timer_generation_) return;  // superseded by a change
+void Network::on_wake() {
+  // Superseded by a change: a later re-arm, or no flow left. Seqs, not
+  // deadlines, tell the events apart, since a re-arm can land on the
+  // deadline of the event it supersedes.
+  if (!timer_pending_ || sim_.dispatching_seq() != wake_seq_) return;
   timer_pending_ = false;
   if (advance()) {
     // Departures change the fair shares: batch with anything else this

@@ -64,8 +64,10 @@
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
 //    for one solve instead of one per flow. Rates inside an instant are
 //    unobservable (no simulated time passes), so this is exact.
-//  - Completion-retime damping: the wake-up timer is left in place when a
-//    re-solve does not move the earliest completion time.
+//  - Completion-retime damping: the wake-up is left in place when a
+//    re-solve does not move the earliest completion time. The wake-up is
+//    one Simulator::Step: a re-arm leaves its earlier event queued, and
+//    only the event armed last (told apart by seq) acts.
 //
 // The oracle is a pure function, not a second backend: reference_max_min
 // (net/reference_solver.h) runs plain per-flow progressive filling on a flow
@@ -377,12 +379,13 @@ class Network {
   void mark_rates_dirty();
   void flush_solver();
   static void flush_hook(void* self);
-  // Schedules the wake-up `next` seconds from now, the earliest flow
-  // completion (infinite when no flow is active). Damped: a pending timer
-  // at the same deadline is left alone.
+  // Arms the wake-up `next` seconds from now, the earliest flow completion
+  // (infinite when no flow is active). Damped: a wake-up pending at the
+  // same deadline is left alone.
   void retime(double next);
   double next_completion() const;
-  void on_timer(uint64_t generation);
+  // The wake-up's event: acts only if it is the one armed last.
+  void on_wake();
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
@@ -489,7 +492,17 @@ class Network {
   double suspect_cap_floor_ = 0;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
-  uint64_t timer_generation_ = 0;
+  struct Wake : sim::Simulator::Step {
+    Network* net;
+  };
+  Wake wake_{{[](sim::Simulator::Step& s) {
+                static_cast<Wake&>(s).net->on_wake();
+              }},
+             this};
+  // The wake-up armed last: its event's seq and deadline, and whether it
+  // is still to act. A re-arm, or the flow set going empty, leaves the
+  // older events queued; each finds that it is not the one armed last.
+  uint64_t wake_seq_ = 0;
   bool timer_pending_ = false;
   double timer_deadline_ = 0;
   bool rates_dirty_ = false;

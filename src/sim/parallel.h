@@ -1,8 +1,8 @@
 // Structured-concurrency helpers: run a batch of tasks and join them.
 //
-// Implemented on top of spawn + WaitGroup; results land in a vector indexed
-// by task order, so output order is deterministic regardless of completion
-// order.
+// Implemented on top of spawn, Semaphore and WaitGroup; results land in a
+// vector indexed by task order, so output order is deterministic regardless
+// of completion order.
 #pragma once
 
 #include <optional>
@@ -13,47 +13,6 @@
 #include "sim/task.h"
 
 namespace bs::sim {
-
-namespace detail {
-
-template <typename T>
-Task<void> run_into(Task<T> task, std::vector<std::optional<T>>* out, size_t i,
-                    WaitGroup* wg) {
-  (*out)[i] = co_await std::move(task);
-  wg->done();
-}
-
-inline Task<void> run_void(Task<void> task, WaitGroup* wg) {
-  co_await std::move(task);
-  wg->done();
-}
-
-}  // namespace detail
-
-// Runs all tasks concurrently; returns results in input order.
-template <typename T>
-Task<std::vector<T>> when_all(Simulator& sim, std::vector<Task<T>> tasks) {
-  std::vector<std::optional<T>> slots(tasks.size());
-  WaitGroup wg(sim);
-  wg.add(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    sim.spawn(detail::run_into<T>(std::move(tasks[i]), &slots, i, &wg));
-  }
-  co_await wg.wait();
-  std::vector<T> out;
-  out.reserve(slots.size());
-  for (auto& s : slots) out.push_back(std::move(*s));
-  co_return out;
-}
-
-inline Task<void> when_all(Simulator& sim, std::vector<Task<void>> tasks) {
-  WaitGroup wg(sim);
-  wg.add(tasks.size());
-  for (auto& t : tasks) {
-    sim.spawn(detail::run_void(std::move(t), &wg));
-  }
-  co_await wg.wait();
-}
 
 // Runs tasks with at most `limit` in flight at once (e.g. a client fetching
 // pages with bounded parallelism). Results in input order.
@@ -97,6 +56,15 @@ inline Task<void> when_all_limited(Simulator& sim, std::vector<Task<void>> tasks
     sim.spawn(gated(gate, std::move(t), &wg));
   }
   co_await wg.wait();
+}
+
+// Runs all tasks concurrently; results (for Task<T>) in input order. With a
+// permit per task no acquire waits, and one that does not wait makes no
+// event.
+template <typename T>
+auto when_all(Simulator& sim, std::vector<Task<T>> tasks) {
+  const size_t n = tasks.size();
+  return when_all_limited(sim, std::move(tasks), n);
 }
 
 }  // namespace bs::sim

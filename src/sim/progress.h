@@ -10,11 +10,9 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 
 namespace bs::sim {
 
@@ -51,16 +49,5 @@ class ProgressMeter {
   Time start_ = 0;
   double progress_ = 0;
 };
-
-// Periodic driver for sampling loops (e.g. a speculation sweep): calls
-// `fn` every `period` simulated seconds until it returns false. The first
-// call happens one period after spawning.
-inline Task<void> repeat_every(Simulator& sim, double period,
-                               std::function<bool()> fn) {
-  while (true) {
-    co_await sim.delay(period);
-    if (!fn()) co_return;
-  }
-}
 
 }  // namespace bs::sim

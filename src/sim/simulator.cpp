@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -13,14 +14,12 @@ namespace bs::sim {
 Simulator::Simulator() = default;
 
 Simulator::~Simulator() {
-  // Drop queued events (PODs, non-owning) and pooled callbacks first, then
-  // destroy still-live process frames; destruction runs their locals'
-  // destructors, which may only touch primitives that outlive them
-  // (standard teardown order: services own primitives, harness owns
-  // services and the simulator).
+  // Drop queued events (PODs, non-owning) first, then destroy still-live
+  // process frames; destruction runs their locals' destructors, which may
+  // only touch primitives that outlive them (standard teardown order:
+  // services own primitives, harness owns services and the simulator).
   heap_ = {};
   lanes_ = {};
-  callback_slots_.clear();
   spawned_.clear();
 }
 
@@ -45,23 +44,13 @@ void Simulator::push_after(Time dt, uintptr_t payload) {
   ++heap_events_;
 }
 
-void Simulator::call_at(Time t, std::function<void()> fn) {
-  BS_DCHECK(t >= now_);
-  uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
-    callback_slots_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<uint32_t>(callback_slots_.size());
-    callback_slots_.push_back(std::move(fn));
-  }
-  heap_.push(Event{std::max(t, now_), seq_++,
-                   (static_cast<uintptr_t>(slot) << 1) | 1});
+uint64_t Simulator::schedule_at(Time t, Step& s) {
+  heap_.push(Event{std::max(t, now_), seq_, payload_of(s)});
   ++heap_events_;
+  return seq_++;
 }
 
-int Simulator::earliest() const {
+int Simulator::earliest(Time* t) const {
   int best = heap_.empty() ? kNone : kHeap;
   const Event* b = best == kHeap ? &heap_.top() : nullptr;
   for (uint32_t m = busy_lanes_; m != 0; m &= m - 1) {
@@ -72,6 +61,7 @@ int Simulator::earliest() const {
       b = &e;
     }
   }
+  if (b != nullptr) *t = b->t;
   return best;
 }
 
@@ -110,21 +100,16 @@ void Simulator::on_task_finished(void* sim, uint32_t slot) {
 
 void Simulator::dispatch(const Event& ev) {
   now_ = ev.t;
+  dispatching_seq_ = ev.seq;
   ++events_processed_;
   if (auditor_) auditor_->record(ev.t, ev.seq);
-  if ((ev.payload & 3) == 0) {
+  if ((ev.payload & 1) == 0) {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(ev.payload))
         .resume();
-  } else if ((ev.payload & 1) == 0) {
-    Step& s = *reinterpret_cast<Step*>(ev.payload & ~uintptr_t{2});
-    s.fn(s);
   } else {
-    const auto slot = static_cast<uint32_t>(ev.payload >> 1);
-    std::function<void()> fn = std::move(callback_slots_[slot]);
-    callback_slots_[slot] = nullptr;
-    callback_free_.push_back(slot);
-    fn();
+    Step& s = *reinterpret_cast<Step*>(ev.payload & ~uintptr_t{1});
+    s.fn(s);
   }
 }
 
@@ -150,10 +135,11 @@ void Simulator::run_flush_hooks() {
   for (const Hook& h : flush_hooks_) h.fn(h.ctx);
 }
 
-Time Simulator::run() {
+void Simulator::dispatch_until(Time t) {
   for (;;) {
-    const int src = earliest();
-    if (flush_requested_ && (src == kNone || head(src).t != now_)) {
+    Time next = 0;
+    const int src = earliest(&next);
+    if (flush_requested_ && (src == kNone || next != now_)) {
       // The current instant has drained: flush deferred work (it may
       // enqueue new events at `now` or later), then re-evaluate.
       flush_requested_ = false;
@@ -161,26 +147,19 @@ Time Simulator::run() {
       if (!finished_.empty()) drain_finished();
       continue;
     }
-    if (src == kNone) break;
+    if (src == kNone || next > t) return;
     dispatch(take(src));
     if (!finished_.empty()) drain_finished();
   }
+}
+
+Time Simulator::run() {
+  dispatch_until(std::numeric_limits<Time>::infinity());
   return now_;
 }
 
 Time Simulator::run_until(Time t) {
-  for (;;) {
-    const int src = earliest();
-    if (flush_requested_ && (src == kNone || head(src).t != now_)) {
-      flush_requested_ = false;
-      run_flush_hooks();
-      if (!finished_.empty()) drain_finished();
-      continue;
-    }
-    if (src == kNone || head(src).t > t) break;
-    dispatch(take(src));
-    if (!finished_.empty()) drain_finished();
-  }
+  dispatch_until(t);
   now_ = std::max(now_, t);
   return now_;
 }

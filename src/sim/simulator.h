@@ -13,21 +13,22 @@
 // the pending events of one delay value — is sorted by construction, and
 // push and pop are O(1) (the calendar-queue idea, Brown, CACM 1988,
 // narrowed to fixed delays). One lane is kept for delay 0; a new delay
-// value takes a free lane only when the lane is empty. call_at and delays
-// that find no lane go to the heap. The next event is the (time, seq)
-// minimum over the heap top and the lane heads, the order one heap of
+// value takes a free lane only when the lane is empty. schedule_at and
+// delays that find no lane go to the heap. The next event is the (time,
+// seq) minimum over the heap top and the lane heads, the order one heap of
 // every event would give.
 //
 // The loop is allocation-free in steady state: an Event is a 24-byte POD
-// whose payload is one of three kinds, told apart by its two low bits
-// (coroutine frames come from operator new and Steps are pointer-aligned,
-// so both bits of their addresses are free):
-//   * a coroutine handle (bits clear), resumed;
-//   * an index into a pooled callback-slot table (bit 0), called;
-//   * a Step (bit 1): an awaiter that lives in its caller's frame and acts
-//     at several events before it resumes the caller, so one co_await can
-//     span a chain of events without a coroutine frame of its own
-//     (net::Service::Request).
+// whose payload is one of two kinds, told apart by its low bit (coroutine
+// frames come from operator new and Steps are pointer-aligned, so bit 0 of
+// their addresses is free):
+//   * a coroutine handle (bit clear), resumed;
+//   * a Step (bit set), whose function is called: an awaiter that lives in
+//     its caller's frame and acts at several events before it resumes the
+//     caller, so one co_await can span a chain of events without a
+//     coroutine frame of its own (net::Service::Request), or a timer such
+//     as the network's wake-up. A Step may be pending at several events at
+//     once; while one runs, dispatching_seq() tells which.
 // Detached tasks link themselves onto an intrusive finished list at final
 // suspend instead of being discovered by a periodic scan of every live
 // process. An escaped exception in a detached task rethrows out of run()
@@ -37,7 +38,6 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -78,25 +78,27 @@ class Simulator {
     lane_push(0, 0, payload_of(h));
   }
 
-  // The third event payload: its event calls `fn(*this)`. An awaiter that
+  // The second event payload: its event calls `fn(*this)`. An awaiter that
   // derives from Step re-points `fn` before it schedules each of its
   // events, and must stay at one address until the last has dispatched.
   struct Step {
     void (*fn)(Step& self);
   };
-  static_assert(alignof(Step) >= 4, "bits 0 and 1 of a payload are tags");
+  static_assert(alignof(Step) >= 2, "bit 0 of a payload is the tag");
 
   // Schedules `s` at the current time, after every event already queued
   // for it, or `dt` > 0 simulated seconds from now: the same lanes, heap
   // and seq as a coroutine resumed after the same delay.
   void schedule_now(Step& s) { lane_push(0, 0, payload_of(s)); }
   void schedule_after(Time dt, Step& s) { push_after(dt, payload_of(s)); }
+  // Schedules `s` at absolute time `t` (now, if `t` has passed) through
+  // the heap, and returns the event's seq.
+  uint64_t schedule_at(Time t, Step& s);
 
-  // Schedules a plain callback (used by the flow solver's retimeable wake).
-  // Callback storage is pooled: the std::function lives in a reusable slot,
-  // so steady-state call_at traffic performs no allocation (captures beyond
-  // the function's inline buffer still allocate inside std::function).
-  void call_at(Time t, std::function<void()> fn);
+  // The seq of the event being dispatched: a Step scheduled more than once
+  // compares it with the seq schedule_at returned to tell a stale event
+  // from the live one.
+  uint64_t dispatching_seq() const { return dispatching_seq_; }
 
   // Awaitable: suspends the current coroutine for `dt` simulated seconds
   // (not at all when dt <= 0). One event, no coroutine frame.
@@ -124,8 +126,8 @@ class Simulator {
 
   // Number of events processed so far (for tests and perf reporting).
   uint64_t events_processed() const { return events_processed_; }
-  // Events that went through the binary heap: every call_at, and each delay
-  // that found no lane. The rest took a FIFO lane.
+  // Events that went through the binary heap: every schedule_at, and each
+  // delay that found no lane. The rest took a FIFO lane.
   uint64_t heap_events() const { return heap_events_; }
   size_t live_processes() const { return live_; }
 
@@ -162,8 +164,8 @@ class Simulator {
 
  private:
   // POD event: 24 bytes, trivially copyable, so priority-queue sifts are
-  // memcpys. `payload` is a coroutine handle address (bits 0 and 1 clear),
-  // (callback_slot << 1) | 1, or a Step's address | 2.
+  // memcpys. `payload` is a coroutine handle address (bit 0 clear) or a
+  // Step's address | 1.
   struct Event {
     Time t;
     uint64_t seq;
@@ -203,14 +205,14 @@ class Simulator {
   static constexpr int kHeap = kLanes;
   static constexpr int kNone = kLanes + 1;
 
-  // Frames come from operator new, so both tag bits are clear.
+  // Frames come from operator new, so the tag bit is clear.
   static uintptr_t payload_of(std::coroutine_handle<> h) {
     const auto addr = reinterpret_cast<uintptr_t>(h.address());
-    BS_DCHECK(h != nullptr && (addr & 3) == 0);
+    BS_DCHECK(h != nullptr && (addr & 1) == 0);
     return addr;
   }
   static uintptr_t payload_of(Step& s) {
-    return reinterpret_cast<uintptr_t>(&s) | 2;
+    return reinterpret_cast<uintptr_t>(&s) | 1;
   }
   // Pushes `payload` to run `dt` > 0 from now: onto its delay's lane, a
   // free lane, or the heap.
@@ -222,13 +224,13 @@ class Simulator {
     busy_lanes_ |= 1u << lane;
   }
   // Where the (time, seq)-earliest pending event sits: a lane, kHeap or
-  // kNone. head() reads it, take() pops it.
-  int earliest() const;
-  const Event& head(int src) const {
-    return src == kHeap ? heap_.top() : lanes_[src].front();
-  }
+  // kNone; its time goes to `*t` unless kNone. take() pops it.
+  int earliest(Time* t) const;
   Event take(int src);
   void dispatch(const Event& ev);
+  // The loop behind run() and run_until(): dispatches every event at or
+  // before `t`, flushing each instant as it drains.
+  void dispatch_until(Time t);
   // Destroys tasks that linked themselves onto the finished list during the
   // last dispatch; rethrows the first escaped exception it finds.
   void drain_finished();
@@ -244,11 +246,6 @@ class Simulator {
   std::vector<Task<void>> spawned_;
   std::vector<uint32_t> spawned_free_;
   std::vector<uint32_t> finished_;
-  // Pooled call_at storage: slot functions are moved out at dispatch and
-  // the slot recycled, so the vector stops growing once the high-water
-  // mark of concurrently pending callbacks is reached.
-  std::vector<std::function<void()>> callback_slots_;
-  std::vector<uint32_t> callback_free_;
   struct Hook {
     FlushHook fn;
     void* ctx;
@@ -259,6 +256,7 @@ class Simulator {
   std::unique_ptr<OrderAuditor> auditor_;
   Time now_ = 0;
   uint64_t seq_ = 0;
+  uint64_t dispatching_seq_ = 0;
   uint64_t events_processed_ = 0;
   uint64_t heap_events_ = 0;
   size_t live_ = 0;

@@ -52,20 +52,35 @@ struct PromiseBase {
   };
 };
 
+// The one part of a promise that depends on T: where the result waits
+// for the awaiter.
+template <typename T>
+struct ResultSlot {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+  T take() {
+    BS_CHECK_MSG(value.has_value(), "task completed without a value");
+    return std::move(*value);
+  }
+};
+
+template <>
+struct ResultSlot<void> {
+  void return_void() {}
+  void take() {}
+};
+
 }  // namespace detail
 
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::PromiseBase, detail::ResultSlot<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value.emplace(std::move(v)); }
     void unhandled_exception() { this->exception = std::current_exception(); }
   };
 
@@ -94,74 +109,6 @@ class [[nodiscard]] Task {
     }
   }
 
-  // Awaiting starts the task and suspends the awaiter until completion.
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> awaiting) noexcept {
-        h.promise().continuation = awaiting;
-        return h;  // start (or resume into) the child
-      }
-      T await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-        BS_CHECK_MSG(h.promise().value.has_value(),
-                     "task completed without a value");
-        return std::move(*h.promise().value);
-      }
-    };
-    return Awaiter{h_};
-  }
-
- private:
-  void destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { this->exception = std::current_exception(); }
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  Task(Task&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      h_ = std::exchange(other.h_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool valid() const { return h_ != nullptr; }
-  bool done() const { return h_ && h_.done(); }
-  std::coroutine_handle<> handle() const { return h_; }
-
-  void rethrow_if_failed() const {
-    if (h_ && h_.promise().exception) {
-      std::rethrow_exception(h_.promise().exception);
-    }
-  }
-
   // Arms the detached-final hook (Simulator::spawn): `fn(owner, slot)` runs
   // inside this task's final suspend, after the body completed but before
   // the frame may be destroyed.
@@ -174,6 +121,7 @@ class [[nodiscard]] Task<void> {
     p.detached_slot = slot;
   }
 
+  // Awaiting starts the task and suspends the awaiter until completion.
   auto operator co_await() && noexcept {
     struct Awaiter {
       std::coroutine_handle<promise_type> h;
@@ -181,10 +129,11 @@ class [[nodiscard]] Task<void> {
       std::coroutine_handle<> await_suspend(
           std::coroutine_handle<> awaiting) noexcept {
         h.promise().continuation = awaiting;
-        return h;
+        return h;  // start (or resume into) the child
       }
-      void await_resume() {
+      T await_resume() {
         if (h.promise().exception) std::rethrow_exception(h.promise().exception);
+        return h.promise().take();
       }
     };
     return Awaiter{h_};

@@ -1159,6 +1159,36 @@ TEST(Network, RetimeDampingSkipsUnchangedDeadlines) {
   EXPECT_GT(stats.retimes_damped, 0u);
 }
 
+TEST(Network, WakeUpReArmedAtAStaleDeadlineActsAtTheFreshEvent) {
+  // Flow A (0→4, 100 MB) arms the wake-up at 1.0. Flow B (1→5, 25 MB from
+  // t = 0.25, on its own NICs) moves it to 0.5, leaving the event at 1.0
+  // stale. B's completion re-arms it at 0.5 + 50 MB / 100 MB/s = 1.0: the
+  // stale event's deadline, queued behind it. A probe queued between the
+  // two events must find A still active, so the stale event must not act
+  // although its deadline is now the live one.
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  auto xfer = [](Network& n, NodeId s, NodeId d, double start,
+                 double bytes) -> sim::Task<void> {
+    co_await n.simulator().delay(start);
+    co_await n.transfer(s, d, bytes);
+  };
+  size_t active_at_probe = 0;
+  auto probe = [](Network& n, size_t* active) -> sim::Task<void> {
+    co_await n.simulator().delay(0.25);
+    co_await n.simulator().delay(0.75);  // queued at 0.25: between the two
+    *active = n.active_flows();
+  };
+  sim.spawn(xfer(net, 0, 4, 0, 100e6));
+  sim.spawn(xfer(net, 1, 5, 0.25, 25e6));
+  sim.spawn(probe(net, &active_at_probe));
+  sim.run();
+  EXPECT_EQ(active_at_probe, 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(net.solver_stats().retimes_scheduled, 3u);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
 TEST(Network, FillTestsEachClassAboutOncePerSolve) {
   // One uncapped fill with kLevels distinct shares: destination k receives
   // from k + 1 sources of its own, so its NIC's share is nic / (k + 1) and

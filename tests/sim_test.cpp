@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -128,13 +129,32 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(steps, 10);
 }
 
-TEST(Simulator, CallAtRunsCallbacks) {
+// Notes the time and the dispatching seq of its one event.
+struct SeqProbe : Simulator::Step {
+  SeqProbe(Simulator& s, std::vector<double>* t)
+      : Step{&on_event}, sim(s), times(t) {}
+  static void on_event(Simulator::Step& st) {
+    auto& p = static_cast<SeqProbe&>(st);
+    p.times->push_back(p.sim.now());
+    p.seen = p.sim.dispatching_seq();
+  }
+  Simulator& sim;
+  std::vector<double>* times;
+  uint64_t seen = ~uint64_t{0};
+};
+
+TEST(Simulator, ScheduleAtRunsStepsInTimeOrder) {
   Simulator sim;
   std::vector<double> times;
-  sim.call_at(2.0, [&] { times.push_back(sim.now()); });
-  sim.call_at(1.0, [&] { times.push_back(sim.now()); });
+  SeqProbe late(sim, &times);
+  SeqProbe early(sim, &times);
+  const uint64_t late_seq = sim.schedule_at(2.0, late);
+  const uint64_t early_seq = sim.schedule_at(1.0, early);
   sim.run();
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
+  EXPECT_NE(late_seq, early_seq);
+  EXPECT_EQ(late.seen, late_seq);
+  EXPECT_EQ(early.seen, early_seq);
 }
 
 TEST(Simulator, TeardownWithLiveProcessesIsClean) {
@@ -312,6 +332,9 @@ TEST(Parallel, WhenAllCollectsInInputOrder) {
   sim.run();
   EXPECT_EQ(result, (std::vector<int>{10, 20, 30}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);  // parallel, not serial (6.0)
+  // proc's start, a start and a delay per task, and the join's wake-up: no
+  // task waits for a permit.
+  EXPECT_EQ(sim.events_processed(), 8u);
 }
 
 TEST(Parallel, WhenAllVoid) {
@@ -330,6 +353,7 @@ TEST(Parallel, WhenAllVoid) {
   sim.run();
   EXPECT_EQ(count, 10);
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.events_processed(), 22u);  // 1 + 10 starts + 10 delays + 1
 }
 
 TEST(Parallel, WhenAllLimitedRespectsLimit) {
@@ -496,12 +520,13 @@ TEST(OrderAuditor, DigestIsExportedThroughObsGauges) {
 // --- engine-rewrite pins (PR 9) --------------------------------------------
 
 // Golden-schedule pin: this scenario (spawn fan-out with 8-way ties, a
-// semaphore handoff chain, nested tasks, call_at callbacks interleaved with
-// coroutine wakes) was recorded against the pre-rewrite event queue
-// (std::function events, periodic reap). The hardcoded digest proves the
-// POD-event / pooled-callback / intrusive-finished-list queue dispatches
-// the EXACT same (time, seq) stream. If an engine change breaks this, it
-// changed the schedule contract, not just performance.
+// semaphore handoff chain, nested tasks, heap-scheduled Steps interleaved
+// with coroutine wakes) was recorded against the pre-rewrite event queue
+// (std::function events, periodic reap), where the Steps were callbacks.
+// The hardcoded digest proves the POD-event / lanes / intrusive-finished-
+// list queue dispatches the EXACT same (time, seq) stream. If an engine
+// change breaks this, it changed the schedule contract, not just
+// performance.
 Task<int> golden_nested(Simulator& s, int depth) {
   if (depth == 0) {
     co_await s.delay(0.125);
@@ -527,8 +552,10 @@ TEST(OrderAuditor, GoldenScheduleDigestPinnedAcrossQueueRewrite) {
   Semaphore gate(sim, 3);
   uint64_t sum = 0;
   for (int id = 0; id < 8; ++id) sim.spawn(golden_worker(sim, gate, id, &sum));
+  Simulator::Step noops[4];
   for (int i = 0; i < 4; ++i) {
-    sim.call_at(0.5 * (i % 2 + 1), [] {});
+    noops[i].fn = [](Simulator::Step&) {};
+    sim.schedule_at(0.5 * (i % 2 + 1), noops[i]);
   }
   sim.run();
   // Recorded from the pre-rewrite implementation (seed @ PR 8).
@@ -571,27 +598,42 @@ TEST(Simulator, DetachedTaskExceptionSurfacesAtFinishingDispatch) {
   EXPECT_EQ(sim.live_processes(), 1u);  // the bystander is still suspended
 }
 
-TEST(Simulator, CallAtSlotsAreRecycled) {
-  // Self-rescheduling callback: the pooled slot must be reused, and state
-  // captured by value must survive the move in and out of the pool.
+TEST(Simulator, ScheduleAtReschedulesAStepFromItsOwnEvent) {
+  // A Step that schedules itself again at an absolute time while its event
+  // runs; a time already passed runs at `now`.
   Simulator sim;
-  struct Ticker {
-    Simulator* sim;
-    int* count;
-    int left;
-    void operator()() {
-      ++*count;
-      if (--left > 0) sim->call_at(sim->now() + 1.0, *this);
+  struct Ticker : Simulator::Step {
+    explicit Ticker(Simulator& s) : Step{&on_event}, sim(s) {}
+    static void on_event(Simulator::Step& st) {
+      auto& t = static_cast<Ticker&>(st);
+      t.times.push_back(t.sim.now());
+      if (t.times.size() < 5) t.sim.schedule_at(t.sim.now() + 1.0, t);
     }
+    Simulator& sim;
+    std::vector<double> times;
   };
-  int count = 0;
-  sim.call_at(1.0, Ticker{&sim, &count, 5});
+  Ticker ticker(sim);
+  sim.schedule_at(1.0, ticker);
   sim.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  EXPECT_EQ(ticker.times, (std::vector<double>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.heap_events(), 5u);
+  sim.schedule_at(2.0, ticker);  // in the past: runs at 5, once
+  sim.run();
+  EXPECT_EQ(ticker.times.size(), 6u);
+  EXPECT_DOUBLE_EQ(ticker.times.back(), 5.0);
 }
 
 // --- FIFO lanes ---------------------------------------------------------
+
+struct ScheduleLog;
+
+// A one-shot Step that logs its index when it runs.
+struct LogStep : Simulator::Step {
+  LogStep(ScheduleLog* l, size_t i) : Step{&on_event}, log(l), idx(i) {}
+  static void on_event(Simulator::Step& s);
+  ScheduleLog* log;
+  size_t idx;
+};
 
 // A schedule as its test scheduled it: `when[i]` is the time of the i-th
 // event scheduled, so indices follow seq; `ran` lists indices in dispatch
@@ -599,12 +641,21 @@ TEST(Simulator, CallAtSlotsAreRecycled) {
 struct ScheduleLog {
   std::vector<double> when;
   std::vector<size_t> ran;
-  size_t calls = 0;  // call_at events among `when`
+  std::deque<LogStep> at;  // the schedule_at events among `when`
   size_t note(double t) {
     when.push_back(t);
     return when.size() - 1;
   }
+  // Notes a LogStep at `t` and schedules it there.
+  void schedule_at(Simulator& s, double t) {
+    s.schedule_at(t, at.emplace_back(this, note(t)));
+  }
 };
+
+void LogStep::on_event(Simulator::Step& s) {
+  auto& l = static_cast<LogStep&>(s);
+  l.log->ran.push_back(l.idx);
+}
 
 // Resumes the awaiting coroutine through schedule_now.
 struct Yield {
@@ -634,10 +685,7 @@ Task<void> lane_actor(Simulator& s, ScheduleLog* log, uint64_t seed,
       me = log->note(s.now());
       co_await Yield{s};
     } else {
-      const double t = s.now() + 1e-4 * static_cast<double>(rng.below(50));
-      const size_t cb = log->note(t);
-      ++log->calls;
-      s.call_at(t, [log, cb] { log->ran.push_back(cb); });
+      log->schedule_at(s, s.now() + 1e-4 * static_cast<double>(rng.below(50)));
       continue;
     }
     log->ran.push_back(me);
@@ -684,7 +732,7 @@ TEST(Simulator, LanesDispatchInTimeSeqOrder) {
   for (uint64_t a = 0; a < 12; ++a) {
     sim.spawn(lane_actor(sim, &log, 1000 + a, 100));
   }
-  // Steps share the lanes, the heap and seq with coroutines and callbacks.
+  // Steps share the lanes, the heap and seq with coroutines.
   std::vector<std::unique_ptr<StepActor>> steppers;
   for (uint64_t a = 0; a < 6; ++a) {
     steppers.push_back(std::make_unique<StepActor>(sim, &log, 2000 + a, 100));
@@ -694,9 +742,7 @@ TEST(Simulator, LanesDispatchInTimeSeqOrder) {
     sim.run_until(b);
     EXPECT_DOUBLE_EQ(sim.now(), b);
     for (const size_t i : log.ran) EXPECT_LE(log.when[i], b);
-    const size_t cb = log.note(b);  // at the boundary, from outside
-    ++log.calls;
-    sim.call_at(b, [&log, cb] { log.ran.push_back(cb); });
+    log.schedule_at(sim, b);  // at the boundary, from outside
   }
   sim.run();
   // A stable sort by time keeps ties in scheduling (seq) order.
@@ -708,7 +754,7 @@ TEST(Simulator, LanesDispatchInTimeSeqOrder) {
   EXPECT_EQ(log.ran, expected);
   // Distinct delays overflowed the lanes into the heap, yet the lanes took
   // most of the events.
-  EXPECT_GT(sim.heap_events(), log.calls);
+  EXPECT_GT(sim.heap_events(), log.at.size());
   EXPECT_LT(sim.heap_events(), log.when.size() / 2);
 }
 
