@@ -65,6 +65,7 @@ struct RunStats {
   uint64_t fill_rounds = 0;       // progressive-filling rounds run, all solves
   uint64_t class_tests = 0;       // bottleneck tests on unfrozen classes
   uint64_t rounds_replayed = 0;   // rounds taken from the previous solve's log
+  uint64_t dirty_link_visits = 0;  // replayed rounds' dirty-link visits
   double oracle_max_rel_diff = 0;
 };
 
@@ -141,6 +142,7 @@ RunStats run_storm() {
   out.fill_rounds = s.fill_rounds;
   out.class_tests = s.class_tests;
   out.rounds_replayed = s.rounds_replayed;
+  out.dirty_link_visits = s.dirty_link_visits;
   out.oracle_max_rel_diff = oracle_diff;
   report_world_events(sim.events_processed());
   return out;
@@ -161,6 +163,8 @@ void report_run(BenchReport& report, const std::string& prefix,
   report.metric(prefix + "/class_tests", static_cast<double>(s.class_tests));
   report.metric(prefix + "/rounds_replayed",
                 static_cast<double>(s.rounds_replayed));
+  report.metric(prefix + "/dirty_link_visits",
+                static_cast<double>(s.dirty_link_visits));
 }
 
 }  // namespace
@@ -197,10 +201,12 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(incr.flows),
              static_cast<unsigned long long>(incr.classes_created),
              flows_per_class, static_cast<unsigned long long>(max_solves));
-  report.say("%llu fill rounds run, %llu replayed, %llu class tests\n",
+  report.say("%llu fill rounds run, %llu replayed, %llu class tests, %llu "
+             "dirty-link visits\n",
              static_cast<unsigned long long>(incr.fill_rounds),
              static_cast<unsigned long long>(incr.rounds_replayed),
-             static_cast<unsigned long long>(incr.class_tests));
+             static_cast<unsigned long long>(incr.class_tests),
+             static_cast<unsigned long long>(incr.dirty_link_visits));
   report.say("reference max rel diff %.2e, makespan drift %.2e\n",
              incr.oracle_max_rel_diff, makespan_rel);
 

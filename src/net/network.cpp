@@ -28,6 +28,9 @@ constexpr uint32_t kNoClass = std::numeric_limits<uint32_t>::max();
 // A position's bit within its 64-bit bitmap word.
 uint64_t bit(uint32_t pos) { return uint64_t{1} << (pos % 64); }
 
+// within_reach's allowance for rounding on a link with `cnt` members.
+double reach_margin(double cnt) { return 1 + (cnt + 8) * 1e-15; }
+
 std::string xfer_args(NodeId src, NodeId dst, double bytes) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"src\":%u,\"dst\":%u,\"bytes\":%.0f", src,
@@ -232,9 +235,7 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     // Appending keeps positions in creation order and every link's list
     // of positions ascending.
     PathClass& c = classes_.emplace_back();
-    c.src = src;
-    c.dst = dst;
-    c.cap = cap;
+    class_info_.push_back(ClassInfo{.cap = cap});
     c.path[c.path_len++] = link_node_up(src);
     if (!cfg_.same_rack(src, dst)) {
       c.path[c.path_len++] = link_rack_up(cfg_.rack_of(src));
@@ -250,7 +251,7 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     ++sstats_.path_classes_created;
   }
   PathClass& c = classes_[it->second];
-  if (c.n++ == c.logged_n) touched_.push_back(it->second);
+  if (c.n++ == class_info_[it->second].logged_n) touched_.push_back(it->second);
   for (uint32_t k = 0; k < c.path_len; ++k) {
     const uint32_t l = c.path[k];
     if (link_load_[l]++ > 0) continue;
@@ -271,13 +272,17 @@ void Network::release_member(uint32_t cls) {
     link_slot_[last] = link_slot_[l];
     loaded_links_.pop_back();
   }
-  if (c.n == c.logged_n) touched_.push_back(cls);
+  if (c.n == class_info_[cls].logged_n) touched_.push_back(cls);
   if (--c.n > 0) return;
-  // The class stays as a hole until the compaction that drops it.
+  // The class stays as a hole until the compaction that drops it. Its path
+  // runs from src's NIC up link (link src) to dst's NIC down link.
   live_[cls / 64] &= ~bit(cls);
-  class_index_.erase(std::make_tuple(c.src, c.dst, c.cap));
-  if (c.cap > 0) {
-    const auto it = live_caps_.find(c.cap);
+  const double cap = class_info_[cls].cap;
+  const NodeId src = c.path[0];
+  const NodeId dst = c.path[c.path_len - 1] - cfg_.num_nodes;
+  class_index_.erase(std::make_tuple(src, dst, cap));
+  if (cap > 0) {
+    const auto it = live_caps_.find(cap);
     if (--it->second == 0) live_caps_.erase(it);
   }
   ++holes_;
@@ -328,9 +333,11 @@ void Network::compact_classes() {
   for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
     if (classes_[pos].n == 0) continue;
     moved[pos] = live;
+    class_info_[live] = class_info_[pos];
     classes_[live++] = classes_[pos];
   }
   classes_.resize(live);
+  class_info_.resize(live);
   holes_ = 0;
   log_.clear();
   live_.assign((live + 63) / 64, ~uint64_t{0});
@@ -379,9 +386,8 @@ void Network::take(const PathClass& c, double rate) {
 
 void Network::freeze(uint32_t pos, double rate) {
   unfrozen_[pos / 64] &= ~bit(pos);
-  PathClass& c = classes_[pos];
-  take(c, rate);
-  c.rate = rate;
+  take(classes_[pos], rate);
+  class_info_[pos].rate = rate;
   next_.froze.push_back(pos);
 }
 
@@ -426,19 +432,31 @@ bool Network::within_reach(uint32_t l, double near) const {
   // member; widening the bound by 1e-15 (several units) per member, plus
   // 8, covers that.
   const double cnt = scratch_count_[l];
-  return !(scratch_remaining_[l] > near * (1 + (cnt + 8) * 1e-15) * cnt);
+  return !(scratch_remaining_[l] > near * reach_margin(cnt) * cnt);
+}
+
+double Network::share_floor(uint32_t l) const {
+  // Every later subtraction on the link is below the floor, so below its
+  // share now: in exact arithmetic its share only rises. One widening
+  // covers the rounding of at most one subtraction per member, as in
+  // within_reach, and the other within_reach's own margin, so a round
+  // whose near bound is below the floor has the link out of reach.
+  const uint32_t cnt = scratch_count_[l];
+  if (cnt == 0) return std::numeric_limits<double>::infinity();
+  const double margin = reach_margin(cnt);
+  return scratch_remaining_[l] / cnt / margin / margin;
 }
 
 void Network::collect_changes() {
   dirty_links_.clear();
+  suspect_caps_.clear();
   suspect_cap_floor_ = std::numeric_limits<double>::infinity();
   for (uint32_t pos : touched_) {
     PathClass& c = classes_[pos];
-    if (c.n == c.logged_n) continue;  // moved back, or listed twice
-    c.logged_n = c.n;
-    if (pos >= logged_classes_ && c.cap > 0 && c.n > 0) {
-      suspect_cap_floor_ = std::min(suspect_cap_floor_, c.cap);
-    }
+    ClassInfo& info = class_info_[pos];
+    if (c.n == info.logged_n) continue;  // moved back, or listed twice
+    info.logged_n = c.n;
+    if (pos >= logged_classes_ && c.n > 0) add_suspect_cap(pos);
     for (uint32_t k = 0; k < c.path_len; ++k) {
       const uint32_t l = c.path[k];
       if (dirty(l)) continue;
@@ -449,13 +467,38 @@ void Network::collect_changes() {
   touched_.clear();
 }
 
-bool Network::replayable(uint32_t r, uint32_t& anchor) const {
+void Network::add_suspect_cap(uint32_t pos) {
+  const double cap = class_info_[pos].cap;
+  if (cap <= 0) return;
+  suspect_caps_.push_back(pos);
+  suspect_cap_floor_ = std::min(suspect_cap_floor_, cap);
+}
+
+double Network::unfrozen_suspect_cap_floor() {
+  // A suspect that froze cannot freeze again.
+  double floor = std::numeric_limits<double>::infinity();
+  size_t kept = 0;
+  for (uint32_t pos : suspect_caps_) {
+    if (!(unfrozen_[pos / 64] & bit(pos))) continue;
+    suspect_caps_[kept++] = pos;
+    floor = std::min(floor, class_info_[pos].cap);
+  }
+  suspect_caps_.resize(kept);
+  suspect_cap_floor_ = floor;
+  return floor;
+}
+
+bool Network::replayable(uint32_t r, uint32_t& anchor) {
   const Round& round = log_.rounds[r];
   const double share = round.share;
-  // A new or diverged class capped at or below the share would freeze in
-  // the capped sweep. (A share that is not positive admits no reach bound
-  // below; stop there too.)
-  if (!(share > 0) || !(share < suspect_cap_floor_)) return false;
+  // A new or diverged class capped at or below the share, still unfrozen,
+  // would freeze in the capped sweep. (A share that is not positive admits
+  // no reach bound below; stop there too.)
+  if (!(share > 0)) return false;
+  if (!(share < suspect_cap_floor_) &&
+      !(share < unfrozen_suspect_cap_floor())) {
+    return false;
+  }
   const uint32_t marked_end = log_.marked_end(r);
   // A clean link holds the share: clean links hold their logged values, so
   // none is below it. A link at the share passes at the round's start, so
@@ -470,11 +513,22 @@ bool Network::replayable(uint32_t r, uint32_t& anchor) const {
     if (it == log_.marked.begin() + marked_end) return false;
     anchor = *it;
   }
-  // And no dirty link is below it, by the scan's own division.
-  for (uint32_t l : dirty_links_) {
+  // And no dirty link is below it, by the scan's own division; below the
+  // floor none can be.
+  if (share < dirty_floor_) return true;
+  double floor = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < dirty_links_.size(); ++i) {
+    const uint32_t l = dirty_links_[i];
     const uint32_t cnt = scratch_count_[l];
-    if (cnt != 0 && scratch_remaining_[l] / cnt < share) return false;
+    if (cnt == 0) continue;
+    if (scratch_remaining_[l] / cnt < share) {
+      sstats_.dirty_link_visits += i + 1;
+      return false;
+    }
+    floor = std::min(floor, share_floor(l));
   }
+  sstats_.dirty_link_visits += dirty_links_.size();
+  dirty_floor_ = floor;
   return true;
 }
 
@@ -489,6 +543,7 @@ bool Network::make_dirty(uint32_t l) {
   if (dirty(l)) return false;
   link_dirty_[l] = stamp_ + 1;
   dirty_links_.push_back(l);
+  dirty_floor_ = std::min(dirty_floor_, share_floor(l));
   return true;
 }
 
@@ -501,8 +556,7 @@ void Network::left_unfrozen(uint32_t pos) {
   // One frozen in an earlier round froze where the log did not, and its
   // links are dirty already.
   if (!(unfrozen_[pos / 64] & bit(pos))) return;
-  const double cap = classes_[pos].cap;
-  if (cap > 0) suspect_cap_floor_ = std::min(suspect_cap_floor_, cap);
+  add_suspect_cap(pos);
   dirty_class(pos);
 }
 
@@ -546,7 +600,7 @@ void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
     for (uint32_t i = round.froze_begin; i < froze_end; ++i) {
       const uint32_t pos = log_.froze[i];
       if (!(unfrozen_[pos / 64] & bit(pos))) continue;
-      freeze(pos, classes_[pos].cap);
+      freeze(pos, class_info_[pos].cap);
       --unfrozen;
     }
     return;
@@ -554,6 +608,9 @@ void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
   const double share = round.share;
   const double near = share + std::abs(share) * 4e-12;  // as the scan has it
   const double limit = share * (1 + 1e-12);
+  // Whether a suspect or candidate bit is set. A link with members has an
+  // unfrozen class, so marking one sets a bit.
+  bool tests = false;
   // The logged marks: a dirty one makes its classes suspect; a clean one
   // goes into the new log as it is.
   for (uint32_t i = round.marked_begin; i < marked_end; ++i) {
@@ -562,24 +619,51 @@ void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
     link_logged_[l] = stamp_;
     if (dirty(l)) {
       mark_classes(l, 0, suspects_);
+      tests = true;
     } else {
       next_.marked.push_back(l);
     }
   }
   // A dirty link within reach of the share makes its classes suspect, and
   // one that passes marks them as candidates, as a round that runs would.
-  // Drained ones drop out of the list: they cannot pass again.
-  size_t kept = 0;
-  for (uint32_t l : dirty_links_) {
-    const uint32_t cnt = scratch_count_[l];
-    if (cnt == 0) continue;
-    dirty_links_[kept++] = l;
-    if (link_logged_[l] != stamp_ && within_reach(l, near)) {
-      mark_classes(l, 0, suspects_);
+  // Drained ones drop out of the list: they cannot pass again. Below the
+  // floor every dirty link is out of reach, so none passes either.
+  if (!(near < dirty_floor_)) {
+    sstats_.dirty_link_visits += dirty_links_.size();
+    double floor = std::numeric_limits<double>::infinity();
+    size_t kept = 0;
+    for (uint32_t l : dirty_links_) {
+      const uint32_t cnt = scratch_count_[l];
+      if (cnt == 0) continue;
+      dirty_links_[kept++] = l;
+      floor = std::min(floor, share_floor(l));
+      if (link_logged_[l] != stamp_ && within_reach(l, near)) {
+        mark_classes(l, 0, suspects_);
+        tests = true;
+      }
+      if (scratch_remaining_[l] <= limit * cnt) {
+        mark_link(l, 0);
+        tests = true;
+      }
     }
-    if (scratch_remaining_[l] <= limit * cnt) mark_link(l, 0);
+    dirty_links_.resize(kept);
+    dirty_floor_ = floor;
   }
-  dirty_links_.resize(kept);
+  if (!tests) {
+    // No class is suspect and none is a candidate: each logged class still
+    // unfrozen (pending() found one) freezes with its subtraction alone, as
+    // in the walk below.
+    for (uint32_t i = round.froze_begin; i < froze_end; ++i) {
+      const uint32_t pos = log_.froze[i];
+      uint64_t& word = unfrozen_[pos / 64];
+      if (!(word & bit(pos))) continue;  // dead, or frozen earlier
+      word &= ~bit(pos);
+      take(classes_[pos], share);
+      next_.froze.push_back(pos);
+      --unfrozen;
+    }
+    return;
+  }
   // Walk the logged freezes merged with the candidates in position order.
   // Marks land after the current position, so the lowest candidate only
   // changes when a tested class is visited.
@@ -628,7 +712,7 @@ void Network::replay_round(uint32_t r, uint32_t anchor, size_t& unfrozen) {
       }
     } else if (logged) {
       // It did not freeze where the log did, and stays unfrozen.
-      if (c.cap > 0) suspect_cap_floor_ = std::min(suspect_cap_floor_, c.cap);
+      add_suspect_cap(pos);
       diverge(pos, near);
     }
     next_candidate = lowest_candidate(static_cast<uint32_t>(w));
@@ -651,6 +735,14 @@ void Network::solve_classes() {
     log_.clear();
     return;
   }
+  fill_classes();
+  logged_classes_ = classes_.size();
+#ifndef NDEBUG
+  cross_check_solve();
+#endif
+}
+
+void Network::fill_classes() {
   unfrozen_ = live_;
   candidates_.resize(live_.size());
   suspects_.resize(live_.size());
@@ -677,6 +769,7 @@ void Network::solve_classes() {
   // The log cursor: every logged round before it was replayed, matched by
   // a round that ran, or passed.
   uint32_t r = 0;
+  dirty_floor_ = -std::numeric_limits<double>::infinity();
   while (unfrozen > 0) {
     // A logged round whose classes all froze elsewhere has nothing left to
     // freeze, and passing it leaves no class unfrozen where the log froze
@@ -690,10 +783,51 @@ void Network::solve_classes() {
       // Only the rounds that follow read the cursor and the dirt.
       if (unfrozen > 0) r = resume_log(r);
     }
+    // A round at or above the floor may have taken a dirty link's share
+    // below it; the next walk sets it again.
+    if (!(next_.rounds.back().share < dirty_floor_)) {
+      dirty_floor_ = -std::numeric_limits<double>::infinity();
+    }
   }
   std::swap(log_, next_);
-  logged_classes_ = classes_.size();
 }
+
+#ifndef NDEBUG
+void Network::cross_check_solve() {
+  const SolverStats stats = sstats_;
+  std::vector<double> rates(class_info_.size());
+  for (size_t pos = 0; pos < rates.size(); ++pos) {
+    rates[pos] = class_info_[pos].rate;
+  }
+  SolveLog replayed;
+  std::swap(replayed, log_);
+  fill_classes();
+  for (size_t pos = 0; pos < rates.size(); ++pos) {
+    if (!(live_[pos / 64] & bit(static_cast<uint32_t>(pos)))) continue;
+    BS_CHECK_MSG(std::bit_cast<uint64_t>(rates[pos]) ==
+                     std::bit_cast<uint64_t>(class_info_[pos].rate),
+                 "a replayed rate differs from the full solve's");
+  }
+  BS_CHECK_MSG(replayed.rounds.size() == log_.rounds.size(),
+               "a replayed solve ran a different number of rounds");
+  for (size_t r = 0; r < log_.rounds.size(); ++r) {
+    const Round& want = log_.rounds[r];
+    const Round& got = replayed.rounds[r];
+    BS_CHECK_MSG(std::bit_cast<uint64_t>(got.share) ==
+                         std::bit_cast<uint64_t>(want.share) &&
+                     got.capped == want.capped,
+                 "a replayed round's share differs from the full solve's");
+    BS_CHECK_MSG(
+        std::equal(replayed.froze.begin() + got.froze_begin,
+                   replayed.froze.begin() + replayed.froze_end(r),
+                   log_.froze.begin() + want.froze_begin,
+                   log_.froze.begin() + log_.froze_end(r)),
+        "a replayed round's freezes differ from the full solve's");
+  }
+  std::swap(replayed, log_);
+  sstats_ = stats;
+}
+#endif
 
 void Network::run_round(double& cap_floor, size_t& unfrozen) {
   ++stamp_;
@@ -733,14 +867,14 @@ void Network::run_round(double& cap_floor, size_t& unfrozen) {
     bool froze_capped = false;
     cap_floor = std::numeric_limits<double>::infinity();
     for (uint32_t pos = 0; pos < classes_.size(); ++pos) {
-      const PathClass& c = classes_[pos];
-      if (c.cap <= 0 || !(unfrozen_[pos / 64] & bit(pos))) continue;
-      if (c.cap <= best_share) {
-        freeze(pos, c.cap);
+      const double cap = class_info_[pos].cap;
+      if (cap <= 0 || !(unfrozen_[pos / 64] & bit(pos))) continue;
+      if (cap <= best_share) {
+        freeze(pos, cap);
         --unfrozen;
         froze_capped = true;
       } else {
-        cap_floor = std::min(cap_floor, c.cap);
+        cap_floor = std::min(cap_floor, cap);
       }
     }
     if (froze_capped) {
@@ -842,7 +976,7 @@ void Network::flush_solver() {
   // completion.
   double next = std::numeric_limits<double>::infinity();
   for (Flow& f : flows_) {
-    f.rate = classes_[f.cls].rate;
+    f.rate = class_info_[f.cls].rate;
     if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
   }
   retime(next);
@@ -911,7 +1045,7 @@ double Network::solver_oracle_max_rel_diff() const {
   for (const Flow& f : flows_) {
     const PathClass& c = classes_[f.cls];
     paths.emplace_back(c.path, c.path + c.path_len);
-    caps.push_back(c.cap);
+    caps.push_back(class_info_[f.cls].cap);
   }
   const std::vector<double> want = reference_max_min(paths, caps, link_capacity_);
   double max_rel = 0;

@@ -44,13 +44,23 @@
 //    links of every class whose count changed, then those of every class
 //    whose outcome in a replayed round differs from the log's. A logged
 //    round replays while a clean link still holds its share, no dirty link
-//    falls below it, no new or diverged class's cap binds at it, and (for
-//    a capped round) one of its capped classes is left to freeze. In a
-//    replayed round a logged freeze is applied with its subtraction alone
-//    unless the class is suspect: it sits on a dirty link that the logged
-//    round marked or that comes within reach of the share. Suspect classes
-//    and the later classes of a dirty link that passes are tested and
-//    marked as the walk does, so every freeze comes out as a full solve's.
+//    falls below it, no new or diverged class still unfrozen has a cap
+//    that binds at it, and (for a capped round) one of its capped classes
+//    is left to freeze. In a replayed round a logged freeze is applied with
+//    its subtraction alone unless the class is suspect: it sits on a dirty
+//    link that the logged round marked or that comes within reach of the
+//    share. Suspect classes and the later classes of a dirty link that
+//    passes are tested and marked as the walk does, so every freeze comes
+//    out as a full solve's. A round that marks no suspect and no candidate
+//    applies its logged freezes in a straight loop. The dirty links are
+//    walked (to check that none is below the share, and for the suspects
+//    and candidates) only while the share reaches a floor under every
+//    dirty link's fair share: each full walk sets it to the lowest, widened
+//    twice by within_reach's margin (a link's share only rises in exact
+//    arithmetic, and each of its at most one subtraction per member rounds
+//    it by about a unit in the last place), a link dirtied mid-solve lowers
+//    it, and a round at or above it voids it. Dirt far above the fill then
+//    costs one walk per solve rather than two per round.
 //    A round that cannot replay runs, and the log's cursor then moves past
 //    it: logged rounds a full solve would have run before it are passed, a
 //    logged round with its share is consumed, and every class whose outcome
@@ -58,7 +68,13 @@
 //    where it froze) dirties its links. The next logged round is then
 //    tested for replay again, and one whose classes all froze elsewhere is
 //    passed. A full solve (first solve, after a compaction or a capacity
-//    change) is the same loop with an empty log.
+//    change) is the same loop with an empty log. Built without NDEBUG,
+//    every solve is re-run in full from an empty log and checked against
+//    the replay bit for bit (rates, and each round's share, capped flag
+//    and freezes); CI runs the solver tests and the suite that way.
+//  - Hot and cold class fields apart: the rounds read each class's path
+//    and member count from a dense 24-byte record; its cap, rate and
+//    logged count sit in a parallel table.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -177,6 +193,9 @@ struct SolverStats {
   // Rounds taken from the previous solve's log instead of being run,
   // including those after a round that ran.
   uint64_t rounds_replayed = 0;
+  // Links visited by replayed rounds' dirty-link walks (the replay check's
+  // and the round's own pass), drained ones included.
+  uint64_t dirty_link_visits = 0;
 };
 
 class Network {
@@ -284,14 +303,19 @@ class Network {
   // All flows between one (src, dst) pair under one cap share this: one
   // link path, one max-min rate. `n` members are solved as one weighted
   // entity. A class's position in classes_ is its creation rank, which
-  // keeps the solver's iteration order deterministic.
+  // keeps the solver's iteration order deterministic. The path starts at
+  // src's NIC up link and ends at dst's NIC down link. The rounds' inner
+  // loops read only this record; the rest of the class sits in
+  // class_info_ at the same position.
   struct PathClass {
     uint32_t path[4] = {0, 0, 0, 0};
     uint32_t path_len = 0;
     uint32_t n = 0;        // member flow count (0 = dead: a hole)
-    double cap = 0;        // per-flow cap (0 = none); part of the key
-    double rate = 0;       // per-flow rate from the last solve
-    NodeId src = 0, dst = 0;
+  };
+  static_assert(sizeof(PathClass) == 24);
+  struct ClassInfo {
+    double cap = 0;         // per-flow cap (0 = none); part of the key
+    double rate = 0;        // per-flow rate from the last solve
     uint32_t logged_n = 0;  // member count at the last solve
   };
 
@@ -325,13 +349,27 @@ class Network {
   // member count. Replays the logged rounds the changes since the last
   // solve cannot move and runs the others.
   void solve_classes();
+  // The rounds of one solve, from the live links' standing state: replays
+  // what log_ allows, runs the rest, and leaves the new log in log_.
+  void fill_classes();
+#ifndef NDEBUG
+  // Re-solves the instant from an empty log and aborts unless every live
+  // class's rate and every round's share, capped flag and freezes match the
+  // solve that just ran, bit for bit; then restores the log and counters.
+  void cross_check_solve();
+#endif
   // Brings the logged counts up to date, dirtying the links of every class
-  // whose count changed, and sets suspect_cap_floor_ to the lowest cap of
-  // the classes created since the last solve.
+  // whose count changed, and lists the capped classes created since the
+  // last solve as suspects.
   void collect_changes();
+  // Lists class `pos`, if capped, as a suspect: its cap may bind where the
+  // log's did not.
+  void add_suspect_cap(uint32_t pos);
+  // Drops the suspect caps that froze and returns the lowest one left.
+  double unfrozen_suspect_cap_floor();
   // Whether logged round `r` can be replayed; if so, `anchor` is a clean
   // link that holds its share.
-  bool replayable(uint32_t r, uint32_t& anchor) const;
+  bool replayable(uint32_t r, uint32_t& anchor);
   // Whether a class logged round `r` froze is still unfrozen.
   bool pending(uint32_t r) const;
   // Applies logged round `r`, re-testing only what the dirt can reach.
@@ -343,8 +381,13 @@ class Network {
   // and dirties the links of every class whose outcome differs from the
   // log's. Returns the new cursor.
   uint32_t resume_log(uint32_t r);
-  // Dirties link `l` from the next round on; false if it was dirty.
+  // Dirties link `l` from the next round on, lowering dirty_floor_ to its
+  // share; false if it was dirty.
   bool make_dirty(uint32_t l);
+  // A bound below link `l`'s fair share for the rest of the solve while
+  // the rounds' shares stay under it: its share now, widened twice by
+  // within_reach's margin. Infinite for a drained link.
+  double share_floor(uint32_t l) const;
   // Dirties the links of class `pos`, whose outcome differs from the log's.
   void dirty_class(uint32_t pos);
   // A class the log froze that is still unfrozen: dirties its links, and
@@ -395,6 +438,7 @@ class Network {
   // Path classes in creation order; a dead class stays as a hole until
   // holes fill half the table. Ordered key index for arrival lookup.
   std::vector<PathClass> classes_;
+  std::vector<ClassInfo> class_info_;
   size_t holes_ = 0;
   std::map<std::tuple<NodeId, NodeId, double>, uint32_t> class_index_;
   // Kept across solves, per link: the ascending positions of the classes
@@ -429,6 +473,11 @@ class Network {
   // This solve's dirty links in the order dirtied; drained ones drop out as
   // replayed rounds pass them.
   std::vector<uint32_t> dirty_links_;
+  // At most every live dirty link's fair share while the rounds' shares
+  // stay below it, so a round below it skips the dirty-link walks: -inf
+  // at each solve's start and after a round at or above it, set by every
+  // full walk, lowered by make_dirty.
+  double dirty_floor_ = 0;
   // Bitmaps with one bit per position. live_ marks the live classes and
   // is kept across solves; each solve starts unfrozen_ as a copy and clears
   // a class's bit when it freezes, so holes and frozen classes are never
@@ -486,9 +535,12 @@ class Network {
   // Positions whose member count moved off its logged value since the
   // last solve (a position may repeat).
   std::vector<uint32_t> touched_;
-  // The lowest cap among the classes created since the last solve and the
-  // classes a replayed round left unfrozen where the log froze them: at a
-  // share at or above it, a capped sweep could freeze one the log did not.
+  // The suspect caps: the capped classes created since the last solve and
+  // those left unfrozen where the log froze them. At a share at or above
+  // one still unfrozen, a capped sweep could freeze a class the log did
+  // not. suspect_cap_floor_ is at most the lowest, and exact after
+  // unfrozen_suspect_cap_floor() drops the frozen ones.
+  std::vector<uint32_t> suspect_caps_;
   double suspect_cap_floor_ = 0;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;

@@ -1239,8 +1239,9 @@ TEST(Network, FillTestsEachClassAboutOncePerSolve) {
 // (src, dst) pair, so every class has one member and the solver's
 // arithmetic is the per-flow reference's to the bit; kShared draws pairs
 // from a pool of 24 and caps from two levels, so classes gain and lose
-// members. kLevels is level_churn's.
-enum class Keys { kDistinct, kShared, kLevels };
+// members. kLevels is level_churn's, kNearFloor near_floor_churn's and
+// kMidSolveDirt mid_solve_churn's.
+enum class Keys { kDistinct, kShared, kLevels, kNearFloor, kMidSolveDirt };
 
 // Standing levels and arrivals that land between them: destination k of 8
 // (two per rack) keeps 2k + 1 flows of one size from t = 0, so a solve
@@ -1274,6 +1275,80 @@ std::vector<FluidFlow> level_churn(const ClusterConfig& cfg, uint64_t seed) {
   return flows;
 }
 
+// Twin levels, one just above the other, on rack-local flows (so only NIC
+// links carry them). In rack r, destination A = 8r keeps q = r + 2 flows
+// of one size from t = 0 and B = 8r + 1 keeps q - 1, from the rack's
+// nodes 8r + 2 on; short flows from node 8r + 7 arrive at B one at a time,
+// each lifting it to q members. near_floor_nic_changes scales B's NIC so
+// that with q members its share sits just above A's nic / q: in racks 0
+// and 1 by 4e-12 (the near bound) plus 1.5 times within_reach's margin,
+// which is inside the dirty floor's widened margin and out of reach; in
+// rack 2 by 5e-13, so it passes A's bottleneck test; in rack 3 by 2e-12,
+// within reach. Each arrival dirties B, far above the fill until A's
+// round and then just above it.
+std::vector<FluidFlow> near_floor_churn(const ClusterConfig& cfg,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FluidFlow> flows;
+  for (uint32_t r = 0; r < 4; ++r) {
+    const NodeId a = 8 * r;
+    const NodeId b = a + 1;
+    const uint32_t q = r + 2;
+    const double bytes = 3.2 * cfg.nic_bps / q;
+    for (uint32_t i = 0; i < q; ++i) flows.push_back({a + 2 + i, a, bytes, 0});
+    for (uint32_t i = 0; i + 1 < q; ++i) {
+      flows.push_back({a + 2 + i, b, bytes, 0});
+    }
+    for (uint32_t j = 0; j < 8; ++j) {
+      flows.push_back({a + 7, b, 1e6 + rng.uniform() * 2e6,
+                       0.1 + 0.35 * j + rng.uniform() * 0.05});
+    }
+  }
+  return flows;
+}
+
+std::vector<NicChange> near_floor_nic_changes() {
+  std::vector<NicChange> changes;
+  for (uint32_t r = 0; r < 4; ++r) {
+    const double q = r + 2;
+    const double above = r == 2   ? 5e-13
+                         : r == 3 ? 2e-12
+                                  : 4e-12 + 1.5 * (q + 8) * 1e-15;
+    changes.push_back({0, 8 * r + 1, 1 + above});
+  }
+  return changes;
+}
+
+// Sources that feed several levels: every node of racks 0 and 1 keeps
+// standing flows to three rack-local destinations, and short flows from
+// the same sources arrive and leave on a 0.1 s grid. A round that an
+// arrival or departure moves runs and freezes a source's class early or
+// late, which dirties that source's NIC mid-solve (resume_log), with its
+// other classes still to freeze at the levels of other destinations. A
+// candidate that freezes where the log did not dirties its links mid-round
+// the same way (diverge).
+std::vector<FluidFlow> mid_solve_churn(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FluidFlow> flows;
+  const auto peer = [&](NodeId s) {
+    const NodeId base = s / 8 * 8;
+    NodeId d = s;
+    while (d == s) d = base + static_cast<NodeId>(rng.below(8));
+    return d;
+  };
+  for (NodeId s = 0; s < 16; ++s) {
+    for (uint32_t k = 0; k < 3; ++k) {
+      flows.push_back({s, peer(s), 10e6 + 10e6 * k, 0});
+    }
+  }
+  for (uint32_t i = 0; i < 120; ++i) {
+    const auto s = static_cast<NodeId>(rng.below(16));
+    flows.push_back({s, peer(s), 1e6 + rng.uniform() * 4e6,
+                     0.1 * static_cast<double>(rng.below(30))});
+  }
+  return flows;
+}
+
 ClusterConfig replay_config() {
   ClusterConfig cfg = small_config();
   cfg.num_nodes = 32;
@@ -1285,6 +1360,8 @@ ClusterConfig replay_config() {
 std::vector<FluidFlow> replay_churn(const ClusterConfig& cfg, uint64_t seed,
                                     Keys keys) {
   if (keys == Keys::kLevels) return level_churn(cfg, seed);
+  if (keys == Keys::kNearFloor) return near_floor_churn(cfg, seed);
+  if (keys == Keys::kMidSolveDirt) return mid_solve_churn(seed);
   Rng rng(seed);
   const uint32_t nodes = cfg.num_nodes;
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -1317,6 +1394,14 @@ std::vector<FluidFlow> replay_churn(const ClusterConfig& cfg, uint64_t seed,
 // Node 5's NIC drops to half at 0.7 s and recovers at 1.9 s.
 const std::vector<NicChange> kReplayNicChanges = {{0.7, 5, 0.5},
                                                   {1.9, 5, 1.0}};
+
+std::vector<NicChange> replay_nic_changes(Keys keys) {
+  std::vector<NicChange> changes;
+  if (keys == Keys::kNearFloor) changes = near_floor_nic_changes();
+  changes.insert(changes.end(), kReplayNicChanges.begin(),
+                 kReplayNicChanges.end());
+  return changes;
+}
 
 struct ChurnRun {
   std::vector<double> finished;
@@ -1391,10 +1476,11 @@ TEST_P(SolverReplayTest, ReplayedSolvesMatchFullSolvesBitForBit) {
   const auto [keys, seed] = GetParam();
   const ClusterConfig cfg = replay_config();
   const std::vector<FluidFlow> flows = replay_churn(cfg, seed, keys);
+  const std::vector<NicChange> nic_changes = replay_nic_changes(keys);
   const ChurnRun replayed =
-      run_churn(cfg, flows, kReplayNicChanges, /*full_solves=*/false);
+      run_churn(cfg, flows, nic_changes, /*full_solves=*/false);
   const ChurnRun full =
-      run_churn(cfg, flows, kReplayNicChanges, /*full_solves=*/true);
+      run_churn(cfg, flows, nic_changes, /*full_solves=*/true);
 
   // Some instants batch several departures.
   EXPECT_LT(std::set<double>(replayed.finished.begin(), replayed.finished.end())
@@ -1426,7 +1512,7 @@ TEST_P(SolverReplayTest, ReplayedSolvesMatchFullSolvesBitForBit) {
   }
   // And the completions against the fluid model driven by the reference.
   const std::vector<double> want =
-      reference_completions(cfg, flows, kReplayNicChanges);
+      reference_completions(cfg, flows, nic_changes);
   for (size_t i = 0; i < flows.size(); ++i) {
     EXPECT_NEAR(replayed.finished[i], want[i],
                 1e-9 * std::max(1.0, want[i]))
@@ -1434,11 +1520,12 @@ TEST_P(SolverReplayTest, ReplayedSolvesMatchFullSolvesBitForBit) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SolverReplayTest,
-                         ::testing::Combine(::testing::Values(Keys::kDistinct,
-                                                              Keys::kShared,
-                                                              Keys::kLevels),
-                                            ::testing::Range(1, 6)));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SolverReplayTest,
+    ::testing::Combine(::testing::Values(Keys::kDistinct, Keys::kShared,
+                                         Keys::kLevels, Keys::kNearFloor,
+                                         Keys::kMidSolveDirt),
+                       ::testing::Range(1, 6)));
 
 // The shape of the suite's write_append: each of the 16 nodes of racks 0
 // and 1 keeps kStreams capped streams busy, every stream writing a run of
@@ -1582,6 +1669,10 @@ TEST(Network, ReplayResumesAfterARoundWhoseShareMoves) {
   // froze it). A flow into destination 7 moves round 0's share down to
   // nic / 9: that round runs and freezes all of destination 7's classes,
   // so logged round 0 has nothing left and the other 7 rounds replay.
+  // The idle pair's links, at nic, are the second solve's only dirt:
+  // walking them in every replayed round would visit them 32 times (two
+  // links, two walks, eight rounds), but round 0's walk sets a floor that
+  // holds them out until round 7, whose share reaches it: 6 visits.
   const LevelProbes p = run_levels({{60, 61, 0.25},          // idle pair
                                     {60, 50, 0.5},           // node 60's NIC
                                     {60, 51, 0.5},           //   at nic / 3
@@ -1595,6 +1686,8 @@ TEST(Network, ReplayResumesAfterARoundWhoseShareMoves) {
   EXPECT_EQ(p.at[1].rounds_replayed, kLevels);
   EXPECT_EQ(p.at[1].fill_rounds, kLevels);
   EXPECT_EQ(p.at[1].class_tests, p.at[0].class_tests + 1);
+  EXPECT_EQ(p.at[0].dirty_link_visits, 0u);
+  EXPECT_EQ(p.at[1].dirty_link_visits, 6u);
   EXPECT_EQ(p.at[2].class_solves, 3u);
   EXPECT_EQ(p.at[2].rounds_replayed, 2 * kLevels);
   EXPECT_EQ(p.at[2].fill_rounds, kLevels);
