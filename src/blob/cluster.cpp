@@ -53,11 +53,6 @@ void BlobSeerCluster::crash_provider(net::NodeId node, bool wipe_storage) {
   directory_.at(node).crash(wipe_storage);
 }
 
-void BlobSeerCluster::recover_provider(net::NodeId node) {
-  net_.set_node_up(node, true);
-  directory_.at(node).recover();
-}
-
 sim::Task<void> BlobSeerCluster::drain_all() {
   std::vector<sim::Task<void>> drains;
   drains.reserve(providers_.size());

@@ -63,11 +63,11 @@ class BlobSeerCluster {
   // and into clients created afterwards. Null = assume everything is up.
   void set_liveness(const net::LivenessView* view);
 
-  // Fail-stop crash / recovery of the provider on `node` (fault-injector
-  // hooks): flips the network's ground truth and the provider's own
-  // down-state. wipe_storage models a disk loss.
+  // Fail-stop crash / recovery of the provider on `node`: flips the
+  // network's ground truth, which is the provider's power; a crash also
+  // destroys the provider's unsynced window (wipe_storage: its disk too).
   void crash_provider(net::NodeId node, bool wipe_storage = false);
-  void recover_provider(net::NodeId node);
+  void recover_provider(net::NodeId node) { net_.set_node_up(node, true); }
 
  private:
   sim::Simulator& sim_;

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <string>
@@ -47,6 +46,7 @@
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "common/stats.h"
+#include "kv/page_cache.h"
 #include "kv/sync_window.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -92,15 +92,14 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
 
   // --- fault injection (called by the fault layer, not clients) ---
   //
-  // A crash is fail-stop at the network level: every request fails until
-  // recover(). Storage semantics: pages whose flush reached the disk
-  // survive a plain crash; pages still in the unsynced window are
-  // destroyed — exactly the window, no more, no less
+  // The node's power is the network's (net::Network::node_up): while it
+  // is off, every request fails. crash() is what a power loss does to the
+  // store: pages whose flush reached the disk survive; pages still in the
+  // unsynced window are destroyed — exactly the window, no more, no less
   // (bytes_lost_on_power_loss accounts them). wipe_storage additionally
   // models a disk loss, after which only re-replication can restore the
   // data.
   void crash(bool wipe_storage = false);
-  void recover();
 
   // Blocks until every buffered page is on disk, forcing batches out
   // regardless of the count-or-time trigger (used by tests/benches to
@@ -119,7 +118,7 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
 
   // --- introspection ---
   size_t page_count() const { return pages_.size(); }
-  uint64_t ram_used() const { return ram_used_; }
+  uint64_t ram_used() const { return dirty_bytes_ + cache_.bytes(); }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   // The durability spectrum's observable side: the unsynced window now, and
@@ -135,11 +134,14 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
  private:
   using Window = kv::SyncWindow<std::string>;
 
-  // LRU bookkeeping for RAM-resident *clean* pages.
-  void cache_touch(const std::string& key, uint64_t size);
-  void cache_evict_for(uint64_t need);
-  void uncache(const std::string& key);
-  bool ram_resident(const std::string& key) const;
+  bool down() const { return !net_.node_up(cfg_.node); }
+  bool ram_resident(const std::string& key) const {
+    return dirty_seq_.count(key) > 0 || cache_.contains(key);
+  }
+  // A read refreshes or admits the page as clean, beside the dirty pages.
+  void touch_cache(const std::string& key, uint64_t size) {
+    if (cfg_.read_cache) cache_.touch(key, size, dirty_bytes_);
+  }
 
   // Window::Site: a flushed page moves to the clean cache (or frees its
   // RAM); a skipped or lost one frees its RAM, and a lost one leaves the
@@ -158,17 +160,12 @@ class Provider final : private kv::SyncWindow<std::string>::Site {
   // dirty_seq_ maps key → window seq for every page that is dirty or in the
   // in-flight batch (an overwrite keeps its seq and its window slot).
   bs::unordered_map<std::string, uint64_t> dirty_seq_;
-  uint64_t ram_used_ = 0;
+  uint64_t dirty_bytes_ = 0;
   sim::CondVar ram_freed_;
-
-  // Clean-page LRU (front = most recent).
-  std::list<std::pair<std::string, uint64_t>> lru_;
-  bs::unordered_map<std::string, std::list<std::pair<std::string, uint64_t>>::iterator>
-      lru_index_;
+  kv::PageCache<std::string> cache_;  // clean pages (cfg_.read_cache)
 
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
-  bool down_ = false;
   Window window_;
 
   // Obs handles (cluster-wide aggregates shared by all providers in the

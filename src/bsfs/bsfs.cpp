@@ -13,18 +13,29 @@ namespace bs::bsfs {
 Bsfs::Bsfs(sim::Simulator& sim, net::Network& net,
            blob::BlobSeerCluster& cluster, NamespaceManager& ns,
            BsfsConfig cfg)
-    : sim_(sim), net_(net), cluster_(cluster), ns_(ns), cfg_(cfg) {
+    : sim_(sim), net_(net), cluster_(cluster), ns_(ns), cfg_(cfg),
+      ns_leases_(sim.metrics(), "ns"), vm_leases_(sim.metrics(), "vm") {
   BS_CHECK_MSG(cfg_.block_size % cfg_.page_size == 0,
                "block size must be a multiple of the page size");
-  // Lease instruments are registered here, in the constructor — never
-  // inside a coroutine body (the PR-6 labeled-registration rule).
-  obs::MetricsRegistry& m = sim_.metrics();
-  m_ns_hits_ = &m.counter("bsfs/lease_hits", {{"kind", "ns"}});
-  m_ns_misses_ = &m.counter("bsfs/lease_misses", {{"kind", "ns"}});
-  m_vm_hits_ = &m.counter("bsfs/lease_hits", {{"kind", "vm"}});
-  m_vm_misses_ = &m.counter("bsfs/lease_misses", {{"kind", "vm"}});
-  g_ns_hit_rate_ = &m.gauge("bsfs/lease_hit_rate", {{"kind", "ns"}});
-  g_vm_hit_rate_ = &m.gauge("bsfs/lease_hit_rate", {{"kind", "vm"}});
+}
+
+// Lease instruments are registered here, at construction — never inside a
+// coroutine body (the PR-6 labeled-registration rule).
+Bsfs::LeaseCounter::LeaseCounter(obs::MetricsRegistry& m, const char* kind)
+    : m_hits(&m.counter("bsfs/lease_hits", {{"kind", kind}})),
+      m_misses(&m.counter("bsfs/lease_misses", {{"kind", kind}})),
+      g_hit_rate(&m.gauge("bsfs/lease_hit_rate", {{"kind", kind}})) {}
+
+void Bsfs::LeaseCounter::count(bool hit) {
+  if (hit) {
+    ++hits;
+    m_hits->inc();
+  } else {
+    ++misses;
+    m_misses->inc();
+  }
+  g_hit_rate->set(static_cast<double>(hits) /
+                  static_cast<double>(hits + misses));
 }
 
 std::unique_ptr<fs::FsClient> Bsfs::make_client(net::NodeId node) {
@@ -37,29 +48,24 @@ sim::Task<std::optional<NsEntry>> Bsfs::cached_lookup(net::NodeId node,
   NodeLeases& cache = leases_[node];
   auto it = cache.ns.find(path);
   if (it != cache.ns.end()) {
-    const NsLease& lease = it->second;
-    // Valid = inside the TTL window AND no invalidation arrived (the
-    // owner's mutation epoch for this path is unchanged since grant).
+    const Lease<NsEntry>& lease = it->second;
+    // Valid = inside the TTL window AND the leased entry is still the
+    // path's current one (same stamp; a removed path has none). The stamp
+    // is the one the lookup read, so a mutation that lands while its reply
+    // is in flight still invalidates the lease.
     if (sim_.now() < lease.expires_at &&
-        ns_.mutation_epoch(path) == lease.epoch) {
-      ++ns_lease_hits_;
-      m_ns_hits_->inc();
-      g_ns_hit_rate_->set(static_cast<double>(ns_lease_hits_) /
-                          static_cast<double>(ns_lease_hits_ + ns_lease_misses_));
-      co_return lease.entry;
+        ns_.stamp(path) == lease.value.stamp) {
+      ns_leases_.count(true);
+      co_return lease.value;
     }
     cache.ns.erase(it);
   }
-  ++ns_lease_misses_;
-  m_ns_misses_->inc();
-  g_ns_hit_rate_->set(static_cast<double>(ns_lease_hits_) /
-                      static_cast<double>(ns_lease_hits_ + ns_lease_misses_));
+  ns_leases_.count(false);
   auto entry = co_await ns_.lookup(node, path);
   if (entry.has_value()) {
     // Negative answers are never cached: a create would have to invalidate
     // a lease on a path that was never granted one.
-    cache.ns[path] = NsLease{*entry, sim_.now() + cfg_.lease_ttl_s,
-                             ns_.mutation_epoch(path)};
+    cache.ns[path] = Lease<NsEntry>{*entry, sim_.now() + cfg_.lease_ttl_s};
   }
   co_return entry;
 }
@@ -71,27 +77,22 @@ sim::Task<blob::VersionInfo> Bsfs::cached_latest(net::NodeId node,
   NodeLeases& cache = leases_[node];
   auto it = cache.vm.find(blob);
   if (it != cache.vm.end()) {
-    const VmLease& lease = it->second;
+    const Lease<blob::VersionInfo>& lease = it->second;
     // Valid = inside the TTL window AND no publish invalidated it (the
     // cached version is still the published one — the shard's push
     // channel, checked against shared state at zero modeled cost). A
     // lease therefore can never serve a version behind the published one.
     if (sim_.now() < lease.expires_at &&
-        vm.published_version(blob) == lease.info.version) {
-      ++vm_lease_hits_;
-      m_vm_hits_->inc();
-      g_vm_hit_rate_->set(static_cast<double>(vm_lease_hits_) /
-                          static_cast<double>(vm_lease_hits_ + vm_lease_misses_));
-      co_return lease.info;
+        vm.published_version(blob) == lease.value.version) {
+      vm_leases_.count(true);
+      co_return lease.value;
     }
     cache.vm.erase(it);
   }
-  ++vm_lease_misses_;
-  m_vm_misses_->inc();
-  g_vm_hit_rate_->set(static_cast<double>(vm_lease_hits_) /
-                      static_cast<double>(vm_lease_hits_ + vm_lease_misses_));
+  vm_leases_.count(false);
   const blob::VersionInfo info = co_await vm.latest(node, blob);
-  cache.vm[blob] = VmLease{info, sim_.now() + cfg_.lease_ttl_s};
+  cache.vm[blob] =
+      Lease<blob::VersionInfo>{info, sim_.now() + cfg_.lease_ttl_s};
   co_return info;
 }
 
@@ -430,23 +431,9 @@ sim::Task<void> BsfsWriter::flush(uint64_t threshold) {
   }
   while (pending_bytes_ >= threshold && pending_bytes_ > 0) {
     // Assemble min(block, pending) bytes into one append.
-    const uint64_t take_target =
+    const uint64_t taken =
         std::min<uint64_t>(owner_.cfg_.block_size, pending_bytes_);
-    std::vector<DataSpec> chunk;
-    uint64_t taken = 0;
-    while (taken < take_target) {
-      DataSpec& front = pending_.front();
-      const uint64_t need = take_target - taken;
-      if (front.size() <= need) {
-        taken += front.size();
-        chunk.push_back(std::move(front));
-        pending_.erase(pending_.begin());
-      } else {
-        chunk.push_back(front.slice(0, need));
-        front = front.slice(need, front.size() - need);
-        taken += need;
-      }
-    }
+    DataSpec chunk = take_front(pending_, taken);
     pending_bytes_ -= taken;
     const uint64_t page = owner_.cfg_.page_size;
     if (shared_append_) {
@@ -456,12 +443,12 @@ sim::Task<void> BsfsWriter::flush(uint64_t threshold) {
       // appender, hence the whole-block precondition on callers.
       BS_CHECK_MSG(taken % page == 0,
                    "shared appends must be page-aligned (append whole blocks)");
-      co_await client_->append(blob_, concat(chunk));
+      co_await client_->append(blob_, std::move(chunk));
       continue;
     }
     const uint64_t pad = end_bytes_ % page;
     if (pad == 0) {
-      co_await client_->append(blob_, concat(chunk));
+      co_await client_->append(blob_, std::move(chunk));
     } else {
       // The blob ends mid-page: merge the existing tail with the new data
       // and overwrite from the page boundary (single-writer RMW).
@@ -470,7 +457,7 @@ sim::Task<void> BsfsWriter::flush(uint64_t threshold) {
           co_await client_->read(blob_, blob::kNoVersion, aligned, pad);
       std::vector<DataSpec> merged;
       merged.push_back(std::move(tail));
-      for (auto& part : chunk) merged.push_back(std::move(part));
+      merged.push_back(std::move(chunk));
       co_await client_->write(blob_, aligned, concat(merged));
     }
     end_bytes_ += taken;

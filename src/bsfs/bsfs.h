@@ -23,6 +23,7 @@
 
 #include "blob/cluster.h"
 #include "bsfs/namespace.h"
+#include "common/container.h"
 #include "fs/filesystem.h"
 
 namespace bs::bsfs {
@@ -36,11 +37,12 @@ struct BsfsConfig {
   bool enable_cache = true;
   // Metadata lease TTL (0 = leases off). When set, read paths cache
   // namespace entries and latest-published-version answers per client
-  // node for up to this long; a publish or namespace mutation invalidates
-  // the lease early (the owner's invalidation channel — modeled as a
-  // zero-cost shared-state check), so a lease never serves a stale entry
-  // or a version behind the published one. Read-mostly metadata storms
-  // then hit the local cache instead of the wire (PR 10).
+  // node for up to this long. A lease holds only while the value it
+  // leased is still current — the entry's stamp unchanged, the version
+  // still the published one (the owner's invalidation channel, modeled as
+  // a zero-cost shared-state check) — so a lease never serves a stale
+  // entry or a version behind the published one. Read-mostly metadata
+  // storms then hit the local cache instead of the wire (PR 10).
   double lease_ttl_s = 0;
 };
 
@@ -205,10 +207,10 @@ class Bsfs final : public fs::FileSystem {
 
   // Lease traffic counters (also exported as obs counters + hit-rate
   // gauges); all zero when lease_ttl_s == 0.
-  uint64_t ns_lease_hits() const { return ns_lease_hits_; }
-  uint64_t ns_lease_misses() const { return ns_lease_misses_; }
-  uint64_t vm_lease_hits() const { return vm_lease_hits_; }
-  uint64_t vm_lease_misses() const { return vm_lease_misses_; }
+  uint64_t ns_lease_hits() const { return ns_leases_.hits; }
+  uint64_t ns_lease_misses() const { return ns_leases_.misses; }
+  uint64_t vm_lease_hits() const { return vm_leases_.hits; }
+  uint64_t vm_lease_misses() const { return vm_leases_.misses; }
 
  private:
   friend class BsfsClient;
@@ -218,24 +220,31 @@ class Bsfs final : public fs::FileSystem {
   // A leased namespace entry / latest-version answer, held per client
   // NODE (BsfsClients are throwaway per-op stubs; the node is the stable
   // cache domain, like a DFS client process).
-  struct NsLease {
-    NsEntry entry;
-    double expires_at = 0;
-    uint64_t epoch = 0;  // NamespaceManager::mutation_epoch at grant time
-  };
-  struct VmLease {
-    blob::VersionInfo info;
+  template <typename T>
+  struct Lease {
+    T value;
     double expires_at = 0;
   };
   struct NodeLeases {
-    bs::unordered_map<std::string, NsLease> ns;
-    bs::unordered_map<blob::BlobId, VmLease> vm;
+    bs::unordered_map<std::string, Lease<NsEntry>> ns;
+    bs::unordered_map<blob::BlobId, Lease<blob::VersionInfo>> vm;
+  };
+  // One lease kind's hit/miss traffic, also exported as obs counters and a
+  // hit-rate gauge (bsfs/lease_{hits,misses,hit_rate}{kind=...}).
+  struct LeaseCounter {
+    LeaseCounter(obs::MetricsRegistry& m, const char* kind);
+    void count(bool hit);
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    obs::Counter* m_hits;
+    obs::Counter* m_misses;
+    obs::Gauge* g_hit_rate;
   };
 
   bool leases_on() const { return cfg_.lease_ttl_s > 0; }
   // lookup()/latest() through the lease cache. A hit costs zero simulated
-  // time (the answer is local); validity = TTL not expired AND the
-  // invalidation channel is quiet (namespace epoch unchanged / cached
+  // time (the answer is local); validity = TTL not expired AND the leased
+  // value still current (the entry's stamp still the path's / the cached
   // version still the published one). Negative lookups are never cached.
   // With leases off they await the namespace's or version manager's call.
   sim::Task<std::optional<NsEntry>> cached_lookup(net::NodeId node,
@@ -250,16 +259,8 @@ class Bsfs final : public fs::FileSystem {
   BsfsConfig cfg_;
 
   bs::unordered_map<net::NodeId, NodeLeases> leases_;
-  uint64_t ns_lease_hits_ = 0;
-  uint64_t ns_lease_misses_ = 0;
-  uint64_t vm_lease_hits_ = 0;
-  uint64_t vm_lease_misses_ = 0;
-  obs::Counter* m_ns_hits_ = nullptr;
-  obs::Counter* m_ns_misses_ = nullptr;
-  obs::Counter* m_vm_hits_ = nullptr;
-  obs::Counter* m_vm_misses_ = nullptr;
-  obs::Gauge* g_ns_hit_rate_ = nullptr;
-  obs::Gauge* g_vm_hit_rate_ = nullptr;
+  LeaseCounter ns_leases_;
+  LeaseCounter vm_leases_;
 };
 
 }  // namespace bs::bsfs

@@ -29,20 +29,11 @@ NamespaceManager::NamespaceManager(sim::Simulator& sim, net::Network& net,
             cfg.shard_nodes.empty() ? std::vector<net::NodeId>{cfg.node}
                                     : cfg.shard_nodes,
             kServiceTimeS, "bsfs/ns_requests") {
-  entries_["/"] = NsEntry{true, 0, 0, false};
+  entries_["/"] = NsEntry{true, 0, 0, false, ++mutations_};
 }
 
 net::NodeId NamespaceManager::shard_node(const std::string& path) const {
   return ring_.owner(ring_key(path)).node();
-}
-
-uint64_t NamespaceManager::mutation_epoch(const std::string& path) const {
-  auto it = epochs_.find(path);
-  return it == epochs_.end() ? 0 : it->second;
-}
-
-void NamespaceManager::bump_epoch(const std::string& path) {
-  ++epochs_[path];
 }
 
 void NamespaceManager::mkdirs_locked(const std::string& path) {
@@ -50,8 +41,7 @@ void NamespaceManager::mkdirs_locked(const std::string& path) {
   mkdirs_locked(fs::parent_path(path));
   auto it = entries_.find(path);
   if (it == entries_.end()) {
-    entries_[path] = NsEntry{true, 0, 0, false};
-    bump_epoch(path);
+    entries_[path] = NsEntry{true, 0, 0, false, ++mutations_};
   }
 }
 
@@ -67,8 +57,7 @@ net::Service::Call<bool> NamespaceManager::add_file(net::NodeId client,
         // learn of them lazily (no extra round trips — Hadoop-style implicit
         // mkdirs).
         mkdirs_locked(fs::parent_path(path));
-        entries_[path] = NsEntry{false, blob, block_size, true};
-        bump_epoch(path);
+        entries_[path] = NsEntry{false, blob, block_size, true, ++mutations_};
         return true;
       });
 }
@@ -82,7 +71,7 @@ net::Service::Call<bool> NamespaceManager::finalize(net::NodeId client,
     const bool ok = it != entries_.end() && !it->second.is_dir;
     if (ok) {
       it->second.under_construction = false;
-      bump_epoch(path);
+      it->second.stamp = ++mutations_;
     }
     return ok;
   });
@@ -150,11 +139,8 @@ sim::Task<std::vector<std::string>> NamespaceManager::list(
 
 net::Service::Call<bool> NamespaceManager::remove(net::NodeId client,
                                                   const std::string& path) {
-  return ring_.owner(ring_key(path)).call(client, [this, &path] {
-    const bool ok = entries_.erase(path) > 0;
-    if (ok) bump_epoch(path);
-    return ok;
-  });
+  return ring_.owner(ring_key(path)).call(
+      client, [this, &path] { return entries_.erase(path) > 0; });
 }
 
 sim::Task<bool> NamespaceManager::rename(net::NodeId client,
@@ -180,10 +166,10 @@ sim::Task<bool> NamespaceManager::rename(net::NodeId client,
   if (it != entries_.end() && !it->second.is_dir &&
       !it->second.under_construction && entries_.count(to) == 0) {
     mkdirs_locked(fs::parent_path(to));
-    entries_[to] = it->second;
+    NsEntry& moved = entries_[to];
+    moved = it->second;
+    moved.stamp = ++mutations_;
     entries_.erase(it);
-    bump_epoch(from);
-    bump_epoch(to);
     ok = true;
   }
   co_await second.reply(client);

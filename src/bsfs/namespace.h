@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "blob/types.h"
-#include "common/container.h"
 #include "dht/ring.h"
 #include "net/network.h"
 #include "net/rpc.h"
@@ -48,6 +47,10 @@ struct NsEntry {
   blob::BlobId blob = 0;
   uint64_t block_size = 0;
   bool under_construction = false;
+  // The namespace's mutation count at this entry's last change, unique
+  // across paths: a lease on the entry holds while the path's current
+  // entry still carries it (bsfs::Bsfs lease cache).
+  uint64_t stamp = 0;
 };
 
 class NamespaceManager {
@@ -88,23 +91,23 @@ class NamespaceManager {
     return ring_.requests_per_node();
   }
 
-  // Monotonic per-path mutation counter (0 = never mutated): the lease
+  // The stamp of `path`'s current entry (0 = no entry): the lease
   // invalidation channel. A client holding a cached entry revalidates by
-  // comparing the epoch it leased against the current one — the zero-cost
-  // shared-state check models the owner pushing invalidations to lease
-  // holders (bsfs::Bsfs lease cache). Bumped by every mutation that could
-  // change what lookup(path) returns.
-  uint64_t mutation_epoch(const std::string& path) const;
+  // comparing the entry's stamp with this one — the zero-cost shared-state
+  // check models the owner pushing invalidations to lease holders.
+  uint64_t stamp(const std::string& path) const {
+    auto it = entries_.find(path);
+    return it == entries_.end() ? 0 : it->second.stamp;
+  }
 
  private:
   void mkdirs_locked(const std::string& path);
-  void bump_epoch(const std::string& path);
 
   sim::Simulator& sim_;
   // Entry owners by path hash; counts bsfs/ns_requests{shard=i}.
   dht::ServiceRing ring_;
   std::map<std::string, NsEntry> entries_;  // sorted: list() is a range scan
-  bs::unordered_map<std::string, uint64_t> epochs_;
+  uint64_t mutations_ = 0;  // the last stamp handed out
 };
 
 }  // namespace bs::bsfs

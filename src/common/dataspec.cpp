@@ -130,4 +130,24 @@ DataSpec concat(const std::vector<DataSpec>& parts) {
   return DataSpec::from_bytes(std::move(out));
 }
 
+DataSpec take_front(std::vector<DataSpec>& queue, uint64_t bytes) {
+  std::vector<DataSpec> chunk;
+  size_t whole = 0;  // payloads taken entirely
+  for (uint64_t taken = 0; taken < bytes;) {
+    DataSpec& front = queue[whole];
+    const uint64_t need = bytes - taken;
+    if (front.size() <= need) {
+      taken += front.size();
+      chunk.push_back(std::move(front));
+      ++whole;
+    } else {
+      chunk.push_back(front.slice(0, need));
+      front = front.slice(need, front.size() - need);
+      taken += need;
+    }
+  }
+  queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(whole));
+  return concat(chunk);
+}
+
 }  // namespace bs

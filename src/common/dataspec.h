@@ -76,4 +76,9 @@ class DataSpec {
 // contiguous offsets the result stays a (cheap) pattern; otherwise bytes.
 DataSpec concat(const std::vector<DataSpec>& parts);
 
+// Cuts the first `bytes` bytes off a write-behind queue (splitting the
+// payload that straddles the cut) and returns them concatenated. The
+// queue must hold at least `bytes` bytes.
+DataSpec take_front(std::vector<DataSpec>& queue, uint64_t bytes);
+
 }  // namespace bs

@@ -87,7 +87,6 @@ sim::Task<void> FailureDetector::sweep_loop(uint64_t generation) {
         if (tracer_->enabled()) {
           tracer_->instant("fault", "fault", n, "detected_dead");
         }
-        for (auto& cb : death_cbs_) cb(n);
       } else if (!st.believed_up && lease_ok) {
         st.believed_up = true;
         ++recoveries_detected_;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/container.h"
@@ -56,12 +55,6 @@ class FailureDetector final : public net::LivenessView {
   bool is_up(net::NodeId node) const override;
   std::vector<net::NodeId> dead_nodes() const;
 
-  // Fired from the sweep loop when a node is declared dead (e.g. to kick
-  // the repair service). Callbacks run at detection time on the sim clock.
-  void on_death(std::function<void(net::NodeId)> fn) {
-    death_cbs_.push_back(std::move(fn));
-  }
-
   // --- introspection ---
   uint64_t deaths_detected() const { return deaths_detected_; }
   uint64_t recoveries_detected() const { return recoveries_detected_; }
@@ -80,7 +73,6 @@ class FailureDetector final : public net::LivenessView {
   FailureDetectorConfig cfg_;
   std::vector<net::NodeId> monitored_;
   bs::unordered_map<net::NodeId, NodeState> states_;
-  std::vector<std::function<void(net::NodeId)>> death_cbs_;
   bool running_ = false;
   uint64_t generation_ = 0;
   uint64_t deaths_detected_ = 0;

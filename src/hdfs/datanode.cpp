@@ -24,8 +24,8 @@ std::string block_args(BlockId id, uint64_t bytes) {
 
 DataNode::DataNode(sim::Simulator& sim, net::Network& net, net::NodeId node,
                    uint64_t ram_bytes, DurabilityPolicy durability)
-    : sim_(sim), net_(net), node_(node), ram_bytes_(ram_bytes),
-      window_(sim, net, node, durability, down_, *this) {
+    : sim_(sim), net_(net), node_(node), cache_(ram_bytes),
+      window_(sim, net, node, durability, *this) {
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
   m_blocks_received_ = &m.counter("hdfs/blocks_received");
@@ -36,26 +36,9 @@ DataNode::DataNode(sim::Simulator& sim, net::Network& net, net::NodeId node,
   m_replications_ = &m.counter("hdfs/replications");
 }
 
-void DataNode::cache_touch(BlockId id, uint64_t size) {
-  auto it = lru_index_.find(id);
-  if (it != lru_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (size > ram_bytes_) return;
-  while (ram_used_ + size > ram_bytes_ && !lru_.empty()) {
-    ram_used_ -= lru_.back().second;
-    lru_index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  lru_.emplace_front(id, size);
-  lru_index_[id] = lru_.begin();
-  ram_used_ += size;
-}
-
 sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
                                         DataSpec data, double rate_cap) {
-  if (down_) {
+  if (down()) {
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return false;
   }
@@ -69,9 +52,9 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     legs.push_back(net_.transfer(from, node_, bytes, rate_cap));
     legs.push_back(net_.disk(node_).write(bytes));
     co_await sim::when_all(sim_, std::move(legs));
-    if (down_) co_return false;  // crashed mid-transfer: bytes discarded
+    if (down()) co_return false;  // crashed mid-transfer: bytes discarded
     blocks_.insert_or_assign(id, std::move(data));
-    cache_touch(id, size);  // freshly written blocks sit in page cache
+    cache_.touch(id, size);  // freshly written blocks sit in page cache
     m_blocks_received_->inc();
     m_bytes_received_->inc(bytes);
     if (tracer_->enabled()) {
@@ -84,9 +67,9 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   // hflush path (kBatched/kNone): the block completes on the transfer
   // alone; the background syncer hsyncs it later.
   co_await net_.transfer(from, node_, bytes, rate_cap);
-  if (down_) co_return false;  // crashed mid-transfer: bytes discarded
+  if (down()) co_return false;  // crashed mid-transfer: bytes discarded
   blocks_.insert_or_assign(id, std::move(data));
-  cache_touch(id, size);
+  cache_.touch(id, size);
   const uint64_t my_seq = window_.push(id, size);
   m_blocks_received_->inc();
   m_bytes_received_->inc(bytes);
@@ -108,7 +91,7 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
                                                         BlockId id,
                                                         uint64_t offset,
                                                         uint64_t length) {
-  if (down_) {
+  if (down()) {
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return std::nullopt;
   }
@@ -123,10 +106,10 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   BS_CHECK(offset <= size);
   length = std::min(length, size - offset);
   DataSpec out = it->second.slice(offset, length);
-  if (cache_contains(id)) {
+  if (cache_.contains(id)) {
     // Served from the page cache: network only.
     m_cache_hits_->inc();
-    cache_touch(id, size);
+    cache_.touch(id, size);
     co_await net_.transfer(node_, client, static_cast<double>(length));
   } else {
     m_cache_misses_->inc();
@@ -135,11 +118,11 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
     legs.push_back(net_.disk(node_).read(static_cast<double>(length)));
     legs.push_back(net_.transfer(node_, client, static_cast<double>(length)));
     co_await sim::when_all(sim_, std::move(legs));
-    cache_touch(id, size);
+    cache_.touch(id, size);
   }
   // Crashed while serving (mid-read): the stream resets; the reader fails
   // over to another replica.
-  if (down_) co_return std::nullopt;
+  if (down()) co_return std::nullopt;
   m_bytes_served_->inc(static_cast<double>(length));
   if (tracer_->enabled()) {
     tracer_->complete("hdfs", "hdfs", node_, "read_block", t0,
@@ -149,19 +132,19 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
 }
 
 sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id) {
-  if (down_ || dst.down_) co_return false;
+  if (down() || dst.down()) co_return false;
   auto it = blocks_.find(id);
   if (it == blocks_.end()) co_return false;
   DataSpec block = it->second;
   // A repair read goes through the page cache like a client read, and is
   // counted with them.
-  if (cache_contains(id)) {
+  if (cache_.contains(id)) {
     m_cache_hits_->inc();
   } else {
     m_cache_misses_->inc();
     co_await net_.disk(node_).read(static_cast<double>(block.size()));
   }
-  cache_touch(id, block.size());
+  cache_.touch(id, block.size());
   // receive_block pays the dn→dn flow and the destination disk write.
   const bool ok = co_await dst.receive_block(node_, id, std::move(block));
   if (ok) m_replications_->inc();
@@ -170,16 +153,10 @@ sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id) {
 
 void DataNode::forget_block(BlockId id) {
   blocks_.erase(id);
-  auto it = lru_index_.find(id);
-  if (it != lru_index_.end()) {
-    ram_used_ -= it->second->second;
-    lru_.erase(it->second);
-    lru_index_.erase(it);
-  }
+  cache_.erase(id);
 }
 
 void DataNode::crash(bool wipe_storage) {
-  down_ = true;
   // Power loss: the unsynced window dies with the page cache — exactly the
   // window, no more, no less. (The batch in flight is failed by the
   // incarnation machinery and accounted by the syncer when its disk write
@@ -187,9 +164,7 @@ void DataNode::crash(bool wipe_storage) {
   window_.power_loss();
   if (wipe_storage) {
     blocks_.clear();
-    lru_.clear();
-    lru_index_.clear();
-    ram_used_ = 0;
+    cache_.clear();
   }
 }
 

@@ -31,15 +31,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <vector>
 
-#include "common/container.h"
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "hdfs/namenode.h"
+#include "kv/page_cache.h"
 #include "kv/sync_window.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -80,11 +79,11 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
   // of a dead datanode discards what it streamed). No modeled cost.
   void forget_block(BlockId id);
 
-  // Fail-stop crash / recovery (fault-injector hooks). A plain crash
-  // destroys exactly the unsynced window (blocks whose hsync has not
-  // reached the platter); wipe_storage additionally models a disk loss.
+  // What a power loss does to the store (fault-injector hook; the node's
+  // power itself is net::Network::node_up). A plain crash destroys exactly
+  // the unsynced window (blocks whose hsync has not reached the platter);
+  // wipe_storage additionally models a disk loss.
   void crash(bool wipe_storage = false);
-  void recover() { down_ = false; }
 
   // Blocks until every unsynced block is on disk, forcing batches out
   // regardless of the count-or-time trigger.
@@ -103,8 +102,7 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
  private:
   using Window = kv::SyncWindow<BlockId>;
 
-  void cache_touch(BlockId id, uint64_t size);
-  bool cache_contains(BlockId id) const { return lru_index_.count(id) > 0; }
+  bool down() const { return !net_.node_up(node_); }
 
   // Window::Site: a block whose hsync never reached the platter dies with
   // the page cache.
@@ -118,15 +116,8 @@ class DataNode final : private kv::SyncWindow<BlockId>::Site {
   sim::Simulator& sim_;
   net::Network& net_;
   net::NodeId node_;
-  uint64_t ram_bytes_;
   std::map<BlockId, DataSpec> blocks_;
-  // Page-cache LRU over whole blocks (front = most recent).
-  std::list<std::pair<BlockId, uint64_t>> lru_;
-  bs::unordered_map<BlockId,
-                     std::list<std::pair<BlockId, uint64_t>>::iterator>
-      lru_index_;
-  uint64_t ram_used_ = 0;
-  bool down_ = false;
+  kv::PageCache<BlockId> cache_;  // the OS page cache, over whole blocks
   // Background hsync (kBatched/kNone only; kImmediate syncs inline).
   Window window_;
 

@@ -52,11 +52,6 @@ void Hdfs::crash_datanode(net::NodeId node, bool wipe_storage) {
   datanodes_.at(node)->crash(wipe_storage);
 }
 
-void Hdfs::recover_datanode(net::NodeId node) {
-  net_.set_node_up(node, true);
-  datanodes_.at(node)->recover();
-}
-
 sim::Task<void> Hdfs::repair_block(NameNode::UnderReplicated block,
                                    RepairStats* stats) {
   if (block.live.empty()) {
@@ -208,25 +203,10 @@ sim::Task<bool> HdfsWriter::write(DataSpec data) {
 
 sim::Task<bool> HdfsWriter::flush(uint64_t threshold) {
   while (pending_bytes_ >= threshold && pending_bytes_ > 0) {
-    const uint64_t take_target =
+    const uint64_t taken =
         std::min<uint64_t>(owner_.cfg_.namenode.block_size, pending_bytes_);
-    std::vector<DataSpec> chunk;
-    uint64_t taken = 0;
-    while (taken < take_target) {
-      DataSpec& front = pending_.front();
-      const uint64_t need = take_target - taken;
-      if (front.size() <= need) {
-        taken += front.size();
-        chunk.push_back(std::move(front));
-        pending_.erase(pending_.begin());
-      } else {
-        chunk.push_back(front.slice(0, need));
-        front = front.slice(need, front.size() - need);
-        taken += need;
-      }
-    }
+    DataSpec block = take_front(pending_, taken);
     pending_bytes_ -= taken;
-    DataSpec block = concat(chunk);
 
     // Stream the block through the replica pipeline. In the fluid model all
     // hops run concurrently (cut-through); each hop is one network stream

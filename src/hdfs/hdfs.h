@@ -124,10 +124,11 @@ class Hdfs final : public fs::FileSystem {
   // placement and into reader replica selection.
   void set_liveness(const net::LivenessView* view);
 
-  // Fail-stop crash / recovery of the datanode on `node` (fault-injector
-  // hooks). wipe_storage models a disk loss.
+  // Fail-stop crash / recovery of the datanode on `node`: flips the
+  // network's ground truth, which is the datanode's power; a crash also
+  // destroys its unsynced window (wipe_storage: its disk too).
   void crash_datanode(net::NodeId node, bool wipe_storage = false);
-  void recover_datanode(net::NodeId node);
+  void recover_datanode(net::NodeId node) { net_.set_node_up(node, true); }
 
   struct RepairStats {
     uint64_t under_replicated = 0;

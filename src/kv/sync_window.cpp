@@ -24,9 +24,9 @@ GroupCommitObs GroupCommitObs::resolve(sim::Simulator& sim) {
 template <typename Key>
 SyncWindow<Key>::SyncWindow(sim::Simulator& sim, net::Network& net,
                             net::NodeId node, DurabilityPolicy policy,
-                            const bool& down, Site& site)
-    : sim_(sim), net_(net), node_(node), policy_(policy), down_(down),
-      site_(site), added_(sim), synced_(sim), drained_(sim),
+                            Site& site)
+    : sim_(sim), net_(net), node_(node), policy_(policy), site_(site),
+      added_(sim), synced_(sim), drained_(sim),
       gc_(GroupCommitObs::resolve(sim)) {
   BS_CHECK(policy_.max_records > 0);
 }
@@ -69,11 +69,14 @@ sim::Task<bool> SyncWindow<Key>::wait_acked(uint64_t seq) {
       policy_.level == DurabilityLevel::kBatched ? policy_.max_records : 0;
   const uint64_t need = seq > ahead ? seq - ahead : 0;
   const uint64_t inc = net_.incarnation(node_);
+  auto alive = [&] {
+    return net_.node_up(node_) && net_.incarnation(node_) == inc;
+  };
   while (synced_seq_ < need) {
-    if (down_ || net_.incarnation(node_) != inc) co_return false;
+    if (!alive()) co_return false;
     co_await synced_.wait();
   }
-  co_return !down_ && net_.incarnation(node_) == inc;
+  co_return alive();
 }
 
 template <typename Key>

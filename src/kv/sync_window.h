@@ -73,10 +73,8 @@ class SyncWindow {
     ~Site() = default;
   };
 
-  // `down` is the site's fail-stop flag: an ack waiter whose site crashed
-  // is refused even if the node's incarnation did not change.
   SyncWindow(sim::Simulator& sim, net::Network& net, net::NodeId node,
-             DurabilityPolicy policy, const bool& down, Site& site);
+             DurabilityPolicy policy, Site& site);
   SyncWindow(const SyncWindow&) = delete;
   SyncWindow& operator=(const SyncWindow&) = delete;
 
@@ -92,9 +90,8 @@ class SyncWindow {
       sim_.spawn(flusher());
     }
   }
-  // Resolves when `seq` is acked per the policy: true, or false if a power
-  // loss (or site crash) came first. kNone never waits; callers skip the
-  // call there.
+  // Resolves when `seq` is acked per the policy: true, or false if the
+  // node lost power first. kNone never waits; callers skip the call there.
   sim::Task<bool> wait_acked(uint64_t seq);
   // Forces batches out regardless of the trigger until the window is empty.
   sim::Task<void> drain();
@@ -135,7 +132,6 @@ class SyncWindow {
   net::Network& net_;
   net::NodeId node_;
   DurabilityPolicy policy_;
-  const bool& down_;
   Site& site_;
 
   std::deque<Entry> queue_;

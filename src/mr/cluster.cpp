@@ -184,9 +184,6 @@ sim::Task<void> MapReduceCluster::plan_job(JobState& job) {
       phase.pending.push_back(i);
     }
   }
-  job.map_outputs.resize(maps.size());
-  job.map_committed.assign(maps.size(), 0);
-  job.fetch_fail_counts.assign(maps.size(), 0);
   const double ss = std::clamp(cfg_.reduce_slowstart, 0.0, 1.0);
   job.slowstart_maps =
       static_cast<uint32_t>(std::ceil(ss * static_cast<double>(maps.size())));
@@ -339,7 +336,6 @@ void MapReduceCluster::launch(const Assignment& a, net::NodeId node) {
   job->live.push_back(std::move(att));
   auto it = std::prev(job->live.end());
 
-  ++task.running;
   task.attempt_nodes.push_back(node);
   ++job->phase(a.kind).running;
   ++slots_[node][idx(a.kind)];
@@ -377,8 +373,6 @@ void MapReduceCluster::finish_attempt(Attempt* att,
                                       std::list<Attempt>::iterator it) {
   JobState* job = att->job;
   TaskState& task = *att->task;
-  BS_CHECK(task.running > 0);
-  --task.running;
   auto node_it = std::find(task.attempt_nodes.begin(),
                            task.attempt_nodes.end(), att->node);
   BS_CHECK(node_it != task.attempt_nodes.end());
@@ -608,7 +602,7 @@ void MapReduceCluster::abort_attempt_io(Attempt* att) {
   // committed — a running sibling still carries the task. The duplicate
   // guard covers a task already requeued by a lost-output declaration
   // (report_fetch_failure) while this loser was still draining.
-  if (!task.done && task.running == 1) {
+  if (!task.done && task.attempt_nodes.size() == 1) {
     auto& pending = job->phase(att->kind).pending;
     if (std::find(pending.begin(), pending.end(), task.index) ==
         pending.end()) {
@@ -636,19 +630,16 @@ void MapReduceCluster::report_fetch_failure(JobState& job,
   // Stale notification: the output is already declared lost (the map is
   // pending or re-running) — the reducer just retries against the next
   // commit.
-  if (!job.map_committed[map_index]) return;
-  if (++job.fetch_fail_counts[map_index] < cfg_.fetch_failure_threshold) {
-    return;
-  }
+  Phase& maps = job.phase(TaskKind::kMap);
+  TaskState& task = maps.tasks[map_index];
+  if (!task.done) return;
+  if (++task.fetch_failures < cfg_.fetch_failure_threshold) return;
   // Hadoop-style declaration: enough reducers reported this map's output
   // unfetchable — the *completed* map's intermediate data is gone (with
   // kLocalDisk intermediates, its tasktracker died). Revoke the commit and
   // re-schedule the map from scratch; reducers that already copied the
   // partition keep their data, the rest wait for the re-commit.
-  job.fetch_fail_counts[map_index] = 0;
-  job.map_committed[map_index] = 0;
-  Phase& maps = job.phase(TaskKind::kMap);
-  TaskState& task = maps.tasks[map_index];
+  task.fetch_failures = 0;
   task.done = false;
   task.speculated = false;  // the straggler sweep may help the re-run too
   // Purge any stale backup-queue entry: with task.done cleared it would
@@ -877,8 +868,7 @@ sim::Task<void> MapReduceCluster::run_map_attempt(Attempt* att) {
   // Report completion, then commit (exactly one attempt installs output).
   co_await net_.control(att->node, cfg_.jobtracker_node);
   if (task.done) co_return;  // lost the race at the last instant
-  job->map_outputs[task.index] = std::move(out);
-  job->map_committed[task.index] = 1;
+  task.output = std::move(out);
   finish_commit(att, 0);
 }
 
@@ -954,7 +944,8 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
   // notification — and retried after a backoff; past the threshold the
   // tracker declares the map output lost and re-schedules the map, whose
   // re-commit wakes this loop again (see report_fetch_failure). ---
-  const uint32_t maps_total = job->phase(TaskKind::kMap).size();
+  const std::vector<TaskState>& maps = job->phase(TaskKind::kMap).tasks;
+  const uint32_t maps_total = static_cast<uint32_t>(maps.size());
   std::vector<char> fetched(maps_total, 0);
   std::vector<double> retry_after(maps_total, 0);
   uint32_t fetched_count = 0;
@@ -964,7 +955,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
     const double now = sim_.now();
     std::vector<uint32_t> batch;
     for (uint32_t i = 0; i < maps_total; ++i) {
-      if (job->map_committed[i] && !fetched[i] && now >= retry_after[i]) {
+      if (maps[i].done && !fetched[i] && now >= retry_after[i]) {
         batch.push_back(i);
       }
     }
@@ -973,7 +964,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
       // earliest backoff to expire when failed maps are all that is left.
       double next_retry = std::numeric_limits<double>::infinity();
       for (uint32_t i = 0; i < maps_total; ++i) {
-        if (job->map_committed[i] && !fetched[i]) {
+        if (maps[i].done && !fetched[i]) {
           next_retry = std::min(next_retry, retry_after[i]);
         }
       }
@@ -987,7 +978,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
     std::vector<uint32_t> moving;  // batch entries with bytes to move
     std::vector<sim::Task<bool>> fetches;
     for (uint32_t i : batch) {
-      const MapOutput& m = job->map_outputs[i];
+      const MapOutput& m = maps[i].output;
       if (m.partition_bytes[reduce_index] == 0) {
         fetched[i] = 1;  // nothing to move, nothing to lose
         ++fetched_count;
@@ -1003,7 +994,7 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
       std::vector<uint32_t> failed;
       for (size_t k = 0; k < moving.size(); ++k) {
         const uint32_t i = moving[k];
-        const uint64_t size = job->map_outputs[i].partition_bytes[reduce_index];
+        const uint64_t size = maps[i].output.partition_bytes[reduce_index];
         if (ok[k]) {
           fetched[i] = 1;
           ++fetched_count;
@@ -1049,7 +1040,8 @@ sim::Task<void> MapReduceCluster::run_reduce_attempt(Attempt* att) {
   if (!job->config.cost_model) {
     // Merge all partitions for this reducer, grouped and sorted by key.
     std::map<std::string, std::vector<std::string>> groups;
-    for (const MapOutput& m : job->map_outputs) {
+    for (const TaskState& map : maps) {
+      const MapOutput& m = map.output;
       if (m.partitions.empty()) continue;
       for (const auto& [k, v] : m.partitions[reduce_index]) {
         groups[k].push_back(v);

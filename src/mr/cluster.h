@@ -219,8 +219,13 @@ class MapReduceCluster {
     // Locality bucket of the current committed attempt (maps): revoked if
     // the output is later declared lost, re-attributed by the re-commit.
     uint8_t committed_locality = 2;
+    // The committed attempt's intermediate output (maps; while `done`,
+    // reducers fetch it), and the fetch-failure notifications against it
+    // since its commit: at MrConfig::fetch_failure_threshold the output is
+    // declared lost.
+    MapOutput output;
+    uint32_t fetch_failures = 0;
     uint32_t attempts_started = 0;
-    uint32_t running = 0;     // live attempts
     std::vector<net::NodeId> attempt_nodes;  // nodes with a live attempt
   };
 
@@ -282,11 +287,6 @@ class MapReduceCluster {
     bool shared_fallback = false;
     // This job's intermediate-data backend (JobConfig::intermediate_mode).
     std::unique_ptr<ShuffleStore> shuffle;
-    std::vector<MapOutput> map_outputs;
-    std::vector<char> map_committed;  // per map index: output available
-    // Fetch-failure notifications per map since its last commit; at
-    // MrConfig::fetch_failure_threshold the output is declared lost.
-    std::vector<uint32_t> fetch_fail_counts;
     // kv/bytes_lost_on_power_loss reading at submission; the v6 JobStats
     // durability trail is the counter's delta at completion.
     double kv_lost_at_submit = 0;

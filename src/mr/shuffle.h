@@ -81,21 +81,15 @@ struct MapOutput {
 
 // The intermediate-data backend. All methods are driven from the engine's
 // attempt coroutines; implementations must be deterministic given the
-// simulator state (no hidden randomness).
+// simulator state (no hidden randomness). A mapper-node crash destroys
+// kLocalDisk's committed map outputs but not kDfs's. The engine's
+// fetch-failure → re-execution machinery is armed in both modes
+// (re-execution is the universal self-healing remedy, e.g. for a
+// pathologically missing kDfs file); with kDfs it simply never fires in
+// practice because fetches fail over inside the DFS instead of failing.
 class ShuffleStore {
  public:
   virtual ~ShuffleStore() = default;
-
-  // True when a mapper-node crash destroys this store's committed map
-  // outputs (kLocalDisk); false when the store survives crashes on its
-  // own (kDfs). Advertised store semantics — what operators and tests
-  // reason about when choosing a mode. The engine's fetch-failure →
-  // re-execution machinery is deliberately NOT gated on it: it stays
-  // armed in both modes (re-execution is the universal self-healing
-  // remedy, e.g. for a pathologically missing kDfs file); with kDfs it
-  // simply never fires in practice because fetches fail over inside the
-  // DFS instead of failing.
-  virtual bool crash_loses_output() const = 0;
 
   // Map side, called on the attempt's node after the map compute and
   // before the commit RPC: materialize the attempt's partitioned output.
@@ -139,7 +133,6 @@ class LocalDiskShuffleStore final : public ShuffleStore {
  public:
   LocalDiskShuffleStore(sim::Simulator& sim, net::Network& net)
       : sim_(sim), net_(net) {}
-  bool crash_loses_output() const override { return true; }
 
   sim::Task<bool> write_map_output(const std::string& job_dir,
                                    uint32_t map_index, MapOutput* out,
@@ -165,7 +158,6 @@ class DfsShuffleStore final : public ShuffleStore {
   DfsShuffleStore(sim::Simulator& sim, net::Network& net, fs::FileSystem& fs,
                   uint32_t replication)
       : sim_(sim), net_(net), fs_(fs), replication_(replication) {}
-  bool crash_loses_output() const override { return false; }
 
   sim::Task<bool> write_map_output(const std::string& job_dir,
                                    uint32_t map_index, MapOutput* out,

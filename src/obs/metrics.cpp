@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "obs/json.h"
 
 namespace bs::obs {
 
@@ -146,45 +145,6 @@ std::string MetricsRegistry::text_snapshot() const {
     }
     out += '\n';
   }
-  return out;
-}
-
-void MetricsRegistry::write_json(std::string* out) const {
-  *out += '{';
-  bool first = true;
-  for (const auto& [key, e] : entries_) {
-    if (!first) *out += ',';
-    first = false;
-    *out += json_quote(key);
-    *out += ':';
-    switch (e.kind) {
-      case Kind::kCounter:
-        *out += format_metric_value(e.counter->value());
-        break;
-      case Kind::kGauge:
-        *out += format_metric_value(e.gauge->value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e.histogram;
-        *out += "{\"count\":" +
-                format_metric_value(static_cast<double>(h.count()));
-        *out += ",\"sum\":" + format_metric_value(h.sum());
-        *out += ",\"min\":" + format_metric_value(h.min());
-        *out += ",\"max\":" + format_metric_value(h.max());
-        *out += ",\"p50\":" + format_metric_value(h.percentile(0.50));
-        *out += ",\"p90\":" + format_metric_value(h.percentile(0.90));
-        *out += ",\"p99\":" + format_metric_value(h.percentile(0.99));
-        *out += '}';
-        break;
-      }
-    }
-  }
-  *out += '}';
-}
-
-std::string MetricsRegistry::json_snapshot() const {
-  std::string out;
-  write_json(&out);
   return out;
 }
 

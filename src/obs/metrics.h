@@ -130,10 +130,6 @@ class MetricsRegistry {
   //   mr/task_latency_s{job=0,kind=map} count=8 sum=12.5 min=... p50=...
   std::string text_snapshot() const;
 
-  // JSON object mapping key -> number (counter/gauge) or histogram object.
-  void write_json(std::string* out) const;
-  std::string json_snapshot() const;
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {

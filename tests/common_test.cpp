@@ -160,6 +160,22 @@ TEST(DataSpec, NonContiguousPatternConcatIsBytes) {
   EXPECT_EQ(cat.size(), 20u);
 }
 
+TEST(DataSpec, TakeFrontSplitsThePayloadThatStraddlesTheCut) {
+  std::vector<DataSpec> queue = {DataSpec::pattern(4, 0, 10),
+                                 DataSpec::pattern(4, 10, 20),
+                                 DataSpec::from_string("xyz")};
+  auto block = take_front(queue, 25);  // all of the first, 15 of the second
+  EXPECT_TRUE(block.is_pattern());
+  EXPECT_TRUE(block.content_equals(DataSpec::pattern(4, 0, 25)));
+  ASSERT_EQ(queue.size(), 2u);
+  EXPECT_TRUE(queue[0].content_equals(DataSpec::pattern(4, 25, 5)));
+  block = take_front(queue, 8);  // the rest: pattern then bytes
+  EXPECT_EQ(block.kind(), DataSpec::Kind::kBytes);
+  EXPECT_EQ(block.size(), 8u);
+  EXPECT_EQ(block.materialize()[5], 'x');
+  EXPECT_TRUE(queue.empty());
+}
+
 TEST(Stats, SummaryBasics) {
   Summary s;
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);

@@ -77,6 +77,18 @@ struct FaultWorld {
   }
 };
 
+// 10% of the 19 storage nodes (2 nodes), the victims of a
+// fraction-of-nodes crash.
+const std::vector<net::NodeId> kTenPercent = {5, 7};
+
+// Powers `node` back on at time t, as a reboot does: the network's power
+// flag is every storage service's.
+sim::Task<void> power_on_at(sim::Simulator* sim, net::Network* net,
+                            net::NodeId node, double t) {
+  co_await sim->delay(t - sim->now());
+  net->set_node_up(node, true);
+}
+
 // Writes `pages` pages of marker data and returns the blob id.
 sim::Task<blob::BlobId> stage_blob(blob::BlobClient& c, uint32_t replication,
                                    uint64_t pages, blob::BlobId* out) {
@@ -91,9 +103,14 @@ TEST(Detector, MarksCrashedNodeDeadWithinTimeout) {
   w.detector.start();
   w.injector.crash_at(5, 1.0);
   double detected_at = -1;
-  w.detector.on_death([&](net::NodeId n) {
-    if (n == 5 && detected_at < 0) detected_at = w.sim.now();
-  });
+  // Polls the detector's view every 10 ms until node 5 reads dead.
+  auto watch = [](FaultWorld* world, double* at) -> sim::Task<void> {
+    while (world->detector.is_up(5) && world->sim.now() < 10.0) {
+      co_await world->sim.delay(0.01);
+    }
+    if (!world->detector.is_up(5)) *at = world->sim.now();
+  };
+  w.sim.spawn(watch(&w, &detected_at));
   w.sim.run_until(10.0);
   w.detector.stop();
   w.sim.run();
@@ -101,16 +118,16 @@ TEST(Detector, MarksCrashedNodeDeadWithinTimeout) {
   EXPECT_TRUE(w.detector.is_up(6));
   EXPECT_EQ(w.detector.deaths_detected(), 1u);
   // Detection lands after the lease expires but within one timeout + beat
-  // + sweep of the crash.
+  // + sweep (+ one poll) of the crash.
   EXPECT_GT(detected_at, 1.0);
-  EXPECT_LT(detected_at, 1.0 + 0.8 + 0.2 + 0.2);
+  EXPECT_LT(detected_at, 1.0 + 0.8 + 0.2 + 0.2 + 0.01);
 }
 
 TEST(Detector, RecoveryIsDetectedWhenBeatsResume) {
   FaultWorld w;
   w.detector.start();
   w.injector.crash_at(7, 1.0);
-  w.injector.recover_at(7, 4.0);
+  w.sim.spawn(power_on_at(&w.sim, &w.net, 7, 4.0));
   w.sim.run_until(3.0);
   EXPECT_FALSE(w.detector.is_up(7));
   w.sim.run_until(6.0);
@@ -137,9 +154,7 @@ TEST(FaultRecovery, DegradedReadsSucceedAndRepairRestoresReplication) {
 
   // Kill 10% of the 19 storage nodes (2 nodes) while readers are active.
   w.detector.start();
-  auto victims = w.injector.crash_fraction_at(
-      FaultWorld::storage_nodes(w.net.config()), 0.10, /*t=*/w.sim.now() + 0.2);
-  ASSERT_EQ(victims.size(), 2u);
+  for (net::NodeId v : kTenPercent) w.injector.crash_at(v, w.sim.now() + 0.2);
 
   // Readers hammer the blob through the crash window; every read must
   // come back byte-exact (failover to surviving replicas).
@@ -159,7 +174,7 @@ TEST(FaultRecovery, DegradedReadsSucceedAndRepairRestoresReplication) {
   }
   w.sim.run_until(30.0);
   EXPECT_EQ(read_errors, 0);
-  for (net::NodeId v : victims) EXPECT_FALSE(w.detector.is_up(v));
+  for (net::NodeId v : kTenPercent) EXPECT_FALSE(w.detector.is_up(v));
 
   // Repair: every leaf back to 3 replicas, all on live providers.
   RepairConfig rcfg;
@@ -200,7 +215,7 @@ TEST(FaultRecovery, DegradedReadsSucceedAndRepairRestoresReplication) {
     }
     *ok = good;
   };
-  w.sim.spawn(verify(w, *client, blob, victims, &verified));
+  w.sim.spawn(verify(w, *client, blob, kTenPercent, &verified));
   w.sim.run_until(200.0);
   EXPECT_TRUE(verified);
   w.detector.stop();
@@ -697,9 +712,8 @@ TEST(FaultRecovery, PlacementExcludesDetectedDeadNodes) {
 
 TEST(FaultRecovery, DeterministicUnderFaults) {
   // Two identical runs of the full crash→detect→repair pipeline must agree
-  // exactly: same victims, same event counts, same finish times.
-  auto run_once = [](uint64_t* events, double* t_end, uint64_t* restored,
-                     std::vector<net::NodeId>* victims) {
+  // exactly: same event counts, same finish times.
+  auto run_once = [](uint64_t* events, double* t_end, uint64_t* restored) {
     FaultWorld w;
     auto client = w.cluster.make_client(1);
     blob::BlobId blob = 0;
@@ -709,8 +723,7 @@ TEST(FaultRecovery, DeterministicUnderFaults) {
     w.sim.spawn(stage(*client, &blob));
     w.sim.run();
     w.detector.start();
-    *victims = w.injector.crash_fraction_at(
-        FaultWorld::storage_nodes(w.net.config()), 0.10, w.sim.now() + 0.3);
+    for (net::NodeId v : kTenPercent) w.injector.crash_at(v, w.sim.now() + 0.3);
     RepairService repair(w.cluster, w.detector, RepairConfig{});
     RepairStats stats;
     auto orchestrate = [](FaultWorld& world, RepairService& r,
@@ -727,10 +740,8 @@ TEST(FaultRecovery, DeterministicUnderFaults) {
   };
   uint64_t e1 = 0, e2 = 0, r1 = 0, r2 = 0;
   double t1 = 0, t2 = 0;
-  std::vector<net::NodeId> v1, v2;
-  run_once(&e1, &t1, &r1, &v1);
-  run_once(&e2, &t2, &r2, &v2);
-  EXPECT_EQ(v1, v2);
+  run_once(&e1, &t1, &r1);
+  run_once(&e2, &t2, &r2);
   EXPECT_EQ(e1, e2);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(r1, r2);
@@ -767,8 +778,7 @@ TEST(FaultRecovery, HdfsDatanodeDeathFailoverAndReRepair) {
   sim.run();
 
   detector.start();
-  auto victims = injector.crash_fraction_at(datanodes, 0.10, sim.now() + 0.2);
-  ASSERT_EQ(victims.size(), 2u);
+  for (net::NodeId v : kTenPercent) injector.crash_at(v, sim.now() + 0.2);
 
   // Reads fail over to surviving replicas while the nodes are dead.
   bool read_ok = false;
@@ -858,8 +868,8 @@ TEST(FaultRecovery, WipedAndRecoveredReplicaIsReCreated) {
 
 TEST(FaultInjection, InjectedCrashWipesStorage) {
   // Every crash the injector fires is a disk loss, on both back-ends: a
-  // node brought back by recover_at is up but holds nothing. A direct
-  // crash without the wipe (a power loss) keeps what reached the disk.
+  // node powered on again is up but holds nothing. A direct crash without
+  // the wipe (a power loss) keeps what reached the disk.
   FaultWorld w;  // injector wired to the providers by wire_blobseer
   auto put_pages = [](blob::Provider& p) -> sim::Task<void> {
     for (uint64_t i = 0; i < 3; ++i) {
@@ -875,7 +885,7 @@ TEST(FaultInjection, InjectedCrashWipesStorage) {
   ASSERT_EQ(w.cluster.provider_on(4).page_count(), 3u);
   ASSERT_EQ(w.cluster.provider_on(5).page_count(), 3u);
   w.injector.crash_at(4, w.sim.now() + 1.0);
-  w.injector.recover_at(4, w.sim.now() + 2.0);
+  w.sim.spawn(power_on_at(&w.sim, &w.net, 4, w.sim.now() + 2.0));
   w.cluster.crash_provider(5, /*wipe_storage=*/false);
   w.sim.run();
   w.cluster.recover_provider(5);
@@ -900,10 +910,58 @@ TEST(FaultInjection, InjectedCrashWipesStorage) {
   sim.run();
   ASSERT_TRUE(fs.datanode_on(4).has_block(7));
   injector.crash_at(4, sim.now() + 1.0);
-  injector.recover_at(4, sim.now() + 2.0);
+  sim.spawn(power_on_at(&sim, &net, 4, sim.now() + 2.0));
   sim.run();
   EXPECT_TRUE(net.node_up(4));
   EXPECT_FALSE(fs.datanode_on(4).has_block(7));
+}
+
+TEST(FaultInjection, StorageNodesTakeTheirPowerFromTheNetwork) {
+  // The network's power flag is the only one: a node switched off there
+  // alone refuses provider and DataNode requests after the connection
+  // timeout, and serves them again once it is back on.
+  sim::Simulator sim;
+  net::Network net(sim, test_net());
+  blob::ProviderConfig pcfg;
+  pcfg.node = 4;
+  blob::Provider provider(sim, net, pcfg);
+  hdfs::DataNode datanode(sim, net, 4);
+  struct Result {
+    bool ok = false;
+    double at = -1;
+  };
+  auto put = [](sim::Simulator* s, blob::Provider* p, uint64_t i,
+                Result* r) -> sim::Task<void> {
+    r->ok = co_await p->put_page(0, blob::PageKey{1, i, 1},
+                                 DataSpec::pattern(i, 0, kPage));
+    r->at = s->now();
+  };
+  auto receive = [](sim::Simulator* s, hdfs::DataNode* dn, hdfs::BlockId id,
+                    Result* r) -> sim::Task<void> {
+    r->ok = co_await dn->receive_block(0, id, DataSpec::pattern(id, 0, kPage));
+    r->at = s->now();
+  };
+
+  net.set_node_up(4, false);
+  Result page, block;
+  sim.spawn(put(&sim, &provider, 0, &page));
+  sim.spawn(receive(&sim, &datanode, 1, &block));
+  sim.run();
+  EXPECT_FALSE(page.ok);
+  EXPECT_FALSE(block.ok);
+  EXPECT_DOUBLE_EQ(page.at, test_net().rpc_timeout_s);
+  EXPECT_DOUBLE_EQ(block.at, test_net().rpc_timeout_s);
+  EXPECT_FALSE(provider.has_page(blob::PageKey{1, 0, 1}));
+  EXPECT_FALSE(datanode.has_block(1));
+
+  net.set_node_up(4, true);
+  sim.spawn(put(&sim, &provider, 1, &page));
+  sim.spawn(receive(&sim, &datanode, 2, &block));
+  sim.run();
+  EXPECT_TRUE(page.ok);
+  EXPECT_TRUE(block.ok);
+  EXPECT_TRUE(provider.has_page(blob::PageKey{1, 1, 1}));
+  EXPECT_TRUE(datanode.has_block(2));
 }
 
 TEST(FaultRecovery, RepairOntoARecoveredHolderCountsItsRamOnce) {

@@ -7,14 +7,17 @@
 // most max_records = 4 writes are ahead of the platter: a power loss
 // destroys exactly the unsynced window, acked_bytes_lost_on_power_loss
 // counts its acked part, every writer still waiting for its ack is
-// refused, and every synced write survives.
+// refused, and every synced write survives. Last, the clean-page cache
+// (kv/page_cache.h) both sites keep beside the window.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "blob/provider.h"
 #include "hdfs/datanode.h"
+#include "kv/page_cache.h"
 #include "net/network.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
@@ -301,6 +304,68 @@ TEST(SyncWindow, PowerLossAfterSyncKeepsEverySyncedWrite) {
     EXPECT_EQ(r.acked_bytes_lost, 0u);
     EXPECT_EQ(r.batches, 2u);
   }
+}
+
+// --- the clean-page cache ------------------------------------------------------
+
+TEST(PageCache, HitMovesThePageToTheFront) {
+  PageCache<uint64_t> cache(300);
+  cache.touch(1, 100);
+  cache.touch(2, 100);
+  cache.touch(3, 100);
+  cache.touch(1, 100);  // a hit: page 1 is the most recent now
+  EXPECT_EQ(cache.bytes(), 300u);
+  cache.touch(4, 100);  // evicts the least recent, page 2
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_TRUE(cache.contains(4));
+}
+
+TEST(PageCache, AdmissionEvictsLeastRecentUntilThePageFitsBesideHeld) {
+  PageCache<uint64_t> cache(1000);
+  for (uint64_t k = 1; k <= 4; ++k) cache.touch(k, 200);  // page 1 oldest
+  // 300 bytes held outside the cache (dirty pages): a 200-byte page fits
+  // once at most 500 bytes stay cached, so pages 1 and 2 go.
+  cache.touch(5, 200, /*held=*/300);
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_TRUE(cache.contains(4));
+  EXPECT_TRUE(cache.contains(5));
+  EXPECT_EQ(cache.bytes(), 600u);
+  // Held bytes alone leave no room: every page goes, and still no fit.
+  EXPECT_FALSE(cache.make_room(200, /*held=*/900));
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_TRUE(cache.make_room(200, /*held=*/800));
+}
+
+TEST(PageCache, PageLargerThanRamIsNeverCached) {
+  PageCache<uint64_t> cache(1000);
+  cache.touch(1, 400);
+  cache.touch(2, 1001);
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(1));  // nothing was evicted for it
+  EXPECT_EQ(cache.bytes(), 400u);
+}
+
+TEST(PageCache, EraseAndClearReleaseTheirBytes) {
+  PageCache<std::string> cache(1000);
+  cache.touch("a", 100);
+  cache.touch("b", 250);
+  cache.insert("c", 300);  // a flushed page joins without eviction
+  EXPECT_EQ(cache.bytes(), 650u);
+  cache.erase("b");
+  EXPECT_FALSE(cache.contains("b"));
+  EXPECT_EQ(cache.bytes(), 400u);
+  cache.erase("b");  // absent: nothing to release
+  EXPECT_EQ(cache.bytes(), 400u);
+  cache.clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_FALSE(cache.contains("a"));
+  EXPECT_FALSE(cache.contains("c"));
+  cache.touch("d", 1000);  // the whole RAM is free again
+  EXPECT_TRUE(cache.contains("d"));
 }
 
 }  // namespace

@@ -55,7 +55,6 @@ struct LocalWorld {
 
 TEST(LocalDiskShuffle, SpillAndFetchMoveTheBytes) {
   LocalWorld w;
-  EXPECT_TRUE(w.store.crash_loses_output());
   MapOutput m = sample_output(3, 0, {6000, 2000});
   uint64_t written = 0;
   bool wrote = false;
@@ -165,7 +164,6 @@ TEST_P(DfsShuffleTest, WriteFetchAndCleanupLifecycle) {
   DfsWorld w;
   fs::FileSystem& fs = w.backend(GetParam());
   DfsShuffleStore store(w.sim, w.net, fs, /*replication=*/0);
-  EXPECT_FALSE(store.crash_loses_output());
 
   MapOutput m = sample_output(3, 2, {kBlock, 0, kBlock / 2});
   uint64_t written = 0;

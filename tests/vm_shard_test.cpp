@@ -354,6 +354,38 @@ TEST(VmShard, LeaseInvalidatedOnRename) {
   w.sim.run();
 }
 
+// A remove that lands while a lookup's reply is still on the wire must
+// still invalidate the lease that lookup grants: the lease holds the
+// stamp the lookup read with the entry, not the one current when the
+// reply arrives.
+TEST(VmShard, LeaseNeverServesAnEntryRemovedDuringItsLookupReply) {
+  LeaseWorld w(/*ttl_s=*/1e6);
+  w.sim.spawn(put_file(&w.fs, "/lease/f", kBlock));
+  w.sim.run();
+
+  auto stat = [](bsfs::Bsfs* fs, bool* found) -> sim::Task<void> {
+    auto reader = fs->make_client(2);
+    *found = (co_await reader->stat("/lease/f")).has_value();
+  };
+  auto unlink = [](bsfs::Bsfs* fs, bool* removed) -> sim::Task<void> {
+    auto client = fs->make_client(3);
+    *removed = co_await client->remove("/lease/f");
+  };
+  // The same instant, node 2 first: its lookup is served, then the remove
+  // runs while the lookup's reply travels back.
+  bool found = false;
+  bool removed = false;
+  w.sim.spawn(stat(&w.fs, &found));
+  w.sim.spawn(unlink(&w.fs, &removed));
+  w.sim.run();
+  EXPECT_TRUE(found);
+  EXPECT_TRUE(removed);
+
+  w.sim.spawn(stat(&w.fs, &found));
+  w.sim.run();
+  EXPECT_FALSE(found) << "a lease served a removed entry";
+}
+
 // TTL expiry forces a re-fetch even when nothing changed.
 TEST(VmShard, LeaseTtlExpiryForcesRefetch) {
   LeaseWorld w(/*ttl_s=*/0.5);
